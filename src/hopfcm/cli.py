@@ -3,8 +3,6 @@
 Subcommands: catalog, hopf, normalize, focus, period, cyclicity, simulate,
 displacement, verify.  Reports are JSON on stdout (exact values as rational
 strings); exit code 0 on success, 2 on domain errors, 1 on usage errors.
-HF_PRECISION in {double, extended} selects the numeric backend precision
-for period measurements.
 """
 
 from __future__ import annotations
@@ -64,6 +62,14 @@ def _emit(report, out=None):
         print(text)
 
 
+def _exact_number(text):
+    """Decimals and p/q parsed exactly; malformed text is a domain error."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise HopfcmError(f"bad number {text!r}: {exc}") from exc
+
+
 def _parse_params(spec):
     if not spec:
         return {}
@@ -72,7 +78,7 @@ def _parse_params(spec):
         if "=" not in item:
             raise HopfcmError(f"bad parameter assignment {item!r}")
         k, v = item.split("=", 1)
-        out[k.strip()] = Fraction(v) if "/" in v or "." not in v else float(v)
+        out[k.strip()] = _exact_number(v)
     return out
 
 
@@ -97,7 +103,7 @@ def _parse_point(spec, fld, params):
         if spec not in pts:
             raise HopfcmError(f"equilibrium {spec} does not exist at {params}")
         return pts[spec]
-    vals = [Fraction(v) for v in spec.split(",")]
+    vals = [_exact_number(v) for v in spec.split(",")]
     if len(vals) != 3:
         raise HopfcmError("point must be E<k> or three comma-separated values")
     if fld.backend == "float":
@@ -232,7 +238,7 @@ def _cmd_period(args):
 
 def _cmd_cyclicity(args):
     if args.mode == "teo4":
-        d0 = Fraction(args.d0)
+        d0 = _exact_number(args.d0)
         report = cyclicity_bound_rank(
             catalog.e1_normal_trace(),
             {"k": 1, "c": 0, "d": d0, "sigma": 0},
@@ -334,11 +340,6 @@ def build_parser():
 
     def common(sp):
         sp.add_argument("--out", help="write the JSON report to this file")
-        sp.add_argument(
-            "--json",
-            action="store_true",
-            help="machine-readable output (reports are always JSON)",
-        )
 
     sp = sub.add_parser("catalog", help="list built-in systems")
     common(sp)

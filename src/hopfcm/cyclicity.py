@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import BadPivots, TruncationTooLow
+from .errors import BadPivots
 from .focusq import complexify, focus_quantities
 from .normalform import to_normal_form
 from .paramfield import Jet, JetContext, ParamExpr
@@ -175,11 +175,6 @@ def jacobian_rank(quantities, params, point=None) -> JacobianReport:
     return JacobianReport(
         rows, params, dict(point or {}), rank, tuple(params[c] for c in pivot_cols)
     )
-
-
-def homogeneous_part(q: Jet, degree: int) -> Jet:
-    """Degree-m layer of a jet quantity (TruncationTooLow past the cap)."""
-    return q.homogeneous_part(degree)
 
 
 def reduce_quantities(quantities, pivots):

@@ -28,14 +28,7 @@ from fractions import Fraction
 
 from .errors import DegenerateLambda, NotAFirstIntegralCandidate, NotRealSystem
 from .normalform import NormalForm3, to_normal_form
-from .paramfield import (
-    GaussExpr,
-    Jet,
-    conjugate_scalar,
-    is_zero_scalar,
-    one_like,
-    zero_like,
-)
+from .paramfield import Jet, is_zero_scalar, scalar_ring
 from .polysys import StatePoly, VectorField3
 
 
@@ -77,90 +70,45 @@ class FocusReport:
     normalization: str = "psi-coefficients d_kk0 = 0; quantities real"
     scales: dict = dc_field(default_factory=dict)
 
-    def first_nonzero(self):
-        for i, q in enumerate(self.quantities):
-            if not is_zero_scalar(q):
-                return i + 1, q
-        return None, None
-
 
 def complexify(nf: NormalForm3) -> ComplexSystem:
     """Complex coefficient extraction; requires canonical orientation."""
     if nf.orientation != 1:
         raise ValueError("complexify needs the canonical (+1) orientation frame")
-    if nf.field.backend == "float":
-        return _complexify_generic(
-            nf, half=0.5 + 0j, mhalf_i=-0.5j, one=1.0 + 0j, lam=complex(nf.lam)
-        )
-    sample = nf.lam
-    zero = zero_like(sample)
-    one = one_like(sample)
-    half_r = one * Fraction(1, 2)
-    half = GaussExpr(half_r, zero)
-    mhalf_i = GaussExpr(zero, -half_r)
-    gone = GaussExpr(one, zero)
-    return _complexify_generic(nf, half=half, mhalf_i=mhalf_i, one=gone, lam=nf.lam)
-
-
-def _complexify_generic(nf, half, mhalf_i, one, lam):
-    is_float = nf.field.backend == "float"
-
-    def lift(t):
-        if is_float:
-            return complex(t)
-        return GaussExpr(t, zero_like(t))
-
-    def times_i(g):
-        if is_float:
-            return g * 1j
-        return GaussExpr(-g.im, g.re)
-
+    ring = scalar_ring(nf.field.backend, nf.lam)
+    half = ring.one * Fraction(1, 2)
+    half_i = ring.gauss(ring.zero, half)
     # u = (x + y)/2, v = -i/2 (x - y), w = z
-    u_sub = StatePoly({(1, 0, 0): half, (0, 1, 0): half})
-    v_sub = StatePoly({(1, 0, 0): mhalf_i, (0, 1, 0): -mhalf_i})
-    w_sub = StatePoly({(0, 0, 1): one})
-    subs = [u_sub, v_sub, w_sub]
-
-    P = nf.P.map_coeffs(lift)
-    Q = nf.Q.map_coeffs(lift)
-    R = nf.R.map_coeffs(lift)
-    iQ = Q.map_coeffs(times_i)
-    X1 = (P + iQ).compose(subs)
-    X2 = (P - iQ).compose(subs)
-    X3 = R.compose(subs)
+    subs = [
+        StatePoly({(1, 0, 0): ring.lift(half), (0, 1, 0): ring.lift(half)}),
+        StatePoly({(1, 0, 0): -half_i, (0, 1, 0): half_i}),
+        StatePoly({(0, 0, 1): ring.lift(ring.one)}),
+    ]
+    P, Q = nf.P.terms, nf.Q.terms
+    # P + iQ coefficient by coefficient; P - iQ is its conjugate
+    P_iQ = StatePoly(
+        {e: ring.gauss(P.get(e, ring.zero), Q.get(e, ring.zero)) for e in {**P, **Q}}
+    )
+    X1 = P_iQ.compose(subs)
+    X2 = P_iQ.map_coeffs(ring.conj).compose(subs)
+    X3 = nf.R.map_coeffs(ring.lift).compose(subs)
     cs = ComplexSystem(
-        dict(X1.terms), dict(X2.terms), dict(X3.terms), lam, nf.field.backend
+        dict(X1.terms), dict(X2.terms), dict(X3.terms), nf.lam, nf.field.backend
     )
     _check_reality(cs)
     return cs
 
 
-def _check_reality(cs: ComplexSystem, tol: float = 1e-9):
-    def close(p, q):
-        diff = p - q
-        if cs.backend == "float":
-            return abs(diff) <= tol * max(1.0, abs(p), abs(q))
-        return is_zero_scalar(diff)
-
-    zero = 0j if cs.backend == "float" else None
-    for (j, k, l), coeff in cs.a.items():
-        other = cs.b.get((k, j, l))
-        if other is None:
-            other = zero if zero is not None else zero_like(coeff)
-        if not close(other, conjugate_scalar(coeff)):
-            raise NotRealSystem(f"b[{k},{j},{l}] != conj(a[{j},{k},{l}])")
-    for (j, k, l), coeff in cs.b.items():
-        other = cs.a.get((k, j, l))
-        if other is None:
-            other = zero if zero is not None else zero_like(coeff)
-        if not close(coeff, conjugate_scalar(other)):
-            raise NotRealSystem(f"b[{j},{k},{l}] != conj(a[{k},{j},{l}])")
-    for (j, k, l), coeff in cs.c.items():
-        other = cs.c.get((k, j, l))
-        if other is None:
-            other = zero if zero is not None else zero_like(coeff)
-        if not close(other, conjugate_scalar(coeff)):
-            raise NotRealSystem(f"c[{k},{j},{l}] != conj(c[{j},{k},{l}])")
+def _check_reality(cs: ComplexSystem):
+    ring = scalar_ring(cs.backend, cs.lam)
+    zero = ring.lift(ring.zero)
+    pairs = (("a", cs.a, "b", cs.b), ("b", cs.b, "a", cs.a), ("c", cs.c, "c", cs.c))
+    for name, coeffs, other_name, other in pairs:
+        for (j, k, l), coeff in coeffs.items():
+            if not ring.close(other.get((k, j, l), zero), ring.conj(coeff)):
+                raise NotRealSystem(
+                    f"{other_name}[{k},{j},{l}] != conj({name}[{j},{k},{l}])"
+                )
 
 
 @dataclass
@@ -193,30 +141,22 @@ def _psi_recursion(cs: ComplexSystem, n: int):
         raise ValueError("n must be at least 1")
     if is_zero_scalar(cs.lam):
         raise DegenerateLambda("transverse eigenvalue is zero")
-    is_float = cs.backend == "float"
     lam = cs.lam
     sigma = cs.sigma
     if sigma is not None:
         if not isinstance(sigma, Jet) or sigma.constant_part() != 0:
             raise ValueError("sigma must be a zero-constant jet")
-    if is_float:
-        one_c = 1.0 + 0j
-    else:
-        base_one = one_like(lam)
-        one_c = GaussExpr(base_one, zero_like(lam))
+    ring = scalar_ring(cs.backend, lam)
 
     def divisor(k1, k2, k3):
-        if is_float:
-            return complex(lam * k3, k1 - k2)
-        re = lam * k3 if k3 else zero_like(lam)
+        re = lam * k3 if k3 else ring.zero
         if sigma is not None and k1 + k2:
             re = re + sigma * (k1 + k2)
-        im = one_like(lam) * (k1 - k2)
-        return GaussExpr(re, im)
+        return ring.gauss(re, ring.one * (k1 - k2))
 
     # contributions of each component: (coeff dict, exponent offset axis)
     comps = ((cs.a, 0), (cs.b, 1), (cs.c, 2))
-    d = {(1, 1, 0): one_c}
+    d = {(1, 1, 0): ring.lift(ring.one)}
     quantities = []
     for m in range(3, 2 * n + 3):
         layer = {}
@@ -243,99 +183,51 @@ def _psi_recursion(cs: ComplexSystem, n: int):
                     continue
                 if k1 == k2 and k3 == 0:
                     layer[target] = S  # obstruction; d stays zero
-                elif not _gauss_is_zero(S, is_float):
+                elif not ring.is_zero(S):
                     d[target] = -S / divisor(k1, k2, k3)
         if m % 2 == 0 and m >= 4:
             k = m // 2
             S = layer.get((k, k, 0))
-            quantities.append(_realize(S, is_float, lam))
+            if S is None:
+                quantities.append(ring.zero)
+            else:
+                quantities.append(ring.real(S, "focus quantity", NotRealSystem))
     return quantities, d
-
-
-def _gauss_is_zero(x, is_float):
-    if is_float:
-        return x == 0
-    return x.is_zero()
 
 
 def identity_defect(cs: ComplexSystem, n: int):
     """Residual of the defining identity through degree 2n + 2.
 
-    Recomputes the derivative of the built Psi along the field and subtracts
-    sum_j L_{j-1} (xy)^j; every coefficient of total degree <= 2n+2 must
-    cancel.  Returns the worst surviving magnitude (floats) or raises
+    Differentiates the built Psi along the complex field with plain
+    polynomial arithmetic, sharing no code with the recursion, and subtracts
+    sum_j L_{j-1} (xy)^j; every coefficient of degree 3..2n+2 must cancel.
+    (Degree 2 is the linear part acting on xy, which the recursion takes as
+    given.)  Returns the worst surviving magnitude (floats) or raises
     AssertionError on a symbolic survivor.
     """
     quantities, d = _psi_recursion(cs, n)
-    is_float = cs.backend == "float"
-    lam = cs.lam
-    comps = ((cs.a, 0), (cs.b, 1), (cs.c, 2))
-    worst = 0.0
-    for m in range(3, 2 * n + 3):
-        for k1 in range(m, -1, -1):
-            for k2 in range(m - k1, -1, -1):
-                k3 = m - k1 - k2
-                S = None
-                for coeffs, axis in comps:
-                    for (j, k, l), coeff in coeffs.items():
-                        kap = [k1 - j, k2 - k, k3 - l]
-                        kap[axis] += 1
-                        factor = kap[axis]
-                        if factor <= 0 or min(kap) < 0:
-                            continue
-                        dk = d.get((kap[0], kap[1], kap[2]))
-                        if dk is None:
-                            continue
-                        term = coeff * dk
-                        if factor != 1:
-                            term = term * factor
-                        S = term if S is None else S + term
-                dm = d.get((k1, k2, k3))
-                if dm is not None:
-                    if is_float:
-                        lin = complex(lam * k3, k1 - k2) * dm
-                    else:
-                        re = lam * k3 if k3 else zero_like(lam)
-                        im = one_like(lam) * (k1 - k2)
-                        lin = GaussExpr(re, im) * dm
-                    S = lin if S is None else S + lin
-                if k1 == k2 and k3 == 0 and k1 >= 2:
-                    L = quantities[k1 - 2]
-                    if is_float:
-                        S = (S if S is not None else 0j) - L
-                    else:
-                        S = (S if S is not None else GaussExpr(zero_like(lam), zero_like(lam))) - GaussExpr(L, zero_like(L))
-                if S is None:
-                    continue
-                if is_float:
-                    worst = max(worst, abs(S))
-                elif not S.is_zero():
-                    raise AssertionError(
-                        f"identity defect at monomial {(k1, k2, k3)}: {S}"
-                    )
-    return worst
-
-
-def _realize(S, is_float, lam):
-    """Extract the real value of an obstruction, enforcing Im = 0."""
-    if S is None:
-        return 0.0 if is_float else zero_like(lam)
-    if is_float:
-        if abs(S.imag) > 1e-9 * max(1.0, abs(S)):
-            raise NotRealSystem(f"focus quantity has imaginary part {S.imag}")
-        return S.real
-    if not is_zero_scalar(S.im):
-        raise NotRealSystem(f"focus quantity has imaginary part {S.im}")
-    return S.re
-
-
-def linear_and_quadratic_parts(cs: ComplexSystem, n: int) -> FocusReport:
-    """Focus quantities of a jet-coefficient system; same recursion, jets out."""
-    report = focus_quantities(cs, n)
-    for q in report.quantities:
-        if not isinstance(q, Jet):
-            raise ValueError("system coefficients are not jet-valued")
-    return report
+    ring = scalar_ring(cs.backend, cs.lam)
+    sigma = ring.zero if cs.sigma is None else cs.sigma
+    # xdot = (sigma + i) x + X1, ydot = (sigma - i) y + X2, zdot = lam z + X3
+    field = (
+        StatePoly({(1, 0, 0): ring.gauss(sigma, ring.one)}) + StatePoly(cs.a),
+        StatePoly({(0, 1, 0): ring.gauss(sigma, -ring.one)}) + StatePoly(cs.b),
+        StatePoly({(0, 0, 1): ring.lift(cs.lam)}) + StatePoly(cs.c),
+    )
+    psi = StatePoly(d)
+    defect = StatePoly(
+        {(j, j, 0): -ring.lift(L) for j, L in enumerate(quantities, start=2)}
+    )
+    for axis, comp in enumerate(field):
+        defect = defect + psi.diff(axis) * comp
+    top = 2 * n + 2
+    survivors = {e: c for e, c in defect.terms.items() if 3 <= sum(e) <= top}
+    if not ring.exact:
+        return max(map(abs, survivors.values()), default=0.0)
+    if survivors:
+        e, c = next(iter(survivors.items()))
+        raise AssertionError(f"identity defect at monomial {e}: {c}")
+    return 0.0
 
 
 def verify_first_integral(fld: VectorField3, H: StatePoly, tol: float = 1e-9) -> bool:
@@ -346,11 +238,10 @@ def verify_first_integral(fld: VectorField3, H: StatePoly, tol: float = 1e-9) ->
     for axis in range(3):
         part = fld.components[axis] * H.diff(axis)
         acc = part if acc is None else acc + part
-    if acc is None or acc.is_zero():
+    if acc is None:
         return True
-    if fld.backend == "float":
-        return all(abs(c) <= tol for c in acc.terms.values())
-    return False
+    # exact survivors are nonzero (StatePoly drops zeros); floats get ``tol``
+    return all(isinstance(c, float) and abs(c) <= tol for c in acc.terms.values())
 
 
 def report_for_field(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import BadTransform, NotHopf
-from .paramfield import Jet, ParamExpr, is_zero_scalar, one_like, zero_like
+from .paramfield import ParamExpr, is_zero_scalar, one_like, zero_like
 from .polysys import StatePoly, VectorField3, char_cubic, hopf_test, transform
 
 
@@ -65,14 +65,9 @@ def _nonlinear_part(poly: StatePoly) -> StatePoly:
 
 
 def _is_const(x, value, tol):
-    if isinstance(x, (ParamExpr, Jet)):
-        return (x - Fraction(value)).is_zero()
-    if isinstance(x, (int, Fraction)):
-        return x == value
-    if hasattr(x, "is_zero"):
-        # any exact scalar exposing an is_zero predicate
-        return (x - Fraction(value)).is_zero()
-    return abs(x - value) <= tol
+    if isinstance(x, float):
+        return abs(x - value) <= tol
+    return is_zero_scalar(x - value)
 
 
 def _classify_linear(mat, tol):

@@ -10,6 +10,9 @@ The coefficient tower used by the symbolic half of the package:
   structural equality is field equality.
 * ``GaussExpr``         -- the Gaussian extension ``re + i*im`` of any of the
   real scalar types here, used for complexified vector fields.
+* ``FloatRing`` / ``GaussRing`` -- the complex scalar ring of the float and the
+  exact backends (``scalar_ring`` picks one), so complexified algorithms need
+  no per-type branches.
 * ``Jet``               -- truncated polynomials in designated small parameters,
   used to expand focus quantities around a point of the center variety.
 
@@ -601,19 +604,19 @@ class GaussExpr:
 
     @classmethod
     def real(cls, value):
-        return cls(value, _zero_like(value))
+        return cls(value, zero_like(value))
 
     def conj(self):
         return GaussExpr(self.re, -self.im)
 
     def is_zero(self):
-        return _is_zero_scalar(self.re) and _is_zero_scalar(self.im)
+        return is_zero_scalar(self.re) and is_zero_scalar(self.im)
 
     def _coerce(self, other):
         if isinstance(other, GaussExpr):
             return other
         if isinstance(other, (int, Fraction, ParamExpr, Jet)):
-            return GaussExpr(other + _zero_like(self.re), _zero_like(self.re))
+            return GaussExpr(other + zero_like(self.re), zero_like(self.re))
         return None
 
     def __add__(self, other):
@@ -666,7 +669,7 @@ class GaussExpr:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponents must be nonnegative integers")
-        result = GaussExpr(_one_like(self.re), _zero_like(self.re))
+        result = GaussExpr(one_like(self.re), zero_like(self.re))
         base = self
         while n:
             if n & 1:
@@ -688,6 +691,78 @@ class GaussExpr:
         return f"({self.re}) + i*({self.im})"
 
     __repr__ = __str__
+
+
+class FloatRing:
+    """Complex scalars of the float backend: Python ``complex``.
+
+    ``zero`` and ``one`` are real; ``close`` and ``real`` test against a
+    relative tolerance.
+    """
+
+    zero = 0.0
+    one = 1.0
+    exact = False
+    tol = 1e-9
+
+    gauss = lift = complex
+
+    @staticmethod
+    def is_zero(z):
+        return z == 0
+
+    @staticmethod
+    def conj(z):
+        return z.conjugate()
+
+    def close(self, p, q):
+        return abs(p - q) <= self.tol * max(1.0, abs(p), abs(q))
+
+    def real(self, z, what, error):
+        """Real part of z; raises ``error`` when Im z is not negligible."""
+        if abs(z.imag) > self.tol * max(1.0, abs(z)):
+            raise error(f"{what} has imaginary part {z.imag}")
+        return z.real
+
+
+class GaussRing:
+    """Complex scalars of the exact backends: ``GaussExpr`` over the real
+    type of ``sample`` (Fraction, ParamExpr or Jet), compared exactly."""
+
+    exact = True
+    gauss = GaussExpr
+
+    def __init__(self, sample):
+        self.zero = zero_like(sample)
+        self.one = one_like(sample)
+
+    def lift(self, real):
+        return GaussExpr(real, self.zero)
+
+    @staticmethod
+    def is_zero(z):
+        return z.is_zero()
+
+    @staticmethod
+    def conj(z):
+        return z.conj()
+
+    @staticmethod
+    def close(p, q):
+        return (p - q).is_zero()
+
+    @staticmethod
+    def real(z, what, error):
+        """Real part of z; raises ``error`` unless Im z is exactly zero."""
+        if not is_zero_scalar(z.im):
+            raise error(f"{what} has imaginary part {z.im}")
+        return z.re
+
+
+def scalar_ring(backend, sample):
+    """The complex scalar ring of a backend; ``sample`` is a real scalar
+    fixing the exact type (the transverse eigenvalue, say)."""
+    return FloatRing() if backend == "float" else GaussRing(sample)
 
 
 # ---------------------------------------------------------------------------
@@ -914,56 +989,31 @@ class Jet:
 # scalar dispatch helpers shared by the generic algorithms
 
 
-def _zero_like(x):
+def zero_like(x):
     if isinstance(x, ParamExpr):
         return ParamExpr.zero(x.params)
     if isinstance(x, Jet):
         return x.ctx.zero()
     if isinstance(x, Fraction):
         return Fraction(0)
-    if isinstance(x, complex):
-        return 0j
     if isinstance(x, float):
         return 0.0
-    if isinstance(x, int):
-        return Fraction(0)
-    if isinstance(x, GaussExpr):
-        return GaussExpr(_zero_like(x.re), _zero_like(x.re))
     raise TypeError(f"no zero for {type(x)!r}")
 
 
-def _one_like(x):
+def one_like(x):
     if isinstance(x, ParamExpr):
         return ParamExpr.one(x.params)
     if isinstance(x, Jet):
         return x.ctx.one()
     if isinstance(x, Fraction):
         return Fraction(1)
-    if isinstance(x, complex):
-        return 1 + 0j
     if isinstance(x, float):
         return 1.0
-    if isinstance(x, int):
-        return Fraction(1)
-    if isinstance(x, GaussExpr):
-        return GaussExpr(_one_like(x.re), _zero_like(x.re))
     raise TypeError(f"no one for {type(x)!r}")
 
 
-def _is_zero_scalar(x):
+def is_zero_scalar(x):
     if isinstance(x, (ParamExpr, Jet, GaussExpr)):
         return x.is_zero()
     return x == 0
-
-
-def conjugate_scalar(x):
-    if isinstance(x, GaussExpr):
-        return x.conj()
-    if isinstance(x, complex):
-        return x.conjugate()
-    return x
-
-
-zero_like = _zero_like
-one_like = _one_like
-is_zero_scalar = _is_zero_scalar

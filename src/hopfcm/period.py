@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .errors import FocusObstruction
 from .normalform import NormalForm3
-from .paramfield import GaussExpr, is_zero_scalar, one_like, zero_like
+from .paramfield import is_zero_scalar, scalar_ring
 
 
 class TrigPoly:
@@ -41,7 +41,7 @@ class TrigPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms):
-        self.terms = {n: c for n, c in terms.items() if not _czero(c)}
+        self.terms = {n: c for n, c in terms.items() if not is_zero_scalar(c)}
 
     @classmethod
     def zero(cls):
@@ -89,27 +89,14 @@ class TrigPoly:
     def harmonics(self):
         return max((abs(n) for n in self.terms), default=0)
 
-    def evaluate(self, theta: float):
-        import cmath
-
-        total = 0j
-        for n, c in self.terms.items():
-            if isinstance(c, GaussExpr):
-                z = complex(float(c.re), float(c.im))
-            else:
-                z = complex(c)
-            total += z * cmath.exp(1j * n * theta)
-        return total
-
-    def integrate_from_zero(self, sample):
+    def integrate_from_zero(self, ring):
         """Antiderivative vanishing at theta = 0; the mean must be zero."""
-        c0 = self.terms.get(0)
-        if c0 is not None and not _czero(c0):
+        if 0 in self.terms:
             raise ValueError("nonzero mean: antiderivative is not trigonometric")
         out = {}
         const = None
         for n, c in self.terms.items():
-            cn = c / _i_times(n, sample)
+            cn = c / ring.gauss(ring.zero, ring.one * n)
             out[n] = cn
             const = cn if const is None else const + cn
         if const is not None:
@@ -119,19 +106,6 @@ class TrigPoly:
     def __repr__(self):
         body = ", ".join(f"{n}: {c}" for n, c in sorted(self.terms.items()))
         return f"TrigPoly({body})"
-
-
-def _czero(c):
-    if isinstance(c, GaussExpr):
-        return c.is_zero()
-    return c == 0
-
-
-def _i_times(n, sample):
-    if isinstance(sample, GaussExpr):
-        base = sample.re
-        return GaussExpr(zero_like(base), one_like(base) * n)
-    return complex(0, n)
 
 
 class RhoSeries:
@@ -173,12 +147,6 @@ class RhoSeries:
 
     def scale(self, s):
         return RhoSeries([c.scale(s) for c in self.coeffs], self.order)
-
-    def min_order(self):
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                return i
-        return None
 
     def inverse(self, one_tp: TrigPoly):
         """Series inverse; the leading coefficient must be the constant 1."""
@@ -226,41 +194,19 @@ class PeriodExpansion:
         return all(is_zero_scalar(t) for t in self.constants)
 
 
-def _scalars_for(nf: NormalForm3):
-    if nf.field.backend == "float":
-        one = 1 + 0j
-        half = 0.5 + 0j
-        mhalf_i = -0.5j
-
-        def lift(t):
-            return complex(t)
-
-        lam = complex(nf.lam)
-    else:
-        base_one = one_like(nf.lam)
-        base_zero = zero_like(nf.lam)
-        one = GaussExpr(base_one, base_zero)
-        half = GaussExpr(base_one * Fraction(1, 2), base_zero)
-        mhalf_i = GaussExpr(base_zero, -base_one * Fraction(1, 2))
-
-        def lift(t):
-            return GaussExpr(t, zero_like(t))
-
-        lam = nf.lam
-    cos_t = TrigPoly({1: half, -1: half})
-    sin_t = TrigPoly({1: mhalf_i, -1: -mhalf_i})
-    return one, cos_t, sin_t, lift, lam
-
-
 def polar_reduce(nf: NormalForm3) -> PolarReduction:
     """Expand the three reduced right-hand sides in (rho, omega)."""
     nf = nf.canonical()
-    one, cos_t, sin_t, lift, _ = _scalars_for(nf)
+    ring = scalar_ring(nf.field.backend, nf.lam)
+    half = ring.one * Fraction(1, 2)
+    half_i = ring.gauss(ring.zero, half)
+    cos_t = TrigPoly({1: ring.lift(half), -1: ring.lift(half)})
+    sin_t = TrigPoly({1: -half_i, -1: half_i})
 
     def expand(poly):
         out = {}
         for (a, b, cpow), coeff in poly.terms.items():
-            t = TrigPoly.const(lift(coeff))
+            t = TrigPoly.const(ring.lift(coeff))
             for _ in range(a):
                 t = t * cos_t
             for _ in range(b):
@@ -329,10 +275,10 @@ def periodic_solution_series(nf: NormalForm3, order: int):
     focus quantity (the radial return coefficient is pi times it).
     """
     nf = nf.canonical()
-    one, cos_t, sin_t, lift, lam = _scalars_for(nf)
+    ring = scalar_ring(nf.field.backend, nf.lam)
     reduction = polar_reduce(nf)
-    one_tp = TrigPoly.const(one)
-    is_float = nf.field.backend == "float"
+    one_tp = TrigPoly.const(ring.lift(ring.one))
+    lam_c = ring.lift(nf.lam)
     N = order
 
     u = [one_tp]  # u_0 = 1; the order-1 radial equation is u_0' = 0
@@ -351,38 +297,23 @@ def periodic_solution_series(nf: NormalForm3, order: int):
             f_rho = _eval_in_series(reduction.radial, rho_s, omega_s, N, one_tp)
             rhs = (f_rho * inv_theta).at(n)
             mean = rhs.mean()
-            if mean is not None and not _czero(mean):
-                raise FocusObstruction(n, _real_of(mean, is_float) * 2)
-            u.append(rhs.integrate_from_zero(one))
+            if mean is not None:
+                raise FocusObstruction(n, ring.real(mean, "mean", ValueError) * 2)
+            u.append(rhs.integrate_from_zero(ring))
         rho_s, omega_s = series_pair()
         b_theta = _eval_in_series(reduction.angular, rho_s, omega_s, N, one_tp)
         inv_theta = (RhoSeries([one_tp], N) + b_theta).inverse(one_tp)
         f_omega = _eval_in_series(reduction.transverse, rho_s, omega_s, N, one_tp)
-        g = ((omega_s.scale(lam) + f_omega) * inv_theta).at(n)
-        v.append(_fourier_periodic_solution(g, lam, one))
+        g = ((omega_s.scale(lam_c) + f_omega) * inv_theta).at(n)
+        v.append(_fourier_periodic_solution(g, nf.lam, ring))
     return {"u": u, "v": v}
 
 
-def _fourier_periodic_solution(g: TrigPoly, lam, sample):
+def _fourier_periodic_solution(g: TrigPoly, lam, ring):
     """Unique 2pi-periodic solution of v' = lam v + g."""
-    out = {}
-    for n, c in g.terms.items():
-        if isinstance(sample, GaussExpr):
-            div = GaussExpr(-lam, one_like(lam) * n)
-        else:
-            div = complex(-lam, n)
-        out[n] = c / div
-    return TrigPoly(out)
-
-
-def _real_of(x, is_float):
-    if is_float:
-        if abs(x.imag) > 1e-9 * max(1.0, abs(x)):
-            raise ValueError(f"mean has imaginary part {x}")
-        return x.real
-    if not is_zero_scalar(x.im):
-        raise ValueError(f"mean has imaginary part {x.im}")
-    return x.re
+    return TrigPoly(
+        {n: c / ring.gauss(-lam, ring.one * n) for n, c in g.terms.items()}
+    )
 
 
 def isochronicity_constants(nf: NormalForm3, m: int) -> PeriodExpansion:
@@ -392,9 +323,8 @@ def isochronicity_constants(nf: NormalForm3, m: int) -> PeriodExpansion:
     T(rho0) = 2 pi (1 + sum T_2k rho0^{2k}).
     """
     nf = nf.canonical()
-    one, cos_t, sin_t, lift, lam = _scalars_for(nf)
-    one_tp = TrigPoly.const(one)
-    is_float = nf.field.backend == "float"
+    ring = scalar_ring(nf.field.backend, nf.lam)
+    one_tp = TrigPoly.const(ring.lift(ring.one))
     N = 2 * m
     sol = periodic_solution_series(nf, N)
     u, v = sol["u"], sol["v"]
@@ -405,10 +335,9 @@ def isochronicity_constants(nf: NormalForm3, m: int) -> PeriodExpansion:
     inv_theta = (RhoSeries([one_tp], N) + b_theta).inverse(one_tp)
     constants = []
     odd_residuals = []
-    zero_real = 0.0 if is_float else zero_like(lam)
     for k in range(1, N + 1):
         mean = inv_theta.at(k).mean()
-        val = zero_real if mean is None else _real_of(mean, is_float)
+        val = ring.zero if mean is None else ring.real(mean, "mean", ValueError)
         if k % 2 == 0:
             constants.append(val)
         else:

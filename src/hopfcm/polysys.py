@@ -96,12 +96,10 @@ class StatePoly:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponents must be nonnegative integers")
-        if not self.terms and n == 0:
-            raise ValueError("0**0 of an empty polynomial needs a coefficient ring")
-        sample = next(iter(self.terms.values()), None)
-        result = StatePoly.const(one_like(sample)) if sample is not None else None
         if n == 0:
-            return result
+            if not self.terms:
+                raise ValueError("0**0 of an empty polynomial needs a coefficient ring")
+            return StatePoly.const(one_like(next(iter(self.terms.values()))))
         acc = None
         base = self
         while n:

@@ -7,14 +7,14 @@ reduced displacement at radius rho0 is measured on the path selected by the
 transverse direction: the return map in omega = w/u is solved for its fixed
 point omega0 (secant iteration, which handles both signs of the transverse
 eigenvalue), then dbar(rho0) is the radial change of the first return from
-(rho0, 0, rho0*omega0).  An extended-precision path (HF_PRECISION=extended)
-backs the period fit with an adaptive Taylor integrator.
+(rho0, 0, rho0*omega0).  An extended-precision path
+(``precision="extended"``) backs the period fit with an adaptive Taylor
+integrator.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -53,10 +53,6 @@ class DisplacementSample:
     crossings: int
     omega0: float
     omega_residual: float
-
-
-def precision_mode():
-    return os.environ.get("HF_PRECISION", "double")
 
 
 def integrate(
@@ -179,15 +175,19 @@ def measure_period(
     turns: int = 8,
     rtol: float = 1e-12,
     atol: float = 1e-14,
+    precision: str = "double",
 ) -> float:
     """Mean time between same-direction section crossings after settling.
 
     The orbit is started on the section at radius rho0 and integrated for
     ``settle_time`` so the transverse transient decays onto the invariant
     surface; the radial coordinate is untouched on families that conserve
-    u^2 + v^2.
+    u^2 + v^2.  ``precision`` is "double" (DOP853) or "extended" (mpmath
+    Taylor method; ``rtol``/``atol`` do not apply).
     """
-    if precision_mode() == "extended":
+    if precision not in ("double", "extended"):
+        raise ValueError(f"unknown precision {precision!r}")
+    if precision == "extended":
         return _measure_period_extended(fld, rho0, settle_time, turns)
 
     def rhs(t, s):

@@ -251,18 +251,12 @@ def claim_teo1_isochronous(fit_tol=0.05):
     not_isochronous = not pe.is_isochronous()
 
     fld = catalog.e1_center({"d": 1}).to_float({})
-    old = os.environ.get("HF_PRECISION")
-    os.environ["HF_PRECISION"] = "extended"
-    try:
-        fits = []
-        for rho0 in (0.05, 0.1):
-            T = simulate.measure_period(fld, rho0, settle_time=35.0, turns=6)
-            fits.append((T / (2 * math.pi) - 1) / rho0**4)
-    finally:
-        if old is None:
-            os.environ.pop("HF_PRECISION", None)
-        else:
-            os.environ["HF_PRECISION"] = old
+    fits = []
+    for rho0 in (0.05, 0.1):
+        T = simulate.measure_period(
+            fld, rho0, settle_time=35.0, turns=6, precision="extended"
+        )
+        fits.append((T / (2 * math.pi) - 1) / rho0**4)
     fit_ok = all(abs(abs(f) - 0.025) <= fit_tol * 0.025 for f in fits)
     sign_consistent = all((f > 0) == (float(t4.evaluate({"d": 1.0})) > 0) for f in fits)
     return {

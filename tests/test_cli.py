@@ -171,3 +171,33 @@ def test_custom_system_document(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "focus", "--system", str(path), "--order", "2")
     assert code == 0
     assert json.loads(out)["quantities"] == ["0", "0"]
+
+
+def test_decimal_params_parse_exactly(capsys):
+    argv = ("focus", "--system", "e1-normal", "--order", "1", "--params")
+    code, decimal, _ = run_cli(capsys, *argv, "c=0.1,d=1,k=1")
+    assert code == 0
+    assert json.loads(decimal)["quantities"] == ["61/5050"]
+    assert run_cli(capsys, *argv, "c=1/10,d=1,k=1")[1] == decimal
+
+
+@pytest.mark.parametrize("value", ["abc", "1/0"])
+def test_malformed_param_is_a_json_domain_error(capsys, value):
+    code, out, err = run_cli(
+        capsys, "focus", "--system", "e1-normal", "--order", "1",
+        "--params", f"c={value},d=1,k=1",
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "HopfcmError"
+
+
+def test_float_family_report_is_the_same_for_decimal_input(capsys):
+    from hopfcm.catalog import e4_normal
+    from hopfcm.focusq import report_for_field
+
+    argv = ("focus", "--system", "e4-normal", "--order", "2", "--params")
+    code, decimal, _ = run_cli(capsys, *argv, "c=0.25,h=2")
+    assert code == 0
+    assert run_cli(capsys, *argv, "c=1/4,h=2.0")[1] == decimal
+    direct = report_for_field(e4_normal({"c": 0.25, "h": 2.0}), 2).quantities
+    assert json.loads(decimal)["quantities"] == direct

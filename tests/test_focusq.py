@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfcm.catalog import e1_center, e1_normal, e4_normal, e5_normal
+from hopfcm.catalog import e1_center, e1_normal, e1_normal_trace, e4_normal, e5_normal
+from hopfcm.cyclicity import jet_system
 from hopfcm.errors import (
     DegenerateLambda,
     NotAFirstIntegralCandidate,
@@ -62,11 +63,77 @@ def test_reversible_planar_center_all_quantities_vanish():
     assert all(q == 0 for q in rep.quantities)
 
 
-def test_defining_identity_exact_on_planar_sample():
-    fld = planar_field(F(1), F(-2), F(1, 3), F(2), F(0), F(1))
-    nf = to_normal_form(fld, (F(0),) * 3).canonical()
-    cs = complexify(nf)
-    assert identity_defect(cs, 3) == 0.0
+def _complexified(fld):
+    zero = fld._zero()
+    return complexify(to_normal_form(fld, (zero, zero, zero)).canonical())
+
+
+def _trace_jet_system():
+    """The system jet_focus_report builds for a trace parameter: degree-2
+    jets, so the sigma * d_K terms of the identity survive truncation."""
+    import hopfcm.cyclicity as cyclicity
+
+    seen = []
+    inner = cyclicity.focus_quantities
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            cyclicity, "focus_quantities", lambda cs, n: seen.append(cs) or inner(cs, n)
+        )
+        cyclicity.jet_focus_report(
+            e1_normal_trace(),
+            {"k": 1, "c": 0, "d": F(1, 2), "sigma": 0},
+            ("k", "c", "d", "sigma"),
+            2,
+            1,
+            trace_param="sigma",
+        )
+    assert seen[0].sigma is not None
+    return seen[0]
+
+
+# (system builder, order): one case per scalar backend of the recursion
+DEFECT_CASES = [
+    pytest.param(lambda: _complexified(
+        planar_field(F(1), F(-2), F(1, 3), F(2), F(0), F(1))), 3, id="planar-fraction"),
+    pytest.param(lambda: _complexified(
+        e1_normal({"c": F(1, 3), "d": F(2), "k": F(1)})), 3, id="bound-paramexpr"),
+    pytest.param(lambda: _complexified(e1_center()), 3, id="symbolic"),
+    pytest.param(lambda: _complexified(
+        jet_system(e1_normal(), {"k": 1, "c": 0, "d": 1}, ("k", "c", "d"), 2)), 2,
+        id="jet-degree-2"),
+    pytest.param(_trace_jet_system, 2, id="jet-trace"),
+    pytest.param(lambda: _complexified(e4_normal({"c": 0.25, "h": 2.0})), 2, id="float"),
+]
+
+
+@pytest.mark.parametrize("build,n", DEFECT_CASES)
+def test_identity_defect_vanishes(build, n):
+    cs = build()
+    if cs.backend == "float":
+        assert identity_defect(cs, n) < 1e-9
+    else:
+        assert identity_defect(cs, n) == 0
+
+
+@pytest.mark.parametrize("build,n", DEFECT_CASES)
+def test_identity_defect_catches_a_corrupted_psi_coefficient(build, n, monkeypatch):
+    import hopfcm.focusq as focusq
+
+    cs = build()
+    recursion = focusq._psi_recursion
+
+    def corrupted(cs, n):
+        quantities, d = recursion(cs, n)
+        one = d[(1, 1, 0)]
+        d[(2, 1, 0)] = d[(2, 1, 0)] + one if (2, 1, 0) in d else one
+        return quantities, d
+
+    monkeypatch.setattr(focusq, "_psi_recursion", corrupted)
+    if cs.backend == "float":
+        assert identity_defect(cs, n) >= 1e-7
+    else:
+        with pytest.raises(AssertionError):
+            identity_defect(cs, n)
 
 
 # --- center family ------------------------------------------------------------
@@ -146,6 +213,19 @@ def test_broken_conjugate_pair_rejected():
     )
     with pytest.raises(NotRealSystem):
         _check_reality(cs)
+
+
+def test_broken_conjugate_pair_rejected_on_float_ring():
+    from hopfcm.focusq import _check_reality
+
+    cs = ComplexSystem(
+        a={(1, 0, 1): 1j}, b={(0, 1, 1): 1j + 1e-6}, c={}, lam=-1.0, backend="float"
+    )
+    with pytest.raises(NotRealSystem):
+        _check_reality(cs)
+    # a conjugate pair that agrees within the float tolerance passes
+    cs.b = {(0, 1, 1): -1j + 1e-12}
+    _check_reality(cs)
 
 
 def test_degenerate_lambda_rejected():
@@ -265,12 +345,6 @@ def test_exact_e4_value_matches_float_backend():
     # frozen from the exact quadratic-extension computation at c=1/2, h=2
     L1 = report_for_field(e4_normal({"c": 0.5, "h": 2.0}), 1).quantities[0]
     assert L1 == pytest.approx(-289 / 46208 * math.sqrt(15), rel=1e-12)
-
-
-def test_float_identity_defect_small():
-    nf = to_normal_form(e4_normal({"c": 0.25, "h": 2.0}), (0.0, 0.0, 0.0)).canonical()
-    cs = complexify(nf)
-    assert identity_defect(cs, 2) < 1e-9
 
 
 # --- invariances -----------------------------------------------------------------------

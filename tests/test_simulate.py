@@ -165,8 +165,7 @@ def test_displacement_csv_and_plot_script(tmp_path):
     compile(script.read_text(), str(script), "exec")
 
 
-def test_extended_precision_period(center_field, monkeypatch):
-    monkeypatch.setenv("HF_PRECISION", "extended")
-    T = measure_period(center_field, 0.1, settle_time=30.0, turns=4)
+def test_extended_precision_period(center_field):
+    T = measure_period(center_field, 0.1, settle_time=30.0, turns=4, precision="extended")
     expected = 2 * math.pi * (1 + 0.1**4 / 40)
     assert abs(T - expected) / expected < 1e-7
