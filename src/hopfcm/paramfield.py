@@ -86,7 +86,8 @@ class ParamPoly:
         return not self.terms
 
     def is_constant(self):
-        return all(sum(e) == 0 for e in self.terms)
+        terms = self.terms
+        return not terms or (len(terms) == 1 and not any(next(iter(terms))))
 
     def constant_value(self):
         if self.is_zero():
@@ -389,8 +390,24 @@ def poly_gcd(a: ParamPoly, b: ParamPoly) -> ParamPoly:
         if r.degree_in(main) == 0:
             g = ParamPoly.const(a.params, 1)
             break
-        f, g = g, exact_div(r, _content_wrt(r, main))
+        f, g = g, _primitive_positive(exact_div(r, _content_wrt(r, main)))
     return _primitive_positive(cg * _primitive_positive(g))
+
+
+def _unit_den(num: ParamPoly, den: ParamPoly):
+    """Scale num/den so den is integer-primitive with a positive grlex lead."""
+    c = _rational_content(den)
+    if c == 1:
+        return num, den
+    return _scale(num, 1 / c), _scale(den, 1 / c)
+
+
+def _split(a: ParamPoly, b: ParamPoly):
+    """(g, a/g, b/g) for g = poly_gcd(a, b)."""
+    g = poly_gcd(a, b)
+    if g.is_constant():
+        return g, a, b
+    return g, exact_div(a, g), exact_div(b, g)
 
 
 # ---------------------------------------------------------------------------
@@ -419,13 +436,13 @@ class ParamExpr:
     def _normalize(num, den):
         if num.is_zero():
             return num, ParamPoly.const(num.params, 1)
-        g = poly_gcd(num, den)
-        if not g.is_constant():
-            num, den = exact_div(num, g), exact_div(den, g)
-        c = _rational_content(den)
-        if c != 1:
-            num, den = _scale(num, 1 / c), _scale(den, 1 / c)
-        return num, den
+        _, num, den = _split(num, den)
+        return _unit_den(num, den)
+
+    @classmethod
+    def _coprime(cls, num, den):
+        """The canonical element num/den of a coprime pair."""
+        return cls(*_unit_den(num, den), _normalized=True)
 
     # -- constructors ---------------------------------------------------------
 
@@ -485,13 +502,30 @@ class ParamExpr:
             return ParamExpr.from_poly(other)
         return None
 
+    # Henrici's scheme (Knuth, TAOCP 2, 4.5.1): both operands are coprime
+    # pairs, so only a factor shared by the pieces named below can cancel.
+
+    def _scaled(self, q):
+        """self * q for a rational q; the denominator is unchanged."""
+        if q == 0:
+            return ParamExpr.zero(self.params)
+        return ParamExpr(_scale(self.num, q), self.den, _normalized=True)
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return ParamExpr(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if b.is_constant():
+            a, b, c, d = c, d, a, b
+        # gcd(a + c*b, b) = gcd(a, b) = 1 when d = 1 (zero included)
+        if d.is_constant():
+            return ParamExpr(a + c * b, b, _normalized=True)
+        # a/b + c/d = t / (b' d' g) with b = g b', d = g d', t = a d' + c b';
+        # t is prime to b' and d', so only gcd(t, g) cancels
+        g, b, d = _split(b, d)
+        _, t, g = _split(a * d + c * b, g)
+        return ParamExpr._coprime(t, b * d * g)
 
     __radd__ = __add__
 
@@ -511,7 +545,14 @@ class ParamExpr:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return ParamExpr(self.num * other.num, self.den * other.den)
+        if other.is_constant():
+            return self._scaled(other.constant_value())
+        if self.is_constant():
+            return other._scaled(self.constant_value())
+        # (a/b)(c/d): only gcd(a, d) and gcd(c, b) can cancel
+        _, a, d = _split(self.num, other.den)
+        _, c, b = _split(other.num, self.den)
+        return ParamExpr._coprime(a * c, b * d)
 
     __rmul__ = __mul__
 
@@ -521,7 +562,14 @@ class ParamExpr:
             return NotImplemented
         if other.is_zero():
             raise DivisionByZero("division by zero field element")
-        return ParamExpr(self.num * other.den, self.den * other.num)
+        if other.is_constant():
+            return self._scaled(1 / other.constant_value())
+        if self.is_zero():
+            return self
+        # (a/b)/(c/d): only gcd(a, c) and gcd(d, b) can cancel
+        _, a, c = _split(self.num, other.num)
+        _, d, b = _split(other.den, self.den)
+        return ParamExpr._coprime(a * d, b * c)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -534,7 +582,9 @@ class ParamExpr:
             raise ValueError("exponents must be integers")
         if n < 0:
             return ParamExpr.one(self.params) / self ** (-n)
-        return ParamExpr(self.num**n, self.den**n)
+        # powers of a coprime pair stay coprime, and den**n stays primitive
+        # with a positive lead (Gauss's lemma)
+        return ParamExpr(self.num**n, self.den**n, _normalized=True)
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -615,7 +665,7 @@ class GaussExpr:
     def _coerce(self, other):
         if isinstance(other, GaussExpr):
             return other
-        if isinstance(other, (int, Fraction, ParamExpr, Jet)):
+        if isinstance(other, _REALS):
             return GaussExpr(other + zero_like(self.re), zero_like(self.re))
         return None
 
@@ -640,6 +690,8 @@ class GaussExpr:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, _REALS):
+            return GaussExpr(self.re * other, self.im * other)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -651,6 +703,8 @@ class GaussExpr:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if isinstance(other, _REALS):
+            return GaussExpr(self.re / other, self.im / other)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -983,6 +1037,10 @@ class Jet:
         return " + ".join(parts)
 
     __repr__ = __str__
+
+
+# the real scalar types that GaussExpr scales componentwise
+_REALS = (int, Fraction, ParamExpr, Jet)
 
 
 # ---------------------------------------------------------------------------

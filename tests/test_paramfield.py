@@ -3,9 +3,11 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopfcm import paramfield
 from hopfcm.errors import DivisionByZero, PoleAtPoint, TruncationTooLow
 from hopfcm.paramfield import (
     GaussExpr,
@@ -150,6 +152,103 @@ def test_evaluate_commutes_with_arithmetic(a, b, pc, pd, pk):
     assert vprod == va * vb
 
 
+# --- cancellation against full normalization and sympy (oracle) -----------------
+
+_SYMS = sympy.symbols(P)
+
+
+@st.composite
+def shared_factor_exprs(draw):
+    """Quotients whose numerators and denominators share factors with each
+    other's, built from polynomials and normalized by the constructor."""
+    c, d, k = _vars()
+    factors = [(1 + c * d).num, (k + 2).num, (d**2 + 1).num, (c - d).num, k.num]
+    pick = st.lists(st.sampled_from(factors), max_size=3)
+    num = ParamPoly.const(P, draw(_coeffs.filter(bool)))
+    for f in draw(pick):
+        num = num * f
+    num = num + draw(st.sampled_from([0, 0, 0, 1, c.num]))
+    den = ParamPoly.const(P, draw(st.sampled_from([1, 2, -3, Fraction(1, 2)])))
+    for f in draw(pick):
+        den = den * f
+    return ParamExpr(num, den)
+
+
+def _to_sympy(e):
+    def poly(p):
+        c, d, k = _SYMS
+        return sum(
+            (sympy.Rational(q.numerator, q.denominator) * c**i * d**j * k**l
+             for (i, j, l), q in p.terms.items()),
+            sympy.Integer(0),
+        )
+
+    return poly(e.num) / poly(e.den)
+
+
+def _from_sympy(expr):
+    """sympy rational function -> ParamExpr through the normalizing constructor."""
+    def poly(x):
+        terms = sympy.Poly(x, *_SYMS).terms()
+        return ParamPoly(P, {e: Fraction(int(q.p), int(q.q)) for e, q in terms})
+
+    num, den = sympy.fraction(sympy.cancel(expr))
+    return ParamExpr(poly(num), poly(den))
+
+
+_operands = st.one_of(exprs(), shared_factor_exprs())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_operands, _operands, st.integers(0, 3))
+def test_arithmetic_matches_full_normalization_and_sympy(x, y, n):
+    a, b, c, d = x.num, x.den, y.num, y.den
+    sx, sy = _to_sympy(x), _to_sympy(y)
+    cases = [
+        (x + y, a * d + c * b, b * d, sx + sy),
+        (x - y, a * d - c * b, b * d, sx - sy),
+        (x * y, a * c, b * d, sx * sy),
+        (y * x, c * a, d * b, sy * sx),
+        (x**n, a**n, b**n, sx**n),
+    ]
+    if not y.is_zero():
+        cases.append((x / y, a * d, b * c, sx / sy))
+    if not x.is_zero():
+        cases.append((y / x, c * b, d * a, sy / sx))
+    for got, num, den, oracle in cases:
+        full = ParamExpr(num, den)
+        assert (got.num, got.den) == (full.num, full.den)
+        assert str(got) == str(_from_sympy(oracle))
+
+
+def test_constant_operands_make_no_gcd_call(monkeypatch):
+    c, d, k = _vars()
+    x = (c**2 * d**2 + k**2) / (d * (1 + c * d))
+    calls = []
+    gcd = paramfield.poly_gcd
+
+    def counting_gcd(f, g):
+        calls.append((f, g))
+        return gcd(f, g)
+
+    monkeypatch.setattr(paramfield, "poly_gcd", counting_gcd)
+    got = [x + 0, x * 1, x * 2, x + 3, x * Fraction(1, 3), GaussExpr(x, x) * 2, x**3]
+    assert calls == []
+    monkeypatch.undo()
+    a, b = x.num, x.den
+    full = [
+        ParamExpr(a, b),
+        ParamExpr(a, b),
+        ParamExpr(a * 2, b),
+        ParamExpr(a + b * 3, b),
+        ParamExpr(a * Fraction(1, 3), b),
+    ]
+    full.append(GaussExpr(full[2], full[2]))
+    full.append(ParamExpr(a**3, b**3))
+    for g, f in zip(got, full):
+        assert str(g) == str(f) and g == f
+
+
 # --- gcd machinery ------------------------------------------------------------------
 
 
@@ -189,6 +288,27 @@ def test_gauss_division():
     assert i * i == GaussExpr(-one, zero)
     z = GaussExpr(ParamExpr.var(P, "c"), one)
     assert (z / z) == GaussExpr(one, zero)
+
+
+@pytest.mark.parametrize("kind", ["fraction", "paramexpr", "jet"])
+def test_gauss_times_real_scalar_is_the_complex_product(kind):
+    c, d, _ = _vars()
+    ctx = JetContext(("e",), 2)
+    e = ctx.eps("e")
+    re, im, s = {
+        "fraction": (Fraction(2, 3), Fraction(-5), Fraction(7, 2)),
+        "paramexpr": (c / (1 + d), d - 1, (c + 1) / (d**2 + 1)),
+        "jet": (1 + e, 3 * e * e - 2, 2 - e),
+    }[kind]
+    z = GaussExpr(re, im)
+    real = GaussExpr(s, 0 * s)
+    for scalar in (s, 3, Fraction(-1, 4)):
+        lifted = GaussExpr(scalar + 0 * s, 0 * s)
+        assert z * scalar == GaussExpr(re * lifted.re - im * lifted.im,
+                                       re * lifted.im + im * lifted.re)
+        assert scalar * z == z * scalar
+    assert z / s == z / real
+    assert (z / s) * s == z
 
 
 # --- jets ------------------------------------------------------------------------------
