@@ -57,9 +57,7 @@ def khaled_original(values=None):
         {(1, 0, 0): b, (0, 1, 0): c, (1, 0, 1): ParamExpr.const(P, -1)},
         {(0, 0, 1): -d, (1, 1, 0): ParamExpr.const(P, 1), (0, 0, 0): ParamExpr.const(P, 1)},
     ]
-    fld = _exact_field(P, rows, "khaled-original")
-    fld.symmetry = "(x,y,z) -> (-x,-y,z)"
-    return _maybe_bind(fld, values)
+    return _maybe_bind(_exact_field(P, rows, "khaled-original"), values)
 
 
 def e1_shifted(values=None):
@@ -148,16 +146,7 @@ def e1_center_perturbed(values=None):
 
 
 def _maybe_bind(fld, values):
-    if not values:
-        return fld
-    mapping = {k: Fraction(v) for k, v in values.items()}
-    unknown = set(mapping) - set(fld.params)
-    if unknown:
-        raise SchemaError(f"unknown parameter(s) {sorted(unknown)}")
-    remaining = tuple(p for p in fld.params if p not in mapping)
-    out = fld.substitute_params(mapping, remaining)
-    out.name = fld.name
-    return out
+    return fld.substitute_params(values) if values else fld
 
 
 # ---------------------------------------------------------------------------

@@ -87,11 +87,7 @@ def _load_system(name_or_path, params):
         return catalog.build(name_or_path, params or None)
     with open(name_or_path) as fh:
         fld = parse_system(fh.read())
-    if params and fld.backend == "exact" and fld.params:
-        bind = {k: Fraction(v) for k, v in params.items() if k in fld.params}
-        remaining = tuple(p for p in fld.params if p not in bind)
-        fld = fld.substitute_params(bind, remaining)
-    return fld
+    return fld.substitute_params(params) if params else fld
 
 
 def _parse_point(spec, fld, params):
@@ -190,8 +186,7 @@ def _cmd_focus(args):
         if fld.backend == "float":
             raise HopfcmError("jet expansions need an exact-backend system")
         small = tuple(s.strip() for s in args.small.split(",")) if args.small else fld.params
-        point = {k: Fraction(v) for k, v in params.items()}
-        report = jet_focus_report(fld, point, small, args.jet_degree, args.order)
+        report = jet_focus_report(fld, params, small, args.jet_degree, args.order)
     else:
         fld = _load_system(args.system, params)
         report = report_for_field(fld, args.order)

@@ -49,16 +49,14 @@ class CyclicityReport:
 # exact linear algebra
 
 
-def exact_rank(matrix):
-    """Row echelon over Q; returns (rank, pivot column indices)."""
+def _row_reduce(matrix):
+    """Gauss-Jordan elimination over Q: (reduced rows, pivot columns)."""
     rows = [list(map(Fraction, r)) for r in matrix]
-    if not rows:
-        return 0, ()
-    ncols = len(rows[0])
-    rank = 0
     pivots = []
-    r = 0
-    for c in range(ncols):
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        if r == len(rows):
+            break
         pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if pivot_row is None:
             continue
@@ -70,29 +68,22 @@ def exact_rank(matrix):
                 f = rows[i][c]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
-        rank += 1
-        r += 1
-        if r == len(rows):
-            break
-    return rank, tuple(pivots)
+    return rows, tuple(pivots)
+
+
+def exact_rank(matrix):
+    """Row echelon over Q; returns (rank, pivot column indices)."""
+    _, pivots = _row_reduce(matrix)
+    return len(pivots), pivots
 
 
 def _solve_square(a, b):
     """Solve a x = b exactly (a invertible, small)."""
     n = len(a)
-    m = [list(map(Fraction, row)) + [Fraction(v)] for row, v in zip(a, b)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            raise BadPivots("pivot block is singular")
-        m[c], m[piv] = m[piv], m[c]
-        pv = m[c][c]
-        m[c] = [x / pv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return [m[i][n] for i in range(n)]
+    rows, pivots = _row_reduce([list(row) + [v] for row, v in zip(a, b)])
+    if pivots != tuple(range(n)):
+        raise BadPivots("pivot block is singular")
+    return [row[n] for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +192,9 @@ def reduce_quantities(quantities, pivots):
     # express later linear parts through the first k and subtract
     reduced = list(quantities[:k])
     combos = {}
+    bt = [[block[r][c] for r in range(k)] for c in range(k)]  # transpose
     for j in range(k, len(quantities)):
         target = [lin[j][i] for i in piv_idx]
-        bt = [[block[r][c] for r in range(k)] for c in range(k)]  # transpose
         coeffs = _solve_square(bt, target)
         # coefficients found on the pivot columns must match everywhere
         combined = [
@@ -336,9 +327,16 @@ def cyclicity_bound_line(
 ) -> CyclicityReport:
     """Bound combining independent linear parts with the line analysis."""
     deg2 = jet_focus_report(fld, point, small, 2, n)
-    jac = jacobian_rank(deg2.quantities, small)
-    rank = jac.rank
-    h_forms, details = reduce_quantities(deg2.quantities, pivots)
+    return line_analysis(deg2.quantities, small, pivots, line, trace_declared)
+
+
+def line_analysis(
+    quantities, small, pivots, line, trace_declared=False
+) -> CyclicityReport:
+    """The bound of ``cyclicity_bound_line`` from its degree-2 jet
+    quantities: Jacobian rank plus the cycles certified along ``line``."""
+    rank = jacobian_rank(quantities, small).rank
+    h_forms, _ = reduce_quantities(quantities, pivots)
     values = evaluate_on_line(h_forms, line)
     l = 0
     notes = []

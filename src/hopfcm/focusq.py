@@ -262,9 +262,7 @@ def report_for_field(
 
 def verify_center_conditions(fld: VectorField3, condition: dict, n: int) -> bool:
     """True iff L_1..L_n vanish identically under the parameter substitution."""
-    mapping = {k: Fraction(v) for k, v in condition.items()}
-    remaining = tuple(p for p in fld.params if p not in mapping)
-    bound = fld.substitute_params(mapping, remaining)  # raises PoleAtPoint
+    bound = fld.substitute_params(condition)  # raises PoleAtPoint
     if all(
         comp.homogeneous_component(deg).is_zero()
         for comp in bound.components

@@ -140,11 +140,12 @@ def ast_params(node, acc=None):
     return acc
 
 
-def eval_exact(node, params) -> ParamExpr:
-    """Evaluate an AST into the exact fraction field over ``params``."""
+def eval_exact(node, params) -> ParamExpr | Fraction:
+    """Evaluate an AST into the exact fraction field over ``params``; a
+    Fraction when ``params`` is empty."""
     kind = node[0]
     if kind == "num":
-        return ParamExpr.const(params, node[1])
+        return ParamExpr.const(params, node[1]) if params else node[1]
     if kind == "var":
         if node[1] not in params:
             raise SchemaError(f"unknown parameter {node[1]!r}")
@@ -157,7 +158,7 @@ def eval_exact(node, params) -> ParamExpr:
         return eval_exact(node[1], params) * eval_exact(node[2], params)
     if kind == "div":
         den = eval_exact(node[2], params)
-        if den.is_zero():
+        if den == 0:
             raise SchemaError("division by zero in coefficient expression")
         return eval_exact(node[1], params) / den
     if kind == "neg":

@@ -219,7 +219,11 @@ class ParamPoly:
         return Fraction(0) if acc is None else acc
 
     def substitute(self, mapping, new_params):
-        """Partial substitution; unmapped parameters carry over to new_params."""
+        """Partial substitution; unmapped parameters carry over to new_params.
+
+        Rational values bind as Fractions, so the result is a Fraction when
+        ``new_params`` is empty and a ParamExpr over ``new_params`` otherwise.
+        """
         values = {}
         for p in self.params:
             if p in mapping:
@@ -229,11 +233,11 @@ class ParamPoly:
                         raise ValueError("substitution value in wrong ring")
                     values[p] = v
                 else:
-                    values[p] = ParamExpr.const(new_params, Fraction(v))
+                    values[p] = Fraction(v)
             else:
                 values[p] = ParamExpr.var(new_params, p)
         result = self.evaluate(values)
-        if isinstance(result, Fraction):
+        if new_params and isinstance(result, Fraction):
             return ParamExpr.const(new_params, result)
         return result
 
@@ -616,9 +620,10 @@ class ParamExpr:
         return num_val / den_val
 
     def substitute(self, mapping, new_params):
-        """Partial substitution into a (possibly) smaller parameter ring."""
+        """Partial substitution into a (possibly) smaller parameter ring; a
+        Fraction when no parameter stays free."""
         den_sub = self.den.substitute(mapping, new_params)
-        if den_sub.is_zero():
+        if den_sub == 0:
             raise PoleAtPoint(f"denominator vanishes under {mapping!r}")
         num_sub = self.num.substitute(mapping, new_params)
         return num_sub / den_sub

@@ -199,7 +199,6 @@ class VectorField3:
     backend: str  # "exact" | "float"
     params: tuple = ()
     name: Optional[str] = None
-    symmetry: Optional[str] = None
 
     def evaluate(self, point):
         zero = 0.0 if self.backend == "float" else Fraction(0)
@@ -231,8 +230,20 @@ class VectorField3:
             return ParamExpr.zero(self.params)
         return Fraction(0)
 
-    def substitute_params(self, mapping, new_params=()):
-        """Bind some or all parameters; exact backend only."""
+    def substitute_params(self, mapping, new_params=None):
+        """Bind some or all parameters to rational values; exact backend only.
+
+        The parameters left out of ``mapping`` stay free, in their order,
+        unless ``new_params`` names the ring of ParamExpr-valued bindings.
+        A fully bound field has Fraction coefficients.  Raises SchemaError
+        on a name that is not a parameter of the field, and PoleAtPoint
+        where a coefficient's denominator vanishes.
+        """
+        unknown = set(mapping) - set(self.params)
+        if unknown:
+            raise SchemaError(f"unknown parameter(s) {sorted(unknown)}")
+        if new_params is None:
+            new_params = tuple(p for p in self.params if p not in mapping)
         comps = tuple(
             c.map_coeffs(
                 lambda q: q.substitute(mapping, new_params)
@@ -574,9 +585,8 @@ def parse_system(document) -> VectorField3:
         values = {k: float(_parse_value(v)) for k, v in params_doc.items()}
     else:
         values = {
-            k: Fraction(_parse_value(v)) for k, v in params_doc.items() if v is not None
+            k: _parse_value(v) for k, v in params_doc.items() if v is not None
         }
-        free = tuple(k for k in param_names if k not in values)
 
     comps = []
     for eq in equations:
@@ -600,25 +610,20 @@ def parse_system(document) -> VectorField3:
                 coeff = grammar.eval_float(node, values)
             else:
                 coeff = grammar.eval_exact(node, param_names)
-                if values:
-                    try:
-                        coeff = coeff.substitute(values, free)
-                    except PoleAtPoint as exc:
-                        raise SchemaError(
-                            "parameter values hit a coefficient pole"
-                        ) from exc
             e = tuple(exp)
             if e in terms:
                 terms[e] = terms[e] + coeff
             else:
                 terms[e] = coeff
         comps.append(StatePoly(terms))
-    return VectorField3(
-        tuple(comps),
-        backend,
-        () if backend == "float" else free,
-        document.get("name"),
-    )
+    params = () if backend == "float" else param_names
+    fld = VectorField3(tuple(comps), backend, params, document.get("name"))
+    if backend == "float" or not values:
+        return fld
+    try:
+        return fld.substitute_params(values)
+    except PoleAtPoint as exc:
+        raise SchemaError("parameter values hit a coefficient pole") from exc
 
 
 def _parse_value(v):

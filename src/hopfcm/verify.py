@@ -16,12 +16,12 @@ from fractions import Fraction
 
 from . import catalog, simulate
 from .cyclicity import (
-    cyclicity_bound_line,
     cyclicity_bound_rank,
     evaluate_on_line,
     gradient_on_line,
     jacobian_rank,
     jet_focus_report,
+    line_analysis,
     reduce_quantities,
 )
 from .focusq import report_for_field, verify_first_integral
@@ -54,7 +54,7 @@ def claim_teo1_hopf(samples=200, seed=20240901):
         if d == 0:
             continue
         a = c if i % 2 == 0 else c + _sample_rationals(rng, 1, 4, 3)
-        bound = fld.substitute_params({"a": a, "b": b, "c": c, "d": d}, ())
+        bound = fld.substitute_params({"a": a, "b": b, "c": c, "d": d})
         cubic = char_cubic(bound.jacobian_at((F(0), F(0), 1 / d)))
         report = hopf_test(cubic)
         disc = (1 + c * d) * (1 - b * d) - c**2 * d**2
@@ -69,7 +69,7 @@ def claim_teo1_hopf(samples=200, seed=20240901):
         if d == 0 or 1 + c * d == 0:
             continue
         b = (1 + c * d - c**2 * d**2 - k**2) / (d * (1 + c * d))
-        bound = fld.substitute_params({"a": c, "b": b, "c": c, "d": d}, ())
+        bound = fld.substitute_params({"a": c, "b": b, "c": c, "d": d})
         cubic = char_cubic(bound.jacobian_at((F(0), F(0), 1 / d)))
         report = hopf_test(cubic)
         if report.is_hopf is not True:
@@ -127,8 +127,8 @@ def claim_teo1_l1(points=50, scale_points=20, seed=71):
     fld = catalog.e1_normal()
 
     def computed(c, d, k):
-        bound = fld.substitute_params({"c": c, "d": d, "k": k}, ())
-        return report_for_field(bound, 1).quantities[0].constant_value()
+        bound = fld.substitute_params({"c": c, "d": d, "k": k})
+        return report_for_field(bound, 1).quantities[0]
 
     def sample(positive_d):
         while True:
@@ -410,9 +410,7 @@ def claim_teo5_cyclicity(n_linear=9):
     h5_exact = h5_value == H5_ON_ETA
     transversal = any(g != 0 for g in gradient_on_line(h_forms[0], ETA_LINE))
 
-    bound = cyclicity_bound_line(
-        fld, {}, params, 5, ("a011", "a101", "b011"), ETA_LINE
-    )
+    bound = line_analysis(rep2.quantities, params, ("a011", "a101", "b011"), ETA_LINE)
     passed = (
         jac_all.rank == 3
         and jac3.rank == 3

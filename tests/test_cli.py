@@ -155,10 +155,11 @@ def test_verify_subcommand_exit_codes(capsys):
     assert json.loads(out)["passed"] is True
 
 
-def test_custom_system_document(tmp_path, capsys):
-    doc = {
-        "backend": "exact",
-        "params": {"d": "1"},
+def _center_document(backend, d):
+    """e1-center as a system-definition document; ``d`` None leaves it free."""
+    return {
+        "backend": backend,
+        "params": {"d": d},
         "state_vars": ["u", "v", "w"],
         "equations": [
             [{"exp": [0, 1, 0], "coeff": "1"}, {"exp": [0, 1, 1], "coeff": "d"}],
@@ -166,8 +167,11 @@ def test_custom_system_document(tmp_path, capsys):
             [{"exp": [0, 0, 1], "coeff": "-d^2"}, {"exp": [1, 1, 0], "coeff": "d"}],
         ],
     }
+
+
+def test_custom_system_document(tmp_path, capsys):
     path = tmp_path / "center.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(_center_document("exact", "1")))
     code, out, _ = run_cli(capsys, "focus", "--system", str(path), "--order", "2")
     assert code == 0
     assert json.loads(out)["quantities"] == ["0", "0"]
@@ -201,3 +205,32 @@ def test_float_family_report_is_the_same_for_decimal_input(capsys):
     assert run_cli(capsys, *argv, "c=1/4,h=2.0")[1] == decimal
     direct = report_for_field(e4_normal({"c": 0.25, "h": 2.0}), 2).quantities
     assert json.loads(decimal)["quantities"] == direct
+
+
+def test_file_system_binds_params_like_a_builtin(tmp_path, capsys):
+    path = tmp_path / "center.json"
+    path.write_text(json.dumps(_center_document("exact", None)))
+    argv = ("period", "--order", "2", "--params", "d=2", "--system")
+    code, out, _ = run_cli(capsys, *argv, str(path))
+    assert code == 0
+    assert out == run_cli(capsys, *argv, "e1-center")[1].replace(
+        '"e1-center"', json.dumps(str(path))
+    )
+
+
+@pytest.mark.parametrize(
+    "backend,d,given",
+    [("exact", "1", "d=2"), ("exact", None, "e=2"), ("float", "1", "d=2")],
+    ids=["valued-in-document", "not-a-parameter", "float-document"],
+)
+def test_file_system_rejects_params_it_cannot_bind(tmp_path, capsys, backend, d, given):
+    path = tmp_path / "center.json"
+    path.write_text(json.dumps(_center_document(backend, d)))
+    code, out, err = run_cli(
+        capsys, "focus", "--system", str(path), "--order", "1", "--params", given
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "SchemaError",
+        "message": f"unknown parameter(s) {[given.split('=')[0]]}",
+    }

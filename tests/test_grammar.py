@@ -60,4 +60,4 @@ def test_float_division_by_zero():
 
 def test_integer_literals_are_exact():
     node = parse_expression("1/3")
-    assert eval_exact(node, ()).constant_value() == Fraction(1, 3)
+    assert eval_exact(node, ()) == Fraction(1, 3)
