@@ -278,7 +278,7 @@ def _cmd_simulate(args):
     params = _parse_params(args.params)
     fld = _load_system(args.system, params)
     if fld.backend != "float":
-        fld = fld.to_float({k: float(v) for k, v in params.items()})
+        fld = fld.to_float({})
     x0 = tuple(float(v) for v in args.x0.split(","))
     t_span = (0.0, -args.tmax) if args.backward else (0.0, args.tmax)
     traj = simulate.integrate(fld, x0, t_span, args.tol, args.tol * 1e-2)
@@ -295,7 +295,7 @@ def _cmd_displacement(args):
     params = _parse_params(args.params)
     fld = _load_system(args.system, params)
     if fld.backend != "float":
-        fld = fld.to_float({k: float(v) for k, v in params.items()})
+        fld = fld.to_float({})
     grid = [float(v) for v in args.rho0_grid.split(",")]
     samples = []
     for rho0 in grid:

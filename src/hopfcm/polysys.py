@@ -12,9 +12,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .errors import (
+    HopfcmError,
     NonConvergence,
     PoleAtPoint,
     RegionUndefined,
@@ -201,8 +203,26 @@ class VectorField3:
     name: Optional[str] = None
 
     def evaluate(self, point):
-        zero = 0.0 if self.backend == "float" else Fraction(0)
-        return tuple(c.evaluate_or(point, zero) for c in self.components)
+        if self.backend == "float":
+            u, v, w = point
+            return tuple(
+                sum([c * u**i * v**j * w**k for c, (i, j, k) in comp], 0.0)
+                for comp in self.monomials
+            )
+        return tuple(c.evaluate_or(point, Fraction(0)) for c in self.components)
+
+    @cached_property
+    def monomials(self):
+        """Per component, the (coefficient, exponents) pairs of a float field.
+
+        Built on first use and kept: components are not modified after
+        construction.  It serves ``evaluate`` and the Taylor kernel of
+        ``simulate``.
+        """
+        return tuple(
+            tuple((float(c), e) for e, c in comp.terms.items())
+            for comp in self.components
+        )
 
     def jacobian_at(self, point):
         zero = 0.0 if self.backend == "float" else Fraction(0)
@@ -255,7 +275,13 @@ class VectorField3:
         return VectorField3(comps, self.backend, tuple(new_params), self.name)
 
     def to_float(self, assignment):
-        """Evaluate all coefficients numerically, producing a float field."""
+        """Evaluate all coefficients numerically, producing a float field.
+
+        Raises HopfcmError naming the parameters ``assignment`` leaves free.
+        """
+        free = [p for p in self.params if p not in assignment]
+        if free:
+            raise HopfcmError(f"parameter(s) {free} are free; a float field needs values")
         vals = {k: float(v) for k, v in assignment.items()}
 
         def conv(q):

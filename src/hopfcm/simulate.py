@@ -1,32 +1,40 @@
 """Numerical backend: adaptive integration, Poincare sections, period and
 displacement measurement, CSV/plot-script export.
 
-Integration uses a Dormand-Prince 8(5,3) embedded pair with dense output;
-section crossings are polished on the dense interpolant to 1e-12.  The
-reduced displacement at radius rho0 is measured on the path selected by the
-transverse direction: the return map in omega = w/u is solved for its fixed
-point omega0 (secant iteration, which handles both signs of the transverse
-eigenvalue), then dbar(rho0) is the radial change of the first return from
-(rho0, 0, rho0*omega0).  An extended-precision path
-(``precision="extended"``) backs the period fit with an adaptive Taylor
-integrator.
+Trajectories and section returns use a Dormand-Prince 8(5,3) embedded pair.
+A return to the section {v = 0, u > 0} is a terminal event that scipy
+locates on the pair's interpolant, so a return map stops at the first
+return.  The reduced displacement at radius rho0 is measured on the path
+selected by the transverse direction: the return map in omega = w/u is
+solved for its fixed point omega0 (secant iteration, which handles both
+signs of the transverse eigenvalue), then dbar(rho0) is the radial change of
+the first return from (rho0, 0, rho0*omega0).
+
+The period is measured with a Taylor method for polynomial fields (Jorba &
+Zou, Exp. Math. 14, 2005): the Taylor coefficients of the flow come from
+Cauchy products over the field's monomial table, the order and the step are
+chosen from the working precision and the last two coefficients, and section
+crossings are found by Newton's method on the step polynomial.  The same
+kernel runs on floats (``precision="double"``) and on 30-digit ``mpmath``
+floats (``precision="extended"``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .errors import NoReturn, StiffnessFailure
 from .polysys import VectorField3
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
+EXTENDED_DPS = 30
 
 
 @dataclass
@@ -73,9 +81,6 @@ def integrate(
     if not (0 < rel_tol <= 1e-2 and 0 < abs_tol <= 1e-2):
         raise ValueError("tolerances must lie in (0, 1e-2]")
 
-    def rhs(t, s):
-        return fld.evaluate(tuple(s))
-
     events = None
     if stop_radius is not None:
         def escape(t, s):
@@ -86,7 +91,7 @@ def integrate(
 
     backward = t_span[1] < t_span[0]
     sol = solve_ivp(
-        rhs,
+        _rhs(fld),
         t_span,
         [float(v) for v in x0],
         method="DOP853",
@@ -108,46 +113,11 @@ def integrate(
     return Trajectory(t, y, sol.nfev, sol.status, rel_tol, abs_tol, backward)
 
 
-def _section_crossings(fld, y0, horizon, rtol, atol, direction, min_time=1e-9):
-    """Times of v = 0 crossings with u > 0 in the given v-direction."""
-
+def _rhs(fld):
     def rhs(t, s):
-        return fld.evaluate(tuple(s))
+        return fld.evaluate(s.tolist())
 
-    def ev(t, s):
-        return s[1]
-
-    ev.terminal = False
-    ev.direction = direction
-    sol = solve_ivp(
-        rhs,
-        (0.0, horizon),
-        list(y0),
-        method="DOP853",
-        rtol=rtol,
-        atol=atol,
-        dense_output=True,
-        events=ev,
-    )
-    if sol.status == -1:
-        raise StiffnessFailure(sol.message)
-    out = []
-    for te in sol.t_events[0]:
-        if te <= min_time:
-            continue
-        state = sol.sol(te)
-        if state[0] > 0:
-            # polish the crossing on the dense interpolant
-            window = max(1e-6, 1e-3 * te)
-            f = lambda t: sol.sol(t)[1]
-            a, b = te - window, min(te + window, sol.t[-1])
-            try:
-                if f(a) * f(b) < 0:
-                    te = brentq(f, a, b, xtol=1e-14, rtol=8.9e-16)
-            except ValueError:
-                pass
-            out.append((te, sol.sol(te)))
-    return out, sol
+    return rhs
 
 
 def _flow_direction(fld, rho0):
@@ -157,14 +127,31 @@ def _flow_direction(fld, rho0):
 
 
 def first_return(fld, rho0, omega0, rtol=1e-12, atol=1e-14, horizon=60.0):
-    """First return (u, omega) of the section map from (rho0, 0, rho0*omega0)."""
-    y0 = (rho0, 0.0, rho0 * omega0)
-    direction = _flow_direction(fld, rho0)
-    crossings, _ = _section_crossings(fld, y0, horizon, rtol, atol, direction)
-    for te, state in crossings:
-        if te > 0.5:
-            u, v, w = state
-            return te, u, w / u
+    """First return (t, u, omega) of the section map from (rho0, 0, rho0*omega0).
+
+    The start lies on the section, so scipy reports it as the first event
+    in the flow direction; the run stops at the second, the first return.
+    """
+
+    def section(t, s):
+        return s[1]
+
+    section.direction = _flow_direction(fld, rho0)
+    section.terminal = 2
+    sol = solve_ivp(
+        _rhs(fld),
+        (0.0, horizon),
+        [rho0, 0.0, rho0 * omega0],
+        method="DOP853",
+        rtol=rtol,
+        atol=atol,
+        events=section,
+    )
+    if sol.status == -1:
+        raise StiffnessFailure(sol.message)
+    for te, (u, v, w) in zip(sol.t_events[0], sol.y_events[0]):
+        if te > 0.5 and u > 0:
+            return float(te), float(u), float(w / u)
     raise NoReturn(f"no section return within t = {horizon}")
 
 
@@ -179,73 +166,157 @@ def measure_period(
 ) -> float:
     """Mean time between same-direction section crossings after settling.
 
-    The orbit is started on the section at radius rho0 and integrated for
+    The orbit is started on the section at radius rho0 and followed for
     ``settle_time`` so the transverse transient decays onto the invariant
     surface; the radial coordinate is untouched on families that conserve
-    u^2 + v^2.  ``precision`` is "double" (DOP853) or "extended" (mpmath
-    Taylor method; ``rtol``/``atol`` do not apply).
+    u^2 + v^2.  The period is the mean of the next ``turns`` returns.  The
+    Taylor kernel runs on floats for ``precision="double"`` and on 30-digit
+    mpmath floats for ``"extended"``; its order and step follow from that
+    precision, so ``rtol`` and ``atol`` do not apply.
     """
-    if precision not in ("double", "extended"):
+    if precision == "double":
+        plan = taylor_plan(fld.monomials, float)
+        return _measure_period(fld, plan, rho0, settle_time, turns, float, 1e-16)
+    if precision != "extended":
         raise ValueError(f"unknown precision {precision!r}")
-    if precision == "extended":
-        return _measure_period_extended(fld, rho0, settle_time, turns)
-
-    def rhs(t, s):
-        return fld.evaluate(tuple(s))
-
-    settle = solve_ivp(
-        rhs, (0.0, settle_time), [rho0, 0.0, 0.0], method="DOP853",
-        rtol=rtol, atol=atol,
-    )
-    if settle.status != 0:
-        raise StiffnessFailure(settle.message)
-    y1 = settle.y[:, -1]
-    direction = _flow_direction(fld, rho0)
-    horizon = 2.2 * math.pi * (turns + 2)
-    crossings, _ = _section_crossings(fld, y1, horizon, rtol, atol, direction)
-    times = [te for te, _ in crossings]
-    if len(times) < 3:
-        raise NoReturn("fewer than three section returns while measuring period")
-    diffs = np.diff(times)
-    return float(np.mean(diffs[: turns]))
-
-
-def _measure_period_extended(fld, rho0, settle_time, turns, dps=30):
-    """mpmath Taylor-method backend for the period fit."""
     import mpmath as mp
 
-    with mp.workdps(dps):
-        def rhs(t, s):
-            return [mp.mpf(str(v)) if not isinstance(v, mp.mpf) else v
-                    for v in fld.evaluate((s[0], s[1], s[2]))]
-
-        f = mp.odefun(rhs, 0, [mp.mpf(rho0), mp.mpf(0), mp.mpf(0)], tol=mp.mpf(10) ** (-(dps - 8)))
-        direction = _flow_direction(fld, rho0)
-
-        def v_at(t):
-            return f(t)[1]
-
-        # march past the transient, then bracket section crossings
-        crossings = []
-        t = mp.mpf(settle_time)
-        prev_t, prev_v = t, v_at(t)
-        step = mp.mpf(0.25)
-        while len(crossings) < turns + 1 and t < settle_time + _horizon(turns):
-            t = t + step
-            cur_v = v_at(t)
-            if prev_v * cur_v < 0 and (cur_v - prev_v) * direction > 0:
-                root = mp.findroot(v_at, (prev_t + t) / 2)
-                if f(root)[0] > 0:
-                    crossings.append(root)
-            prev_t, prev_v = t, cur_v
-        if len(crossings) < 2:
-            raise NoReturn("extended-precision run found too few returns")
-        diffs = [crossings[i + 1] - crossings[i] for i in range(len(crossings) - 1)]
-        return float(sum(diffs) / len(diffs))
+    with mp.workdps(EXTENDED_DPS):
+        plan = taylor_plan(fld.monomials, mp.mpf, mp.fdot)
+        eps = mp.mpf(10) ** -EXTENDED_DPS
+        return float(_measure_period(fld, plan, rho0, settle_time, turns, mp.mpf, eps))
 
 
-def _horizon(turns):
-    return 2.2 * math.pi * (turns + 2)
+def _measure_period(fld, plan, rho0, settle_time, turns, num, eps):
+    order = math.ceil(-math.log(eps) / 2) + 1
+    direction = _flow_direction(fld, rho0)
+    end = settle_time + 2.2 * math.pi * (turns + 2)
+    t, x = num(0), [num(rho0), num(0), num(0)]
+    crossings = []
+    while len(crossings) <= turns:
+        if t >= end:
+            raise NoReturn("too few section returns while measuring period")
+        coeffs = taylor_coefficients(plan, x, order)
+        h = _taylor_step(coeffs)
+        if not h > eps * max(1, abs(t)):
+            raise StiffnessFailure(f"Taylor step collapsed at t = {float(t)}")
+        h = min(num(h), end - t)
+        u, v, _ = coeffs
+        v0, v1 = v[0], _horner(v, h)
+        if direction * v0 < 0 <= direction * v1:
+            s = _step_root(v, h, v1, eps)
+            if t + s > settle_time and _horner(u, s) > 0:
+                crossings.append(t + s)
+        x = [_horner(c, h) for c in coeffs]
+        t += h
+    return (crossings[-1] - crossings[0]) / turns
+
+
+# ---------------------------------------------------------------------------
+# Taylor kernel for polynomial fields, generic over the number type
+
+
+def _dot(a, b):
+    return sum(map(mul, a, b))
+
+
+def taylor_plan(monomials, num, dot=_dot):
+    """Code list of a polynomial field for ``taylor_coefficients``.
+
+    ``monomials`` is ``VectorField3.monomials``.  Series 0, 1, 2 are u, v, w;
+    every monomial of degree >= 2 is one more series, the product of a lower
+    monomial and one state variable, listed after its factors.  Returns the
+    products as (factor series, variable) pairs, per component its constant
+    term and its (coefficient, series) terms, all converted by ``num``, and
+    ``dot``, the inner product of two sequences of ``num`` (``mpmath.fdot``
+    rounds an mpf inner product once, about three times faster than a sum).
+    """
+    index = {(1, 0, 0): 0, (0, 1, 0): 1, (0, 0, 1): 2}
+    products = []
+
+    def series(e):
+        if e not in index:
+            axis = next(a for a in range(3) if e[a])
+            lower = tuple(p - (a == axis) for a, p in enumerate(e))
+            products.append((series(lower), axis))
+            index[e] = 2 + len(products)
+        return index[e]
+
+    components = []
+    for comp in monomials:
+        const, terms = num(0), []
+        for c, e in comp:
+            if any(e):
+                terms.append((num(c), series(e)))
+            else:
+                const += num(c)
+        components.append((const, terms))
+    return products, components, dot
+
+
+def taylor_coefficients(plan, x, order):
+    """Taylor coefficients 0..order of the flow through x, per component.
+
+    Order n of every product is a Cauchy product of known orders 0..n;
+    then x_{n+1} = f_n / (n + 1) (Moore 1966; Jorba & Zou 2005).
+    """
+    products, components, dot = plan
+    zero = x[0] * 0
+    series = [[xi] for xi in x] + [[] for _ in products]
+    for n in range(order):
+        for k, (left, axis) in enumerate(products, 3):
+            series[k].append(dot(series[left], reversed(series[axis])))
+        for i, (const, terms) in enumerate(components):
+            f = sum([c * series[k][n] for c, k in terms], const if n == 0 else zero)
+            series[i].append(f / (n + 1))
+    return series[:3]
+
+
+def _taylor_step(coeffs):
+    """Jorba-Zou step rho / e^2, rho from the last two coefficients."""
+    order = len(coeffs[0]) - 1
+    scale = max(1.0, max(float(abs(c[0])) for c in coeffs))
+    rho = math.inf
+    for j in (order - 1, order):
+        size = max(float(abs(c[j])) for c in coeffs)
+        if size > 0:
+            rho = min(rho, (scale / size) ** (1.0 / j))
+    return rho / math.e**2
+
+
+def _horner(coeffs, s):
+    acc = coeffs[-1] * 0
+    for c in reversed(coeffs):
+        acc = acc * s + c
+    return acc
+
+
+def _step_root(p, h, p_h, eps):
+    """Root in [0, h] of the step polynomial p, where p(0) and p(h) = p_h
+    differ in sign.
+
+    Newton's method from the secant point, kept inside the bracket by a
+    bisection step whenever an iterate would leave it.  It stops once a step
+    is within a few units of ``eps`` (rounding noise at double precision).
+    """
+    dp = [n * c for n, c in enumerate(p)][1:]
+    lo, hi = 0 * h, h
+    p_lo = p[0]
+    s = h * p_lo / (p_lo - p_h)
+    for _ in range(200):
+        ps = _horner(p, s)
+        if (ps < 0) == (p_lo < 0):
+            lo, p_lo = s, ps
+        else:
+            hi = s
+        d = _horner(dp, s)
+        nxt = s - ps / d if d else lo - 1
+        if not lo <= nxt <= hi:
+            nxt = (lo + hi) / 2
+        if abs(nxt - s) <= 8 * eps * h:
+            return nxt
+        s = nxt
+    return s
 
 
 def displacement(

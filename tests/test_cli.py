@@ -195,6 +195,23 @@ def test_malformed_param_is_a_json_domain_error(capsys, value):
     assert json.loads(err)["error"] == "HopfcmError"
 
 
+@pytest.mark.parametrize("argv,free", [
+    (("simulate", "--system", "e1-center", "--x0", "0.5,-0.75,0.1", "--tmax", "1"), "['d']"),
+    (("displacement", "--system", "e1-normal", "--params", "d=1,k=1",
+      "--rho0-grid", "0.05"), "['c']"),
+])
+def test_numeric_run_with_a_free_parameter_is_a_json_domain_error(
+    capsys, tmp_path, monkeypatch, argv, free
+):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "HopfcmError"
+    assert free in report["message"]
+    assert not list(tmp_path.iterdir())
+
+
 def test_float_family_report_is_the_same_for_decimal_input(capsys):
     from hopfcm.catalog import e4_normal
     from hopfcm.focusq import report_for_field

@@ -1,0 +1,43 @@
+"""Golden outputs: the numeric claims and the README displacement against
+the outputs recorded in ``perfbench/reference/``.
+
+Exact fields must match byte for byte and floats must stay within the
+tolerance of the claim that covers them, by the rules of
+``perfbench/checks.py`` (read here, never written).
+"""
+
+import json
+import os
+import types
+
+import pytest
+
+from hopfcm.cli import main
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
+def _load_checks():
+    # executed from source, so no bytecode cache is written under perfbench/
+    path = os.path.join(PERFBENCH, "checks.py")
+    module = types.ModuleType("perfbench_checks")
+    module.__file__ = path
+    with open(path) as fh:
+        exec(compile(fh.read(), path, "exec"), module.__dict__)
+    return module
+
+
+checks = _load_checks()
+
+
+@pytest.mark.parametrize(
+    "name", ["claim-teo1-isochronous", "claim-lyapunov-crosscheck", "readme-displacement"]
+)
+def test_output_matches_the_recorded_reference(tmp_path, capsys, name):
+    ref = checks.load_reference(name)
+    out = tmp_path / "out.json"
+    code = main(ref["argv"] + ["--out", str(out)])
+    capsys.readouterr()
+    assert code == ref["exit"]
+    output = json.loads(out.read_text())
+    assert checks.compare(output, ref["output"], checks.TOLERANCES.get(name, {})) == []

@@ -19,6 +19,8 @@ from hopfcm.simulate import (
     first_return,
     integrate,
     measure_period,
+    taylor_coefficients,
+    taylor_plan,
 )
 
 
@@ -102,6 +104,66 @@ def test_focus_displacement_matches_first_quantity():
     assert abs(s.dbar / 0.05**3 - math.pi * L1) < 0.1 * abs(math.pi * L1)
 
 
+@pytest.mark.parametrize("c,h", [(9 / 16, 3.0), (1 / 2, 2.0)])
+def test_focus_displacement_far_from_the_crosscheck_point(c, h):
+    # the orbit leaves the center manifold soon after its first return; a
+    # return map that follows it to the horizon costs ~10^6 evaluations
+    fld = e4_normal({"c": c, "h": h})
+    L1 = report_for_field(fld, 1).quantities[0]
+    calls = 0
+    evaluate = fld.evaluate
+
+    def counted(point):
+        nonlocal calls
+        calls += 1
+        return evaluate(point)
+
+    fld.evaluate = counted
+    s = displacement(fld, 0.05)
+    assert s.omega_residual < 1e-10
+    assert abs(s.dbar / 0.05**3 - math.pi * L1) < 0.1 * abs(math.pi * L1)
+    assert calls < 20_000
+
+
+def _rotation_field():
+    # u' = -v, v' = u, w' = u^2 + v^2: from (1, 0, 0), u = cos t, v = sin t,
+    # w = t, so the w series checks the Cauchy products
+    comps = (
+        StatePoly({(0, 1, 0): -1.0}),
+        StatePoly({(1, 0, 0): 1.0}),
+        StatePoly({(2, 0, 0): 1.0, (0, 2, 0): 1.0}),
+    )
+    return VectorField3(comps, "float", ())
+
+
+def _rotation_series(n, factorial):
+    cos = [0 if n % 2 else (-1) ** (n // 2) / factorial(n) for n in range(n + 1)]
+    sin = [(-1) ** (n // 2) / factorial(n) if n % 2 else 0 for n in range(n + 1)]
+    return cos, sin, [0, 1] + [0] * (n - 1)
+
+
+def test_taylor_kernel_matches_the_rotation_series_in_floats():
+    fld = _rotation_field()
+    got = taylor_coefficients(taylor_plan(fld.monomials, float), [1.0, 0.0, 0.0], 20)
+    for series, want in zip(got, _rotation_series(20, math.factorial)):
+        assert len(series) == 21
+        assert max(abs(a - b) for a, b in zip(series, want)) < 1e-15
+
+
+def test_taylor_kernel_matches_the_rotation_series_in_mpmath():
+    import mpmath as mp
+
+    fld = _rotation_field()
+    with mp.workdps(30):
+        x0 = [mp.mpf(1), mp.mpf(0), mp.mpf(0)]
+        got = taylor_coefficients(taylor_plan(fld.monomials, mp.mpf, mp.fdot), x0, 36)
+        want = _rotation_series(36, lambda n: mp.factorial(n))
+        for series in got:
+            assert all(isinstance(c, mp.mpf) for c in series)
+        for series, ref in zip(got, want):
+            assert max(abs(a - b) for a, b in zip(series, ref)) < mp.mpf(10) ** -28
+
+
 def test_displacement_richardson_consistency():
     fld = e4_normal({"c": 0.25, "h": 2.0})
     r1 = displacement(fld, 0.05).dbar / 0.05**3
@@ -169,3 +231,10 @@ def test_extended_precision_period(center_field):
     T = measure_period(center_field, 0.1, settle_time=30.0, turns=4, precision="extended")
     expected = 2 * math.pi * (1 + 0.1**4 / 40)
     assert abs(T - expected) / expected < 1e-7
+    T_double = measure_period(center_field, 0.1, settle_time=30.0, turns=4)
+    assert abs(T_double - T) / T < 1e-9
+
+
+def test_unknown_period_precision_is_rejected(center_field):
+    with pytest.raises(ValueError):
+        measure_period(center_field, 0.1, precision="quad")
