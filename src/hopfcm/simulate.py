@@ -130,7 +130,9 @@ def first_return(fld, rho0, omega0, rtol=1e-12, atol=1e-14, horizon=60.0):
     """First return (t, u, omega) of the section map from (rho0, 0, rho0*omega0).
 
     The start lies on the section, so scipy reports it as the first event
-    in the flow direction; the run stops at the second, the first return.
+    in the flow direction, and each run stops at the second.  A crossing
+    before t = 0.5 or with u <= 0 is not a return: the run goes on from it,
+    on the section again, until a return or the horizon.
     """
 
     def section(t, s):
@@ -138,21 +140,27 @@ def first_return(fld, rho0, omega0, rtol=1e-12, atol=1e-14, horizon=60.0):
 
     section.direction = _flow_direction(fld, rho0)
     section.terminal = 2
-    sol = solve_ivp(
-        _rhs(fld),
-        (0.0, horizon),
-        [rho0, 0.0, rho0 * omega0],
-        method="DOP853",
-        rtol=rtol,
-        atol=atol,
-        events=section,
-    )
-    if sol.status == -1:
-        raise StiffnessFailure(sol.message)
-    for te, (u, v, w) in zip(sol.t_events[0], sol.y_events[0]):
-        if te > 0.5 and u > 0:
-            return float(te), float(u), float(w / u)
-    raise NoReturn(f"no section return within t = {horizon}")
+    t0, x0 = 0.0, [rho0, 0.0, rho0 * omega0]
+    while True:
+        sol = solve_ivp(
+            _rhs(fld),
+            (t0, horizon),
+            x0,
+            method="DOP853",
+            rtol=rtol,
+            atol=atol,
+            events=section,
+        )
+        if sol.status == -1:
+            raise StiffnessFailure(sol.message)
+        for te, (u, v, w) in zip(sol.t_events[0], sol.y_events[0]):
+            if te > 0.5 and u > 0:
+                return float(te), float(u), float(w / u)
+        if sol.status == 0:
+            raise NoReturn(f"no section return within t = {horizon}")
+        t0 = sol.t_events[0][-1]
+        u, _, w = sol.y_events[0][-1]
+        x0 = [u, 0.0, w]
 
 
 def measure_period(
@@ -160,8 +168,6 @@ def measure_period(
     rho0: float,
     settle_time: float = 35.0,
     turns: int = 8,
-    rtol: float = 1e-12,
-    atol: float = 1e-14,
     precision: str = "double",
 ) -> float:
     """Mean time between same-direction section crossings after settling.
@@ -172,7 +178,7 @@ def measure_period(
     u^2 + v^2.  The period is the mean of the next ``turns`` returns.  The
     Taylor kernel runs on floats for ``precision="double"`` and on 30-digit
     mpmath floats for ``"extended"``; its order and step follow from that
-    precision, so ``rtol`` and ``atol`` do not apply.
+    precision.
     """
     if precision == "double":
         plan = taylor_plan(fld.monomials, float)

@@ -190,6 +190,22 @@ def test_no_return_for_non_rotating_field():
         first_return(fld, 0.1, 0.0, horizon=10.0)
 
 
+def test_first_return_goes_on_past_an_early_crossing():
+    # u stays at rho0 while (v, u + w) turns at rate 20, so the orbit meets
+    # the section in the flow direction every pi / 10 ~ 0.31: the crossing
+    # before t = 0.5 is not a return, the one at t = pi / 5 is.
+    comps = (
+        StatePoly.zero(),
+        StatePoly({(1, 0, 0): 20.0, (0, 0, 1): 20.0}),
+        StatePoly({(0, 1, 0): -20.0}),
+    )
+    fld = VectorField3(comps, "float", ())
+    t, u, omega = first_return(fld, 0.1, 0.0, horizon=10.0)
+    assert abs(t - math.pi / 5) < 1e-9
+    assert abs(u - 0.1) < 1e-12
+    assert abs(omega) < 1e-9
+
+
 def test_sign_match_on_unstable_normal_family():
     fld = e1_normal({"c": "1/10", "d": 1, "k": 1}).to_float({})
     L1 = report_for_field(fld, 1).quantities[0]
