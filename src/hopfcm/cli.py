@@ -181,7 +181,9 @@ def _cmd_normalize(args):
 
 def _cmd_focus(args):
     params = _parse_params(args.params)
-    if args.jet_degree:
+    if args.jet_degree is not None:
+        if args.jet_degree < 1:
+            raise HopfcmError(f"--jet-degree must be at least 1, got {args.jet_degree}")
         fld = _load_system(args.system, None)
         if fld.backend == "float":
             raise HopfcmError("jet expansions need an exact-backend system")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import BadPivots
+from .errors import BadPivots, SchemaError
 from .focusq import complexify, focus_quantities
 from .normalform import to_normal_form
 from .paramfield import Jet, JetContext, ParamExpr
@@ -91,22 +91,21 @@ def _solve_square(a, b):
 
 
 def jet_system(fld: VectorField3, point: dict, small, degree: int) -> VectorField3:
-    """Bind parameters to (point + eps) jets, eps the small parameters."""
-    ctx = JetContext(tuple(small), degree)
-    assignment = {}
-    for p in fld.params:
-        base = ctx.const(point.get(p, 0))
-        if p in ctx.names:
-            base = base + ctx.eps(p)
-        assignment[p] = base
+    """Bind every parameter to a jet: its ``point`` value plus eps for the
+    small parameters, which need no point value (it defaults to 0).
 
-    def conv(coeff):
-        if isinstance(coeff, ParamExpr):
-            return coeff.evaluate(assignment)
-        return coeff
-
-    comps = tuple(c.map_coeffs(conv) for c in fld.components)
-    return VectorField3(comps, "exact", (), fld.name)
+    Raises SchemaError on a repeated small parameter, a name that is not a
+    parameter of ``fld``, or a parameter neither in ``point`` nor small.
+    """
+    small = tuple(small)
+    repeated = sorted({p for p in small if small.count(p) > 1})
+    if repeated:
+        raise SchemaError(f"small parameter(s) {repeated} repeated")
+    ctx = JetContext(small, degree)
+    assignment = {p: ctx.const(v) for p, v in point.items()}
+    for p in small:
+        assignment[p] = assignment.get(p, ctx.zero()) + ctx.eps(p)
+    return fld.bind(assignment)
 
 
 def jet_focus_report(fld, point, small, degree, n, trace_param=None):

@@ -22,7 +22,10 @@ All values are immutable after construction; operations are pure functions.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from .errors import DivisionByZero, PoleAtPoint, TruncationTooLow
 
@@ -828,15 +831,32 @@ def scalar_ring(backend, sample):
 
 
 class JetContext:
-    """Declares the small-parameter names and the truncation degree."""
+    """Declares the small-parameter names and the truncation degree.
 
-    __slots__ = ("names", "degree")
+    The monomials of degree <= ``degree`` are numbered once, in graded
+    order: by degree, then by their sorted ``(index, exponent)`` pairs, so
+    index 0 is the constant and index 1 + i the i-th small parameter.  The
+    first ``widths[d]`` of them are those of degree <= d.  The product table,
+    built on first use, maps two indices to the index of their product; row
+    i holds only the ``widths[degree - deg(i)]`` columns that fit under the
+    cap.
+    """
+
+    __slots__ = ("names", "degree", "monomials", "degrees", "widths", "_table")
 
     def __init__(self, names, degree):
         if degree < 0:
             raise ValueError("truncation degree must be nonnegative")
         self.names = tuple(names)
         self.degree = int(degree)
+        monos = []
+        for d in range(self.degree + 1):
+            layer = combinations_with_replacement(range(len(self.names)), d)
+            monos += sorted(tuple(sorted(Counter(c).items())) for c in layer)
+        self.monomials = tuple(monos)
+        self.degrees = tuple(sum(e for _, e in m) for m in monos)
+        self.widths = tuple(bisect_right(self.degrees, d) for d in range(self.degree + 1))
+        self._table = None
 
     def __eq__(self, other):
         return (
@@ -848,63 +868,83 @@ class JetContext:
     def __hash__(self):
         return hash((self.names, self.degree))
 
+    def product_table(self):
+        """Row i, column j: the index of monomial i times monomial j."""
+        if self._table is None:
+            index = {m: k for k, m in enumerate(self.monomials)}
+            table = []
+            for m1, d1 in zip(self.monomials, self.degrees):
+                row = []
+                for m2 in self.monomials[: self.widths[self.degree - d1]]:
+                    merged = dict(m1)
+                    for i, e in m2:
+                        merged[i] = merged.get(i, 0) + e
+                    row.append(index[tuple(sorted(merged.items()))])
+                table.append(tuple(row))
+            self._table = table
+        return self._table
+
     def zero(self):
         return Jet(self, {})
 
     def one(self):
-        return Jet(self, {(): Fraction(1)})
+        return Jet(self, {0: 1})
 
     def const(self, value):
         value = Fraction(value)
-        return Jet(self, {(): value} if value else {})
+        return Jet(self, {0: value.numerator}, value.denominator)
 
     def eps(self, name):
         """The basis jet for one small parameter."""
         i = self.names.index(name)
         if self.degree < 1:
             return self.zero()
-        return Jet(self, {((i, 1),): Fraction(1)})
-
-
-def _jet_mono_mul(m1, m2, cap):
-    """Merge two sorted (index, exp) monomials; None when degree exceeds cap."""
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    out = dict(m1)
-    for i, e in m2:
-        out[i] = out.get(i, 0) + e
-    if sum(out.values()) > cap:
-        return None
-    return tuple(sorted(out.items()))
-
-
-def _jet_mono_degree(m):
-    return sum(e for _, e in m)
+        return Jet(self, {1 + i: 1})
 
 
 class Jet:
     """Truncated polynomial in the small parameters of a JetContext.
 
-    Arithmetic drops every monomial of total degree above the context degree.
+    Integer numerators by monomial index over one positive integer
+    denominator, kept canonical: no zero numerator, the denominator prime
+    to the numerators together, and 1 for the zero jet.  So equal jets have
+    equal dicts.  Arithmetic drops every monomial of total degree above the
+    context degree.
     """
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "nums", "den")
 
-    def __init__(self, ctx, terms):
+    def __init__(self, ctx, nums, den=1):
+        """The jet sum(nums[k] * monomial k) / den, for a den > 0; takes
+        ownership of the dict ``nums``."""
+        if 0 in nums.values():
+            nums = {k: n for k, n in nums.items() if n}
+        if not nums:
+            den = 1
+        elif den != 1:
+            g = math.gcd(den, *nums.values())
+            if g != 1:
+                den //= g
+                nums = {k: n // g for k, n in nums.items()}
         self.ctx = ctx
-        self.terms = {m: c for m, c in terms.items() if c != 0}
+        self.nums = nums
+        self.den = den
+
+    @property
+    def terms(self):
+        """The coefficients as a new {((index, exponent), ...): Fraction} dict."""
+        monos, den = self.ctx.monomials, self.den
+        return {monos[k]: Fraction(n, den) for k, n in self.nums.items()}
 
     def constant_part(self):
-        return self.terms.get((), Fraction(0))
+        return Fraction(self.nums.get(0, 0), self.den)
 
     def is_zero(self):
-        return not self.terms
+        return not self.nums
 
     def _coerce(self, other):
         if isinstance(other, Jet):
-            if other.ctx != self.ctx:
+            if other.ctx is not self.ctx and other.ctx != self.ctx:
                 raise ValueError("jet contexts differ")
             return other
         if isinstance(other, (int, Fraction)):
@@ -915,19 +955,22 @@ class Jet:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m, 0) + c
-            if s:
-                terms[m] = s
-            else:
-                terms.pop(m, None)
-        return Jet(self.ctx, terms)
+        a, b = self, other
+        if len(a.nums) < len(b.nums):
+            a, b = b, a
+        # over lcm(a.den, b.den) = a.den * s = b.den * t
+        g = math.gcd(a.den, b.den)
+        s, t = b.den // g, a.den // g
+        nums = dict(a.nums) if s == 1 else {k: n * s for k, n in a.nums.items()}
+        get = nums.get
+        for k, n in b.nums.items():
+            nums[k] = get(k, 0) + n * t
+        return Jet(self.ctx, nums, a.den * s)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.ctx, {m: -c for m, c in self.terms.items()})
+        return Jet(self.ctx, {k: -n for k, n in self.nums.items()}, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -939,23 +982,28 @@ class Jet:
         return (-self) + other
 
     def __mul__(self, other):
+        ctx = self.ctx
+        if isinstance(other, (int, Fraction)):
+            p = other.numerator
+            return Jet(ctx, {k: n * p for k, n in self.nums.items()}, self.den * other.denominator)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        cap = self.ctx.degree
+        a, b = self.nums, other.nums
+        if len(a) > len(b):
+            a, b = b, a
+        # fits[d]: b's terms of degree <= d, those of index < widths[d]
+        items = sorted(b.items())
+        fits = [items[: bisect_left(items, (w,))] for w in ctx.widths]
+        cap, degs, table = ctx.degree, ctx.degrees, ctx.product_table()
         out = {}
-        for m1, c1 in self.terms.items():
-            d1 = _jet_mono_degree(m1)
-            for m2, c2 in other.terms.items():
-                if d1 + _jet_mono_degree(m2) > cap:
-                    continue
-                m = _jet_mono_mul(m1, m2, cap)
-                s = out.get(m, 0) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        return Jet(self.ctx, out)
+        get = out.get
+        for i, x in a.items():
+            row = table[i]
+            for j, y in fits[cap - degs[i]]:
+                k = row[j]
+                out[k] = get(k, 0) + x * y
+        return Jet(ctx, out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -965,7 +1013,9 @@ class Jet:
             raise DivisionByZero("jet with zero constant part is not invertible")
         # (c0 + n)^-1 = (1/c0) * sum_k (-n/c0)^k, n nilpotent past the cap
         inv0 = 1 / c0
-        nil = Jet(self.ctx, {m: -c * inv0 for m, c in self.terms.items() if m != ()})
+        p = -inv0.numerator
+        nil = Jet(self.ctx, {k: n * p for k, n in self.nums.items() if k},
+                  self.den * inv0.denominator)
         acc = self.ctx.const(inv0)
         power = self.ctx.const(inv0)
         for _ in range(self.ctx.degree):
@@ -1003,10 +1053,13 @@ class Jet:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash((self.ctx, frozenset(self.terms.items())))
+        # a constant jet equals its Fraction, so it hashes like it
+        if self.nums.keys() <= {0}:
+            return hash(self.constant_part())
+        return hash((self.ctx, self.den, frozenset(self.nums.items())))
 
     def homogeneous_part(self, degree):
         """The degree-m homogeneous layer, as a jet."""
@@ -1015,29 +1068,28 @@ class Jet:
                 f"jet truncated at degree {self.ctx.degree}, "
                 f"degree {degree} requested"
             )
+        degs = self.ctx.degrees
         return Jet(
             self.ctx,
-            {m: c for m, c in self.terms.items() if _jet_mono_degree(m) == degree},
+            {k: n for k, n in self.nums.items() if degs[k] == degree},
+            self.den,
         )
 
     def linear_coefficients(self):
         """Gradient w.r.t. the small parameters, as a list of Rationals."""
-        grad = [Fraction(0)] * len(self.ctx.names)
-        for m, c in self.terms.items():
-            if _jet_mono_degree(m) == 1:
-                grad[m[0][0]] = c
-        return grad
+        return [
+            Fraction(self.nums.get(1 + i, 0), self.den)
+            for i in range(len(self.ctx.names))
+        ]
 
     def __str__(self):
-        if not self.terms:
+        if not self.nums:
             return "0"
+        monos, names = self.ctx.monomials, self.ctx.names
         parts = []
-        for m in sorted(self.terms, key=lambda m: (_jet_mono_degree(m), m)):
-            c = self.terms[m]
-            factors = [
-                self.ctx.names[i] if e == 1 else f"{self.ctx.names[i]}^{e}"
-                for i, e in m
-            ]
+        for k in sorted(self.nums):
+            factors = [names[i] if e == 1 else f"{names[i]}^{e}" for i, e in monos[k]]
+            c = Fraction(self.nums[k], self.den)
             parts.append(str(c) + ("*" + "*".join(factors) if factors else ""))
         return " + ".join(parts)
 

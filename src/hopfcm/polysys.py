@@ -259,9 +259,7 @@ class VectorField3:
         on a name that is not a parameter of the field, and PoleAtPoint
         where a coefficient's denominator vanishes.
         """
-        unknown = set(mapping) - set(self.params)
-        if unknown:
-            raise SchemaError(f"unknown parameter(s) {sorted(unknown)}")
+        self._check_known(mapping)
         if new_params is None:
             new_params = tuple(p for p in self.params if p not in mapping)
         comps = tuple(
@@ -273,6 +271,28 @@ class VectorField3:
             for c in self.components
         )
         return VectorField3(comps, self.backend, tuple(new_params), self.name)
+
+    def bind(self, assignment):
+        """Bind every parameter to a value of any exact scalar type (a Jet,
+        say).  Raises SchemaError on a name that is not a parameter of the
+        field or a parameter left without a value, and PoleAtPoint where a
+        coefficient's denominator vanishes."""
+        self._check_known(assignment)
+        missing = [p for p in self.params if p not in assignment]
+        if missing:
+            raise SchemaError(f"parameter(s) {missing} have no value")
+        comps = tuple(
+            c.map_coeffs(
+                lambda q: q.evaluate(assignment) if isinstance(q, ParamExpr) else q
+            )
+            for c in self.components
+        )
+        return VectorField3(comps, self.backend, (), self.name)
+
+    def _check_known(self, names):
+        unknown = set(names) - set(self.params)
+        if unknown:
+            raise SchemaError(f"unknown parameter(s) {sorted(unknown)}")
 
     def to_float(self, assignment):
         """Evaluate all coefficients numerically, producing a float field.

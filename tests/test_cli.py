@@ -74,6 +74,35 @@ def test_focus_subcommand_jets(capsys):
     assert "k" in report["quantities"][0]
 
 
+@pytest.mark.parametrize(
+    "small,params",
+    [
+        ("k,c,x", "k=1,c=0,d=1"),
+        ("k,k", "k=1,c=0,d=1"),
+        ("k,c,d", "k=1,c=0,d=1,zz=4"),
+        ("k,c", "k=1,c=0"),
+    ],
+    ids=["small-not-a-parameter", "small-repeated", "params-not-a-parameter", "d-unbound"],
+)
+def test_jet_focus_rejects_a_bad_binding(capsys, small, params):
+    code, _, err = run_cli(
+        capsys, "focus", "--system", "e1-normal", "--order", "1",
+        "--jet-degree", "1", "--small", small, "--params", params,
+    )
+    assert code == 2
+    assert json.loads(err)["error"] == "SchemaError"
+
+
+@pytest.mark.parametrize("degree", ["-1", "0"])
+def test_focus_rejects_a_jet_degree_below_one(capsys, degree):
+    code, out, err = run_cli(
+        capsys, "focus", "--system", "e1-normal", "--order", "1",
+        "--jet-degree", degree, "--small", "k,c,d", "--params", "k=1,c=0,d=1",
+    )
+    assert code == 2 and out == ""
+    assert "--jet-degree" in json.loads(err)["message"]
+
+
 def test_period_subcommand(capsys):
     code, out, _ = run_cli(
         capsys, "period", "--system", "e1-center", "--params", "d=1", "--order", "2"

@@ -1,5 +1,6 @@
-"""Golden outputs: the numeric claims and the README displacement against
-the outputs recorded in ``perfbench/reference/``.
+"""Golden outputs: the numeric claims, the jet claims and the README
+displacement, cyclicity and jet focus commands against the outputs recorded
+in ``perfbench/reference/``.
 
 Exact fields must match byte for byte and floats must stay within the
 tolerance of the claim that covers them, by the rules of
@@ -31,7 +32,17 @@ checks = _load_checks()
 
 
 @pytest.mark.parametrize(
-    "name", ["claim-teo1-isochronous", "claim-lyapunov-crosscheck", "readme-displacement"]
+    "name",
+    [
+        "claim-teo1-isochronous",
+        "claim-lyapunov-crosscheck",
+        "readme-displacement",
+        "readme-cyclicity-teo5",
+        "readme-cyclicity-teo4",
+        "readme-focus-jet",
+        "claim-teo4-cyclicity",
+        "claim-teo5-cyclicity",
+    ],
 )
 def test_output_matches_the_recorded_reference(tmp_path, capsys, name):
     ref = checks.load_reference(name)

@@ -1,5 +1,6 @@
 """Exact-field foundation: canonical forms, evaluation, jets, Gaussians."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -386,3 +387,79 @@ def test_param_expr_evaluates_at_jet_arguments():
     ctx = JetContext(("e",), 2)
     val = expr.evaluate({"k": 1 + ctx.eps("e")})
     assert val == ctx.eps("e")
+
+
+# --- the indexed jet kernel ---------------------------------------------------------
+
+_SMALL = ("u", "v", "w")
+_CUBIC = [(i, j, k) for i in range(4) for j in range(4) for k in range(4) if i + j + k <= 3]
+_UNLIKE = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+_COEFFS = st.dictionaries(st.sampled_from(_CUBIC), _UNLIKE, max_size=8)
+
+
+def _jet_from(ctx, coeffs):
+    """sum c * u^i v^j w^k through the jet operators, term by term."""
+    eps = [ctx.eps(n) for n in ctx.names]
+    acc = ctx.zero()
+    for e, c in coeffs.items():
+        term = ctx.const(c)
+        for v, p in zip(eps, e):
+            term = term * v**p
+        acc = acc + term
+    return acc
+
+
+def _dense(jet):
+    out = {}
+    for m, c in jet.terms.items():
+        e = [0] * len(jet.ctx.names)
+        for i, ex in m:
+            e[i] = ex
+        out[tuple(e)] = c
+    return out
+
+
+def _is_canonical(jet):
+    return jet.den > 0 and 0 not in jet.nums.values() and (
+        math.gcd(jet.den, *jet.nums.values()) == 1 if jet.nums else jet.den == 1
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(_COEFFS, _COEFFS)
+def test_cubic_jet_mul_agrees_with_poly_mul_then_truncate(c1, c2):
+    ctx = JetContext(_SMALL, 3)
+    j = _jet_from(ctx, c1) * _jet_from(ctx, c2)
+    p = ParamPoly(_SMALL, c1) * ParamPoly(_SMALL, c2)
+    assert _dense(j) == {e: c for e, c in p.terms.items() if sum(e) <= 3}
+    assert _is_canonical(j)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_COEFFS, _UNLIKE.filter(lambda q: q != 0))
+def test_jet_times_its_inverse_is_one(coeffs, c0):
+    ctx = JetContext(_SMALL, 3)
+    j = _jet_from(ctx, {**coeffs, (0, 0, 0): c0})
+    assert j * j.inverse() == 1
+    assert j.inverse() * j == ctx.one()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_COEFFS, _COEFFS, _UNLIKE)
+def test_jets_built_two_ways_are_equal_and_hash_equal(c1, c2, q):
+    ctx = JetContext(_SMALL, 3)
+    a, b = _jet_from(ctx, c1), _jet_from(ctx, c2)
+    # through ParamPoly evaluation at the basis jets, in another order
+    via_poly = ParamPoly(_SMALL, c1).evaluate(dict(zip(_SMALL, map(ctx.eps, _SMALL))))
+    assert via_poly == a and hash(via_poly) == hash(a)
+    left, right = (a + b) * q, a * q + q * b
+    assert left == right and hash(left) == hash(right)
+    assert _is_canonical(left) and _is_canonical(a - a)
+
+
+def test_constant_jet_hashes_like_its_fraction():
+    ctx = JetContext(_SMALL, 2)
+    assert ctx.const(3) == 3 and len({ctx.const(3), 3}) == 1
+    assert len({ctx.const(Fraction(-2, 6)), Fraction(-1, 3)}) == 1
+    assert len({ctx.zero(), 0, ctx.eps("u") - ctx.eps("u")}) == 1
+    assert len({ctx.eps("u"), ctx.eps("v"), ctx.eps("u") * 1}) == 2
