@@ -42,7 +42,7 @@ def _exact_field(params, rows, name):
         for exp, coeff in row.items():
             if isinstance(coeff, (int, Fraction)):
                 coeff = ParamExpr.const(params, coeff)
-            if not coeff.is_zero():
+            if coeff:
                 terms[exp] = coeff
         comps.append(StatePoly(terms))
     return VectorField3(tuple(comps), "exact", params, name)

@@ -124,7 +124,7 @@ def jet_focus_report(fld, point, small, degree, n, trace_param=None):
         sigma = lin[0][0]
         if not isinstance(sigma, Jet) or sigma.constant_part() != 0:
             raise BadPivots("trace entry is not an infinitesimal jet")
-        if not (lin[1][1] - sigma).is_zero():
+        if lin[1][1] - sigma:
             raise BadPivots("rotation block trace is not isotropic")
         comps = list(jf.components)
         comps[0] = comps[0] - StatePoly({(1, 0, 0): sigma})

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .errors import DegenerateLambda, NotAFirstIntegralCandidate, NotRealSystem
 from .normalform import NormalForm3, to_normal_form
-from .paramfield import Jet, is_zero_scalar, scalar_ring
+from .paramfield import Jet, scalar_ring
 from .polysys import StatePoly, VectorField3
 
 
@@ -75,7 +75,7 @@ def complexify(nf: NormalForm3) -> ComplexSystem:
     """Complex coefficient extraction; requires canonical orientation."""
     if nf.orientation != 1:
         raise ValueError("complexify needs the canonical (+1) orientation frame")
-    ring = scalar_ring(nf.field.backend, nf.lam)
+    ring = scalar_ring(nf.lam)
     half = ring.one * Fraction(1, 2)
     half_i = ring.gauss(ring.zero, half)
     # u = (x + y)/2, v = -i/2 (x - y), w = z
@@ -100,7 +100,7 @@ def complexify(nf: NormalForm3) -> ComplexSystem:
 
 
 def _check_reality(cs: ComplexSystem):
-    ring = scalar_ring(cs.backend, cs.lam)
+    ring = scalar_ring(cs.lam)
     zero = ring.lift(ring.zero)
     pairs = (("a", cs.a, "b", cs.b), ("b", cs.b, "a", cs.a), ("c", cs.c, "c", cs.c))
     for name, coeffs, other_name, other in pairs:
@@ -139,14 +139,14 @@ def psi_series(cs: ComplexSystem, n: int) -> PsiSeries:
 def _psi_recursion(cs: ComplexSystem, n: int):
     if n < 1:
         raise ValueError("n must be at least 1")
-    if is_zero_scalar(cs.lam):
+    if not cs.lam:
         raise DegenerateLambda("transverse eigenvalue is zero")
     lam = cs.lam
     sigma = cs.sigma
     if sigma is not None:
         if not isinstance(sigma, Jet) or sigma.constant_part() != 0:
             raise ValueError("sigma must be a zero-constant jet")
-    ring = scalar_ring(cs.backend, lam)
+    ring = scalar_ring(lam)
 
     def divisor(k1, k2, k3):
         re = lam * k3 if k3 else ring.zero
@@ -183,7 +183,7 @@ def _psi_recursion(cs: ComplexSystem, n: int):
                     continue
                 if k1 == k2 and k3 == 0:
                     layer[target] = S  # obstruction; d stays zero
-                elif not ring.is_zero(S):
+                elif S:
                     d[target] = -S / divisor(k1, k2, k3)
         if m % 2 == 0 and m >= 4:
             k = m // 2
@@ -206,7 +206,7 @@ def identity_defect(cs: ComplexSystem, n: int):
     AssertionError on a symbolic survivor.
     """
     quantities, d = _psi_recursion(cs, n)
-    ring = scalar_ring(cs.backend, cs.lam)
+    ring = scalar_ring(cs.lam)
     sigma = ring.zero if cs.sigma is None else cs.sigma
     # xdot = (sigma + i) x + X1, ydot = (sigma - i) y + X2, zdot = lam z + X3
     field = (
@@ -270,4 +270,4 @@ def verify_center_conditions(fld: VectorField3, condition: dict, n: int) -> bool
     ):
         return True  # linear system: every obstruction vanishes
     report = report_for_field(bound, n)
-    return all(is_zero_scalar(q) for q in report.quantities)
+    return not any(report.quantities)

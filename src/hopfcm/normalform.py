@@ -14,8 +14,14 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import BadTransform, NotHopf
-from .paramfield import ParamExpr, is_zero_scalar, one_like, zero_like
-from .polysys import StatePoly, VectorField3, char_cubic, hopf_test, transform
+from .polysys import (
+    StatePoly,
+    VectorField3,
+    char_cubic,
+    hopf_test,
+    known_value,
+    transform,
+)
 
 
 @dataclass
@@ -67,7 +73,7 @@ def _nonlinear_part(poly: StatePoly) -> StatePoly:
 def _is_const(x, value, tol):
     if isinstance(x, float):
         return abs(x - value) <= tol
-    return is_zero_scalar(x - value)
+    return not (x - value)
 
 
 def _classify_linear(mat, tol):
@@ -79,7 +85,7 @@ def _classify_linear(mat, tol):
     a01, a10, lam = mat[0][1], mat[1][0], mat[2][2]
     if not _is_const(a01 + a10, 0, tol):
         raise BadTransform("rotation block is not antisymmetric")
-    if is_zero_scalar(a01):
+    if not a01:
         raise BadTransform("rotation block vanishes")
     return a01, lam
 
@@ -96,15 +102,13 @@ def to_normal_form(
 
     Exact backend: ``matrix`` entries must lie in the parameter field, and
     the rescaled rotation entries must be exactly +/-1.  When ``time_scale``
-    is omitted it is inferred from the rotation entry, which must then be a
-    positive constant (or numerically positive under the float backend);
-    time is never reversed.  Float backend with no matrix: an eigenbasis is
+    is omitted it is |s| for the rotation entry s, which must then be a
+    known constant; time is never reversed.  Float backend with no matrix: an eigenbasis is
     computed numerically.
     """
-    is_float = fld.backend == "float"
     res = fld.evaluate(equilibrium)
     for v in res:
-        if not _is_const(v, 0, tol if is_float else 0):
+        if not _is_const(v, 0, tol):
             raise NotHopf(f"point {equilibrium!r} is not an equilibrium: {res!r}")
     jac = fld.jacobian_at(equilibrium)
     report = hopf_test(char_cubic(jac))
@@ -112,48 +116,33 @@ def to_normal_form(
         raise NotHopf(f"eigenvalue conditions fail: {report.conditions!r}")
 
     if matrix is None:
-        if not is_float:
-            one = one_like(fld.components[0].evaluate_or(equilibrium, Fraction(0)))
-            zero = zero_like(one)
-            matrix = [[one, zero, zero], [zero, one, zero], [zero, zero, one]]
-        else:
+        if fld.backend == "float":
             matrix = _float_eigenbasis(jac)
+        else:
+            one = fld.components[0].evaluate_or(equilibrium, Fraction(0)) ** 0
+            zero = one * 0
+            matrix = [[one, zero, zero], [zero, one, zero], [zero, zero, one]]
 
-    sample = matrix[0][0]
-    one = one_like(sample)
-    zero = zero_like(one)
+    one = matrix[0][0] ** 0
+    zero = one * 0
     shift = tuple(equilibrium)
     moved = transform(fld, shift, matrix, one)
     lin = moved.jacobian_at((zero, zero, zero))
     s, lam_raw = _classify_linear(lin, tol * 10)
 
     if time_scale is None:
-        # infer |s| as the rescale; it must be a known-positive constant
-        if _is_const(s, 1, tol) or _is_const(s, -1, tol):
-            time_scale = one_like(s)
-        elif isinstance(s, ParamExpr):
-            if not s.is_constant():
-                raise BadTransform(
-                    "rotation entry is not constant; pass time_scale explicitly"
-                )
-            sval = s.constant_value()
-            time_scale = ParamExpr.const(s.params, abs(sval))
-        elif isinstance(s, (int, Fraction)):
-            time_scale = abs(Fraction(s))
-        elif isinstance(s, float):
-            time_scale = abs(s)
-        else:
+        # rescale by |s|, which must be a known constant; time never reverses
+        value = known_value(s)
+        if value is None:
             raise BadTransform(
-                "cannot infer a positive time scale; pass time_scale explicitly"
+                "rotation entry is not constant; pass time_scale explicitly"
             )
+        time_scale = abs(value)
 
     final = transform(fld, shift, matrix, time_scale)
-    if is_float:
-        final = VectorField3(
-            tuple(c.chop(tol * 1e-3) for c in final.components),
-            "float",
-            final.params,
-            fld.name,
+    if fld.backend == "float":
+        final = replace(
+            final, components=tuple(c.chop(tol * 1e-3) for c in final.components)
         )
     lin = final.jacobian_at((zero, zero, zero))
     s, lam = _classify_linear(lin, tol)
@@ -163,12 +152,11 @@ def to_normal_form(
         orientation = 1
     else:
         raise BadTransform(f"rotation entry {s!r} did not rescale to +/-1")
-    if is_zero_scalar(lam):
+    if not lam:
         raise NotHopf("transverse eigenvalue is zero")
 
-    nf_field = VectorField3(final.components, final.backend, final.params, fld.name)
     nf = NormalForm3(
-        field=nf_field,
+        field=final,
         lam=lam,
         orientation=orientation,
         shift=shift,
@@ -181,8 +169,7 @@ def to_normal_form(
 
 def _validate_nonlinear(nf: NormalForm3):
     for comp in nf.field.components:
-        const = comp.constant_term()
-        if const is not None and not is_zero_scalar(const):
+        if comp.constant_term():
             raise BadTransform("constant term survived the translation")
 
 
@@ -224,6 +211,6 @@ def roundtrip_defect(nf: NormalForm3, original: VectorField3):
         for coeff in diff.terms.values():
             if isinstance(coeff, (int, float, Fraction)):
                 worst = max(worst, abs(coeff))
-            elif not coeff.is_zero():
+            elif coeff:
                 return None
     return worst

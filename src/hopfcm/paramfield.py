@@ -11,12 +11,23 @@ The coefficient tower used by the symbolic half of the package:
 * ``GaussExpr``         -- the Gaussian extension ``re + i*im`` of any of the
   real scalar types here, used for complexified vector fields.
 * ``FloatRing`` / ``GaussRing`` -- the complex scalar ring of the float and the
-  exact backends (``scalar_ring`` picks one), so complexified algorithms need
-  no per-type branches.
+  exact backends, so complexified algorithms need no per-type branches.
+  ``scalar_ring(sample)`` picks one from a real sample value: ``FloatRing``
+  for a float, ``GaussRing`` over the sample's type otherwise.
 * ``Jet``               -- truncated polynomials in designated small parameters,
   used to expand focus quantities around a point of the center variety.
 
 All values are immutable after construction; operations are pure functions.
+
+Every scalar type here (with ``Fraction`` and ``float``) meets one protocol,
+so the generic algorithms never ask a value for its type:
+
+* a scalar is zero exactly when it is falsy;
+* identities come from a sample value ``x`` of the wanted type, as ``x * 0``
+  and ``x ** 0``;
+* a pole is what division raises: ``ZeroDivisionError`` for ``Fraction`` and
+  ``float``, ``DivisionByZero`` for ``ParamExpr`` and for a ``Jet`` with a
+  zero constant part.
 """
 
 from __future__ import annotations
@@ -36,8 +47,6 @@ def rat(value, den=None) -> Fraction:
     """Build a Rational from ints, strings like '3/7', floats or Fractions."""
     if den is not None:
         return Fraction(value, den)
-    if isinstance(value, str):
-        return Fraction(value)
     return Fraction(value)
 
 
@@ -487,8 +496,8 @@ class ParamExpr:
     def params(self):
         return self.num.params
 
-    def is_zero(self):
-        return self.num.is_zero()
+    def __bool__(self):
+        return not self.num.is_zero()
 
     def is_constant(self):
         return self.num.is_constant() and self.den.is_constant()
@@ -567,11 +576,11 @@ class ParamExpr:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if other.is_zero():
+        if not other:
             raise DivisionByZero("division by zero field element")
         if other.is_constant():
             return self._scaled(1 / other.constant_value())
-        if self.is_zero():
+        if not self:
             return self
         # (a/b)/(c/d): only gcd(a, c) and gcd(d, b) can cancel
         _, a, c = _split(self.num, other.num)
@@ -614,22 +623,24 @@ class ParamExpr:
         return ParamExpr(dn * self.den - self.num * dd, self.den * self.den)
 
     def evaluate(self, values):
-        """Evaluate at a full assignment; raises PoleAtPoint on a vanishing
-        denominator.  Values may be Rationals, floats, or Jets."""
-        den_val = self.den.evaluate(values)
-        if _scalar_is_noninvertible(den_val):
-            raise PoleAtPoint(f"denominator vanishes at {values!r}")
-        num_val = self.num.evaluate(values)
-        return num_val / den_val
+        """Evaluate at a full assignment; raises PoleAtPoint where the
+        denominator is not invertible.  Values may be Rationals, floats, or
+        Jets."""
+        num_val, den_val = self.num.evaluate(values), self.den.evaluate(values)
+        try:
+            return num_val / den_val
+        except (ZeroDivisionError, DivisionByZero) as exc:
+            raise PoleAtPoint(f"denominator vanishes at {values!r}") from exc
 
     def substitute(self, mapping, new_params):
         """Partial substitution into a (possibly) smaller parameter ring; a
         Fraction when no parameter stays free."""
         den_sub = self.den.substitute(mapping, new_params)
-        if den_sub == 0:
-            raise PoleAtPoint(f"denominator vanishes under {mapping!r}")
         num_sub = self.num.substitute(mapping, new_params)
-        return num_sub / den_sub
+        try:
+            return num_sub / den_sub
+        except (ZeroDivisionError, DivisionByZero) as exc:
+            raise PoleAtPoint(f"denominator vanishes under {mapping!r}") from exc
 
     def __str__(self):
         if self.den.is_constant() and self.den.constant_value() == 1:
@@ -637,14 +648,6 @@ class ParamExpr:
         return f"({self.num})/({self.den})"
 
     __repr__ = __str__
-
-
-def _scalar_is_noninvertible(x):
-    if isinstance(x, Jet):
-        return x.constant_part() == 0
-    if isinstance(x, ParamExpr):
-        return x.is_zero()
-    return x == 0
 
 
 # ---------------------------------------------------------------------------
@@ -662,19 +665,20 @@ class GaussExpr:
 
     @classmethod
     def real(cls, value):
-        return cls(value, zero_like(value))
+        return cls(value, value * 0)
 
     def conj(self):
         return GaussExpr(self.re, -self.im)
 
-    def is_zero(self):
-        return is_zero_scalar(self.re) and is_zero_scalar(self.im)
+    def __bool__(self):
+        return bool(self.re) or bool(self.im)
 
     def _coerce(self, other):
         if isinstance(other, GaussExpr):
             return other
         if isinstance(other, _REALS):
-            return GaussExpr(other + zero_like(self.re), zero_like(self.re))
+            zero = self.re * 0
+            return GaussExpr(other + zero, zero)
         return None
 
     def __add__(self, other):
@@ -731,7 +735,7 @@ class GaussExpr:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponents must be nonnegative integers")
-        result = GaussExpr(one_like(self.re), zero_like(self.re))
+        result = GaussExpr(self.re ** 0, self.re * 0)
         base = self
         while n:
             if n & 1:
@@ -770,10 +774,6 @@ class FloatRing:
     gauss = lift = complex
 
     @staticmethod
-    def is_zero(z):
-        return z == 0
-
-    @staticmethod
     def conj(z):
         return z.conjugate()
 
@@ -795,15 +795,11 @@ class GaussRing:
     gauss = GaussExpr
 
     def __init__(self, sample):
-        self.zero = zero_like(sample)
-        self.one = one_like(sample)
+        self.zero = sample * 0
+        self.one = sample ** 0
 
     def lift(self, real):
         return GaussExpr(real, self.zero)
-
-    @staticmethod
-    def is_zero(z):
-        return z.is_zero()
 
     @staticmethod
     def conj(z):
@@ -811,20 +807,21 @@ class GaussRing:
 
     @staticmethod
     def close(p, q):
-        return (p - q).is_zero()
+        return not (p - q)
 
     @staticmethod
     def real(z, what, error):
         """Real part of z; raises ``error`` unless Im z is exactly zero."""
-        if not is_zero_scalar(z.im):
+        if z.im:
             raise error(f"{what} has imaginary part {z.im}")
         return z.re
 
 
-def scalar_ring(backend, sample):
-    """The complex scalar ring of a backend; ``sample`` is a real scalar
-    fixing the exact type (the transverse eigenvalue, say)."""
-    return FloatRing() if backend == "float" else GaussRing(sample)
+def scalar_ring(sample):
+    """The complex scalar ring over the type of ``sample``, a real scalar
+    (the transverse eigenvalue, say): ``FloatRing`` for a float, else
+    ``GaussRing``."""
+    return FloatRing() if isinstance(sample, float) else GaussRing(sample)
 
 
 # ---------------------------------------------------------------------------
@@ -939,8 +936,8 @@ class Jet:
     def constant_part(self):
         return Fraction(self.nums.get(0, 0), self.den)
 
-    def is_zero(self):
-        return not self.nums
+    def __bool__(self):
+        return bool(self.nums)
 
     def _coerce(self, other):
         if isinstance(other, Jet):
@@ -1020,7 +1017,7 @@ class Jet:
         power = self.ctx.const(inv0)
         for _ in range(self.ctx.degree):
             power = power * nil
-            if power.is_zero():
+            if not power:
                 break
             acc = acc + power
         return acc
@@ -1099,36 +1096,3 @@ class Jet:
 # the real scalar types that GaussExpr scales componentwise
 _REALS = (int, Fraction, ParamExpr, Jet)
 
-
-# ---------------------------------------------------------------------------
-# scalar dispatch helpers shared by the generic algorithms
-
-
-def zero_like(x):
-    if isinstance(x, ParamExpr):
-        return ParamExpr.zero(x.params)
-    if isinstance(x, Jet):
-        return x.ctx.zero()
-    if isinstance(x, Fraction):
-        return Fraction(0)
-    if isinstance(x, float):
-        return 0.0
-    raise TypeError(f"no zero for {type(x)!r}")
-
-
-def one_like(x):
-    if isinstance(x, ParamExpr):
-        return ParamExpr.one(x.params)
-    if isinstance(x, Jet):
-        return x.ctx.one()
-    if isinstance(x, Fraction):
-        return Fraction(1)
-    if isinstance(x, float):
-        return 1.0
-    raise TypeError(f"no one for {type(x)!r}")
-
-
-def is_zero_scalar(x):
-    if isinstance(x, (ParamExpr, Jet, GaussExpr)):
-        return x.is_zero()
-    return x == 0

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .errors import FocusObstruction
 from .normalform import NormalForm3
-from .paramfield import is_zero_scalar, scalar_ring
+from .paramfield import scalar_ring
 
 
 class TrigPoly:
@@ -41,7 +41,7 @@ class TrigPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms):
-        self.terms = {n: c for n, c in terms.items() if not is_zero_scalar(c)}
+        self.terms = {n: c for n, c in terms.items() if c}
 
     @classmethod
     def zero(cls):
@@ -191,13 +191,13 @@ class PeriodExpansion:
     backend: str = "exact"
 
     def is_isochronous(self):
-        return all(is_zero_scalar(t) for t in self.constants)
+        return not any(self.constants)
 
 
 def polar_reduce(nf: NormalForm3) -> PolarReduction:
     """Expand the three reduced right-hand sides in (rho, omega)."""
     nf = nf.canonical()
-    ring = scalar_ring(nf.field.backend, nf.lam)
+    ring = scalar_ring(nf.lam)
     half = ring.one * Fraction(1, 2)
     half_i = ring.gauss(ring.zero, half)
     cos_t = TrigPoly({1: ring.lift(half), -1: ring.lift(half)})
@@ -275,7 +275,7 @@ def periodic_solution_series(nf: NormalForm3, order: int):
     focus quantity (the radial return coefficient is pi times it).
     """
     nf = nf.canonical()
-    ring = scalar_ring(nf.field.backend, nf.lam)
+    ring = scalar_ring(nf.lam)
     reduction = polar_reduce(nf)
     one_tp = TrigPoly.const(ring.lift(ring.one))
     lam_c = ring.lift(nf.lam)
@@ -323,7 +323,7 @@ def isochronicity_constants(nf: NormalForm3, m: int) -> PeriodExpansion:
     T(rho0) = 2 pi (1 + sum T_2k rho0^{2k}).
     """
     nf = nf.canonical()
-    ring = scalar_ring(nf.field.backend, nf.lam)
+    ring = scalar_ring(nf.lam)
     one_tp = TrigPoly.const(ring.lift(ring.one))
     N = 2 * m
     sol = periodic_solution_series(nf, N)

@@ -24,7 +24,7 @@ from .errors import (
     SingularTransform,
 )
 from . import grammar
-from .paramfield import ParamExpr, is_zero_scalar, one_like
+from .paramfield import Jet, ParamExpr
 
 STATE_ARITY = 3
 
@@ -35,7 +35,7 @@ class StatePoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms):
-        self.terms = {e: c for e, c in terms.items() if not is_zero_scalar(c)}
+        self.terms = {e: c for e, c in terms.items() if c}
 
     @classmethod
     def zero(cls):
@@ -101,7 +101,7 @@ class StatePoly:
         if n == 0:
             if not self.terms:
                 raise ValueError("0**0 of an empty polynomial needs a coefficient ring")
-            return StatePoly.const(one_like(next(iter(self.terms.values()))))
+            return StatePoly.const(next(iter(self.terms.values())) ** 0)
         acc = None
         base = self
         while n:
@@ -173,9 +173,7 @@ class StatePoly:
             return NotImplemented
         if set(self.terms) != set(other.terms):
             return False
-        return all(
-            is_zero_scalar(self.terms[e] - other.terms[e]) for e in self.terms
-        )
+        return not any(self.terms[e] - other.terms[e] for e in self.terms)
 
     def __str__(self):
         if not self.terms:
@@ -338,21 +336,17 @@ class HopfReport:
 
     @property
     def omega(self):
-        try:
-            return float(self.omega_squared) ** 0.5
-        except TypeError:
-            if isinstance(self.omega_squared, ParamExpr) and self.omega_squared.is_constant():
-                return float(self.omega_squared.constant_value()) ** 0.5
-            return None
+        """sqrt(beta) when beta is a known positive constant, else None."""
+        beta = known_value(self.omega_squared)
+        return float(beta) ** 0.5 if beta is not None and beta > 0 else None
 
     def eigenvalues(self):
-        w = self.omega
-        lam3 = self.lambda3
-        if isinstance(lam3, ParamExpr) and lam3.is_constant():
-            lam3 = float(lam3.constant_value())
-        if w is None:
+        """+/- i omega and lambda3, which are the spectrum only at a Hopf
+        point; None unless ``is_hopf`` is True."""
+        if not self.is_hopf:
             return None
-        return (complex(0, w), complex(0, -w), complex(lam3, 0))
+        w = self.omega
+        return (complex(0, w), complex(0, -w), complex(known_value(self.lambda3), 0))
 
 
 def char_cubic(m) -> CharCubic:
@@ -375,18 +369,14 @@ def char_cubic(m) -> CharCubic:
     return CharCubic(alpha, beta, -det)
 
 
-def _sign_of(x):
-    """+1, 0, -1 for decidable scalars, None for non-constant expressions."""
+def known_value(x):
+    """The Fraction or float value of a scalar that depends on no free
+    parameter (a constant ParamExpr or Jet included), else None."""
     if isinstance(x, ParamExpr):
-        if x.is_zero():
-            return 0
-        if x.is_constant():
-            v = x.constant_value()
-            return (v > 0) - (v < 0)
-        return None
-    if isinstance(x, (int, Fraction, float)):
-        return (x > 0) - (x < 0)
-    return None
+        return x.constant_value() if x.is_constant() else None
+    if isinstance(x, Jet):
+        return x.constant_part() if x == x.constant_part() else None
+    return x if isinstance(x, (int, Fraction, float)) else None
 
 
 def hopf_test(cubic: CharCubic, tol: float = 1e-9) -> HopfReport:
@@ -404,15 +394,13 @@ def hopf_test(cubic: CharCubic, tol: float = 1e-9) -> HopfReport:
         scale = max(1.0, abs(gamma), abs(alpha * beta))
         ok = abs(residual) <= tol * scale and beta > tol and abs(alpha) > tol
         return HopfReport(ok, beta, -alpha, conditions)
-    s_res = _sign_of(residual)
-    s_beta = _sign_of(beta)
-    s_alpha = _sign_of(alpha)
-    if s_res is None or s_beta is None or s_alpha is None:
-        verdict = None
-        if s_res not in (0, None):
-            verdict = False  # residual provably nonzero
-        return HopfReport(verdict, beta, -alpha, conditions)
-    ok = s_res == 0 and s_beta > 0 and s_alpha != 0
+    res, b, a = known_value(residual), known_value(beta), known_value(alpha)
+    if res is not None and res != 0:
+        ok = False  # residual provably nonzero
+    elif res is None or b is None or a is None:
+        ok = None
+    else:
+        ok = b > 0 and a != 0
     return HopfReport(ok, beta, -alpha, conditions)
 
 
@@ -533,7 +521,7 @@ def _mat_det3(m):
 
 def _mat_inv3(m):
     det = _mat_det3(m)
-    if is_zero_scalar(det):
+    if not det:
         raise SingularTransform("transform matrix is singular")
     if isinstance(det, (float, complex)) and abs(det) < 1e-300:
         raise SingularTransform("transform matrix is numerically singular")
@@ -561,27 +549,26 @@ def transform(fld: VectorField3, shift, linear, time_scale) -> VectorField3:
     """Express the dynamics in new coordinates u with x = shift + linear @ u,
     after the time rescaling tau = time_scale * t (the field divides by it).
     """
-    if is_zero_scalar(time_scale):
+    if not time_scale:
         raise SingularTransform("time_scale must be nonzero")
     inv, _ = _mat_inv3(linear)
-    one = one_like(time_scale)
     subs = []
     for i in range(3):
         terms = {}
-        if not is_zero_scalar(shift[i]):
+        if shift[i]:
             terms[(0, 0, 0)] = shift[i]
         for j in range(3):
-            if not is_zero_scalar(linear[i][j]):
+            if linear[i][j]:
                 e = tuple(1 if t == j else 0 for t in range(3))
                 terms[e] = linear[i][j]
         subs.append(StatePoly(terms))
     composed = [c.compose(subs) for c in fld.components]
-    inv_scale = one / time_scale
+    inv_scale = 1 / time_scale
     new_comps = []
     for i in range(3):
         acc = None
         for j in range(3):
-            if is_zero_scalar(inv[i][j]):
+            if not inv[i][j]:
                 continue
             part = composed[j].scale(inv[i][j])
             acc = part if acc is None else acc + part

@@ -53,7 +53,7 @@ def test_equilibrium_symbolic_over_parameters():
     zero = ParamExpr.zero(P)
     d = ParamExpr.var(P, "d")
     res = fld.evaluate((zero, zero, 1 / d))
-    assert all(v.is_zero() for v in res)
+    assert not any(res)
 
 
 # --- Jacobian and characteristic cubic ---------------------------------------------
@@ -67,7 +67,7 @@ def test_jacobian_entries_at_first_equilibrium():
     jac = fld.jacobian_at((zero, zero, 1 / d))
     assert jac[0][1] == a + 1 / d
     assert jac[2][2] == -d
-    assert jac[0][2].is_zero() and jac[1][2].is_zero()
+    assert not jac[0][2] and not jac[1][2]
 
 
 def test_jacobian_of_linear_field_is_coefficient_matrix():
