@@ -252,8 +252,14 @@ def equilibria_catalog(values, include_nonexistent=False):
 
     Returns a list of (label, point, exists).  Radical points come out as
     floats; E1 stays rational when the inputs are rational.  The symmetric
-    partner of each +/- pair maps through (x,y,z) -> (-x,-y,z).
+    partner of each +/- pair maps through (x,y,z) -> (-x,-y,z).  Raises
+    SchemaError when ``values`` lacks one of a, b, c, d.
     """
+    missing = [p for p in "abcd" if p not in values]
+    if missing:
+        raise SchemaError(
+            f"the equilibria E<k> of khaled-original need values for {missing}"
+        )
     a = float(values["a"])
     b = float(values["b"])
     c = float(values["c"])

@@ -15,14 +15,14 @@ from fractions import Fraction
 
 from . import catalog, simulate
 from .cyclicity import cyclicity_bound_line, cyclicity_bound_rank, jet_focus_report
-from .errors import FocusObstruction, HopfcmError
+from .errors import FocusObstruction, HopfcmError, SchemaError
 from .focusq import report_for_field
 from .grammar import eval_exact, parse_expression
 from .normalform import to_normal_form
 from .paramfield import GaussExpr, Jet, ParamExpr
 from .period import isochronicity_constants
 from .polysys import char_cubic, hopf_test, parse_system
-from .verify import CLAIMS, run_claim
+from .verify import CLAIMS, run_claim, teo4_bound, teo5_bound, teo5_jets
 
 USAGE_EXIT = 1
 DOMAIN_EXIT = 2
@@ -70,6 +70,26 @@ def _exact_number(text):
         raise HopfcmError(f"bad number {text!r}: {exc}") from exc
 
 
+def _numbers(spec):
+    return [_exact_number(v) for v in spec.split(",")]
+
+
+def _read_json(path, required, what):
+    """The JSON object in ``path``; a SchemaError when it is not valid JSON,
+    not an object, or lacks a key in ``required``."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{what} {path} is not a JSON object")
+    missing = [k for k in required if k not in doc]
+    if missing:
+        raise SchemaError(f"{what} {path} lacks {missing}")
+    return doc
+
+
 def _parse_params(spec):
     if not spec:
         return {}
@@ -99,7 +119,7 @@ def _parse_point(spec, fld, params):
         if spec not in pts:
             raise HopfcmError(f"equilibrium {spec} does not exist at {params}")
         return pts[spec]
-    vals = [_exact_number(v) for v in spec.split(",")]
+    vals = _numbers(spec)
     if len(vals) != 3:
         raise HopfcmError("point must be E<k> or three comma-separated values")
     if fld.backend == "float":
@@ -149,8 +169,7 @@ def _cmd_normalize(args):
     matrix = None
     time_scale = None
     if args.transform:
-        with open(args.transform) as fh:
-            doc = json.load(fh)
+        doc = _read_json(args.transform, ("matrix",), "transform file")
         rows = doc["matrix"]
         if fld.backend == "float":
             matrix = [[float(v) for v in row] for row in rows]
@@ -235,29 +254,13 @@ def _cmd_period(args):
 
 def _cmd_cyclicity(args):
     if args.mode == "teo4":
-        d0 = _exact_number(args.d0)
-        report = cyclicity_bound_rank(
-            catalog.e1_normal_trace(),
-            {"k": 1, "c": 0, "d": d0, "sigma": 0},
-            ("k", "c", "d"),
-            1,
-            3,
-            trace_declared=True,
-        )
+        report = teo4_bound(_exact_number(args.d0))
     elif args.mode == "teo5":
-        from .verify import ETA_LINE
-
-        report = cyclicity_bound_line(
-            catalog.e1_center_perturbed(),
-            {},
-            catalog.PERTURBATION_PARAMS,
-            5,
-            ("a011", "a101", "b011"),
-            ETA_LINE,
-        )
+        report = teo5_bound(teo5_jets().quantities)
     else:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
+        cfg = _read_json(args.config, ("system", "small", "order"), "cyclicity config")
+        if "line" in cfg and "pivots" not in cfg:
+            raise SchemaError(f"cyclicity config {args.config} has a line but no pivots")
         fld = _load_system(cfg["system"], None)
         point = {k: Fraction(str(v)) for k, v in cfg.get("point", {}).items()}
         small = tuple(cfg["small"])
@@ -281,7 +284,9 @@ def _cmd_simulate(args):
     fld = _load_system(args.system, params)
     if fld.backend != "float":
         fld = fld.to_float({})
-    x0 = tuple(float(v) for v in args.x0.split(","))
+    x0 = tuple(float(v) for v in _numbers(args.x0))
+    if len(x0) != 3:
+        raise HopfcmError("--x0 must be three comma-separated values")
     t_span = (0.0, -args.tmax) if args.backward else (0.0, args.tmax)
     traj = simulate.integrate(fld, x0, t_span, args.tol, args.tol * 1e-2)
     out = args.out or "trajectory.csv"
@@ -298,7 +303,7 @@ def _cmd_displacement(args):
     fld = _load_system(args.system, params)
     if fld.backend != "float":
         fld = fld.to_float({})
-    grid = [float(v) for v in args.rho0_grid.split(",")]
+    grid = [float(v) for v in _numbers(args.rho0_grid)]
     samples = []
     for rho0 in grid:
         samples.append(simulate.displacement(fld, rho0))

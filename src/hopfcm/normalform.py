@@ -103,8 +103,8 @@ def to_normal_form(
     Exact backend: ``matrix`` entries must lie in the parameter field, and
     the rescaled rotation entries must be exactly +/-1.  When ``time_scale``
     is omitted it is |s| for the rotation entry s, which must then be a
-    known constant; time is never reversed.  Float backend with no matrix: an eigenbasis is
-    computed numerically.
+    known constant; time is never reversed.  Float backend with no matrix:
+    an eigenbasis is computed numerically.
     """
     res = fld.evaluate(equilibrium)
     for v in res:

@@ -1095,4 +1095,3 @@ class Jet:
 
 # the real scalar types that GaussExpr scales componentwise
 _REALS = (int, Fraction, ParamExpr, Jet)
-

@@ -395,7 +395,7 @@ def hopf_test(cubic: CharCubic, tol: float = 1e-9) -> HopfReport:
         ok = abs(residual) <= tol * scale and beta > tol and abs(alpha) > tol
         return HopfReport(ok, beta, -alpha, conditions)
     res, b, a = known_value(residual), known_value(beta), known_value(alpha)
-    if res is not None and res != 0:
+    if res:
         ok = False  # residual provably nonzero
     elif res is None or b is None or a is None:
         ok = None

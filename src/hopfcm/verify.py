@@ -272,6 +272,21 @@ def claim_teo1_isochronous(fit_tol=0.05):
 # ---------------------------------------------------------------------------
 # claim 6: cyclicity of the unperturbed family
 
+TEO4_SMALL = ("k", "c", "d")
+
+
+def teo4_bound(d0):
+    """Rank of the degree-1 jets of L_1..L_3 of e1-normal-trace in (k, c, d)
+    at the center-line point (1, 0, d0), plus the declared trace."""
+    return cyclicity_bound_rank(
+        catalog.e1_normal_trace(),
+        {"k": 1, "c": 0, "d": d0, "sigma": 0},
+        TEO4_SMALL,
+        1,
+        3,
+        trace_declared=True,
+    )
+
 
 def claim_teo4_cyclicity():
     """Jacobian of (L_1, L_2, L_3) w.r.t. (k, c, d) on the center line, and
@@ -290,21 +305,14 @@ def claim_teo4_cyclicity():
     matrices = {}
     for d0 in (F(1, 2), F(1), F(2)):
         rep = jet_focus_report(
-            catalog.e1_normal(), {"k": 1, "c": 0, "d": d0}, ("k", "c", "d"), 1, 3
+            catalog.e1_normal(), {"k": 1, "c": 0, "d": d0}, TEO4_SMALL, 1, 3
         )
-        jac = jacobian_rank(rep.quantities, ("k", "c", "d"))
+        jac = jacobian_rank(rep.quantities, TEO4_SMALL)
         ranks[str(d0)] = jac.rank
         matrices[str(d0)] = [[str(x) for x in row] for row in jac.matrix]
     bounds = {}
     for d0 in (F(1, 2), F(1), F(2)):
-        report = cyclicity_bound_rank(
-            catalog.e1_normal_trace(),
-            {"k": 1, "c": 0, "d": d0, "sigma": 0},
-            ("k", "c", "d"),
-            1,
-            3,
-            trace_declared=True,
-        )
+        report = teo4_bound(d0)
         bounds[str(d0)] = {
             "k": report.k,
             "l": report.l,
@@ -374,6 +382,20 @@ PRINTED_LINEAR_PARTS = {
 
 ETA_LINE = {"b200": F(1), "c101": F(-252889, 66891)}
 H5_ON_ETA = F(-4990766496931, 7701305314560000)
+TEO5_PIVOTS = ("a011", "a101", "b011")
+
+
+def teo5_jets():
+    """Degree-2 jets of L_1..L_5 of e1-center-perturbed around the center."""
+    return jet_focus_report(
+        catalog.e1_center_perturbed(), {}, catalog.PERTURBATION_PARAMS, 2, 5
+    )
+
+
+def teo5_bound(quantities):
+    """The bound from the ``teo5_jets`` quantities: Jacobian rank plus the
+    cycles certified along ETA_LINE, with the pivot trio eliminated."""
+    return line_analysis(quantities, catalog.PERTURBATION_PARAMS, TEO5_PIVOTS, ETA_LINE)
 
 
 def claim_teo5_cyclicity(n_linear=9):
@@ -400,8 +422,8 @@ def claim_teo5_cyclicity(n_linear=9):
         else:
             proportional = False
 
-    rep2 = jet_focus_report(fld, {}, params, 2, 5)
-    h_forms, _ = reduce_quantities(rep2.quantities, ("a011", "a101", "b011"))
+    rep2 = teo5_jets()
+    h_forms, _ = reduce_quantities(rep2.quantities, TEO5_PIVOTS)
     values = evaluate_on_line(h_forms, ETA_LINE)
     h4_zero = values[0][0] == 0
     h5_value = values[1][0]
@@ -409,7 +431,7 @@ def claim_teo5_cyclicity(n_linear=9):
     h5_exact = h5_value == H5_ON_ETA
     transversal = any(g != 0 for g in gradient_on_line(h_forms[0], ETA_LINE))
 
-    bound = line_analysis(rep2.quantities, params, ("a011", "a101", "b011"), ETA_LINE)
+    bound = teo5_bound(rep2.quantities)
     passed = (
         jac_all.rank == 3
         and jac3.rank == 3

@@ -49,6 +49,32 @@ def test_hopf_exit_code_on_non_hopf_point(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "point,params",
+    [("0,0,1", "a=1,b=5,c=2,d=1"), ("E1", "a=2,c=1,b=0,d=1")],
+    ids=["beta-negative", "residual-nonzero"],
+)
+def test_hopf_reports_no_eigenvalues_off_a_hopf_point(capsys, point, params):
+    # +/- i sqrt(beta) and -alpha are the spectrum only when the test passes
+    code, out, _ = run_cli(
+        capsys, "hopf", "--system", "khaled-original", "--point", point,
+        "--params", params,
+    )
+    assert code == 2
+    report = json.loads(out)
+    assert report["is_hopf"] is False
+    assert report["eigenvalues"] == []
+
+
+def test_closed_form_point_needs_the_khaled_parameters(capsys):
+    code, out, err = run_cli(
+        capsys, "hopf", "--system", "e1-normal", "--params", "c=0,d=1,k=1",
+        "--point", "E1",
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "SchemaError"
+
+
 def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["definitely-not-a-command"])
@@ -178,6 +204,33 @@ def test_normalize_with_transform_file(tmp_path, capsys):
     assert report["orientation"] == -1
 
 
+def test_normalize_rejects_a_transform_file_without_matrix(tmp_path, capsys):
+    path = tmp_path / "transform.json"
+    path.write_text(json.dumps({"time_scale": "k/d"}))
+    code, out, err = run_cli(
+        capsys, "normalize", "--system", "e1-shifted", "--transform", str(path)
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "SchemaError"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps({"system": "e1-normal", "order": 2}),
+        json.dumps({"system": "e1-normal", "small": ["k", "c", "d"]}),
+        '{"system": "e1-normal",',
+    ],
+    ids=["no-small", "no-order", "invalid-json"],
+)
+def test_custom_cyclicity_config_errors_are_schema_errors(tmp_path, capsys, text):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "cyclicity", "--mode", "custom", "--config", str(path))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "SchemaError"
+
+
 def test_verify_subcommand_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--claim", "teo1-center")
     assert code == 0
@@ -214,12 +267,27 @@ def test_decimal_params_parse_exactly(capsys):
     assert run_cli(capsys, *argv, "c=1/10,d=1,k=1")[1] == decimal
 
 
-@pytest.mark.parametrize("value", ["abc", "1/0"])
-def test_malformed_param_is_a_json_domain_error(capsys, value):
-    code, out, err = run_cli(
-        capsys, "focus", "--system", "e1-normal", "--order", "1",
-        "--params", f"c={value},d=1,k=1",
-    )
+_FOCUS = ("focus", "--system", "e1-normal", "--order", "1", "--params")
+_SIMULATE = ("simulate", "--system", "e1-center", "--params", "d=1", "--tmax", "1", "--x0")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(_FOCUS + ("c=abc,d=1,k=1",), id="abc"),
+        pytest.param(_FOCUS + ("c=1/0,d=1,k=1",), id="1/0"),
+        pytest.param(_SIMULATE + ("0.1,abc,0",), id="x0-abc"),
+        pytest.param(_SIMULATE + ("0.1,0",), id="x0-two-components"),
+        pytest.param(
+            ("displacement", "--system", "e1-center", "--params", "d=1",
+             "--rho0-grid", "0.05,x"),
+            id="rho0-grid-x",
+        ),
+    ],
+)
+def test_malformed_param_is_a_json_domain_error(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "HopfcmError"
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hopfcm import paramfield
@@ -310,6 +310,66 @@ def test_gauss_times_real_scalar_is_the_complex_product(kind):
         assert scalar * z == z * scalar
     assert z / s == z / real
     assert (z / s) * s == z
+
+
+# --- the scalar protocol -----------------------------------------------------------------
+
+_JETS = JetContext(P, 2)
+_maybe_zero = st.one_of(st.just(Fraction(0)), _coeffs)
+
+
+def _real_scalar(draw, kind):
+    q = draw(_maybe_zero)
+    if kind == "fraction":
+        return q
+    if kind == "float":
+        return float(q)
+    if kind == "paramexpr":
+        return draw(exprs()) * q
+    return _JETS.const(q) + _JETS.eps(draw(st.sampled_from(P))) * draw(_maybe_zero)
+
+
+@st.composite
+def scalars(draw):
+    """A scalar of each type the algorithms see, zero often."""
+    kind = draw(st.sampled_from(
+        ["fraction", "float", "paramexpr", "jet",
+         "gauss-fraction", "gauss-paramexpr", "gauss-jet"]
+    ))
+    if kind.startswith("gauss-"):
+        real = kind[len("gauss-"):]
+        return GaussExpr(_real_scalar(draw, real), _real_scalar(draw, real))
+    return _real_scalar(draw, kind)
+
+
+@settings(max_examples=80, deadline=None)
+@given(scalars())
+def test_every_scalar_meets_the_protocol(x):
+    assert bool(x) == (x != 0)
+    ring = paramfield.scalar_ring(x)
+    assert type(ring.zero) is type(x) and type(ring.one) is type(x)
+    assert x + ring.zero == x and ring.zero + x == x
+    assert x * ring.one == x and ring.one * x == x
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    exprs(),
+    st.sampled_from(P),
+    st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+    st.sampled_from(["fraction", "float", "jet"]),
+)
+def test_evaluate_at_a_pole_raises_pole_at_point(e, name, values, kind):
+    point = {p: Fraction(v) for p, v in zip(P, values)}
+    pole = e / (ParamExpr.var(P, name) - point[name])
+    assume(not pole.den.evaluate(point))  # e may cancel the factor
+    if kind == "float":
+        point = {p: float(v) for p, v in point.items()}
+    elif kind == "jet":
+        # zero constant part, nonzero linear part: not invertible, not zero
+        point = {p: _JETS.const(v) + _JETS.eps(p) for p, v in point.items()}
+    with pytest.raises(PoleAtPoint):
+        pole.evaluate(point)
 
 
 # --- jets ------------------------------------------------------------------------------
