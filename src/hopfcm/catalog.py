@@ -247,13 +247,13 @@ def e5_normal(values):
 # closed-form equilibria of the original system
 
 
-def equilibria_catalog(values, include_nonexistent=False):
+def equilibria_catalog(values):
     """Closed-form equilibria of khaled-original at a parameter point.
 
-    Returns a list of (label, point, exists).  Radical points come out as
-    floats; E1 stays rational when the inputs are rational.  The symmetric
-    partner of each +/- pair maps through (x,y,z) -> (-x,-y,z).  Raises
-    SchemaError when ``values`` lacks one of a, b, c, d.
+    Returns the (label, point) pairs of the real equilibria.  Radical points
+    come out as floats; E1 stays rational when the inputs are rational.  The
+    symmetric partner of each +/- pair maps through (x,y,z) -> (-x,-y,z).
+    Raises SchemaError when ``values`` lacks one of a, b, c, d.
     """
     missing = [p for p in "abcd" if p not in values]
     if missing:
@@ -271,7 +271,7 @@ def equilibria_catalog(values, include_nonexistent=False):
         one_over_d = (
             Fraction(1) / Fraction(vd) if not isinstance(vd, float) else 1.0 / vd
         )
-        out.append(("E1", (0 * one_over_d, 0 * one_over_d, one_over_d), True))
+        out.append(("E1", (0 * one_over_d, 0 * one_over_d, one_over_d)))
         if delta > 0 and a * c != 0:
             # z solves z^2 + (a-b) z - a(b+c) = 0; then y = a x / (a+z) and
             # x^2 = (dz-1)(a+z)/a from the last equation
@@ -281,15 +281,12 @@ def equilibria_catalog(values, include_nonexistent=False):
                 if a + z == 0:
                     continue
                 inner = (d * z - 1) * (a + z) / a
-                exists = inner > 0
-                if not exists and not include_nonexistent:
+                if inner <= 0:
                     continue
-                x = math.sqrt(abs(inner))
+                x = math.sqrt(inner)
                 y = a * x / (a + z)
-                for pm in (1.0, -1.0):
-                    out.append(
-                        (f"{label}{'+' if pm > 0 else '-'}", (pm * x, pm * y, z), exists)
-                    )
+                out.append((f"{label}+", (x, y, z)))
+                out.append((f"{label}-", (-x, -y, z)))
     else:
         if delta <= 0:
             raise RegionUndefined("discriminant not positive at d = 0")
@@ -298,15 +295,14 @@ def equilibria_catalog(values, include_nonexistent=False):
             raise RegionUndefined("E4/E5 need a != 0 and c != 0")
         for label, sgn in (("E4", 1.0), ("E5", -1.0)):
             inner = -(a + b + sgn * sdelta) / a
-            exists = inner > 0
-            if not exists and not include_nonexistent:
+            if inner <= 0:
                 continue
-            r = math.sqrt(abs(inner))
+            r = math.sqrt(inner)
             x = r / math.sqrt(2)
             y = -(a + b - sgn * sdelta) * r / (2 * math.sqrt(2) * c)
             z = 0.5 * (-a + b + sgn * sdelta)
-            out.append((f"{label}+", (x, y, z), exists))
-            out.append((f"{label}-", (-x, -y, z), exists))
+            out.append((f"{label}+", (x, y, z)))
+            out.append((f"{label}-", (-x, -y, z)))
     return out
 
 

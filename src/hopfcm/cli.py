@@ -115,7 +115,7 @@ def _parse_point(spec, fld, params):
         zero = fld._zero()
         return (zero, zero, zero)
     if spec.startswith("E"):
-        pts = {lab: p for lab, p, ex in catalog.equilibria_catalog(params) if ex}
+        pts = dict(catalog.equilibria_catalog(params))
         if spec not in pts:
             raise HopfcmError(f"equilibrium {spec} does not exist at {params}")
         return pts[spec]
@@ -171,10 +171,16 @@ def _cmd_normalize(args):
     if args.transform:
         doc = _read_json(args.transform, ("matrix",), "transform file")
         rows = doc["matrix"]
+        if not (
+            isinstance(rows, list)
+            and len(rows) == 3
+            and all(isinstance(row, list) and len(row) == 3 for row in rows)
+        ):
+            raise SchemaError(f"matrix in {args.transform} must be a 3x3 list of lists")
         if fld.backend == "float":
-            matrix = [[float(v) for v in row] for row in rows]
+            matrix = [[float(_exact_number(str(v))) for v in row] for row in rows]
             if doc.get("time_scale") is not None:
-                time_scale = float(doc["time_scale"])
+                time_scale = float(_exact_number(str(doc["time_scale"])))
         else:
             matrix = [
                 [eval_exact(parse_expression(str(v)), fld.params) for v in row]

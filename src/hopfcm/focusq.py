@@ -23,10 +23,15 @@ or machine complex numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegenerateLambda, NotAFirstIntegralCandidate, NotRealSystem
+from .errors import (
+    DegenerateLambda,
+    HopfcmError,
+    NotAFirstIntegralCandidate,
+    NotRealSystem,
+)
 from .normalform import NormalForm3, to_normal_form
 from .paramfield import Jet, scalar_ring
 from .polysys import StatePoly, VectorField3
@@ -48,11 +53,6 @@ class ComplexSystem:
     backend: str
     sigma: object = None
 
-    def degree(self):
-        return max(
-            (sum(e) for d in (self.a, self.b, self.c) for e in d), default=1
-        )
-
 
 @dataclass
 class FocusReport:
@@ -60,15 +60,12 @@ class FocusReport:
 
     The quantities are reported in the convention where the derivative of
     Psi along the field is sum_j L_{j-1} (x y)^j with x y = u^2 + v^2, and
-    the series normalization d_kk0 = 0.  ``scales`` records any externally
-    determined positive per-quantity factors used for comparisons against
-    published closed forms.
+    the series normalization d_kk0 = 0.
     """
 
     quantities: list
     backend: str
     normalization: str = "psi-coefficients d_kk0 = 0; quantities real"
-    scales: dict = dc_field(default_factory=dict)
 
 
 def complexify(nf: NormalForm3) -> ComplexSystem:
@@ -138,7 +135,7 @@ def psi_series(cs: ComplexSystem, n: int) -> PsiSeries:
 
 def _psi_recursion(cs: ComplexSystem, n: int):
     if n < 1:
-        raise ValueError("n must be at least 1")
+        raise HopfcmError(f"the focus recursion needs n >= 1, got {n}")
     if not cs.lam:
         raise DegenerateLambda("transverse eigenvalue is zero")
     lam = cs.lam

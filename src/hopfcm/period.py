@@ -1,23 +1,31 @@
 """Periodic-solution series and isochronicity constants.
 
-In quasi-cylindrical coordinates u = rho cos(theta), v = rho sin(theta),
-w = rho omega, with theta as independent variable, the canonical normal form
-becomes
+The quasi-cylindrical coordinates u = rho cos(theta), v = rho sin(theta),
+w = rho omega are the complex coordinates of ``focusq.complexify`` in polar
+form: x = u + iv = rho e^{i theta}, y = rho e^{-i theta}, z = rho omega.
+With theta as independent variable the canonical normal form becomes
 
     drho/dtheta   = (P cos + Q sin) / (1 + B),
     domega/dtheta = (lam omega + (R - omega (P cos + Q sin))/rho) / (1 + B),
     dt/dtheta     = 1 / (1 + B),       B = (Q cos - P sin)/rho,
 
-all analytic in (rho, omega) with trigonometric-polynomial coefficients.
+and (P + iQ) e^{-i theta} = (P cos + Q sin) + i rho B.  A complexified
+monomial a_jkl x^j y^k z^l is a_jkl rho^{j+k+l} omega^l e^{i(j-k) theta}, so
+the three right-hand sides are read off the coefficients a, b, c as tables
+(rho-power, omega-power) -> trigonometric polynomial.
+
 The solution through rho(0) = rho0 on the selected path expands as
 rho = sum u_i(theta) rho0^{i+1}, omega = sum v_i(theta) rho0^i with u_0 = 1,
 u_i(0) = 0, and each v_i the unique 2pi-periodic solution of its linear
 equation (Fourier division by in - lam; e^{2 pi lam} != 1 makes endpoint
 periodicity equivalent to full periodicity, which realizes the transverse
-root path implicitly).  A nonzero mean in a radial equation is an
-obstruction: the first return moves rho at that order and the point is a
-focus, not a center.  On centers the inverse angular speed
-1 + sum Psi_k(theta) rho0^k integrates to the period
+root path implicitly).  Radial terms carry rho^2 or more, so u_0..u_{n-1}
+and v_1..v_{n-1} fix the transverse equation at order n and the radial one
+at order n + 1: one evaluation of the tables, truncated at n + 1, gives v_n
+and then u_n.  A nonzero mean in a radial equation is an obstruction: the
+first return moves rho at that order and the point is a focus, not a
+center.  On centers the inverse angular speed 1 + sum Psi_k(theta) rho0^k
+of the last evaluation integrates to the period
 T(rho0) = 2 pi (1 + sum T_2k rho0^{2k}).
 
 Everything is exact over the Gaussian extension of the coefficient field;
@@ -29,7 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import FocusObstruction
+from .errors import FocusObstruction, HopfcmError
+from .focusq import complexify
 from .normalform import NormalForm3
 from .paramfield import scalar_ring
 
@@ -124,11 +133,6 @@ class RhoSeries:
             [a + b for a, b in zip(self.coeffs, other.coeffs)], self.order
         )
 
-    def __sub__(self, other):
-        return RhoSeries(
-            [a - b for a, b in zip(self.coeffs, other.coeffs)], self.order
-        )
-
     def __mul__(self, other):
         out = [TrigPoly.zero() for _ in range(self.order + 1)]
         for i, a in enumerate(self.coeffs):
@@ -188,125 +192,97 @@ class PeriodExpansion:
 
     constants: list
     odd_residuals: list
-    backend: str = "exact"
 
     def is_isochronous(self):
         return not any(self.constants)
 
 
 def polar_reduce(nf: NormalForm3) -> PolarReduction:
-    """Expand the three reduced right-hand sides in (rho, omega)."""
-    nf = nf.canonical()
-    ring = scalar_ring(nf.lam)
+    """The three reduced right-hand sides, read off the complexified field.
+
+    a_jkl and b_jkl (from P + iQ and P - iQ) land at harmonics j - k - 1 and
+    j - k + 1, with weight 1/2 in the radial table and -i/2, +i/2 in the
+    angular one; c_jkl lands in R/rho at harmonic j - k.
+    """
+    cs = complexify(nf.canonical())
+    ring = scalar_ring(cs.lam)
     half = ring.one * Fraction(1, 2)
     half_i = ring.gauss(ring.zero, half)
-    cos_t = TrigPoly({1: ring.lift(half), -1: ring.lift(half)})
-    sin_t = TrigPoly({1: -half_i, -1: half_i})
+    radial, angular, transverse = {}, {}, {}
 
-    def expand(poly):
-        out = {}
-        for (a, b, cpow), coeff in poly.terms.items():
-            t = TrigPoly.const(ring.lift(coeff))
-            for _ in range(a):
-                t = t * cos_t
-            for _ in range(b):
-                t = t * sin_t
-            key = (a + b + cpow, cpow)
-            out[key] = out.get(key, TrigPoly.zero()) + t
-        return {k: v for k, v in out.items() if not v.is_zero()}
+    def add(table, key, n, value):
+        terms = table.setdefault(key, {})
+        terms[n] = terms[n] + value if n in terms else value
 
-    P, Q, R = expand(nf.P), expand(nf.Q), expand(nf.R)
-
-    radial = {}
-    for (m, q), t in P.items():
-        radial[(m, q)] = radial.get((m, q), TrigPoly.zero()) + t * cos_t
-    for (m, q), t in Q.items():
-        radial[(m, q)] = radial.get((m, q), TrigPoly.zero()) + t * sin_t
-    radial = {k: v for k, v in radial.items() if not v.is_zero()}
-
-    angular = {}
-    for (m, q), t in Q.items():
-        key = (m - 1, q)
-        angular[key] = angular.get(key, TrigPoly.zero()) + t * cos_t
-    for (m, q), t in P.items():
-        key = (m - 1, q)
-        angular[key] = angular.get(key, TrigPoly.zero()) - t * sin_t
-    angular = {k: v for k, v in angular.items() if not v.is_zero()}
-
-    transverse = {}
-    for (m, q), t in R.items():
-        key = (m - 1, q)
-        transverse[key] = transverse.get(key, TrigPoly.zero()) + t
-    for (m, q), t in radial.items():
-        key = (m - 1, q + 1)
-        transverse[key] = transverse.get(key, TrigPoly.zero()) - t
-    transverse = {k: v for k, v in transverse.items() if not v.is_zero()}
-    return PolarReduction(radial, angular, transverse)
+    for (j, k, l), a in cs.a.items():
+        add(radial, (j + k + l, l), j - k - 1, a * half)
+        add(angular, (j + k + l - 1, l), j - k - 1, -(a * half_i))
+    for (j, k, l), b in cs.b.items():
+        add(radial, (j + k + l, l), j - k + 1, b * half)
+        add(angular, (j + k + l - 1, l), j - k + 1, b * half_i)
+    for (j, k, l), c in cs.c.items():
+        add(transverse, (j + k + l - 1, l), j - k, c)
+    for (m, q), terms in radial.items():
+        for n, value in terms.items():
+            add(transverse, (m - 1, q + 1), n, -value)
+    return PolarReduction(*(
+        {key: TrigPoly(terms) for key, terms in table.items() if any(terms.values())}
+        for table in (radial, angular, transverse)
+    ))
 
 
-def _eval_in_series(table, rho_s, omega_s, order, one_tp):
-    """Evaluate a (rho-power, omega-power) -> TrigPoly table on the series."""
-    acc = RhoSeries([], order)
-    rho_pows = {0: RhoSeries([one_tp], order)}
-    om_pows = {0: RhoSeries([one_tp], order)}
-
-    def rho_pow(p):
-        if p not in rho_pows:
-            rho_pows[p] = rho_pow(p - 1) * rho_s
-        return rho_pows[p]
-
-    def om_pow(p):
-        if p not in om_pows:
-            om_pows[p] = om_pow(p - 1) * omega_s
-        return om_pows[p]
-
-    for (m, q), t in table.items():
-        term = rho_pow(m) * om_pow(q) if q else rho_pow(m)
-        acc = acc + term.scale_trig(t)
-    return acc
+def _evaluate(reduction, rho_s, omega_s, one_tp):
+    """The radial, angular and transverse tables on the (rho, omega) series,
+    sharing the powers of both."""
+    order = rho_s.order
+    rho_pows = [RhoSeries([one_tp], order)]
+    om_pows = [RhoSeries([one_tp], order)]
+    out = []
+    for table in (reduction.radial, reduction.angular, reduction.transverse):
+        acc = RhoSeries([], order)
+        for (m, q), t in table.items():
+            while len(rho_pows) <= m:
+                rho_pows.append(rho_pows[-1] * rho_s)
+            while len(om_pows) <= q:
+                om_pows.append(om_pows[-1] * omega_s)
+            term = rho_pows[m] * om_pows[q] if q else rho_pows[m]
+            acc = acc + term.scale_trig(t)
+        out.append(acc)
+    return out
 
 
 def periodic_solution_series(nf: NormalForm3, order: int):
     """Series coefficients u_0..u_{order-1} and v_1..v_order on the selected
-    path.
+    path, with the inverse angular speed ``inv_theta`` through rho0^order.
 
     Raises FocusObstruction(order, value) when a radial forcing has a
     nonzero mean; at the first obstruction ``value`` equals the matching
     focus quantity (the radial return coefficient is pi times it).
     """
+    if order < 1:
+        raise HopfcmError("the period series needs an order of at least 1")
     nf = nf.canonical()
     ring = scalar_ring(nf.lam)
     reduction = polar_reduce(nf)
     one_tp = TrigPoly.const(ring.lift(ring.one))
     lam_c = ring.lift(nf.lam)
-    N = order
-
     u = [one_tp]  # u_0 = 1; the order-1 radial equation is u_0' = 0
     v = []
-
-    def series_pair():
-        rho_s = RhoSeries([TrigPoly.zero()] + u, N)
-        omega_s = RhoSeries([TrigPoly.zero()] + v, N)
-        return rho_s, omega_s
-
-    for n in range(1, N + 1):
-        if n >= 2:
-            rho_s, omega_s = series_pair()
-            b_theta = _eval_in_series(reduction.angular, rho_s, omega_s, N, one_tp)
-            inv_theta = (RhoSeries([one_tp], N) + b_theta).inverse(one_tp)
-            f_rho = _eval_in_series(reduction.radial, rho_s, omega_s, N, one_tp)
-            rhs = (f_rho * inv_theta).at(n)
-            mean = rhs.mean()
-            if mean is not None:
-                raise FocusObstruction(n, ring.real(mean, "mean", ValueError) * 2)
-            u.append(rhs.integrate_from_zero(ring))
-        rho_s, omega_s = series_pair()
-        b_theta = _eval_in_series(reduction.angular, rho_s, omega_s, N, one_tp)
-        inv_theta = (RhoSeries([one_tp], N) + b_theta).inverse(one_tp)
-        f_omega = _eval_in_series(reduction.transverse, rho_s, omega_s, N, one_tp)
+    for n in range(1, order + 1):
+        top = min(n + 1, order)
+        rho_s = RhoSeries([TrigPoly.zero()] + u, top)
+        omega_s = RhoSeries([TrigPoly.zero()] + v, top)
+        f_rho, b_theta, f_omega = _evaluate(reduction, rho_s, omega_s, one_tp)
+        inv_theta = (RhoSeries([one_tp], top) + b_theta).inverse(one_tp)
         g = ((omega_s.scale(lam_c) + f_omega) * inv_theta).at(n)
         v.append(_fourier_periodic_solution(g, nf.lam, ring))
-    return {"u": u, "v": v}
+        if n < order:
+            rhs = (f_rho * inv_theta).at(n + 1)
+            mean = rhs.mean()
+            if mean is not None:
+                raise FocusObstruction(n + 1, ring.real(mean, "mean", ValueError) * 2)
+            u.append(rhs.integrate_from_zero(ring))
+    return {"u": u, "v": v, "inv_theta": inv_theta}
 
 
 def _fourier_periodic_solution(g: TrigPoly, lam, ring):
@@ -322,24 +298,10 @@ def isochronicity_constants(nf: NormalForm3, m: int) -> PeriodExpansion:
     The period is reported in the positive minimal period convention:
     T(rho0) = 2 pi (1 + sum T_2k rho0^{2k}).
     """
-    nf = nf.canonical()
     ring = scalar_ring(nf.lam)
-    one_tp = TrigPoly.const(ring.lift(ring.one))
-    N = 2 * m
-    sol = periodic_solution_series(nf, N)
-    u, v = sol["u"], sol["v"]
-    reduction = polar_reduce(nf)
-    rho_s = RhoSeries([TrigPoly.zero()] + u, N)
-    omega_s = RhoSeries([TrigPoly.zero()] + v, N)
-    b_theta = _eval_in_series(reduction.angular, rho_s, omega_s, N, one_tp)
-    inv_theta = (RhoSeries([one_tp], N) + b_theta).inverse(one_tp)
-    constants = []
-    odd_residuals = []
-    for k in range(1, N + 1):
+    inv_theta = periodic_solution_series(nf, 2 * m)["inv_theta"]
+    means = []
+    for k in range(1, 2 * m + 1):
         mean = inv_theta.at(k).mean()
-        val = ring.zero if mean is None else ring.real(mean, "mean", ValueError)
-        if k % 2 == 0:
-            constants.append(val)
-        else:
-            odd_residuals.append(val)
-    return PeriodExpansion(constants, odd_residuals, nf.field.backend)
+        means.append(ring.zero if mean is None else ring.real(mean, "mean", ValueError))
+    return PeriodExpansion(means[1::2], means[0::2])

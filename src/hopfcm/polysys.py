@@ -450,30 +450,6 @@ def _isqrt_exact(n: int):
 # Newton refinement (float backend)
 
 
-def equilibria(fld: VectorField3, mode: str, seeds=None, params=None):
-    """Equilibria either from the closed-form catalog or by Newton refinement.
-
-    ``closed_form_catalog`` needs the parameter values of the original
-    quadratic family; ``newton`` needs a float backend and a seed list.
-    """
-    if mode == "closed_form_catalog":
-        from .catalog import equilibria_catalog
-
-        if params is None:
-            raise ValueError("catalog mode needs the parameter values")
-        return equilibria_catalog(params)
-    if mode == "newton":
-        if fld.backend != "float":
-            raise ValueError("newton mode needs the float backend")
-        if not seeds:
-            raise ValueError("newton mode needs a seed list")
-        return [
-            (f"root{i}", newton_equilibrium(fld, seed), True)
-            for i, seed in enumerate(seeds)
-        ]
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 def newton_equilibrium(fld: VectorField3, seed, tol=1e-12, max_iter=100):
     """Damped Newton on the residual; tolerance on the residual sup-norm."""
     import numpy as np

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import NoReturn, StiffnessFailure
+from .errors import HopfcmError, NoReturn, StiffnessFailure
 from .polysys import VectorField3
 
 DEFAULT_RTOL = 1e-10
@@ -79,7 +79,7 @@ def integrate(
     budget.
     """
     if not (0 < rel_tol <= 1e-2 and 0 < abs_tol <= 1e-2):
-        raise ValueError("tolerances must lie in (0, 1e-2]")
+        raise HopfcmError(f"tolerances must lie in (0, 1e-2], got {rel_tol}, {abs_tol}")
 
     events = None
     if stop_radius is not None:
@@ -340,7 +340,7 @@ def displacement(
     return.  Works for either sign of the transverse eigenvalue.
     """
     if rho0 <= 0 or rho0 > 0.2:
-        raise ValueError("rho0 must lie in (0, 0.2]")
+        raise HopfcmError(f"rho0 must lie in (0, 0.2], got {rho0}")
 
     def g(om):
         _, u1, om1 = first_return(fld, rho0, om, rtol, atol)

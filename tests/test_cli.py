@@ -215,6 +215,27 @@ def test_normalize_rejects_a_transform_file_without_matrix(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "system,matrix,error,message",
+    [
+        ("e4-normal", [["abc", 0, 0], [0, 1, 0], [0, 0, 1]], "HopfcmError", "'abc'"),
+        ("e1-center", [[1, 0], [0, 1]], "SchemaError", "3x3"),
+        ("e1-center", "x", "SchemaError", "3x3"),
+    ],
+    ids=["float-entry-not-a-number", "not-3x3", "not-a-list"],
+)
+def test_normalize_rejects_a_malformed_matrix(tmp_path, capsys, system, matrix, error, message):
+    path = tmp_path / "transform.json"
+    path.write_text(json.dumps({"matrix": matrix}))
+    params = "c=1/4,h=2" if system == "e4-normal" else "d=1"
+    code, out, err = run_cli(
+        capsys, "normalize", "--system", system, "--params", params, "--transform", str(path)
+    )
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["error"] == error and message in report["message"]
+
+
+@pytest.mark.parametrize(
     "text",
     [
         json.dumps({"system": "e1-normal", "order": 2}),
@@ -269,6 +290,9 @@ def test_decimal_params_parse_exactly(capsys):
 
 _FOCUS = ("focus", "--system", "e1-normal", "--order", "1", "--params")
 _SIMULATE = ("simulate", "--system", "e1-center", "--params", "d=1", "--tmax", "1", "--x0")
+_PERIOD = ("period", "--system", "e1-center", "--params", "d=1", "--order")
+_E4_DISPLACEMENT = ("displacement", "--system", "e4-normal", "--params", "c=1/4,h=2",
+                    "--rho0-grid")
 
 
 @pytest.mark.parametrize(
@@ -283,6 +307,16 @@ _SIMULATE = ("simulate", "--system", "e1-center", "--params", "d=1", "--tmax", "
              "--rho0-grid", "0.05,x"),
             id="rho0-grid-x",
         ),
+        pytest.param(_PERIOD + ("0",), id="period-order-0"),
+        pytest.param(_PERIOD + ("-1",), id="period-order-minus-1"),
+        pytest.param(
+            ("focus", "--system", "e1-normal", "--params", "c=0,d=1,k=1", "--order", "0"),
+            id="focus-order-0",
+        ),
+        pytest.param(_E4_DISPLACEMENT + ("0.5",), id="rho0-above-range"),
+        pytest.param(_E4_DISPLACEMENT + ("0",), id="rho0-zero"),
+        pytest.param(_SIMULATE + ("0.1,0,0", "--tol", "0"), id="tol-zero"),
+        pytest.param(_SIMULATE + ("0.1,0,0", "--tol", "0.5"), id="tol-above-range"),
     ],
 )
 def test_malformed_param_is_a_json_domain_error(capsys, tmp_path, monkeypatch, argv):

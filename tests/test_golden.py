@@ -1,6 +1,6 @@
-"""Golden outputs: the numeric claims, the jet claims and the README
-displacement, cyclicity and jet focus commands against the outputs recorded
-in ``perfbench/reference/``.
+"""Golden outputs: every claim and README command recorded in
+``perfbench/reference/`` except the two that write files (the conservation
+claim and the README ``simulate``), against their recorded outputs.
 
 Exact fields must match byte for byte and floats must stay within the
 tolerance of the claim that covers them, by the rules of
@@ -42,6 +42,15 @@ checks = _load_checks()
         "readme-focus-jet",
         "claim-teo4-cyclicity",
         "claim-teo5-cyclicity",
+        "readme-period",
+        "period-symbolic-d",
+        "readme-catalog",
+        "readme-hopf",
+        "readme-focus-center",
+        "claim-teo1-center",
+        "claim-teo1-hopf",
+        "claim-teo1-l1",
+        "claim-teo2-foci",
     ],
 )
 def test_output_matches_the_recorded_reference(tmp_path, capsys, name):

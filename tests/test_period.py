@@ -1,10 +1,12 @@
 """Period expansion: series construction, isochronicity constants, obstructions."""
 
+import cmath
+import math
 from fractions import Fraction
 
 import pytest
 
-from hopfcm.catalog import e1_center, e4_normal, e5_normal
+from hopfcm.catalog import e1_center, e1_normal, e4_normal, e5_normal
 from hopfcm.errors import FocusObstruction
 from hopfcm.focusq import report_for_field
 from hopfcm.normalform import to_normal_form
@@ -120,7 +122,7 @@ def test_float_backend_matches_exact_constants():
     fld = e1_center({"d": 1}).to_float({})
     nf = to_normal_form(fld, (0.0, 0.0, 0.0))
     pe = isochronicity_constants(nf, 2)
-    assert pe.backend == "float"
+    assert isinstance(pe.constants[1], float)
     assert pe.constants[0] == pytest.approx(0.0, abs=1e-12)
     assert pe.constants[1] == pytest.approx(1 / 40, rel=1e-10)
 
@@ -152,3 +154,71 @@ def test_trig_poly_reality_closed_under_product():
     prod = a * b
     for n, c in prod.terms.items():
         assert prod.terms[-n] == pytest.approx(c.conjugate())
+
+
+def _complex(c):
+    return complex(c) if isinstance(c, complex) else complex(float(c.re), float(c.im))
+
+
+def _table_at(table, rho, theta, omega):
+    total = 0j
+    for (m, q), t in table.items():
+        harmonics = sum(_complex(c) * cmath.exp(1j * n * theta) for n, c in t.terms.items())
+        total += rho**m * omega**q * harmonics
+    return total
+
+
+@pytest.mark.parametrize(
+    "nf",
+    [
+        to_normal_form(e4_normal({"c": 0.25, "h": 2.0}), (0.0, 0.0, 0.0)),
+        to_normal_form(e1_normal({"c": F(1, 3), "d": F(1, 2), "k": F(2)}), (F(0),) * 3),
+    ],
+    ids=["e4-normal", "e1-normal-bound"],
+)
+def test_polar_tables_match_the_cylindrical_field(nf):
+    # the oracle evaluates P, Q, R at u = rho cos, v = rho sin, w = rho omega
+    # directly, sharing no code with the complexified tables
+    red = polar_reduce(nf)
+    canon = nf.canonical()
+    P, Q, R = (poly.map_coeffs(float) for poly in (canon.P, canon.Q, canon.R))
+    for rho in (0.3, 0.7):
+        for theta in (0.4, 2.1, 5.0):
+            for omega in (-0.8, 0.5):
+                cos, sin = math.cos(theta), math.sin(theta)
+                point = (rho * cos, rho * sin, rho * omega)
+                p, q, r = (poly.evaluate_or(point, 0.0) for poly in (P, Q, R))
+                radial = p * cos + q * sin
+                expected = (radial, (q * cos - p * sin) / rho, (r - omega * radial) / rho)
+                tables = (red.radial, red.angular, red.transverse)
+                for table, value in zip(tables, expected):
+                    got = _table_at(table, rho, theta, omega)
+                    assert abs(got - value) <= 1e-12 * max(1.0, abs(value))
+
+
+def _richer_center(extra_p=None):
+    """udot = -v + v f, vdot = u - u f, wdot = -3/2 w + R: u^2 + v^2 is a
+    first integral, so every radial forcing vanishes."""
+    f = {(1, 0, 0): F(1, 2), (0, 1, 0): F(-1, 3), (0, 0, 1): F(2), (1, 1, 0): F(1, 5),
+         (0, 0, 2): F(-1, 7)}
+    P = {(0, 1, 0): F(-1), **{(i, j + 1, k): c for (i, j, k), c in f.items()}}
+    Q = {(1, 0, 0): F(1), **{(i + 1, j, k): -c for (i, j, k), c in f.items()}}
+    for e, c in (extra_p or {}).items():
+        P[e] = P.get(e, 0) + c
+    R = {(0, 0, 1): F(-3, 2), (1, 1, 0): F(1), (2, 0, 0): F(-1, 2), (0, 1, 1): F(1, 3),
+         (1, 0, 1): F(2, 3), (0, 2, 0): F(1, 4)}
+    fld = VectorField3((StatePoly(P), StatePoly(Q), StatePoly(R)), "exact", ())
+    return to_normal_form(fld, (F(0),) * 3)
+
+
+def test_richer_center_constants_are_pinned():
+    pe = isochronicity_constants(_richer_center(), 3)
+    assert pe.constants == [F(1, 72), F(-4115879, 23587200), F(7156249589, 25474176000)]
+    assert pe.odd_residuals == [0, 0, 0]
+
+
+def test_radial_term_turns_the_richer_center_into_a_focus():
+    with pytest.raises(FocusObstruction) as exc:
+        isochronicity_constants(_richer_center({(2, 0, 0): F(1, 3)}), 3)
+    assert exc.value.order == 3
+    assert exc.value.value == F(1, 8)

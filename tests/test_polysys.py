@@ -19,7 +19,6 @@ from hopfcm.polysys import (
     VectorField3,
     char_cubic,
     check_existence_conditions,
-    equilibria,
     hopf_test,
     newton_equilibrium,
     parse_system,
@@ -158,13 +157,7 @@ def test_hopf_iff_characterization_on_samples(b, c, d):
 
 
 def test_catalog_equilibria_match_spec_point():
-    pts = dict(
-        (lab, p)
-        for lab, p, ex in equilibria_catalog(
-            {"a": F(-1, 4), "b": F(73, 32), "c": F(1, 4), "d": 0}
-        )
-        if ex
-    )
+    pts = dict(equilibria_catalog({"a": F(-1, 4), "b": F(73, 32), "c": F(1, 4), "d": 0}))
     x, y, z = (float(v) for v in pts["E4-"])
     assert x == pytest.approx(-2.828427, abs=1e-6)
     assert y == pytest.approx(0.353553, abs=1e-6)
@@ -174,29 +167,16 @@ def test_catalog_equilibria_match_spec_point():
 def test_catalog_equilibria_are_roots():
     vals = {"a": 1.0, "b": 0.5, "c": 0.7, "d": 0.9}
     fld = khaled_original().to_float(vals)
-    for lab, p, exists in equilibria_catalog(vals):
-        if exists:
-            res = max(abs(v) for v in fld.evaluate(tuple(float(x) for x in p)))
-            assert res < 1e-10, lab
+    for lab, p in equilibria_catalog(vals):
+        res = max(abs(v) for v in fld.evaluate(tuple(float(x) for x in p)))
+        assert res < 1e-10, lab
+    assert dict(equilibria_catalog({"a": 1, "b": 0, "c": 1, "d": 1}))["E1"] == (0, 0, 1)
 
 
 def test_newton_converges_to_first_equilibrium():
     fld = khaled_original().to_float({"a": 1, "b": 0, "c": 1, "d": 1})
     root = newton_equilibrium(fld, (0.0, 0.0, 1.01))
     assert max(abs(r - e) for r, e in zip(root, (0, 0, 1))) < 1e-12
-
-
-def test_equilibria_dispatcher_modes():
-    vals = {"a": 1, "b": 0, "c": 1, "d": 1}
-    fld = khaled_original().to_float(vals)
-    roots = equilibria(fld, "newton", seeds=[(0.0, 0.0, 1.01)])
-    assert max(abs(r - e) for r, e in zip(roots[0][1], (0, 0, 1))) < 1e-12
-    cat = dict((lab, p) for lab, p, ex in equilibria(fld, "closed_form_catalog", params=vals))
-    assert cat["E1"] == (0, 0, 1)
-    with pytest.raises(ValueError):
-        equilibria(fld, "newton")
-    with pytest.raises(ValueError):
-        equilibria(khaled_original(), "newton", seeds=[(0, 0, 1)])
 
 
 def test_newton_nonconvergence_reported():
@@ -308,9 +288,7 @@ def test_transform_preserves_equilibria():
     m = [[1.0, 0.2, 0.0], [0.0, 1.0, -0.3], [0.1, 0.0, 1.0]]
     shift = (0.05, -0.1, 0.2)
     g = transform(fld, shift, m, 2.0)
-    for lab, p, exists in equilibria_catalog(vals):
-        if not exists:
-            continue
+    for lab, p in equilibria_catalog(vals):
         p = tuple(float(v) for v in p)
         # preimage of p under x = shift + m u
         import numpy as np
