@@ -14,17 +14,7 @@ import argparse
 import os
 
 from hopfcm import catalog, simulate
-
-CENTER_ICS = [
-    (0.08, 0.002, 0.03),
-    (0.4, 0.07, 0.13),
-    (-0.5, 0.3, 0.25),
-    (0.2, 0.7, 0.85),
-    (0.5, 0.75, 0.5),
-    (0.8, 0.7, -0.5),
-    (-1.0, -0.75, 0.6),
-    (-1.0, 1.0, 1.0),
-]
+from hopfcm.verify import FIG_PHASE_ICS, FIG_SERIES_IC
 
 FOCUS_ICS = [
     (0.4, 0.07, 0.13),
@@ -58,9 +48,9 @@ def main():
     ap.add_argument("--tmax", type=float, default=40.0)
     args = ap.parse_args()
 
-    center = catalog.e1_center({"d": 1}).to_float({})
-    dump(center, CENTER_ICS, os.path.join(args.out, "center"), 100.0)
-    series = simulate.integrate(center, (0.5, -0.75, 0.1), (0.0, 100.0), 1e-10, 1e-12)
+    center = catalog.e1_center({"d": 1}).to_float()
+    dump(center, FIG_PHASE_ICS, os.path.join(args.out, "center"), 100.0)
+    series = simulate.integrate(center, FIG_SERIES_IC, (0.0, 100.0), 1e-10, 1e-12)
     simulate.export_csv(series, os.path.join(args.out, "center", "series.csv"))
 
     for c, h in E4_PARAMS:

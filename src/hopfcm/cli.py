@@ -289,7 +289,7 @@ def _cmd_simulate(args):
     params = _parse_params(args.params)
     fld = _load_system(args.system, params)
     if fld.backend != "float":
-        fld = fld.to_float({})
+        fld = fld.to_float()
     x0 = tuple(float(v) for v in _numbers(args.x0))
     if len(x0) != 3:
         raise HopfcmError("--x0 must be three comma-separated values")
@@ -308,7 +308,7 @@ def _cmd_displacement(args):
     params = _parse_params(args.params)
     fld = _load_system(args.system, params)
     if fld.backend != "float":
-        fld = fld.to_float({})
+        fld = fld.to_float()
     grid = [float(v) for v in _numbers(args.rho0_grid)]
     samples = []
     for rho0 in grid:

@@ -105,7 +105,10 @@ def jet_system(fld: VectorField3, point: dict, small, degree: int) -> VectorFiel
     assignment = {p: ctx.const(v) for p, v in point.items()}
     for p in small:
         assignment[p] = assignment.get(p, ctx.zero()) + ctx.eps(p)
-    return fld.bind(assignment)
+    missing = [p for p in fld.params if p not in assignment]
+    if missing:
+        raise SchemaError(f"parameter(s) {missing} have no value")
+    return fld.substitute_params(assignment)
 
 
 def jet_focus_report(fld, point, small, degree, n, trace_param=None):
@@ -221,37 +224,17 @@ def reduce_quantities(quantities, pivots):
         piv_idx[r]: {i: rhs_cols[i][r] for i in rest_idx if rhs_cols[i][r] != 0}
         for r in range(k)
     }
+    eps = [ctx.eps(name) for name in names]
+    on_locus = dict(zip(names, eps))
+    for i, form in substitution.items():
+        on_locus[names[i]] = sum((c * eps[r] for r, c in form.items()), ctx.zero())
 
-    h_forms = []
-    for j in range(k, len(quantities)):
-        quad = reduced[j].homogeneous_part(2)
-        h_forms.append(_substitute_linear(quad, substitution, ctx))
+    # the zero form stays a jet
+    h_forms = [
+        ctx.zero() + reduced[j].homogeneous_part(2).evaluate(on_locus)
+        for j in range(k, len(quantities))
+    ]
     return h_forms, {"combinations": combos, "substitution": substitution}
-
-
-def _substitute_linear(q: Jet, substitution, ctx) -> Jet:
-    """Substitute pivot variables by linear forms in the rest variables."""
-    out = ctx.zero()
-    for mono, coeff in q.terms.items():
-        factors = []
-        for i, e in mono:
-            for _ in range(e):
-                factors.append(i)
-        term = ctx.const(coeff)
-        for i in factors:
-            if i in substitution:
-                lin_form = ctx.zero()
-                for r, c in substitution[i].items():
-                    lin_form = lin_form + ctx.const(c) * _eps_by_index(ctx, r)
-                term = term * lin_form
-            else:
-                term = term * _eps_by_index(ctx, i)
-        out = out + term
-    return out
-
-
-def _eps_by_index(ctx, i):
-    return ctx.eps(ctx.names[i])
 
 
 def evaluate_on_line(h_list, line):
@@ -282,20 +265,11 @@ def evaluate_on_line(h_list, line):
 
 
 def gradient_on_line(h: Jet, line):
-    """Gradient of a homogeneous jet form at a point of the line (free
-    scalar set to 1)."""
-    ctx = h.ctx
-    coeffs = {ctx.names.index(p): Fraction(v) for p, v in line.items()}
-    grad = [Fraction(0)] * len(ctx.names)
-    for mono, c in h.terms.items():
-        for pos, (i, e) in enumerate(mono):
-            prod = c * e
-            for q, (jv, ev) in enumerate(mono):
-                power = ev - 1 if q == pos else ev
-                if power:
-                    prod = prod * coeffs.get(jv, Fraction(0)) ** power
-            grad[i] += prod
-    return grad
+    """Gradient of a jet form at a point of the line (free scalar set to 1):
+    the linear part of h evaluated at that point plus first-order jets."""
+    ctx = JetContext(h.ctx.names, 1)
+    at_point = {p: ctx.const(line.get(p, 0)) + ctx.eps(p) for p in ctx.names}
+    return (ctx.zero() + h.evaluate(at_point)).linear_coefficients()
 
 
 # ---------------------------------------------------------------------------

@@ -230,29 +230,6 @@ class ParamPoly:
             acc = term if acc is None else acc + term
         return Fraction(0) if acc is None else acc
 
-    def substitute(self, mapping, new_params):
-        """Partial substitution; unmapped parameters carry over to new_params.
-
-        Rational values bind as Fractions, so the result is a Fraction when
-        ``new_params`` is empty and a ParamExpr over ``new_params`` otherwise.
-        """
-        values = {}
-        for p in self.params:
-            if p in mapping:
-                v = mapping[p]
-                if isinstance(v, ParamExpr):
-                    if v.num.params != tuple(new_params):
-                        raise ValueError("substitution value in wrong ring")
-                    values[p] = v
-                else:
-                    values[p] = Fraction(v)
-            else:
-                values[p] = ParamExpr.var(new_params, p)
-        result = self.evaluate(values)
-        if new_params and isinstance(result, Fraction):
-            return ParamExpr.const(new_params, result)
-        return result
-
     # -- printing -------------------------------------------------------------
 
     def __str__(self):
@@ -632,16 +609,6 @@ class ParamExpr:
         except (ZeroDivisionError, DivisionByZero) as exc:
             raise PoleAtPoint(f"denominator vanishes at {values!r}") from exc
 
-    def substitute(self, mapping, new_params):
-        """Partial substitution into a (possibly) smaller parameter ring; a
-        Fraction when no parameter stays free."""
-        den_sub = self.den.substitute(mapping, new_params)
-        num_sub = self.num.substitute(mapping, new_params)
-        try:
-            return num_sub / den_sub
-        except (ZeroDivisionError, DivisionByZero) as exc:
-            raise PoleAtPoint(f"denominator vanishes under {mapping!r}") from exc
-
     def __str__(self):
         if self.den.is_constant() and self.den.constant_value() == 1:
             return str(self.num)
@@ -929,9 +896,28 @@ class Jet:
 
     @property
     def terms(self):
-        """The coefficients as a new {((index, exponent), ...): Fraction} dict."""
+        """The coefficients as a new {((index, exponent), ...): Fraction} dict,
+        each monomial given by the sorted (small-parameter index, exponent)
+        pairs of its nonzero exponents.  ``evaluate`` is the way to put
+        values in place of the small parameters."""
         monos, den = self.ctx.monomials, self.den
         return {monos[k]: Fraction(n, den) for k, n in self.nums.items()}
+
+    def evaluate(self, values):
+        """Evaluate with every small parameter bound.
+
+        ``values`` maps small-parameter name to any scalar supporting + * **
+        (Rational, Jet of another context, ...), like ``ParamPoly.evaluate``.
+        Returns a Rational for the zero jet.
+        """
+        vals = [values[name] for name in self.ctx.names]
+        acc = Fraction(0)
+        for mono, c in self.terms.items():
+            term = c
+            for i, e in mono:
+                term = term * vals[i] ** e
+            acc = acc + term
+        return acc
 
     def constant_part(self):
         return Fraction(self.nums.get(0, 0), self.den)

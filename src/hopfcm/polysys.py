@@ -26,8 +26,6 @@ from .errors import (
 from . import grammar
 from .paramfield import Jet, ParamExpr
 
-STATE_ARITY = 3
-
 
 class StatePoly:
     """Sparse polynomial in the three state variables, generic coefficients."""
@@ -44,15 +42,6 @@ class StatePoly:
     @classmethod
     def const(cls, value):
         return cls({(0, 0, 0): value})
-
-    @classmethod
-    def monomial(cls, exp, coeff):
-        return cls({tuple(exp): coeff})
-
-    @classmethod
-    def var(cls, axis, one):
-        e = tuple(1 if j == axis else 0 for j in range(STATE_ARITY))
-        return cls({e: one})
 
     def is_zero(self):
         return not self.terms
@@ -248,66 +237,46 @@ class VectorField3:
             return ParamExpr.zero(self.params)
         return Fraction(0)
 
-    def substitute_params(self, mapping, new_params=None):
-        """Bind some or all parameters to rational values; exact backend only.
+    def substitute_params(self, mapping):
+        """Bind some or all parameters by evaluating every coefficient once.
 
-        The parameters left out of ``mapping`` stay free, in their order,
-        unless ``new_params`` names the ring of ParamExpr-valued bindings.
-        A fully bound field has Fraction coefficients.  Raises SchemaError
-        on a name that is not a parameter of the field, and PoleAtPoint
-        where a coefficient's denominator vanishes.
+        A value is a Jet, a ParamExpr, or anything ``Fraction`` accepts.  The
+        result's parameter ring is that of any ParamExpr value, and otherwise
+        the parameters left out of ``mapping``, in their order; those stay
+        free as variables of the ring.  A fully bound field has Fraction (or
+        Jet) coefficients.  Raises SchemaError on a name that is not a
+        parameter of the field, and PoleAtPoint where a coefficient's
+        denominator vanishes.
         """
         self._check_known(mapping)
-        if new_params is None:
-            new_params = tuple(p for p in self.params if p not in mapping)
+        free = tuple(p for p in self.params if p not in mapping)
+        ring = next((v.params for v in mapping.values() if isinstance(v, ParamExpr)), free)
+        scope = {p: ParamExpr.var(ring, p) for p in free}
+        for p, v in mapping.items():
+            scope[p] = v if isinstance(v, (ParamExpr, Jet)) else Fraction(v)
+        # a partially bound field holds its constant coefficients as Fractions
         comps = tuple(
-            c.map_coeffs(
-                lambda q: q.substitute(mapping, new_params)
-                if isinstance(q, ParamExpr)
-                else q
-            )
+            c.map_coeffs(lambda q: q.evaluate(scope) if isinstance(q, ParamExpr) else q)
             for c in self.components
         )
-        return VectorField3(comps, self.backend, tuple(new_params), self.name)
-
-    def bind(self, assignment):
-        """Bind every parameter to a value of any exact scalar type (a Jet,
-        say).  Raises SchemaError on a name that is not a parameter of the
-        field or a parameter left without a value, and PoleAtPoint where a
-        coefficient's denominator vanishes."""
-        self._check_known(assignment)
-        missing = [p for p in self.params if p not in assignment]
-        if missing:
-            raise SchemaError(f"parameter(s) {missing} have no value")
-        comps = tuple(
-            c.map_coeffs(
-                lambda q: q.evaluate(assignment) if isinstance(q, ParamExpr) else q
-            )
-            for c in self.components
-        )
-        return VectorField3(comps, self.backend, (), self.name)
+        return VectorField3(comps, self.backend, ring, self.name)
 
     def _check_known(self, names):
         unknown = set(names) - set(self.params)
         if unknown:
             raise SchemaError(f"unknown parameter(s) {sorted(unknown)}")
 
-    def to_float(self, assignment):
-        """Evaluate all coefficients numerically, producing a float field.
+    def to_float(self):
+        """The float field of a bound field, every coefficient through ``float``.
 
-        Raises HopfcmError naming the parameters ``assignment`` leaves free.
+        Raises HopfcmError naming the free parameters; bind them first with
+        ``substitute_params``.
         """
-        free = [p for p in self.params if p not in assignment]
-        if free:
-            raise HopfcmError(f"parameter(s) {free} are free; a float field needs values")
-        vals = {k: float(v) for k, v in assignment.items()}
-
-        def conv(q):
-            if isinstance(q, ParamExpr):
-                return float(q.evaluate(vals))
-            return float(q)
-
-        comps = tuple(c.map_coeffs(conv) for c in self.components)
+        if self.params:
+            raise HopfcmError(
+                f"parameter(s) {list(self.params)} are free; a float field needs values"
+            )
+        comps = tuple(c.map_coeffs(float) for c in self.components)
         return VectorField3(comps, "float", (), self.name)
 
 
@@ -361,12 +330,7 @@ def char_cubic(m) -> CharCubic:
         + a[1][1] * a[2][2]
         - a[1][2] * a[2][1]
     )
-    det = (
-        a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-        - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-        + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
-    )
-    return CharCubic(alpha, beta, -det)
+    return CharCubic(alpha, beta, -_mat_det3(a))
 
 
 def known_value(x):

@@ -76,10 +76,13 @@ def integrate(
 
     ``stop_radius`` ends the run once the state norm escapes that radius,
     which keeps exponentially diverging directions from consuming the whole
-    budget.
+    budget.  Raises HopfcmError on a tolerance outside (0, 1e-2] or an end of
+    ``t_span`` that is not finite (scipy would step towards it forever).
     """
     if not (0 < rel_tol <= 1e-2 and 0 < abs_tol <= 1e-2):
         raise HopfcmError(f"tolerances must lie in (0, 1e-2], got {rel_tol}, {abs_tol}")
+    if not all(math.isfinite(t) for t in t_span):
+        raise HopfcmError(f"time span must be finite, got {tuple(t_span)}")
 
     events = None
     if stop_radius is not None:

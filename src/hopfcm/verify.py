@@ -249,7 +249,7 @@ def claim_teo1_isochronous(fit_tol=0.05):
     odd_ok = not any(pe.odd_residuals)
     not_isochronous = not pe.is_isochronous()
 
-    fld = catalog.e1_center({"d": 1}).to_float({})
+    fld = catalog.e1_center({"d": 1}).to_float()
     fits = []
     for rho0 in (0.05, 0.1):
         T = simulate.measure_period(
@@ -481,7 +481,7 @@ def claim_lyapunov_crosscheck(rel_tol=0.10):
         ok = ok and rel <= rel_tol and (ratio < 0) == (target < 0)
         rows.append({"rho0": rho0, "dbar": s.dbar, "ratio": ratio, "pi_L1": target, "rel": rel})
 
-    f1 = catalog.e1_normal({"c": F(1, 10), "d": 1, "k": 1}).to_float({})
+    f1 = catalog.e1_normal({"c": F(1, 10), "d": 1, "k": 1}).to_float()
     L1n = report_for_field(f1, 1).quantities[0]
     s1 = simulate.displacement(f1, 0.05)
     sign_ok = (s1.dbar > 0) == (L1n > 0)
@@ -516,7 +516,7 @@ def claim_conservation(out_dir=None, drift_tol=1e-8):
     CSV/plot-script artifacts for the reference initial conditions."""
     import numpy as np
 
-    fld = catalog.e1_center({"d": 1}).to_float({})
+    fld = catalog.e1_center({"d": 1}).to_float()
     traj = simulate.integrate(fld, FIG_SERIES_IC, (0.0, 100.0), 1e-10, 1e-12)
     H = traj.states[:, 0] ** 2 + traj.states[:, 1] ** 2
     H0 = FIG_SERIES_IC[0] ** 2 + FIG_SERIES_IC[1] ** 2

@@ -85,7 +85,7 @@ PUBLISHED_L1_ROWS = {
 
 def _bound_quantities(fld, k, c, d):
     """L1..L3 as Fractions at one fully bound parameter point (no jets)."""
-    bound = fld.substitute_params({"k": k, "c": c, "d": d}, ())
+    bound = fld.substitute_params({"k": k, "c": c, "d": d})
     return report_for_field(bound, 3).quantities
 
 

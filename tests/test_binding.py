@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from hopfcm.catalog import e1_center, e1_normal
 from hopfcm.cli import main
-from hopfcm.errors import PoleAtPoint, SchemaError
+from hopfcm.errors import HopfcmError, PoleAtPoint, SchemaError
 from hopfcm.focusq import report_for_field
 from hopfcm.grammar import eval_exact, parse_expression
 from hopfcm.normalform import to_normal_form
@@ -102,6 +102,12 @@ def test_binding_agrees_with_evaluation(bound, c, d, k):
 def test_substitute_params_rejects_an_unknown_name(mapping):
     with pytest.raises(SchemaError, match="unknown parameter"):
         e1_normal().substitute_params(mapping)
+
+
+def test_to_float_names_the_free_parameters():
+    with pytest.raises(HopfcmError, match=r"\['c'\] are free"):
+        e1_normal({"d": 1, "k": 1}).to_float()
+    assert e1_normal({"c": 0, "d": 1, "k": 1}).to_float().backend == "float"
 
 
 def test_valued_document_at_a_pole_is_a_schema_error():

@@ -24,7 +24,8 @@ from hopfcm.cyclicity import (
     reduce_quantities,
 )
 from hopfcm.errors import BadPivots, TruncationTooLow
-from hopfcm.paramfield import Jet, JetContext, ParamExpr
+from hopfcm.paramfield import Jet, JetContext, ParamExpr, ParamPoly
+from hopfcm.verify import ETA_LINE, TEO5_PIVOTS
 
 F = Fraction
 
@@ -234,6 +235,26 @@ def test_line_evaluation_scaling_and_zero_line(perturbed_jets):
     g1 = gradient_on_line(h_forms[0], line)
     g2 = gradient_on_line(h_forms[0], double)
     assert (any(x != 0 for x in g1)) == (any(x != 0 for x in g2))
+
+
+def test_gradient_on_line_matches_the_polynomial_derivative(perturbed_jets):
+    """The jet gradient of the teo5 forms on the eta line equals the
+    ParamPoly derivative at the line point, which shares no code with jets."""
+    h_forms, _ = reduce_quantities(perturbed_jets.quantities, TEO5_PIVOTS)
+    names = h_forms[0].ctx.names
+    point = {p: ETA_LINE.get(p, F(0)) for p in names}
+    for h in h_forms:
+        dense = {}
+        for mono, c in h.terms.items():
+            e = [0] * len(names)
+            for i, ex in mono:
+                e[i] = ex
+            dense[tuple(e)] = c
+        poly = ParamPoly(names, dense)
+        assert gradient_on_line(h, ETA_LINE) == [
+            poly.derivative(p).evaluate(point) for p in names
+        ]
+    assert any(gradient_on_line(h_forms[0], ETA_LINE))
 
 
 def test_full_quadratic_perturbation_bound(perturbed_jets):

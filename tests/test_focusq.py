@@ -272,7 +272,7 @@ def _random_rational_points(count, seed, positive_d=False):
 
 
 def _computed_L1(c, d, k):
-    bound = e1_normal().substitute_params({"c": c, "d": d, "k": k}, ())
+    bound = e1_normal().substitute_params({"c": c, "d": d, "k": k})
     return report_for_field(bound, 1).quantities[0]
 
 

@@ -517,6 +517,20 @@ def test_jets_built_two_ways_are_equal_and_hash_equal(c1, c2, q):
     assert _is_canonical(left) and _is_canonical(a - a)
 
 
+@settings(max_examples=40, deadline=None)
+@given(_COEFFS, st.lists(_UNLIKE, min_size=3, max_size=3))
+def test_jet_evaluate_agrees_with_poly_evaluate(coeffs, point):
+    """At Fractions, Jet.evaluate equals ParamPoly.evaluate of the polynomial
+    read off Jet.terms; at the basis jets it gives the jet back."""
+    ctx = JetContext(_SMALL, 3)
+    jet = _jet_from(ctx, coeffs)
+    values = dict(zip(_SMALL, point))
+    got = jet.evaluate(values)
+    assert type(got) is Fraction
+    assert got == ParamPoly(_SMALL, _dense(jet)).evaluate(values)
+    assert jet.evaluate({n: ctx.eps(n) for n in _SMALL}) == jet
+
+
 def test_constant_jet_hashes_like_its_fraction():
     ctx = JetContext(_SMALL, 2)
     assert ctx.const(3) == 3 and len({ctx.const(3), 3}) == 1

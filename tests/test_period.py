@@ -119,7 +119,7 @@ def test_odd_period_coefficients_vanish_through_order_five():
 
 
 def test_float_backend_matches_exact_constants():
-    fld = e1_center({"d": 1}).to_float({})
+    fld = e1_center({"d": 1}).to_float()
     nf = to_normal_form(fld, (0.0, 0.0, 0.0))
     pe = isochronicity_constants(nf, 2)
     assert isinstance(pe.constants[1], float)

@@ -166,7 +166,7 @@ def test_catalog_equilibria_match_spec_point():
 
 def test_catalog_equilibria_are_roots():
     vals = {"a": 1.0, "b": 0.5, "c": 0.7, "d": 0.9}
-    fld = khaled_original().to_float(vals)
+    fld = khaled_original().substitute_params(vals).to_float()
     for lab, p in equilibria_catalog(vals):
         res = max(abs(v) for v in fld.evaluate(tuple(float(x) for x in p)))
         assert res < 1e-10, lab
@@ -174,7 +174,7 @@ def test_catalog_equilibria_are_roots():
 
 
 def test_newton_converges_to_first_equilibrium():
-    fld = khaled_original().to_float({"a": 1, "b": 0, "c": 1, "d": 1})
+    fld = khaled_original().substitute_params({"a": 1, "b": 0, "c": 1, "d": 1}).to_float()
     root = newton_equilibrium(fld, (0.0, 0.0, 1.01))
     assert max(abs(r - e) for r, e in zip(root, (0, 0, 1))) < 1e-12
 
@@ -245,7 +245,7 @@ def test_equilibrium_translation_reproduces_shifted_catalog_entry():
     P3 = ("c", "d", "k")
     c, d, k = (ParamExpr.var(P3, n) for n in P3)
     b_expr = (1 + c * d - c**2 * d**2 - k**2) / (d * (1 + c * d))
-    bound = khaled_original().substitute_params({"a": c, "b": b_expr}, P3)
+    bound = khaled_original().substitute_params({"a": c, "b": b_expr})
     zero, one = ParamExpr.zero(P3), ParamExpr.one(P3)
     ident = [[one, zero, zero], [zero, one, zero], [zero, zero, one]]
     shifted = transform(bound, (zero, zero, 1 / d), ident, one)
@@ -284,7 +284,7 @@ def test_singular_matrix_rejected():
 
 def test_transform_preserves_equilibria():
     vals = {"a": 1.0, "b": 0.5, "c": 0.7, "d": 0.9}
-    fld = khaled_original().to_float(vals)
+    fld = khaled_original().substitute_params(vals).to_float()
     m = [[1.0, 0.2, 0.0], [0.0, 1.0, -0.3], [0.1, 0.0, 1.0]]
     shift = (0.05, -0.1, 0.2)
     g = transform(fld, shift, m, 2.0)

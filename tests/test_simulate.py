@@ -26,7 +26,7 @@ from hopfcm.simulate import (
 
 @pytest.fixture(scope="module")
 def center_field():
-    return e1_center({"d": 1}).to_float({})
+    return e1_center({"d": 1}).to_float()
 
 
 def test_energy_conservation(center_field):
@@ -82,7 +82,7 @@ def test_period_measurement_matches_expansion(center_field):
 
 def test_period_fit_matches_quartic_constant_at_d2():
     # the quartic period constant is d^4/(8(d^4+4)) = 1/10 at d = 2
-    fld = e1_center({"d": 2}).to_float({})
+    fld = e1_center({"d": 2}).to_float()
     for rho0 in (0.05, 0.1):
         T = measure_period(fld, rho0, settle_time=12.0)
         fit = (T / (2 * math.pi) - 1) / rho0**4
@@ -207,7 +207,7 @@ def test_first_return_goes_on_past_an_early_crossing():
 
 
 def test_sign_match_on_unstable_normal_family():
-    fld = e1_normal({"c": "1/10", "d": 1, "k": 1}).to_float({})
+    fld = e1_normal({"c": "1/10", "d": 1, "k": 1}).to_float()
     L1 = report_for_field(fld, 1).quantities[0]
     s = displacement(fld, 0.05)
     assert (s.dbar > 0) == (L1 > 0)

@@ -1,6 +1,7 @@
 """Rules on the library source itself."""
 
 import ast
+import re
 from pathlib import Path
 
 import hopfcm
@@ -26,3 +27,56 @@ def test_library_takes_configuration_as_arguments_not_environment():
         f"{path.name}:{line}" for path in modules for line in _environment_reads(path)
     ]
     assert offenders == []
+
+
+REPO = Path(__file__).resolve().parents[1]
+SEARCHED = ("src", "tests", "scripts", "perfbench")
+# a string that is a (dotted) name, as getattr and the benchmark tracer use
+DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*\Z")
+
+
+def _definitions(path):
+    """Module-level functions and classes, and non-dunder methods, as
+    (qualified name, name, line)."""
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.name, node.lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield f"{node.name}.{item.name}", item.name, item.lineno
+
+
+def _referenced_names(path):
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if DOTTED_NAME.match(node.value):
+                yield from node.value.split(".")
+
+
+def test_every_library_definition_is_referenced_by_name():
+    """Name-based, so a definition is reported only when no file uses its
+    name at all; its own def statement is not a use of it."""
+    used = {
+        name
+        for top in SEARCHED
+        for path in sorted((REPO / top).rglob("*.py"))
+        for name in _referenced_names(path)
+    }
+    modules = sorted(Path(hopfcm.__file__).parent.glob("*.py"))
+    assert modules
+    unreferenced = [
+        f"{path.name}:{line} {qualified}"
+        for path in modules
+        for qualified, name, line in _definitions(path)
+        if name not in used
+    ]
+    assert unreferenced == []
