@@ -75,5 +75,9 @@ class StiffnessFailure(HopfcmError):
     """The adaptive integrator underflowed its step size."""
 
 
+class WorkCeiling(HopfcmError):
+    """An integration reached its fixed ceiling of right-hand-side evaluations."""
+
+
 class NoReturn(HopfcmError):
     """The orbit failed to return to the Poincare section within the horizon."""

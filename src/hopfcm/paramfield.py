@@ -8,6 +8,17 @@ The coefficient tower used by the symbolic half of the package:
 * ``ParamExpr``         -- the fraction field of ``ParamPoly``, kept in a
   canonical form (gcd-cancelled, primitive positive-leading denominator) so
   structural equality is field equality.
+* ``poly_gcd``          -- the gcd behind that canonical form: Char, Geddes &
+  Gonnet's heuristic GCDHEU.  Both operands are scaled to primitive integer
+  polynomials; one variable at a time is evaluated at an integer xi above
+  twice the smaller max-norm, down to an integer gcd; the gcd is rebuilt
+  from the symmetric base-xi digits of the images' gcd, with the integer
+  contents pulled out at every level and their gcd put back.  A candidate is
+  accepted only if it divides both operands exactly over Z, so the result is
+  certified.  After six values of xi, or once xi outgrows 2^17 bits (many
+  variables), the primitive Euclidean PRS takes over.
+  Quotients (``exact_div`` and the check) come from one sparse division over
+  integer dicts.
 * ``GaussExpr``         -- the Gaussian extension ``re + i*im`` of any of the
   real scalar types here, used for complexified vector fields.
 * ``FloatRing`` / ``GaussRing`` -- the complex scalar ring of the float and the
@@ -36,6 +47,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import combinations_with_replacement
 
 from .errors import DivisionByZero, PoleAtPoint, TruncationTooLow
@@ -262,19 +274,20 @@ class ParamPoly:
 
 
 # ---------------------------------------------------------------------------
-# multivariate gcd via content / primitive-part recursion
+# multivariate gcd: heuristic gcd by integer evaluation, PRS fallback
+#
+# The kernels below work on integer polynomials as {exponent: int} dicts.
 
 
 def _rational_content(poly: ParamPoly) -> Fraction:
     """Positive rational c with poly/c integer-primitive; sign from grlex lead."""
     if poly.is_zero():
         return Fraction(1)
-    num_gcd = 0
-    den_lcm = 1
-    for c in poly.terms.values():
-        num_gcd = math.gcd(num_gcd, abs(c.numerator))
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    content = Fraction(num_gcd, den_lcm)
+    coeffs = poly.terms.values()
+    content = Fraction(
+        math.gcd(*[c.numerator for c in coeffs]),
+        math.lcm(*[c.denominator for c in coeffs]),
+    )
     _, lead = poly.leading()
     return content if lead > 0 else -content
 
@@ -283,6 +296,195 @@ def _scale(poly: ParamPoly, q: Fraction) -> ParamPoly:
     if q == 1:
         return poly
     return ParamPoly(poly.params, {e: c * q for e, c in poly.terms.items()})
+
+
+def _integer_terms(poly: ParamPoly):
+    """(c, p) with poly = c * p, c = ``_rational_content(poly)`` and p the
+    integer-primitive polynomial with positive lead, as an int dict."""
+    content = _rational_content(poly)
+    kn, kd = content.numerator, content.denominator
+    return content, {
+        e: c.numerator * kd // (c.denominator * kn) for e, c in poly.terms.items()
+    }
+
+
+def _from_integer_terms(params, terms, scale=1) -> ParamPoly:
+    if scale == 1:
+        return ParamPoly(params, {e: Fraction(v) for e, v in terms.items()})
+    return ParamPoly(params, {e: v * scale for e, v in terms.items()})
+
+
+def _div_int(a: dict, b: dict):
+    """The quotient a/b of integer polynomials (b nonzero) when b divides a
+    over Z, else None.
+
+    Sparse division by b's grlex-leading term; the remainder is one dict
+    updated in place, its terms visited in decreasing grlex order from a
+    heap keyed on (total degree, exponents) packed into one integer.
+    """
+    if not a:
+        return {}
+    base = 1 + max(sum(e) for e in a)  # every exponent in play is below it
+
+    def key(e):
+        k = sum(e)
+        for x in e:
+            k = k * base + x
+        return -k
+
+    be = max(b, key=_grlex_key)
+    bc = b[be]
+    tail = [(e, c) for e, c in b.items() if e != be]
+    rem = dict(a)
+    heap = [(key(e), e) for e in rem]
+    heapify(heap)
+    quo = {}
+    while heap:
+        e = heappop(heap)[1]
+        c = rem.pop(e)
+        if not c:
+            continue
+        qe = tuple(x - y for x, y in zip(e, be))
+        q, r = divmod(c, bc)
+        if r or min(qe) < 0:
+            return None
+        quo[qe] = q
+        # every new term lies below e in grlex, so no popped key comes back
+        for e2, c2 in tail:
+            t = tuple(x + y for x, y in zip(qe, e2))
+            old = rem.get(t)
+            if old is None:
+                rem[t] = -q * c2
+                heappush(heap, (key(t), t))
+            else:
+                rem[t] = old - q * c2
+    return quo
+
+
+def exact_div(a: ParamPoly, b: ParamPoly) -> ParamPoly:
+    """Quotient a/b when b divides a exactly; raises ValueError otherwise."""
+    if b.is_zero():
+        raise DivisionByZero("polynomial division by zero")
+    if a.is_zero():
+        return a
+    if b.is_constant():
+        return _scale(a, 1 / b.constant_value())
+    # b | a over Q iff pp(b) | pp(a) over Z (Gauss's lemma)
+    ca, pa = _integer_terms(a)
+    cb, pb = _integer_terms(b)
+    quo = _div_int(pa, pb)
+    if quo is None:
+        raise ValueError("inexact polynomial division")
+    return _from_integer_terms(a.params, quo, ca / cb)
+
+
+# Char, Geddes & Gonnet's GCDHEU (J. Symbolic Comput. 7, 1989; Geddes,
+# Czapor & Labahn, Algorithms for Computer Algebra, 1992, ch. 7).  For
+# primitive f, g in Z[x, ...] and an integer xi > 2 min(|f|, |g|) + 2 (max
+# norms), let h = gcd(f(xi), g(xi)), one variable fewer, and G the
+# primitive part of the polynomial whose symmetric xi-adic digits are h's
+# coefficients.  If G divides f and g, it is their gcd.
+
+_HEU_TRIES = 6
+# xi grows about (d + 1)-fold in digits per variable evaluated (d the degree
+# in that variable), which defeats the heuristic in many variables: 16
+# variables of degree 1 reach 2.4 million bits.  The all-free L3 of
+# e1-normal needs at most 27,649 bits.
+_HEU_MAX_BITS = 1 << 17
+
+
+def _int_content(p: dict) -> int:
+    return math.gcd(*p.values())
+
+
+def _evaluate_at(p: dict, i: int, xi: int) -> dict:
+    """p with x_i = xi; exponent i of every key becomes 0."""
+    powers = [1]
+    for _ in range(max(e[i] for e in p)):
+        powers.append(powers[-1] * xi)
+    out = {}
+    for e, c in p.items():
+        if e[i]:
+            c *= powers[e[i]]
+            e = e[:i] + (0,) + e[i + 1:]
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _xi_adic(h: dict, i: int, xi: int) -> dict:
+    """The polynomial in x_i whose symmetric base-xi digits are h's
+    coefficients (h has exponent 0 in x_i)."""
+    half = xi // 2
+    out = {}
+    for e, c in h.items():
+        j = 0
+        while c:
+            r = c % xi
+            if r > half:
+                r -= xi
+            if r:
+                out[e[:i] + (j,) + e[i + 1:]] = r
+            c = (c - r) // xi
+            j += 1
+    return out
+
+
+def _heu_gcd(f: dict, g: dict):
+    """gcd over Z of nonzero integer polynomials, up to sign; None when
+    every evaluation point tried fails, when a recursive call fails or when
+    xi outgrows ``_HEU_MAX_BITS``."""
+    cf, cg = _int_content(f), _int_content(g)
+    content = math.gcd(cf, cg)
+    arity = len(next(iter(f)))
+    main = next(
+        (i for i in range(arity) if any(e[i] for e in f) or any(e[i] for e in g)),
+        None,
+    )
+    one = (0,) * arity
+    if main is None or len(f) == 1 and one in f or len(g) == 1 and one in g:
+        return {one: content}
+    if cf != 1:
+        f = {e: c // cf for e, c in f.items()}
+    if cg != 1:
+        g = {e: c // cg for e, c in g.items()}
+    xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
+    for _ in range(_HEU_TRIES):
+        if xi.bit_length() > _HEU_MAX_BITS:
+            return None
+        ff, gg = _evaluate_at(f, main, xi), _evaluate_at(g, main, xi)
+        if ff and gg:
+            h = _heu_gcd(ff, gg)
+            if h is None:
+                return None
+            cand = _xi_adic(h, main, xi)
+            cc = _int_content(cand)
+            if len(cand) == 1 and one in cand:
+                return {one: content}
+            cand = {e: c // cc for e, c in cand.items()}
+            if _div_int(f, cand) is not None and _div_int(g, cand) is not None:
+                return {e: c * content for e, c in cand.items()}
+        xi = xi * 73794 // 27011  # grow by about 2.73
+    return None
+
+
+def poly_gcd(a: ParamPoly, b: ParamPoly) -> ParamPoly:
+    """gcd in Q[params], normalized integer-primitive with positive lead."""
+    if a.is_zero():
+        return _primitive_positive(b) if not b.is_zero() else b
+    if b.is_zero():
+        return _primitive_positive(a)
+    if a.is_constant() or b.is_constant():
+        return ParamPoly.const(a.params, 1)
+    g = _heu_gcd(_integer_terms(a)[1], _integer_terms(b)[1])
+    if g is None:
+        return _prs_gcd(a, b)
+    if g[max(g, key=_grlex_key)] < 0:
+        g = {e: -c for e, c in g.items()}
+    return _from_integer_terms(a.params, g)
+
+
+# The primitive Euclidean PRS: the fallback once GCDHEU has tried all its
+# evaluation points.
 
 
 def _coeff_wrt(poly: ParamPoly, i: int, d: int) -> ParamPoly:
@@ -294,6 +496,7 @@ def _coeff_wrt(poly: ParamPoly, i: int, d: int) -> ParamPoly:
             out[e2] = c
     return ParamPoly(poly.params, out)
 
+
 def _shift(poly: ParamPoly, i: int, d: int) -> ParamPoly:
     """Multiply by x_i^d."""
     return ParamPoly(
@@ -303,35 +506,12 @@ def _shift(poly: ParamPoly, i: int, d: int) -> ParamPoly:
     )
 
 
-def exact_div(a: ParamPoly, b: ParamPoly) -> ParamPoly:
-    """Quotient a/b when b divides a exactly; raises ValueError otherwise."""
-    if b.is_zero():
-        raise DivisionByZero("polynomial division by zero")
-    if a.is_zero():
-        return a
-    if b.is_constant():
-        return _scale(a, 1 / b.constant_value())
-    params = a.params
-    rem = a
-    quo = {}
-    be, bc = b.leading()
-    while not rem.is_zero():
-        re, rc = rem.leading()
-        qe = tuple(x - y for x, y in zip(re, be))
-        if any(x < 0 for x in qe):
-            raise ValueError("inexact polynomial division")
-        qc = rc / bc
-        quo[qe] = quo.get(qe, 0) + qc
-        rem = rem - ParamPoly(params, {qe: qc}) * b
-    return ParamPoly(params, quo)
-
-
 def _content_wrt(poly: ParamPoly, i: int) -> ParamPoly:
     cont = ParamPoly.zero(poly.params)
     for d in range(poly.degree_in(i) + 1):
         c = _coeff_wrt(poly, i, d)
         if not c.is_zero():
-            cont = poly_gcd(cont, c)
+            cont = _prs_gcd(cont, c)
             if cont.is_constant():
                 break
     return cont
@@ -354,8 +534,8 @@ def _primitive_positive(poly: ParamPoly) -> ParamPoly:
     return poly if c == 1 else _scale(poly, 1 / c)
 
 
-def poly_gcd(a: ParamPoly, b: ParamPoly) -> ParamPoly:
-    """gcd in Q[params], normalized integer-primitive with positive lead."""
+def _prs_gcd(a: ParamPoly, b: ParamPoly) -> ParamPoly:
+    """``poly_gcd`` by content / primitive-part recursion."""
     if a.is_zero():
         return _primitive_positive(b) if not b.is_zero() else b
     if b.is_zero():
@@ -371,10 +551,10 @@ def poly_gcd(a: ParamPoly, b: ParamPoly) -> ParamPoly:
     if da == 0 or db == 0:
         # gcd divides the content of the operand that involves main
         f, g = (a, b) if da == 0 else (b, a)
-        return poly_gcd(f, _content_wrt(g, main))
+        return _prs_gcd(f, _content_wrt(g, main))
     ca, cb = _content_wrt(a, main), _content_wrt(b, main)
     pa, pb = exact_div(a, ca), exact_div(b, cb)
-    cg = poly_gcd(ca, cb)
+    cg = _prs_gcd(ca, cb)
     f, g = (pa, pb) if pa.degree_in(main) >= pb.degree_in(main) else (pb, pa)
     while True:
         r = _prem(f, g, main)

@@ -29,12 +29,16 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import HopfcmError, NoReturn, StiffnessFailure
+from .errors import HopfcmError, NoReturn, StiffnessFailure, WorkCeiling
 from .polysys import VectorField3
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
 EXTENDED_DPS = 30
+# Right-hand-side evaluations one ``integrate`` call may make: about 4 s of
+# DOP853 steps on a 3D quadratic field, a hundred times the longest run of
+# the README and the verification claims (under 10^4).
+MAX_RHS_EVALS = 1_000_000
 
 
 @dataclass
@@ -77,7 +81,9 @@ def integrate(
     ``stop_radius`` ends the run once the state norm escapes that radius,
     which keeps exponentially diverging directions from consuming the whole
     budget.  Raises HopfcmError on a tolerance outside (0, 1e-2] or an end of
-    ``t_span`` that is not finite (scipy would step towards it forever).
+    ``t_span`` that is not finite (scipy would step towards it forever), and
+    WorkCeiling once the run has made ``MAX_RHS_EVALS`` right-hand-side
+    evaluations (a finite but huge span would take as long).
     """
     if not (0 < rel_tol <= 1e-2 and 0 < abs_tol <= 1e-2):
         raise HopfcmError(f"tolerances must lie in (0, 1e-2], got {rel_tol}, {abs_tol}")
@@ -92,9 +98,21 @@ def integrate(
         escape.terminal = True
         events = escape
 
+    evals = 0
+
+    def rhs(t, s):
+        nonlocal evals
+        evals += 1
+        if evals > MAX_RHS_EVALS:
+            raise WorkCeiling(
+                f"integration stopped after {MAX_RHS_EVALS} right-hand-side "
+                f"evaluations, at t = {t:.6g} of the span {tuple(t_span)}"
+            )
+        return fld.evaluate(s.tolist())
+
     backward = t_span[1] < t_span[0]
     sol = solve_ivp(
-        _rhs(fld),
+        rhs,
         t_span,
         [float(v) for v in x0],
         method="DOP853",

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, reports, exit-code contract."""
 
 import json
+import signal
 
 import pytest
 
@@ -327,6 +328,24 @@ def test_malformed_param_is_a_json_domain_error(capsys, tmp_path, monkeypatch, a
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "HopfcmError"
+
+
+def test_huge_finite_span_stops_at_the_work_ceiling(capsys, tmp_path, monkeypatch):
+    # about 4 s: the ceiling is 10^6 right-hand-side evaluations
+    monkeypatch.chdir(tmp_path)
+
+    def hang(signum, frame):
+        raise TimeoutError("simulate with --tmax 1e300 ran past 60 s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(60)
+    try:
+        code, out, err = run_cli(capsys, *_SIMULATE, "0.1,0,0", "--tmax", "1e300")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "WorkCeiling"
 
 
 @pytest.mark.parametrize("argv,free", [

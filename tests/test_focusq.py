@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopfcm import paramfield
 from hopfcm.catalog import e1_center, e1_normal, e1_normal_trace, e4_normal, e5_normal
 from hopfcm.cyclicity import jet_system
 from hopfcm.errors import (
@@ -280,6 +281,23 @@ def test_first_quantity_clearing_identity_at_random_points():
     for (c, d, k) in _random_rational_points(12, seed=7):
         got = _computed_L1(c, d, k) * clearing_e1(c, d, k)
         assert got == printed_L1(c, d, k) * d**3
+
+
+def test_all_free_quantities_match_the_bound_path(monkeypatch):
+    # L1 and L2 with c, d, k free, against the fully bound Fraction path,
+    # which makes no gcd call
+    fld = e1_normal()
+    free = report_for_field(fld, 2).quantities
+    assert not any(q.is_constant() for q in free)
+
+    def no_gcd(a, b):
+        raise AssertionError("the bound path called poly_gcd")
+
+    monkeypatch.setattr(paramfield, "poly_gcd", no_gcd)
+    for (c, d, k) in _random_rational_points(6, seed=11):
+        point = {"c": c, "d": d, "k": k}
+        bound = report_for_field(fld.substitute_params(point), 2).quantities
+        assert [q.evaluate(point) for q in free] == bound
 
 
 def test_first_quantity_sample_values():

@@ -1,6 +1,7 @@
 """Exact-field foundation: canonical forms, evaluation, jets, Gaussians."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -175,26 +176,28 @@ def shared_factor_exprs(draw):
     return ParamExpr(num, den)
 
 
-def _to_sympy(e):
-    def poly(p):
-        c, d, k = _SYMS
-        return sum(
-            (sympy.Rational(q.numerator, q.denominator) * c**i * d**j * k**l
-             for (i, j, l), q in p.terms.items()),
-            sympy.Integer(0),
-        )
+def _poly_to_sympy(p):
+    c, d, k = _SYMS
+    return sum(
+        (sympy.Rational(q.numerator, q.denominator) * c**i * d**j * k**l
+         for (i, j, l), q in p.terms.items()),
+        sympy.Integer(0),
+    )
 
-    return poly(e.num) / poly(e.den)
+
+def _poly_from_sympy(x):
+    terms = sympy.Poly(x, *_SYMS).terms()
+    return ParamPoly(P, {e: Fraction(int(q.p), int(q.q)) for e, q in terms})
+
+
+def _to_sympy(e):
+    return _poly_to_sympy(e.num) / _poly_to_sympy(e.den)
 
 
 def _from_sympy(expr):
     """sympy rational function -> ParamExpr through the normalizing constructor."""
-    def poly(x):
-        terms = sympy.Poly(x, *_SYMS).terms()
-        return ParamPoly(P, {e: Fraction(int(q.p), int(q.q)) for e, q in terms})
-
     num, den = sympy.fraction(sympy.cancel(expr))
-    return ParamExpr(poly(num), poly(den))
+    return ParamExpr(_poly_from_sympy(num), _poly_from_sympy(den))
 
 
 _operands = st.one_of(exprs(), shared_factor_exprs())
@@ -265,6 +268,73 @@ def test_poly_gcd_coprime_is_one():
     c, d, k = _vars()
     g = poly_gcd((c * d + 1).num, (k**2 + c).num)
     assert g.is_constant() and g.constant_value() == 1
+
+
+def test_poly_gcd_keeps_a_factor_the_operands_share_in_one_variable():
+    _, d, k = _vars()
+    assert poly_gcd((d * k**2).num, (d**2).num) == d.num
+
+
+@st.composite
+def factors(draw):
+    """A nonzero polynomial in (c, d, k) of degree <= 2 in each variable,
+    with up to three terms of height up to 10^12."""
+    height = 10**12
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        e = tuple(draw(st.integers(0, 2)) for _ in P)
+        num = draw(st.integers(-height, height).filter(bool))
+        terms[e] = Fraction(num, draw(st.sampled_from([1, 1, 3, 7])))
+    return ParamPoly(P, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(factors(), factors(), factors())
+def test_poly_gcd_matches_sympy_and_the_prs_fallback(a, b, g):
+    f, h = a * g, b * g
+    got = poly_gcd(f, h)
+    oracle = sympy.gcd(_poly_to_sympy(f), _poly_to_sympy(h))
+    assert got == paramfield._primitive_positive(_poly_from_sympy(oracle))
+    assert got == paramfield._prs_gcd(f, h)
+    # normalized: integer-primitive with a positive grlex lead
+    assert paramfield._rational_content(got) == 1
+    # the shared factor divides the gcd, which divides both operands
+    assert paramfield.exact_div(got, g) * g == got
+    assert paramfield.exact_div(f, got) * got == f
+
+
+def test_poly_gcd_in_many_variables_falls_back_to_the_prs(monkeypatch):
+    # xi gains digits about twofold per variable of degree 1, so these 18
+    # variables outgrow the heuristic's size cap
+    names = tuple(f"p{i}" for i in range(18))
+    rng = random.Random(5)
+
+    def poly(n_terms):
+        return ParamPoly(names, {
+            tuple(rng.randint(0, 1) for _ in names): Fraction(rng.randint(-9, 9) or 1)
+            for _ in range(n_terms)
+        })
+
+    shared = poly(3)
+    a, b = poly(4) * shared, poly(4) * shared
+    calls = []
+    prs = paramfield._prs_gcd
+
+    def counting_prs(f, g):
+        calls.append(f)
+        return prs(f, g)
+
+    monkeypatch.setattr(paramfield, "_prs_gcd", counting_prs)
+    assert poly_gcd(a, b) == paramfield._primitive_positive(shared)
+    assert calls
+
+
+def test_exact_div_rejects_an_inexact_quotient():
+    c, d, k = (x.num for x in _vars())
+    with pytest.raises(ValueError):
+        paramfield.exact_div(c * d + 1, c + k)
+    with pytest.raises(ValueError):
+        paramfield.exact_div(c * d + 1, 2 * c)
 
 
 # --- Gaussian extension ----------------------------------------------------------------
