@@ -35,9 +35,7 @@ def dump(fld, ics, out_dir, tmax, backward=False):
     os.makedirs(out_dir, exist_ok=True)
     span = (0.0, -tmax) if backward else (0.0, tmax)
     for i, ic in enumerate(ics):
-        traj = simulate.integrate(
-            fld, ic, span, 1e-10, 1e-12, max_points=6000, stop_radius=6.0
-        )
+        traj = simulate.integrate(fld, ic, span, 1e-10, max_points=6000, stop_radius=6.0)
         simulate.export_csv(traj, os.path.join(out_dir, f"orbit_{i}.csv"))
     simulate.export_plot_script(os.path.join(out_dir, "plot.py"))
 
@@ -50,7 +48,7 @@ def main():
 
     center = catalog.e1_center({"d": 1}).to_float()
     dump(center, FIG_PHASE_ICS, os.path.join(args.out, "center"), 100.0)
-    series = simulate.integrate(center, FIG_SERIES_IC, (0.0, 100.0), 1e-10, 1e-12)
+    series = simulate.integrate(center, FIG_SERIES_IC, (0.0, 100.0), 1e-10)
     simulate.export_csv(series, os.path.join(args.out, "center", "series.csv"))
 
     for c, h in E4_PARAMS:

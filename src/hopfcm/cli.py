@@ -294,7 +294,7 @@ def _cmd_simulate(args):
     if len(x0) != 3:
         raise HopfcmError("--x0 must be three comma-separated values")
     t_span = (0.0, -args.tmax) if args.backward else (0.0, args.tmax)
-    traj = simulate.integrate(fld, x0, t_span, args.tol, args.tol * 1e-2)
+    traj = simulate.integrate(fld, x0, t_span, args.tol)
     out = args.out or "trajectory.csv"
     simulate.export_csv(traj, out)
     artifacts = [out]

@@ -1,22 +1,21 @@
-"""Numerical backend: adaptive integration, Poincare sections, period and
+"""Numerical backend: Taylor integration, Poincare sections, period and
 displacement measurement, CSV/plot-script export.
 
-Trajectories and section returns use a Dormand-Prince 8(5,3) embedded pair.
-A return to the section {v = 0, u > 0} is a terminal event that scipy
-locates on the pair's interpolant, so a return map stops at the first
+Every trajectory, section return and period comes from one Taylor method
+for polynomial fields (Jorba & Zou, Exp. Math. 14, 2005): the Taylor
+coefficients of the flow come from Cauchy products over the field's
+monomial table, the order follows from the tolerance and the step from the
+last two coefficients.  Crossings of the section {v = 0} are found by
+Newton's method on the step polynomial, so a return map stops at the first
 return.  The reduced displacement at radius rho0 is measured on the path
 selected by the transverse direction: the return map in omega = w/u is
 solved for its fixed point omega0 (secant iteration, which handles both
 signs of the transverse eigenvalue), then dbar(rho0) is the radial change of
 the first return from (rho0, 0, rho0*omega0).
 
-The period is measured with a Taylor method for polynomial fields (Jorba &
-Zou, Exp. Math. 14, 2005): the Taylor coefficients of the flow come from
-Cauchy products over the field's monomial table, the order and the step are
-chosen from the working precision and the last two coefficients, and section
-crossings are found by Newton's method on the step polynomial.  The same
-kernel runs on floats (``precision="double"``) and on 30-digit ``mpmath``
-floats (``precision="extended"``).
+The kernel is generic over the number type: trajectories, section returns
+and ``measure_period(precision="double")`` run it on floats, and
+``precision="extended"`` on 30-digit ``mpmath`` floats.
 """
 
 from __future__ import annotations
@@ -27,34 +26,33 @@ from operator import mul
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import HopfcmError, NoReturn, StiffnessFailure, WorkCeiling
 from .polysys import VectorField3
 
-DEFAULT_RTOL = 1e-10
-DEFAULT_ATOL = 1e-12
+DEFAULT_TOL = 1e-10
+DOUBLE_EPS = 1e-16
 EXTENDED_DPS = 30
-# Right-hand-side evaluations one ``integrate`` call may make: about 4 s of
-# DOP853 steps on a 3D quadratic field, a hundred times the longest run of
-# the README and the verification claims (under 10^4).
+# Field evaluations (steps x order) one run may make: about 2 s of Taylor
+# steps on a 3D quadratic field, a hundred times the longest run of the
+# README and the verification claims (under 10^4).
 MAX_RHS_EVALS = 1_000_000
+OMEGA_TOL = 1e-10
+SECANT_MAX_ITER = 60
 
 
 @dataclass
 class Trajectory:
-    """Integration output with solver statistics.
+    """Step ends of a Taylor integration and the field evaluations it made.
 
-    Adaptive step control keeps every accepted step's error estimate within
-    the requested tolerances; timestamps are strictly increasing.
+    Each step's error is about ``tol`` relative to the size of the state;
+    timestamps are strictly increasing.
     """
 
     t: np.ndarray
     states: np.ndarray  # shape (n, 3)
     nfev: int
-    status: int
-    rtol: float
-    atol: float
+    tol: float
     backward: bool = False
 
 
@@ -71,74 +69,98 @@ def integrate(
     fld: VectorField3,
     x0,
     t_span,
-    rel_tol: float = DEFAULT_RTOL,
-    abs_tol: float = DEFAULT_ATOL,
+    tol: float = DEFAULT_TOL,
+    *,
     max_points: Optional[int] = None,
     stop_radius: Optional[float] = None,
 ) -> Trajectory:
-    """Adaptive integration over t_span (t1 < t0 integrates backward).
+    """Taylor integration over t_span (t1 < t0 integrates backward).
 
-    ``stop_radius`` ends the run once the state norm escapes that radius,
+    ``stop_radius`` ends the run at the first step that leaves that radius,
     which keeps exponentially diverging directions from consuming the whole
-    budget.  Raises HopfcmError on a tolerance outside (0, 1e-2] or an end of
-    ``t_span`` that is not finite (scipy would step towards it forever), and
-    WorkCeiling once the run has made ``MAX_RHS_EVALS`` right-hand-side
-    evaluations (a finite but huge span would take as long).
+    budget.  Raises HopfcmError on a tolerance outside (0, 1e-2], a start
+    state or an end of ``t_span`` that is not finite, WorkCeiling once the
+    run has made ``MAX_RHS_EVALS`` field evaluations (a finite but huge span
+    would take as long), and StiffnessFailure when the solution blows up.
     """
-    if not (0 < rel_tol <= 1e-2 and 0 < abs_tol <= 1e-2):
-        raise HopfcmError(f"tolerances must lie in (0, 1e-2], got {rel_tol}, {abs_tol}")
+    if not 0 < tol <= 1e-2:
+        raise HopfcmError(f"tolerance must lie in (0, 1e-2], got {tol}")
     if not all(math.isfinite(t) for t in t_span):
         raise HopfcmError(f"time span must be finite, got {tuple(t_span)}")
+    x0 = [float(v) for v in x0]
+    if not all(map(math.isfinite, x0)):
+        raise HopfcmError(f"start state must be finite, got {tuple(x0)}")
 
-    events = None
-    if stop_radius is not None:
-        def escape(t, s):
-            return s[0] * s[0] + s[1] * s[1] + s[2] * s[2] - stop_radius**2
-
-        escape.terminal = True
-        events = escape
-
-    evals = 0
-
-    def rhs(t, s):
-        nonlocal evals
-        evals += 1
-        if evals > MAX_RHS_EVALS:
-            raise WorkCeiling(
-                f"integration stopped after {MAX_RHS_EVALS} right-hand-side "
-                f"evaluations, at t = {t:.6g} of the span {tuple(t_span)}"
-            )
-        return fld.evaluate(s.tolist())
-
-    backward = t_span[1] < t_span[0]
-    sol = solve_ivp(
-        rhs,
-        t_span,
-        [float(v) for v in x0],
-        method="DOP853",
-        rtol=rel_tol,
-        atol=abs_tol,
-        dense_output=False,
-        events=events,
-    )
-    if sol.status == -1:
-        raise StiffnessFailure(sol.message)
-    t = sol.t
-    y = sol.y.T
+    t0, t1 = (float(t) for t in t_span)
+    ts, xs = [t0], [x0]
+    plan = taylor_plan(fld.monomials, float)
+    for t, x, _, _ in _taylor_steps(plan, t0, x0, t1, tol, DOUBLE_EPS):
+        ts.append(t)
+        xs.append(x)
+        if stop_radius is not None and math.hypot(*x) > stop_radius:
+            break
+    t, y = np.array(ts), np.array(xs)
+    backward = t1 < t0
     if backward:
-        t = t[::-1]
-        y = y[::-1]
+        t, y = t[::-1], y[::-1]
     if max_points is not None and len(t) > max_points:
         idx = np.linspace(0, len(t) - 1, max_points).astype(int)
         t, y = t[idx], y[idx]
-    return Trajectory(t, y, sol.nfev, sol.status, rel_tol, abs_tol, backward)
+    return Trajectory(t, y, (len(ts) - 1) * _order(tol), tol, backward)
 
 
-def _rhs(fld):
-    def rhs(t, s):
-        return fld.evaluate(s.tolist())
+def _order(tol):
+    """Jorba-Zou order: with the step rho / e^2, the order's last term is
+    about e^(-2 order) < tol relative to the state."""
+    return math.ceil(-math.log(tol) / 2) + 1
 
-    return rhs
+
+def _taylor_steps(plan, t, x, t_end, tol, eps):
+    """Taylor steps from (t, x) to t_end, forward or backward in time.
+
+    Yields, per step, the state (t, x) at its end, its signed length h and
+    the Taylor coefficients at its start.  ``eps`` is the working precision
+    of the number type.  Raises WorkCeiling once the steps would make more
+    than ``MAX_RHS_EVALS`` field evaluations (``order`` per step), and
+    StiffnessFailure when the step collapses below ``eps`` or the state
+    stops being finite.
+    """
+    order = _order(tol)
+    evals = 0
+    while t != t_end:
+        evals += order
+        if evals > MAX_RHS_EVALS:
+            raise WorkCeiling(
+                f"integration stopped after {MAX_RHS_EVALS} field evaluations, "
+                f"at t = {float(t):.6g} on the way to {float(t_end):.6g}"
+            )
+        coeffs = taylor_coefficients(plan, x, order)
+        h = _taylor_step(coeffs)
+        if not h > eps * max(1, abs(t)):
+            raise StiffnessFailure(f"Taylor step collapsed at t = {float(t):.6g}")
+        if h < abs(t_end - t):
+            h = math.copysign(h, t_end - t)
+            t += h
+        else:
+            h, t = t_end - t, t_end
+        x = [_horner(c, h) for c in coeffs]
+        if not all(map(math.isfinite, x)):
+            raise StiffnessFailure(f"solution not finite at t = {float(t):.6g}")
+        yield t, x, h, coeffs
+
+
+def _section_crossings(plan, x, t_end, direction, eps):
+    """Crossings of the section {v = 0} in the flow ``direction`` (the sign
+    of v' there) of the orbit from (0, x) until t_end, as (t, u, w).
+
+    The start itself is not a crossing, even when it lies on the section.
+    """
+    t0 = x[0] * 0
+    for t, x1, h, (u, v, w) in _taylor_steps(plan, t0, x, t_end, eps, eps):
+        if direction * v[0] < 0 <= direction * x1[1]:
+            s = _step_root(v, h, x1[1], eps)
+            yield t0 + s, _horner(u, s), _horner(w, s)
+        t0 = t
 
 
 def _flow_direction(fld, rho0):
@@ -147,41 +169,19 @@ def _flow_direction(fld, rho0):
     return 1.0 if vdot > 0 else -1.0
 
 
-def first_return(fld, rho0, omega0, rtol=1e-12, atol=1e-14, horizon=60.0):
+def first_return(fld, rho0, omega0, horizon=60.0):
     """First return (t, u, omega) of the section map from (rho0, 0, rho0*omega0).
 
-    The start lies on the section, so scipy reports it as the first event
-    in the flow direction, and each run stops at the second.  A crossing
-    before t = 0.5 or with u <= 0 is not a return: the run goes on from it,
-    on the section again, until a return or the horizon.
+    A crossing before t = 0.5 or with u <= 0 is not a return: the orbit is
+    followed on to a return or to the horizon.
     """
-
-    def section(t, s):
-        return s[1]
-
-    section.direction = _flow_direction(fld, rho0)
-    section.terminal = 2
-    t0, x0 = 0.0, [rho0, 0.0, rho0 * omega0]
-    while True:
-        sol = solve_ivp(
-            _rhs(fld),
-            (t0, horizon),
-            x0,
-            method="DOP853",
-            rtol=rtol,
-            atol=atol,
-            events=section,
-        )
-        if sol.status == -1:
-            raise StiffnessFailure(sol.message)
-        for te, (u, v, w) in zip(sol.t_events[0], sol.y_events[0]):
-            if te > 0.5 and u > 0:
-                return float(te), float(u), float(w / u)
-        if sol.status == 0:
-            raise NoReturn(f"no section return within t = {horizon}")
-        t0 = sol.t_events[0][-1]
-        u, _, w = sol.y_events[0][-1]
-        x0 = [u, 0.0, w]
+    plan = taylor_plan(fld.monomials, float)
+    x = [float(rho0), 0.0, float(rho0 * omega0)]
+    direction = _flow_direction(fld, rho0)
+    for t, u, w in _section_crossings(plan, x, horizon, direction, DOUBLE_EPS):
+        if t > 0.5 and u > 0:
+            return t, u, w / u
+    raise NoReturn(f"no section return within t = {horizon}")
 
 
 def measure_period(
@@ -203,7 +203,7 @@ def measure_period(
     """
     if precision == "double":
         plan = taylor_plan(fld.monomials, float)
-        return _measure_period(fld, plan, rho0, settle_time, turns, float, 1e-16)
+        return _measure_period(fld, plan, rho0, settle_time, turns, float, DOUBLE_EPS)
     if precision != "extended":
         raise ValueError(f"unknown precision {precision!r}")
     import mpmath as mp
@@ -215,28 +215,15 @@ def measure_period(
 
 
 def _measure_period(fld, plan, rho0, settle_time, turns, num, eps):
-    order = math.ceil(-math.log(eps) / 2) + 1
-    direction = _flow_direction(fld, rho0)
     end = settle_time + 2.2 * math.pi * (turns + 2)
-    t, x = num(0), [num(rho0), num(0), num(0)]
+    x = [num(rho0), num(0), num(0)]
     crossings = []
-    while len(crossings) <= turns:
-        if t >= end:
-            raise NoReturn("too few section returns while measuring period")
-        coeffs = taylor_coefficients(plan, x, order)
-        h = _taylor_step(coeffs)
-        if not h > eps * max(1, abs(t)):
-            raise StiffnessFailure(f"Taylor step collapsed at t = {float(t)}")
-        h = min(num(h), end - t)
-        u, v, _ = coeffs
-        v0, v1 = v[0], _horner(v, h)
-        if direction * v0 < 0 <= direction * v1:
-            s = _step_root(v, h, v1, eps)
-            if t + s > settle_time and _horner(u, s) > 0:
-                crossings.append(t + s)
-        x = [_horner(c, h) for c in coeffs]
-        t += h
-    return (crossings[-1] - crossings[0]) / turns
+    for t, u, _ in _section_crossings(plan, x, end, _flow_direction(fld, rho0), eps):
+        if t > settle_time and u > 0:
+            crossings.append(t)
+            if len(crossings) > turns:
+                return (crossings[-1] - crossings[0]) / turns
+    raise NoReturn("too few section returns while measuring period")
 
 
 # ---------------------------------------------------------------------------
@@ -346,32 +333,25 @@ def _step_root(p, h, p_h, eps):
     return s
 
 
-def displacement(
-    fld: VectorField3,
-    rho0: float,
-    rtol: float = 1e-12,
-    atol: float = 1e-14,
-    omega_tol: float = 1e-10,
-    max_iter: int = 60,
-) -> DisplacementSample:
+def displacement(fld: VectorField3, rho0: float) -> DisplacementSample:
     """Reduced displacement dbar(rho0) on the transversely selected path.
 
     Solves the fixed-point condition for omega0 (the return in omega equals
     omega0) by secant iteration, then reports the radial change of that
     return.  Works for either sign of the transverse eigenvalue.
     """
-    if rho0 <= 0 or rho0 > 0.2:
+    if not 0 < rho0 <= 0.2:
         raise HopfcmError(f"rho0 must lie in (0, 0.2], got {rho0}")
 
     def g(om):
-        _, u1, om1 = first_return(fld, rho0, om, rtol, atol)
+        _, u1, om1 = first_return(fld, rho0, om)
         return u1, om1
 
     om = 0.0
     u1, om1 = g(om)
     resid = om1 - om
     it = 0
-    while abs(resid) > omega_tol and it < max_iter:
+    while abs(resid) > OMEGA_TOL and it < SECANT_MAX_ITER:
         eps = max(1e-8, abs(resid) * 0.1)
         _, om2 = g(om + eps)
         slope = ((om2 - (om + eps)) - resid) / eps
@@ -381,7 +361,7 @@ def displacement(
         u1, om1 = g(om)
         resid = om1 - om
         it += 1
-    if abs(resid) > omega_tol:
+    if abs(resid) > OMEGA_TOL:
         raise NoReturn(f"omega fixed point not reached: residual {resid}")
     return DisplacementSample(rho0, u1 - rho0, it + 1, om, abs(resid))
 

@@ -517,7 +517,7 @@ def claim_conservation(out_dir=None, drift_tol=1e-8):
     import numpy as np
 
     fld = catalog.e1_center({"d": 1}).to_float()
-    traj = simulate.integrate(fld, FIG_SERIES_IC, (0.0, 100.0), 1e-10, 1e-12)
+    traj = simulate.integrate(fld, FIG_SERIES_IC, (0.0, 100.0), 1e-10)
     H = traj.states[:, 0] ** 2 + traj.states[:, 1] ** 2
     H0 = FIG_SERIES_IC[0] ** 2 + FIG_SERIES_IC[1] ** 2
     drift = float(np.max(np.abs(H - H0)) / H0)
@@ -530,7 +530,7 @@ def claim_conservation(out_dir=None, drift_tol=1e-8):
     simulate.export_csv(traj, series_path)
     artifacts.append(series_path)
     for i, ic in enumerate(FIG_PHASE_ICS):
-        t = simulate.integrate(fld, ic, (0.0, 60.0), 1e-10, 1e-12, max_points=4000)
+        t = simulate.integrate(fld, ic, (0.0, 60.0), 1e-10, max_points=4000)
         p = os.path.join(out_dir, f"phase_{i}.csv")
         simulate.export_csv(t, p)
         artifacts.append(p)

@@ -331,7 +331,7 @@ def test_malformed_param_is_a_json_domain_error(capsys, tmp_path, monkeypatch, a
 
 
 def test_huge_finite_span_stops_at_the_work_ceiling(capsys, tmp_path, monkeypatch):
-    # about 4 s: the ceiling is 10^6 right-hand-side evaluations
+    # about 2 s: the ceiling is 10^6 field evaluations
     monkeypatch.chdir(tmp_path)
 
     def hang(signum, frame):

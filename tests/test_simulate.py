@@ -1,13 +1,15 @@
 """Numerical backend: integration accuracy, sections, displacement, export."""
 
+import json
 import math
 import os
 
 import numpy as np
 import pytest
 
+from hopfcm import simulate
 from hopfcm.catalog import e1_center, e1_normal, e4_normal
-from hopfcm.errors import NoReturn
+from hopfcm.errors import HopfcmError, NoReturn, StiffnessFailure
 from hopfcm.focusq import report_for_field
 from hopfcm.polysys import StatePoly, VectorField3
 from hopfcm.simulate import (
@@ -30,7 +32,7 @@ def center_field():
 
 
 def test_energy_conservation(center_field):
-    traj = integrate(center_field, (0.5, -0.75, 0.1), (0.0, 100.0), 1e-10, 1e-12)
+    traj = integrate(center_field, (0.5, -0.75, 0.1), (0.0, 100.0), 1e-10)
     H = traj.states[:, 0] ** 2 + traj.states[:, 1] ** 2
     drift = np.max(np.abs(H - 0.8125)) / 0.8125
     assert drift < 1e-8
@@ -39,7 +41,7 @@ def test_energy_conservation(center_field):
 
 def test_tightening_tolerance_reduces_drift(center_field):
     def drift(tol):
-        traj = integrate(center_field, (0.5, -0.75, 0.1), (0.0, 50.0), tol, tol * 1e-2)
+        traj = integrate(center_field, (0.5, -0.75, 0.1), (0.0, 50.0), tol)
         H = traj.states[:, 0] ** 2 + traj.states[:, 1] ** 2
         return float(np.max(np.abs(H - 0.8125)) / 0.8125)
 
@@ -57,9 +59,9 @@ def test_zero_field_constant_trajectory():
 def test_time_reversal_returns_to_start(center_field):
     # horizon short enough that the backward-unstable w-direction does not
     # amplify roundoff past the target (growth is e^T)
-    fwd = integrate(center_field, (0.3, 0.1, 0.05), (0.0, 6.0), 1e-12, 1e-14)
+    fwd = integrate(center_field, (0.3, 0.1, 0.05), (0.0, 6.0), 1e-12)
     end = tuple(fwd.states[-1])
-    back = integrate(center_field, end, (0.0, -6.0), 1e-12, 1e-14)
+    back = integrate(center_field, end, (0.0, -6.0), 1e-12)
     start = back.states[0]  # backward trajectories are stored time-increasing
     assert max(abs(a - b) for a, b in zip(start, (0.3, 0.1, 0.05))) < 1e-9
 
@@ -68,8 +70,7 @@ def test_bounded_forward_orbit_on_focus_family():
     # qualitative: no blowup over the plotted window despite the unstable
     # transverse eigenvalue
     fld = e4_normal({"c": 0.25, "h": 2.0})
-    traj = integrate(fld, (0.4, 0.07, 0.13), (0.0, 50.0), 1e-10, 1e-12)
-    assert traj.status == 0
+    traj = integrate(fld, (0.4, 0.07, 0.13), (0.0, 50.0), 1e-10)
     assert np.all(np.isfinite(traj.states))
     assert np.max(np.abs(traj.states)) < 1e3
 
@@ -105,24 +106,72 @@ def test_focus_displacement_matches_first_quantity():
 
 
 @pytest.mark.parametrize("c,h", [(9 / 16, 3.0), (1 / 2, 2.0)])
-def test_focus_displacement_far_from_the_crosscheck_point(c, h):
+def test_focus_displacement_far_from_the_crosscheck_point(c, h, monkeypatch):
     # the orbit leaves the center manifold soon after its first return; a
-    # return map that follows it to the horizon costs ~10^6 evaluations
+    # return map that follows it to the horizon makes 10^5 to 10^6 field
+    # evaluations (order many per Taylor step)
     fld = e4_normal({"c": c, "h": h})
     L1 = report_for_field(fld, 1).quantities[0]
-    calls = 0
-    evaluate = fld.evaluate
+    evals = 0
 
-    def counted(point):
-        nonlocal calls
-        calls += 1
-        return evaluate(point)
+    def counted(plan, x, order):
+        nonlocal evals
+        evals += order
+        return taylor_coefficients(plan, x, order)
 
-    fld.evaluate = counted
+    monkeypatch.setattr(simulate, "taylor_coefficients", counted)
     s = displacement(fld, 0.05)
     assert s.omega_residual < 1e-10
     assert abs(s.dbar / 0.05**3 - math.pi * L1) < 0.1 * abs(math.pi * L1)
-    assert calls < 20_000
+    assert 0 < evals < 20_000
+
+
+def test_focus_displacement_matches_the_recorded_reference():
+    # perfbench/reference/readme-displacement.json: e4-normal at c = 1/4, h = 2
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "reference", "readme-displacement.json")
+    with open(path) as fh:
+        samples = json.load(fh)["output"]["samples"]
+    fld = e4_normal({"c": 0.25, "h": 2.0})
+    assert [r["rho0"] for r in samples] == [0.025, 0.05]
+    for ref in samples:
+        dbar = displacement(fld, ref["rho0"]).dbar
+        assert abs(dbar - ref["dbar"]) <= 1e-6 * abs(ref["dbar"])
+
+
+@pytest.mark.parametrize("rho0", [math.nan, math.inf])
+def test_displacement_rejects_a_radius_that_is_not_finite(center_field, rho0):
+    with pytest.raises(HopfcmError):
+        displacement(center_field, rho0)
+
+
+@pytest.mark.parametrize("x0", [(math.nan, 0.0, 0.0), (0.1, math.inf, 0.0)])
+def test_integrate_rejects_a_start_state_that_is_not_finite(center_field, x0):
+    with pytest.raises(HopfcmError):
+        integrate(center_field, x0, (0.0, 1.0))
+
+
+@pytest.mark.parametrize("t_end", [10.0, -10.0])
+def test_stop_radius_ends_at_the_first_step_outside(t_end):
+    # u' = u, v' = -v: forward the orbit leaves radius 3 along u, backward
+    # along v
+    comps = (StatePoly({(1, 0, 0): 1.0}), StatePoly({(0, 1, 0): -1.0}), StatePoly.zero())
+    fld = VectorField3(comps, "float", ())
+    traj = integrate(fld, (1.0, 1.0, 0.0), (0.0, t_end), stop_radius=3.0)
+    radii = np.linalg.norm(traj.states, axis=1)
+    if t_end < 0:
+        radii = radii[::-1]  # run order
+    assert radii[-1] > 3.0
+    assert np.all(radii[:-1] <= 3.0)
+    assert np.max(np.abs(traj.t)) < abs(t_end)
+
+
+def test_blow_up_is_a_stiffness_failure():
+    # u' = u^2 from u = 1 is 1 / (1 - t): it leaves every bound at t = 1
+    comps = (StatePoly({(2, 0, 0): 1.0}), StatePoly.zero(), StatePoly.zero())
+    fld = VectorField3(comps, "float", ())
+    with pytest.raises(StiffnessFailure):
+        integrate(fld, (1.0, 0.0, 0.0), (0.0, 2.0))
 
 
 def _rotation_field():
@@ -218,9 +267,7 @@ def test_csv_export_three_points(tmp_path):
         np.array([0.0, 0.5, 1.0]),
         np.array([[1.0, 2.0, 3.0]] * 3),
         nfev=0,
-        status=0,
-        rtol=1e-9,
-        atol=1e-11,
+        tol=1e-9,
     )
     path = tmp_path / "t.csv"
     export_csv(traj, path)

@@ -1,7 +1,10 @@
 """Rules on the library source itself."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import hopfcm
@@ -80,3 +83,12 @@ def test_every_library_definition_is_referenced_by_name():
         if name not in used
     ]
     assert unreferenced == []
+
+
+def test_the_command_line_imports_no_scipy():
+    # a fresh interpreter: the test session itself may have loaded scipy
+    code = "import sys, hopfcm.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
