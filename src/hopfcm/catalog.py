@@ -11,12 +11,16 @@ The quadratic four-wing family and the coordinate forms derived from it:
 * ``e1-center-perturbed``  -- e1-center at d = 1 with the 18 quadratic
   perturbation coefficients as parameters.
 * ``e4m`` / ``e5m``        -- origin-translated E4-/E5- families at d = 0
-  (float backend; parameters c, h).
+  (float coefficients; parameters c, h).  One builder serves both, through
+  the sign s of c and a = |c|.
 * ``e4-normal`` / ``e5-normal`` -- their rotation normal forms, built by
   applying the eigenbasis change of coordinates and time rescaling (float).
 
-Exact-backend entries keep radical-free coefficients; the radical families
-are exposed through the float backend only.
+The exact entries keep radical-free coefficients; the radical families have
+float coefficients only.  A field's number type is that of its
+coefficients; the registry's ``"backend"`` is metadata: the ``catalog``
+command lists it, and ``build`` requires parameter values for the float
+entries.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ def _exact_field(params, rows, name):
             if coeff:
                 terms[exp] = coeff
         comps.append(StatePoly(terms))
-    return VectorField3(tuple(comps), "exact", params, name)
+    return VectorField3(tuple(comps), params=params, name=name)
 
 
 def khaled_original(values=None):
@@ -150,97 +154,76 @@ def _maybe_bind(fld, values):
 
 
 # ---------------------------------------------------------------------------
-# d = 0 radical families (float backend)
+# d = 0 radical families (float coefficients)
 
 
-def _require_e4(c, h):
-    if not (c > 0 and h > 0 and h**4 - 4 * c**2 > 0):
-        raise RegionUndefined("e4 family needs c > 0, h > 0, h^4 - 4c^2 > 0")
+def _radical_point(values, s):
+    """(c, h) of the E4 (s = 1) or E5 (s = -1) family, whose c has sign s."""
+    c, h = float(values["c"]), float(values["h"])
+    if not (s * c > 0 and h > 0 and h**4 - 4 * c**2 > 0):
+        family, order = ("e4", ">") if s > 0 else ("e5", "<")
+        raise RegionUndefined(f"{family} family needs c {order} 0, h > 0, h^4 - 4c^2 > 0")
+    return c, h
 
 
-def _require_e5(c, h):
-    if not (c < 0 and h > 0 and h**4 - 4 * c**2 > 0):
-        raise RegionUndefined("e5 family needs c < 0, h > 0, h^4 - 4c^2 > 0")
+def _radical_translated(values, s, name):
+    """E4- (s = 1) or E5- (s = -1) translated to the origin; sqrt|c| = sqrt(s c)."""
+    c, h = _radical_point(values, s)
+    sc = math.sqrt(s * c)
+    comps = (
+        StatePoly({(1, 0, 0): c, (0, 1, 0): s * h * h / 2.0,
+                   (0, 0, 1): math.sqrt(2.0) * sc / h, (0, 1, 1): 1.0}),
+        StatePoly({(1, 0, 0): s * 2.0 * c * c / (h * h), (0, 1, 0): c,
+                   (0, 0, 1): h / (math.sqrt(2.0) * sc), (1, 0, 1): -1.0}),
+        StatePoly({(1, 0, 0): math.sqrt(2.0) * sc / h,
+                   (0, 1, 0): -h / (math.sqrt(2.0) * sc), (1, 1, 0): 1.0}),
+    )
+    return VectorField3(comps, name=name)
+
+
+def _radical_normal(values, s, name):
+    """The eigenbasis change plus time rescaling of ``_radical_translated``.
+
+    With a = |c|: dd = 8 c^3 h^2 + s (h^4 - 4 c^2), and the first column
+    carries (a h^2 - 1), the factor the eigenvectors of the translated
+    linear part produce for either sign of c.
+    """
+    c, h = _radical_point(values, s)
+    a = s * c
+    root = math.sqrt(h**4 - 4 * c**2)
+    dd = 8 * c**3 * h**2 - s * 4 * c**2 + s * h**4
+    sc = math.sqrt(a)
+    m = [
+        [-2 * c * (a * h * h - 1) * root / dd,
+         -sc * h * (4 * c * c + h**4) / (math.sqrt(2.0) * dd),
+         h * h / (2 * a)],
+        [(4 * c**3 + s * h * h) * root / dd,
+         -math.sqrt(2.0) * a * sc * (4 * c * c + h**4) / (h * dd),
+         1.0],
+        [0.0, 1.0, 0.0],
+    ]
+    scale = root / (math.sqrt(2.0) * sc * h)
+    return transform(_radical_translated(values, s, name), (0.0, 0.0, 0.0), m, scale)
 
 
 def e4m(values):
     """E4- translated to the origin (d = 0, a = -c, b solved through h > 0)."""
-    c, h = float(values["c"]), float(values["h"])
-    _require_e4(c, h)
-    sc = math.sqrt(c)
-    comps = (
-        StatePoly({(1, 0, 0): c, (0, 1, 0): h * h / 2.0,
-                   (0, 0, 1): math.sqrt(2.0) * sc / h, (0, 1, 1): 1.0}),
-        StatePoly({(1, 0, 0): 2.0 * c * c / (h * h), (0, 1, 0): c,
-                   (0, 0, 1): h / (math.sqrt(2.0) * sc), (1, 0, 1): -1.0}),
-        StatePoly({(1, 0, 0): math.sqrt(2.0) * sc / h,
-                   (0, 1, 0): -h / (math.sqrt(2.0) * sc), (1, 1, 0): 1.0}),
-    )
-    return VectorField3(comps, "float", (), "e4m")
+    return _radical_translated(values, 1, "e4m")
 
 
 def e5m(values):
     """E5- translated to the origin (d = 0, a = -c, c < 0)."""
-    c, h = float(values["c"]), float(values["h"])
-    _require_e5(c, h)
-    sc = math.sqrt(-c)
-    comps = (
-        StatePoly({(1, 0, 0): c, (0, 1, 0): -h * h / 2.0,
-                   (0, 0, 1): math.sqrt(2.0) * sc / h, (0, 1, 1): 1.0}),
-        StatePoly({(1, 0, 0): -2.0 * c * c / (h * h), (0, 1, 0): c,
-                   (0, 0, 1): h / (math.sqrt(2.0) * sc), (1, 0, 1): -1.0}),
-        StatePoly({(1, 0, 0): math.sqrt(2.0) * sc / h,
-                   (0, 1, 0): -h / (math.sqrt(2.0) * sc), (1, 1, 0): 1.0}),
-    )
-    return VectorField3(comps, "float", (), "e5m")
+    return _radical_translated(values, -1, "e5m")
 
 
 def e4_normal(values):
     """Rotation normal form at E4-: eigenbasis change plus time rescaling."""
-    c, h = float(values["c"]), float(values["h"])
-    _require_e4(c, h)
-    fld = e4m(values)
-    root = math.sqrt(h**4 - 4 * c**2)
-    dd = 8 * c**3 * h**2 - 4 * c**2 + h**4
-    sc = math.sqrt(c)
-    m = [
-        [-2 * c * (c * h * h - 1) * root / dd,
-         -sc * h * (4 * c * c + h**4) / (math.sqrt(2.0) * dd),
-         h * h / (2 * c)],
-        [(4 * c**3 + h * h) * root / dd,
-         -math.sqrt(2.0) * c * sc * (4 * c * c + h**4) / (h * dd),
-         1.0],
-        [0.0, 1.0, 0.0],
-    ]
-    scale = root / (math.sqrt(2.0) * sc * h)
-    out = transform(fld, (0.0, 0.0, 0.0), m, scale)
-    out.name = "e4-normal"
-    return out
+    return _radical_normal(values, 1, "e4-normal")
 
 
 def e5_normal(values):
     """Rotation normal form at E5-."""
-    c, h = float(values["c"]), float(values["h"])
-    _require_e5(c, h)
-    fld = e5m(values)
-    root = math.sqrt(h**4 - 4 * c**2)
-    dd = 8 * c**3 * h**2 + 4 * c**2 - h**4
-    sc = math.sqrt(-c)
-    # first column carries (c h^2 + 1): that is the factor the eigenvectors
-    # of the translated linear part actually produce for c < 0
-    m = [
-        [2 * c * (c * h * h + 1) * root / dd,
-         -sc * h * (4 * c * c + h**4) / (math.sqrt(2.0) * dd),
-         -h * h / (2 * c)],
-        [(4 * c**3 - h * h) * root / dd,
-         -math.sqrt(2.0) * (-c) * sc * (4 * c * c + h**4) / (h * dd),
-         1.0],
-        [0.0, 1.0, 0.0],
-    ]
-    scale = root / (math.sqrt(2.0) * sc * h)
-    out = transform(fld, (0.0, 0.0, 0.0), m, scale)
-    out.name = "e5-normal"
-    return out
+    return _radical_normal(values, -1, "e5-normal")
 
 
 # ---------------------------------------------------------------------------

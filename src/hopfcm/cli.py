@@ -19,7 +19,7 @@ from .errors import FocusObstruction, HopfcmError, SchemaError
 from .focusq import report_for_field
 from .grammar import eval_exact, parse_expression
 from .normalform import to_normal_form
-from .paramfield import GaussExpr, Jet, ParamExpr
+from .paramfield import GaussExpr, Jet, ParamExpr, scalar_ring
 from .period import isochronicity_constants
 from .polysys import char_cubic, hopf_test, parse_system
 from .verify import CLAIMS, run_claim, teo4_bound, teo5_bound, teo5_jets
@@ -112,8 +112,7 @@ def _load_system(name_or_path, params):
 
 def _parse_point(spec, fld, params):
     if spec is None:
-        zero = fld._zero()
-        return (zero, zero, zero)
+        return (fld.zero,) * 3
     if spec.startswith("E"):
         pts = dict(catalog.equilibria_catalog(params))
         if spec not in pts:
@@ -122,8 +121,6 @@ def _parse_point(spec, fld, params):
     vals = _numbers(spec)
     if len(vals) != 3:
         raise HopfcmError("point must be E<k> or three comma-separated values")
-    if fld.backend == "float":
-        return tuple(float(v) for v in vals)
     return tuple(vals)
 
 
@@ -177,7 +174,7 @@ def _cmd_normalize(args):
             and all(isinstance(row, list) and len(row) == 3 for row in rows)
         ):
             raise SchemaError(f"matrix in {args.transform} must be a 3x3 list of lists")
-        if fld.backend == "float":
+        if not scalar_ring(fld.zero).exact:
             matrix = [[float(_exact_number(str(v))) for v in row] for row in rows]
             if doc.get("time_scale") is not None:
                 time_scale = float(_exact_number(str(doc["time_scale"])))
@@ -210,7 +207,7 @@ def _cmd_focus(args):
         if args.jet_degree < 1:
             raise HopfcmError(f"--jet-degree must be at least 1, got {args.jet_degree}")
         fld = _load_system(args.system, None)
-        if fld.backend == "float":
+        if not scalar_ring(fld.zero).exact:
             raise HopfcmError("jet expansions need an exact-backend system")
         small = tuple(s.strip() for s in args.small.split(",")) if args.small else fld.params
         report = jet_focus_report(fld, params, small, args.jet_degree, args.order)
@@ -233,8 +230,7 @@ def _cmd_focus(args):
 def _cmd_period(args):
     params = _parse_params(args.params)
     fld = _load_system(args.system, params)
-    zero = fld._zero()
-    nf = to_normal_form(fld, (zero, zero, zero))
+    nf = to_normal_form(fld, (fld.zero,) * 3)
     try:
         pe = isochronicity_constants(nf, args.order)
     except FocusObstruction as exc:
@@ -287,9 +283,7 @@ def _cmd_cyclicity(args):
 
 def _cmd_simulate(args):
     params = _parse_params(args.params)
-    fld = _load_system(args.system, params)
-    if fld.backend != "float":
-        fld = fld.to_float()
+    fld = _load_system(args.system, params).to_float()
     x0 = tuple(float(v) for v in _numbers(args.x0))
     if len(x0) != 3:
         raise HopfcmError("--x0 must be three comma-separated values")
@@ -306,9 +300,7 @@ def _cmd_simulate(args):
 
 def _cmd_displacement(args):
     params = _parse_params(args.params)
-    fld = _load_system(args.system, params)
-    if fld.backend != "float":
-        fld = fld.to_float()
+    fld = _load_system(args.system, params).to_float()
     grid = [float(v) for v in _numbers(args.rho0_grid)]
     samples = []
     for rho0 in grid:

@@ -132,7 +132,7 @@ def jet_focus_report(fld, point, small, degree, n, trace_param=None):
         comps = list(jf.components)
         comps[0] = comps[0] - StatePoly({(1, 0, 0): sigma})
         comps[1] = comps[1] - StatePoly({(0, 1, 0): sigma})
-        jf = VectorField3(tuple(comps), "exact", (), jf.name)
+        jf = VectorField3(tuple(comps), name=jf.name)
     nf = to_normal_form(jf, (zero, zero, zero))
     cs = complexify(nf.canonical())
     if sigma is not None:

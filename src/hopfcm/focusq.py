@@ -50,7 +50,6 @@ class ComplexSystem:
     b: dict
     c: dict
     lam: object
-    backend: str
     sigma: object = None
 
 
@@ -60,7 +59,9 @@ class FocusReport:
 
     The quantities are reported in the convention where the derivative of
     Psi along the field is sum_j L_{j-1} (x y)^j with x y = u^2 + v^2, and
-    the series normalization d_kk0 = 0.
+    the series normalization d_kk0 = 0.  ``backend`` labels the number type
+    the recursion ran in, "exact" or "float", as read off the transverse
+    eigenvalue.
     """
 
     quantities: list
@@ -89,9 +90,7 @@ def complexify(nf: NormalForm3) -> ComplexSystem:
     X1 = P_iQ.compose(subs)
     X2 = P_iQ.map_coeffs(ring.conj).compose(subs)
     X3 = nf.R.map_coeffs(ring.lift).compose(subs)
-    cs = ComplexSystem(
-        dict(X1.terms), dict(X2.terms), dict(X3.terms), nf.lam, nf.field.backend
-    )
+    cs = ComplexSystem(dict(X1.terms), dict(X2.terms), dict(X3.terms), nf.lam)
     _check_reality(cs)
     return cs
 
@@ -124,7 +123,7 @@ class PsiSeries:
 def focus_quantities(cs: ComplexSystem, n: int) -> FocusReport:
     """First n focus quantities through monomial degree 2n + 2."""
     quantities, _ = _psi_recursion(cs, n)
-    return FocusReport(quantities, cs.backend)
+    return FocusReport(quantities, "exact" if scalar_ring(cs.lam).exact else "float")
 
 
 def psi_series(cs: ComplexSystem, n: int) -> PsiSeries:
@@ -250,8 +249,7 @@ def report_for_field(
 ) -> FocusReport:
     """Normal form -> canonical frame -> complexify -> focus quantities."""
     if equilibrium is None:
-        zero = fld._zero()
-        equilibrium = (zero, zero, zero)
+        equilibrium = (fld.zero,) * 3
     nf = to_normal_form(fld, equilibrium, matrix=matrix, time_scale=time_scale)
     cs = complexify(nf.canonical())
     return focus_quantities(cs, n)

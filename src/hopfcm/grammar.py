@@ -1,14 +1,17 @@
 """Coefficient expression grammar for system-definition documents.
 
 Accepted: integers, parameter identifiers, ``+ - * / ^`` with nonnegative
-integer exponents, parentheses, and ``sqrt(...)`` under the float backend
-only.  Parsed strings evaluate either into the exact fraction field or into
-machine floats at a full parameter assignment.
+integer exponents, parentheses, and ``sqrt(...)`` of a float.  One
+evaluator, ``evaluate``, runs a parsed string in any number type: the
+caller supplies the parameter values and the conversion of integer
+literals.  ``eval_exact`` uses it for the exact fraction field over the
+parameters, ``eval_float`` for machine floats at a full assignment.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 
@@ -140,63 +143,49 @@ def ast_params(node, acc=None):
     return acc
 
 
-def eval_exact(node, params) -> ParamExpr | Fraction:
-    """Evaluate an AST into the exact fraction field over ``params``; a
-    Fraction when ``params`` is empty."""
+_OPERATORS = {
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
+    "div": operator.truediv,
+    "neg": operator.neg,
+}
+
+
+def evaluate(node, scope, literal):
+    """Evaluate an AST: ``scope`` maps each parameter name to its value and
+    ``literal`` converts the Fraction of an integer literal.  ``sqrt`` takes
+    only a float argument, so it is refused in exact arithmetic."""
     kind = node[0]
     if kind == "num":
-        return ParamExpr.const(params, node[1]) if params else node[1]
+        return literal(node[1])
     if kind == "var":
-        if node[1] not in params:
+        if node[1] not in scope:
             raise SchemaError(f"unknown parameter {node[1]!r}")
-        return ParamExpr.var(params, node[1])
-    if kind == "add":
-        return eval_exact(node[1], params) + eval_exact(node[2], params)
-    if kind == "sub":
-        return eval_exact(node[1], params) - eval_exact(node[2], params)
-    if kind == "mul":
-        return eval_exact(node[1], params) * eval_exact(node[2], params)
-    if kind == "div":
-        den = eval_exact(node[2], params)
-        if den == 0:
-            raise SchemaError("division by zero in coefficient expression")
-        return eval_exact(node[1], params) / den
-    if kind == "neg":
-        return -eval_exact(node[1], params)
+        return scope[node[1]]
     if kind == "pow":
-        return eval_exact(node[1], params) ** node[2]
+        return evaluate(node[1], scope, literal) ** node[2]
+    if kind != "sqrt" and kind not in _OPERATORS:
+        raise SchemaError(f"bad AST node {kind!r}")
+    args = [evaluate(arg, scope, literal) for arg in node[1:]]
     if kind == "sqrt":
-        raise SchemaError("sqrt(...) requires the float backend")
-    raise SchemaError(f"bad AST node {kind!r}")
+        if not isinstance(args[0], float):
+            raise SchemaError("sqrt(...) requires the float backend")
+        if args[0] < 0:
+            raise SchemaError("sqrt of a negative value in coefficient")
+        return math.sqrt(args[0])
+    if kind == "div" and not args[1]:
+        raise SchemaError("division by zero in coefficient expression")
+    return _OPERATORS[kind](*args)
+
+
+def eval_exact(node, params) -> ParamExpr | Fraction:
+    """``node`` in the exact fraction field over ``params``; a Fraction when
+    ``params`` is empty."""
+    scope = {p: ParamExpr.var(params, p) for p in params}
+    return evaluate(node, scope, lambda q: ParamExpr.const(params, q) if params else q)
 
 
 def eval_float(node, values) -> float:
-    """Evaluate an AST to a float at a full parameter assignment."""
-    kind = node[0]
-    if kind == "num":
-        return float(node[1])
-    if kind == "var":
-        if node[1] not in values:
-            raise SchemaError(f"parameter {node[1]!r} has no assigned value")
-        return float(values[node[1]])
-    if kind == "add":
-        return eval_float(node[1], values) + eval_float(node[2], values)
-    if kind == "sub":
-        return eval_float(node[1], values) - eval_float(node[2], values)
-    if kind == "mul":
-        return eval_float(node[1], values) * eval_float(node[2], values)
-    if kind == "div":
-        den = eval_float(node[2], values)
-        if den == 0.0:
-            raise SchemaError("division by zero in coefficient expression")
-        return eval_float(node[1], values) / den
-    if kind == "neg":
-        return -eval_float(node[1], values)
-    if kind == "pow":
-        return eval_float(node[1], values) ** node[2]
-    if kind == "sqrt":
-        arg = eval_float(node[1], values)
-        if arg < 0:
-            raise SchemaError("sqrt of a negative value in coefficient")
-        return math.sqrt(arg)
-    raise SchemaError(f"bad AST node {kind!r}")
+    """``node`` as a float at a full parameter assignment."""
+    return evaluate(node, {k: float(v) for k, v in values.items()}, float)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import BadTransform, NotHopf
+from .paramfield import scalar_ring
 from .polysys import (
     StatePoly,
     VectorField3,
@@ -58,7 +59,7 @@ class NormalForm3:
             _swap_uv(comps[0]),
             _swap_uv(comps[2]),
         )
-        fld = VectorField3(swapped, self.field.backend, self.field.params, self.field.name)
+        fld = VectorField3(swapped, params=self.field.params, name=self.field.name)
         return replace(self, field=fld, orientation=1, swapped=not self.swapped)
 
 
@@ -100,11 +101,12 @@ def to_normal_form(
     """Translate the equilibrium to the origin, apply the linear change of
     coordinates and a time rescaling, and validate the resulting shape.
 
-    Exact backend: ``matrix`` entries must lie in the parameter field, and
-    the rescaled rotation entries must be exactly +/-1.  When ``time_scale``
-    is omitted it is |s| for the rotation entry s, which must then be a
-    known constant; time is never reversed.  Float backend with no matrix:
-    an eigenbasis is computed numerically.
+    Exact coefficients: ``matrix`` entries must lie in the parameter field,
+    and the rescaled rotation entries must be exactly +/-1.  When
+    ``time_scale`` is omitted it is |s| for the rotation entry s, which must
+    then be a known constant; time is never reversed.  Float coefficients
+    (see ``VectorField3.zero``) with no matrix: an eigenbasis is computed
+    numerically.
     """
     res = fld.evaluate(equilibrium)
     for v in res:
@@ -115,8 +117,9 @@ def to_normal_form(
     if report.is_hopf is False:
         raise NotHopf(f"eigenvalue conditions fail: {report.conditions!r}")
 
+    exact = scalar_ring(fld.zero).exact
     if matrix is None:
-        if fld.backend == "float":
+        if not exact:
             matrix = _float_eigenbasis(jac)
         else:
             one = fld.components[0].evaluate_or(equilibrium, Fraction(0)) ** 0
@@ -140,7 +143,7 @@ def to_normal_form(
         time_scale = abs(value)
 
     final = transform(fld, shift, matrix, time_scale)
-    if fld.backend == "float":
+    if not exact:
         final = replace(
             final, components=tuple(c.chop(tol * 1e-3) for c in final.components)
         )

@@ -16,9 +16,10 @@ The coefficient tower used by the symbolic half of the package:
   contents pulled out at every level and their gcd put back.  A candidate is
   accepted only if it divides both operands exactly over Z, so the result is
   certified.  After six values of xi, or once xi outgrows 2^17 bits (many
-  variables), the primitive Euclidean PRS takes over.
-  Quotients (``exact_div`` and the check) come from one sparse division over
-  integer dicts.
+  variables), the primitive Euclidean PRS takes over.  It returns the
+  cofactors with the gcd: the heuristic's check has computed them already,
+  and after the PRS ``exact_div`` does.  Quotients (``exact_div`` and the
+  check) come from one sparse division over integer dicts.
 * ``GaussExpr``         -- the Gaussian extension ``re + i*im`` of any of the
   real scalar types here, used for complexified vector fields.
 * ``FloatRing`` / ``GaussRing`` -- the complex scalar ring of the float and the
@@ -429,12 +430,23 @@ def _xi_adic(h: dict, i: int, xi: int) -> dict:
     return out
 
 
+def _times(p: dict, k: int) -> dict:
+    """k p for an integer k; p itself when k is 1."""
+    return p if k == 1 else {e: c * k for e, c in p.items()}
+
+
 def _heu_gcd(f: dict, g: dict):
-    """gcd over Z of nonzero integer polynomials, up to sign; None when
-    every evaluation point tried fails, when a recursive call fails or when
-    xi outgrows ``_HEU_MAX_BITS``."""
+    """(h, f/h, g/h) for h the gcd over Z of nonzero integer polynomials,
+    up to sign; None when every evaluation point tried fails, when a
+    recursive call fails or when xi outgrows ``_HEU_MAX_BITS``.  The
+    cofactors are the quotients of the divisibility check that accepts h."""
     cf, cg = _int_content(f), _int_content(g)
     content = math.gcd(cf, cg)
+    if cf != 1:
+        f = {e: c // cf for e, c in f.items()}
+    if cg != 1:
+        g = {e: c // cg for e, c in g.items()}
+    kf, kg = cf // content, cg // content
     arity = len(next(iter(f)))
     main = next(
         (i for i in range(arity) if any(e[i] for e in f) or any(e[i] for e in g)),
@@ -442,11 +454,7 @@ def _heu_gcd(f: dict, g: dict):
     )
     one = (0,) * arity
     if main is None or len(f) == 1 and one in f or len(g) == 1 and one in g:
-        return {one: content}
-    if cf != 1:
-        f = {e: c // cf for e, c in f.items()}
-    if cg != 1:
-        g = {e: c // cg for e, c in g.items()}
+        return {one: content}, _times(f, kf), _times(g, kg)
     xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
     for _ in range(_HEU_TRIES):
         if xi.bit_length() > _HEU_MAX_BITS:
@@ -456,31 +464,44 @@ def _heu_gcd(f: dict, g: dict):
             h = _heu_gcd(ff, gg)
             if h is None:
                 return None
-            cand = _xi_adic(h, main, xi)
+            cand = _xi_adic(h[0], main, xi)
             cc = _int_content(cand)
             if len(cand) == 1 and one in cand:
-                return {one: content}
+                return {one: content}, _times(f, kf), _times(g, kg)
             cand = {e: c // cc for e, c in cand.items()}
-            if _div_int(f, cand) is not None and _div_int(g, cand) is not None:
-                return {e: c * content for e, c in cand.items()}
+            qf = _div_int(f, cand)
+            qg = None if qf is None else _div_int(g, cand)
+            if qg is not None:
+                return _times(cand, content), _times(qf, kf), _times(qg, kg)
         xi = xi * 73794 // 27011  # grow by about 2.73
     return None
 
 
-def poly_gcd(a: ParamPoly, b: ParamPoly) -> ParamPoly:
-    """gcd in Q[params], normalized integer-primitive with positive lead."""
+def poly_gcd(a: ParamPoly, b: ParamPoly):
+    """(g, a/g, b/g) for g the gcd in Q[params], normalized
+    integer-primitive with positive lead; a and b themselves when g is 1."""
     if a.is_zero():
-        return _primitive_positive(b) if not b.is_zero() else b
-    if b.is_zero():
-        return _primitive_positive(a)
-    if a.is_constant() or b.is_constant():
-        return ParamPoly.const(a.params, 1)
-    g = _heu_gcd(_integer_terms(a)[1], _integer_terms(b)[1])
-    if g is None:
-        return _prs_gcd(a, b)
-    if g[max(g, key=_grlex_key)] < 0:
-        g = {e: -c for e, c in g.items()}
-    return _from_integer_terms(a.params, g)
+        g = _primitive_positive(b) if not b.is_zero() else b
+    elif b.is_zero():
+        g = _primitive_positive(a)
+    elif a.is_constant() or b.is_constant():
+        return ParamPoly.const(a.params, 1), a, b
+    else:
+        (ca, pa), (cb, pb) = _integer_terms(a), _integer_terms(b)
+        heu = _heu_gcd(pa, pb)
+        if heu is None:
+            g = _prs_gcd(a, b)
+        else:
+            h, qa, qb = heu
+            if h[max(h, key=_grlex_key)] < 0:
+                h, qa, qb = ({e: -c for e, c in p.items()} for p in heu)
+            g = _from_integer_terms(a.params, h)
+            if not g.is_constant():
+                qa = _from_integer_terms(a.params, qa, ca)
+                return g, qa, _from_integer_terms(a.params, qb, cb)
+    if g.is_constant():
+        return g, a, b
+    return g, exact_div(a, g), exact_div(b, g)
 
 
 # The primitive Euclidean PRS: the fallback once GCDHEU has tried all its
@@ -535,7 +556,8 @@ def _primitive_positive(poly: ParamPoly) -> ParamPoly:
 
 
 def _prs_gcd(a: ParamPoly, b: ParamPoly) -> ParamPoly:
-    """``poly_gcd`` by content / primitive-part recursion."""
+    """The gcd of ``poly_gcd``, without cofactors, by content /
+    primitive-part recursion."""
     if a.is_zero():
         return _primitive_positive(b) if not b.is_zero() else b
     if b.is_zero():
@@ -575,14 +597,6 @@ def _unit_den(num: ParamPoly, den: ParamPoly):
     return _scale(num, 1 / c), _scale(den, 1 / c)
 
 
-def _split(a: ParamPoly, b: ParamPoly):
-    """(g, a/g, b/g) for g = poly_gcd(a, b)."""
-    g = poly_gcd(a, b)
-    if g.is_constant():
-        return g, a, b
-    return g, exact_div(a, g), exact_div(b, g)
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -609,7 +623,7 @@ class ParamExpr:
     def _normalize(num, den):
         if num.is_zero():
             return num, ParamPoly.const(num.params, 1)
-        _, num, den = _split(num, den)
+        _, num, den = poly_gcd(num, den)
         return _unit_den(num, den)
 
     @classmethod
@@ -696,8 +710,8 @@ class ParamExpr:
             return ParamExpr(a + c * b, b, _normalized=True)
         # a/b + c/d = t / (b' d' g) with b = g b', d = g d', t = a d' + c b';
         # t is prime to b' and d', so only gcd(t, g) cancels
-        g, b, d = _split(b, d)
-        _, t, g = _split(a * d + c * b, g)
+        g, b, d = poly_gcd(b, d)
+        _, t, g = poly_gcd(a * d + c * b, g)
         return ParamExpr._coprime(t, b * d * g)
 
     __radd__ = __add__
@@ -723,8 +737,8 @@ class ParamExpr:
         if self.is_constant():
             return other._scaled(self.constant_value())
         # (a/b)(c/d): only gcd(a, d) and gcd(c, b) can cancel
-        _, a, d = _split(self.num, other.den)
-        _, c, b = _split(other.num, self.den)
+        _, a, d = poly_gcd(self.num, other.den)
+        _, c, b = poly_gcd(other.num, self.den)
         return ParamExpr._coprime(a * c, b * d)
 
     __rmul__ = __mul__
@@ -740,8 +754,8 @@ class ParamExpr:
         if not self:
             return self
         # (a/b)/(c/d): only gcd(a, c) and gcd(d, b) can cancel
-        _, a, c = _split(self.num, other.num)
-        _, d, b = _split(other.den, self.den)
+        _, a, c = poly_gcd(self.num, other.num)
+        _, d, b = poly_gcd(other.den, self.den)
         return ParamExpr._coprime(a * d, b * c)
 
     def __rtruediv__(self, other):

@@ -3,14 +3,15 @@
 Evaluation, Jacobians, characteristic cubics and the Hopf eigenvalue test,
 closed-form and Newton equilibria, existence regions, and affine/linear
 changes of coordinates with time rescaling.  Coefficients are either exact
-field elements (``ParamExpr``/``Rational``/``Jet``) or machine scalars; the
-algorithms are generic over the scalar type.
+field elements (``ParamExpr``/``Fraction``/``Jet``) or machine floats; the
+algorithms are generic over the scalar type, which the coefficients declare
+themselves (``VectorField3.zero``).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
@@ -182,39 +183,41 @@ class StatePoly:
 
 @dataclass
 class VectorField3:
-    """Three StatePolys sharing a backend tag and declared parameter tuple."""
+    """Three StatePolys and the declared parameter tuple; the number type is
+    that of the coefficients."""
 
     components: tuple
-    backend: str  # "exact" | "float"
+    _: KW_ONLY
     params: tuple = ()
     name: Optional[str] = None
 
     def evaluate(self, point):
-        if self.backend == "float":
-            u, v, w = point
-            return tuple(
-                sum([c * u**i * v**j * w**k for c, (i, j, k) in comp], 0.0)
-                for comp in self.monomials
-            )
-        return tuple(c.evaluate_or(point, Fraction(0)) for c in self.components)
+        return tuple(c.evaluate_or(point, self.zero) for c in self.components)
+
+    @cached_property
+    def zero(self):
+        """The zero of the coefficients' number type: 0.0 when any
+        coefficient is a float, else the zero ``ParamExpr`` of ``params``
+        when parameters are free, else ``Fraction(0)``.  Built on first use
+        and kept: components are not modified after construction."""
+        if any(isinstance(c, float) for comp in self.components for c in comp.terms.values()):
+            return 0.0
+        if self.params:
+            return ParamExpr.zero(self.params)
+        return Fraction(0)
 
     @cached_property
     def monomials(self):
-        """Per component, the (coefficient, exponents) pairs of a float field.
-
-        Built on first use and kept: components are not modified after
-        construction.  It serves ``evaluate`` and the Taylor kernel of
-        ``simulate``.
-        """
+        """Per component, the (float coefficient, exponents) pairs of the
+        Taylor kernel of ``simulate``; built on first use and kept."""
         return tuple(
             tuple((float(c), e) for e, c in comp.terms.items())
             for comp in self.components
         )
 
     def jacobian_at(self, point):
-        zero = 0.0 if self.backend == "float" else Fraction(0)
         return [
-            [self.components[i].diff(j).evaluate_or(point, zero) for j in range(3)]
+            [self.components[i].diff(j).evaluate_or(point, self.zero) for j in range(3)]
             for i in range(3)
         ]
 
@@ -225,17 +228,9 @@ class VectorField3:
             row = []
             for j in range(3):
                 e = tuple(1 if i == j else 0 for i in range(3))
-                c = comp.terms.get(e)
-                row.append(c if c is not None else self._zero())
+                row.append(comp.terms.get(e, self.zero))
             rows.append(row)
         return rows
-
-    def _zero(self):
-        if self.backend == "float":
-            return 0.0
-        if self.params:
-            return ParamExpr.zero(self.params)
-        return Fraction(0)
 
     def substitute_params(self, mapping):
         """Bind some or all parameters by evaluating every coefficient once.
@@ -259,7 +254,7 @@ class VectorField3:
             c.map_coeffs(lambda q: q.evaluate(scope) if isinstance(q, ParamExpr) else q)
             for c in self.components
         )
-        return VectorField3(comps, self.backend, ring, self.name)
+        return VectorField3(comps, params=ring, name=self.name)
 
     def _check_known(self, names):
         unknown = set(names) - set(self.params)
@@ -277,7 +272,7 @@ class VectorField3:
                 f"parameter(s) {list(self.params)} are free; a float field needs values"
             )
         comps = tuple(c.map_coeffs(float) for c in self.components)
-        return VectorField3(comps, "float", (), self.name)
+        return VectorField3(comps, name=self.name)
 
 
 @dataclass
@@ -514,7 +509,7 @@ def transform(fld: VectorField3, shift, linear, time_scale) -> VectorField3:
             acc = part if acc is None else acc + part
         acc = StatePoly.zero() if acc is None else acc
         new_comps.append(acc.scale(inv_scale))
-    return VectorField3(tuple(new_comps), fld.backend, fld.params, fld.name)
+    return VectorField3(tuple(new_comps), params=fld.params, name=fld.name)
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +585,7 @@ def parse_system(document) -> VectorField3:
                 terms[e] = coeff
         comps.append(StatePoly(terms))
     params = () if backend == "float" else param_names
-    fld = VectorField3(tuple(comps), backend, params, document.get("name"))
+    fld = VectorField3(tuple(comps), params=params, name=document.get("name"))
     if backend == "float" or not values:
         return fld
     try:

@@ -32,6 +32,18 @@ from .polysys import StatePoly, char_cubic, hopf_test
 
 F = Fraction
 
+# sample sizes, seeds and tolerances of the claims
+HOPF_SAMPLES = 200
+HOPF_SEED = 20240901
+L1_POINTS = 50
+L1_SCALE_POINTS = 20
+L1_SEED = 71
+FOCI_REL_TOL = 1e-6
+PERIOD_FIT_TOL = 0.05
+TEO5_LINEAR_ORDER = 9
+CROSSCHECK_REL_TOL = 0.10
+DRIFT_TOL = 1e-8
+
 
 def _sample_rationals(rng, lo, hi, den):
     return F(rng.randint(lo, hi), rng.randint(1, den))
@@ -41,13 +53,13 @@ def _sample_rationals(rng, lo, hi, den):
 # claim 1: Hopf characterization at E1
 
 
-def claim_teo1_hopf(samples=200, seed=20240901):
+def claim_teo1_hopf():
     """hopf_test is true exactly on {a=c, (1+cd)(1-bd)-c^2d^2 > 0}, with
     eigenvalues +/-(k/d)i and -d under the k-reparametrization."""
-    rng = random.Random(seed)
+    rng = random.Random(HOPF_SEED)
     fld = catalog.khaled_original()
     mismatches = []
-    for i in range(samples):
+    for i in range(HOPF_SAMPLES):
         b = _sample_rationals(rng, -6, 6, 4)
         c = _sample_rationals(rng, -6, 6, 4)
         d = _sample_rationals(rng, -6, 6, 4)
@@ -81,7 +93,7 @@ def claim_teo1_hopf(samples=200, seed=20240901):
     return {
         "claim": "teo1-hopf",
         "passed": passed,
-        "samples": samples,
+        "samples": HOPF_SAMPLES,
         "mismatches": mismatches[:5],
         "eigen_failures": eigen_fail[:5],
     }
@@ -119,10 +131,10 @@ def _clearing_e1(c, d, k):
     return 4 * k * (c * c * d * d + k * k) * (d**4 + 4 * k * k)
 
 
-def claim_teo1_l1(points=50, scale_points=20, seed=71):
+def claim_teo1_l1():
     """Zero set, signs (orientation-preserving domain d > 0), and a constant
     unit scale after the recorded denominator clearing."""
-    rng = random.Random(seed)
+    rng = random.Random(L1_SEED)
     fld = catalog.e1_normal()
 
     def computed(c, d, k):
@@ -146,7 +158,7 @@ def claim_teo1_l1(points=50, scale_points=20, seed=71):
     checked = 0
     # include on-zero-set points: c = 0, k = 1 makes the quantity vanish
     special = [(F(0), F(m, 2), F(1)) for m in (1, 2, 3, 5)]
-    while checked < points:
+    while checked < L1_POINTS:
         if checked < len(special):
             c, d, k = special[checked]
         else:
@@ -159,14 +171,14 @@ def claim_teo1_l1(points=50, scale_points=20, seed=71):
             sign_fail.append((c, d, k))
         checked += 1
     # global identity, both signs of d
-    for _ in range(points):
+    for _ in range(L1_POINTS):
         c, d, k = sample(positive_d=False)
         raw = computed(c, d, k)
         if raw * _clearing_e1(c, d, k) != _printed_L1(c, d, k) * d**3:
             identity_fail.append((c, d, k))
     scales = set()
     n_scales = 0
-    while n_scales < scale_points:
+    while n_scales < L1_SCALE_POINTS:
         c, d, k = sample(positive_d=True)
         printed = _printed_L1(c, d, k)
         if printed == 0:
@@ -201,7 +213,7 @@ def _clearing_e45(c, h):
     return math.sqrt(2) / 4 * W**3 * (lam2 + 1) ** 2 * (lam2 + 4)
 
 
-def claim_teo2_foci(rel_tol=1e-6):
+def claim_teo2_foci():
     """Published closed forms for the first quantity at both focus families."""
     rows = []
     ok = True
@@ -210,14 +222,14 @@ def claim_teo2_foci(rel_tol=1e-6):
         printed = -h * c**3.5 * math.sqrt(h**4 - 4 * c * c) * (h**4 + 4 * c * c) ** 2
         scaled = raw * _clearing_e45(c, h)
         rel = abs(scaled - printed) / abs(printed)
-        ok = ok and raw < 0 and rel <= rel_tol
+        ok = ok and raw < 0 and rel <= FOCI_REL_TOL
         rows.append({"family": "e4", "c": c, "h": h, "raw": raw, "printed": printed, "rel": rel})
     for (c, h) in ((-0.25, 2.0), (-1.0, 2.0), (-3.0, 5.0)):
         raw = report_for_field(catalog.e5_normal({"c": c, "h": h}), 1).quantities[0]
         printed = h * (-c) ** 3.5 * math.sqrt(h**4 - 4 * c * c) * (h**4 + 4 * c * c) ** 2
         scaled = raw * _clearing_e45(c, h)
         rel = abs(scaled - printed) / abs(printed)
-        ok = ok and raw > 0 and rel <= rel_tol
+        ok = ok and raw > 0 and rel <= FOCI_REL_TOL
         rows.append({"family": "e5", "c": c, "h": h, "raw": raw, "printed": printed, "rel": rel})
     return {
         "claim": "teo2-foci",
@@ -231,7 +243,7 @@ def claim_teo2_foci(rel_tol=1e-6):
 # claim 5: isochronicity
 
 
-def claim_teo1_isochronous(fit_tol=0.05):
+def claim_teo1_isochronous():
     """T_2 = 0 and |T_4| = d^4/(8(d^4+4)) exactly; the numeric period fit at
     d = 1 reproduces |T_4| = 1/40 within tolerance (extended precision).
 
@@ -256,7 +268,7 @@ def claim_teo1_isochronous(fit_tol=0.05):
             fld, rho0, settle_time=35.0, turns=6, precision="extended"
         )
         fits.append((T / (2 * math.pi) - 1) / rho0**4)
-    fit_ok = all(abs(abs(f) - 0.025) <= fit_tol * 0.025 for f in fits)
+    fit_ok = all(abs(abs(f) - 0.025) <= PERIOD_FIT_TOL * 0.025 for f in fits)
     sign_consistent = all((f > 0) == (float(t4.evaluate({"d": 1.0})) > 0) for f in fits)
     return {
         "claim": "teo1-isochronous",
@@ -398,12 +410,12 @@ def teo5_bound(quantities):
     return line_analysis(quantities, catalog.PERTURBATION_PARAMS, TEO5_PIVOTS, ETA_LINE)
 
 
-def claim_teo5_cyclicity(n_linear=9):
+def claim_teo5_cyclicity():
     """Rank-3 linear parts proportional to the published ones, the exact
     h_4 / h_5 behavior on the published line, and the bound 5."""
     params = catalog.PERTURBATION_PARAMS
     fld = catalog.e1_center_perturbed()
-    rep1 = jet_focus_report(fld, {}, params, 1, n_linear)
+    rep1 = jet_focus_report(fld, {}, params, 1, TEO5_LINEAR_ORDER)
     jac_all = jacobian_rank(rep1.quantities, params)
     jac3 = jacobian_rank(rep1.quantities[:3], params)
     names = rep1.quantities[0].ctx.names
@@ -466,7 +478,7 @@ def claim_teo5_cyclicity(n_linear=9):
 # claim 8: displacement cross-validation
 
 
-def claim_lyapunov_crosscheck(rel_tol=0.10):
+def claim_lyapunov_crosscheck():
     """dbar(rho0)/rho0^3 against pi L_1 on the focus family; sign check on
     the unperturbed family off the center."""
     f4 = catalog.e4_normal({"c": 0.25, "h": 2.0})
@@ -478,7 +490,7 @@ def claim_lyapunov_crosscheck(rel_tol=0.10):
         s = simulate.displacement(f4, rho0)
         ratio = s.dbar / rho0**3
         rel = abs(ratio - target) / abs(target)
-        ok = ok and rel <= rel_tol and (ratio < 0) == (target < 0)
+        ok = ok and rel <= CROSSCHECK_REL_TOL and (ratio < 0) == (target < 0)
         rows.append({"rho0": rho0, "dbar": s.dbar, "ratio": ratio, "pi_L1": target, "rel": rel})
 
     f1 = catalog.e1_normal({"c": F(1, 10), "d": 1, "k": 1}).to_float()
@@ -511,7 +523,7 @@ FIG_PHASE_ICS = [
 FIG_SERIES_IC = (0.5, -0.75, 0.1)
 
 
-def claim_conservation(out_dir=None, drift_tol=1e-8):
+def claim_conservation(out_dir=None):
     """u^2 + v^2 conservation at tol 1e-10 over t in [0, 100], plus the
     CSV/plot-script artifacts for the reference initial conditions."""
     import numpy as np
@@ -539,7 +551,7 @@ def claim_conservation(out_dir=None, drift_tol=1e-8):
     exists = all(os.path.exists(a) for a in artifacts)
     return {
         "claim": "conservation",
-        "passed": bool(drift <= drift_tol and exists),
+        "passed": bool(drift <= DRIFT_TOL and exists),
         "drift": drift,
         "artifacts": artifacts,
         "out_dir": out_dir,

@@ -41,7 +41,7 @@ def teo5_result():
 
 
 def test_criterion_1_hopf_characterization():
-    res = verify.claim_teo1_hopf(samples=200)
+    res = verify.claim_teo1_hopf()
     _report(1, res["passed"], "Hopf iff a=c and (1+cd)(1-bd)-c^2d^2>0; "
                               "eigenvalues +/-(k/d)i, -d under the k-form")
     assert res["passed"], res
@@ -54,21 +54,21 @@ def test_criterion_2_center_certificate():
 
 
 def test_criterion_3_printed_first_quantity():
-    res = verify.claim_teo1_l1(points=50, scale_points=20)
+    res = verify.claim_teo1_l1()
     _report(3, res["passed"], f"zero set + sign on d>0; unit scale after "
                               f"clearing {res['clearing_factor']}")
     assert res["passed"], res
 
 
 def test_criterion_4_focus_families():
-    res = verify.claim_teo2_foci(rel_tol=1e-6)
+    res = verify.claim_teo2_foci()
     worst = max(r["rel"] for r in res["rows"])
     _report(4, res["passed"], f"six points, worst relative defect {worst:.2e}")
     assert res["passed"], res
 
 
 def test_criterion_5_isochronicity():
-    res = verify.claim_teo1_isochronous(fit_tol=0.05)
+    res = verify.claim_teo1_isochronous()
     _report(5, res["passed"], f"T2=0, |T4|=d^4/(8(d^4+4)); period fits "
                               f"{[f'{f:.6f}' for f in res['fits']]} (extended)")
     assert res["passed"], res
@@ -176,7 +176,7 @@ def test_criterion_7_quadratic_perturbation(teo5_result):
 
 
 def test_criterion_8_displacement_crosscheck():
-    res = verify.claim_lyapunov_crosscheck(rel_tol=0.10)
+    res = verify.claim_lyapunov_crosscheck()
     worst = max(r["rel"] for r in res["rows"])
     _report(8, res["passed"], f"dbar/rho0^3 vs pi L1, worst rel {worst:.2e}; "
                               f"sign match on the unperturbed family")

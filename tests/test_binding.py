@@ -107,7 +107,7 @@ def test_substitute_params_rejects_an_unknown_name(mapping):
 def test_to_float_names_the_free_parameters():
     with pytest.raises(HopfcmError, match=r"\['c'\] are free"):
         e1_normal({"d": 1, "k": 1}).to_float()
-    assert e1_normal({"c": 0, "d": 1, "k": 1}).to_float().backend == "float"
+    assert isinstance(e1_normal({"c": 0, "d": 1, "k": 1}).to_float().zero, float)
 
 
 def test_valued_document_at_a_pole_is_a_schema_error():

@@ -281,6 +281,29 @@ def test_custom_system_document(tmp_path, capsys):
     assert json.loads(out)["quantities"] == ["0", "0"]
 
 
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_focus_reports_the_number_type_of_a_document(tmp_path, capsys, backend):
+    path = tmp_path / "center.json"
+    path.write_text(json.dumps(_center_document(backend, "1")))
+    code, out, _ = run_cli(capsys, "focus", "--system", str(path), "--order", "2")
+    assert code == 0
+    report = json.loads(out)
+    assert report["backend"] == backend
+    assert all(abs(float(q)) < 1e-12 for q in report["quantities"])
+
+
+def test_jets_of_a_float_document_are_refused(tmp_path, capsys):
+    path = tmp_path / "center.json"
+    path.write_text(json.dumps(_center_document("float", "1")))
+    code, out, err = run_cli(capsys, "focus", "--system", str(path), "--order", "1",
+                             "--jet-degree", "1", "--small", "d", "--params", "d=1")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "HopfcmError",
+        "message": "jet expansions need an exact-backend system",
+    }
+
+
 def test_decimal_params_parse_exactly(capsys):
     argv = ("focus", "--system", "e1-normal", "--order", "1", "--params")
     code, decimal, _ = run_cli(capsys, *argv, "c=0.1,d=1,k=1")

@@ -40,7 +40,7 @@ def planar_field(A, B, C, D, E, Fq, lam=F(-1)):
         StatePoly({(1, 0, 0): F(1), (2, 0, 0): D, (1, 1, 0): E, (0, 2, 0): Fq}),
         StatePoly({(0, 0, 1): lam}),
     )
-    return VectorField3(comps, "exact", ())
+    return VectorField3(comps)
 
 
 def planar_first_quantity(A, B, C, D, E, Fq):
@@ -65,8 +65,7 @@ def test_reversible_planar_center_all_quantities_vanish():
 
 
 def _complexified(fld):
-    zero = fld._zero()
-    return complexify(to_normal_form(fld, (zero, zero, zero)).canonical())
+    return complexify(to_normal_form(fld, (fld.zero,) * 3).canonical())
 
 
 def _trace_jet_system():
@@ -110,7 +109,7 @@ DEFECT_CASES = [
 @pytest.mark.parametrize("build,n", DEFECT_CASES)
 def test_identity_defect_vanishes(build, n):
     cs = build()
-    if cs.backend == "float":
+    if isinstance(cs.lam, float):
         assert identity_defect(cs, n) < 1e-9
     else:
         assert identity_defect(cs, n) == 0
@@ -130,7 +129,7 @@ def test_identity_defect_catches_a_corrupted_psi_coefficient(build, n, monkeypat
         return quantities, d
 
     monkeypatch.setattr(focusq, "_psi_recursion", corrupted)
-    if cs.backend == "float":
+    if isinstance(cs.lam, float):
         assert identity_defect(cs, n) >= 1e-7
     else:
         with pytest.raises(AssertionError):
@@ -196,7 +195,7 @@ def test_purely_linear_field_has_empty_coefficient_sets():
         StatePoly({(1, 0, 0): F(1)}),
         StatePoly({(0, 0, 1): F(-2)}),
     )
-    nf = to_normal_form(VectorField3(comps, "exact", ()), (F(0),) * 3)
+    nf = to_normal_form(VectorField3(comps), (F(0),) * 3)
     cs = complexify(nf)
     assert cs.a == {} and cs.b == {} and cs.c == {}
 
@@ -210,7 +209,6 @@ def test_broken_conjugate_pair_rejected():
         b={(0, 1, 1): i_one},  # should be the conjugate -i
         c={},
         lam=F(-1),
-        backend="exact",
     )
     with pytest.raises(NotRealSystem):
         _check_reality(cs)
@@ -220,7 +218,7 @@ def test_broken_conjugate_pair_rejected_on_float_ring():
     from hopfcm.focusq import _check_reality
 
     cs = ComplexSystem(
-        a={(1, 0, 1): 1j}, b={(0, 1, 1): 1j + 1e-6}, c={}, lam=-1.0, backend="float"
+        a={(1, 0, 1): 1j}, b={(0, 1, 1): 1j + 1e-6}, c={}, lam=-1.0
     )
     with pytest.raises(NotRealSystem):
         _check_reality(cs)
@@ -230,7 +228,7 @@ def test_broken_conjugate_pair_rejected_on_float_ring():
 
 
 def test_degenerate_lambda_rejected():
-    cs = ComplexSystem(a={}, b={}, c={}, lam=F(0), backend="exact")
+    cs = ComplexSystem(a={}, b={}, c={}, lam=F(0))
     with pytest.raises(DegenerateLambda):
         focus_quantities(cs, 1)
 
@@ -371,7 +369,7 @@ def test_exact_e4_value_matches_float_backend():
 def test_quantities_invariant_under_positive_field_scaling():
     fld = planar_field(F(1), F(2), F(0), F(-1), F(1), F(2))
     scaled = VectorField3(
-        tuple(c.scale(F(3)) for c in fld.components), "exact", ()
+        tuple(c.scale(F(3)) for c in fld.components)
     )
     # the pipeline rescales time back to unit rotation, so reports agree
     r1 = report_for_field(fld, 2).quantities

@@ -73,6 +73,25 @@ def test_float_eigenbasis_path():
     assert roundtrip_defect(nf, e4m({"c": 0.25, "h": 2.0})) < 1e-9
 
 
+def test_one_float_coefficient_makes_a_float_field_whatever_comes_first():
+    floats = e4m({"c": 0.25, "h": 2.0})
+    p, q, r = floats.components
+    # the same field with its first-listed coefficient c = 1/4 as a Fraction
+    rest = {e: v for e, v in p.terms.items() if e != (1, 0, 0)}
+    mixed_p = StatePoly({(1, 0, 0): F(1, 4), **rest})
+    assert isinstance(next(iter(mixed_p.terms.values())), Fraction)
+    mixed = VectorField3((mixed_p, q, r))
+    assert isinstance(mixed.zero, float)
+    nf = to_normal_form(mixed, (F(0),) * 3)
+    want = to_normal_form(floats, (0.0, 0.0, 0.0))
+    # the numeric eigenbasis, not the identity of the exact path
+    assert nf.matrix == want.matrix
+    assert nf.lam == pytest.approx(want.lam, rel=1e-12)
+    for got, ref in zip(nf.field.components, want.field.components):
+        assert set(got.terms) == set(ref.terms)
+        assert all(got.terms[e] == pytest.approx(ref.terms[e], abs=1e-12) for e in ref.terms)
+
+
 def test_float_prebuilt_normal_form_orientation():
     fld = e4_normal({"c": 0.25, "h": 2.0})
     identity = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
@@ -114,4 +133,4 @@ def test_degenerate_transverse_eigenvalue_rejected():
         StatePoly({(1, 1, 0): F(1)}),  # lam = 0
     )
     with pytest.raises(NotHopf):
-        to_normal_form(VectorField3(comps, "exact", ()), (F(0),) * 3)
+        to_normal_form(VectorField3(comps), (F(0),) * 3)

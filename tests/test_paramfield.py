@@ -260,19 +260,22 @@ def test_poly_gcd_multivariate():
     c, d, _ = _vars()
     a = ((c + d) ** 2 * (c - d)).num
     b = ((c + d) * (c * d + 1)).num
-    g = poly_gcd(a, b)
+    g, qa, qb = poly_gcd(a, b)
     assert g == (c + d).num
+    assert qa * g == a and qb * g == b
 
 
 def test_poly_gcd_coprime_is_one():
     c, d, k = _vars()
-    g = poly_gcd((c * d + 1).num, (k**2 + c).num)
+    a, b = (c * d + 1).num, (k**2 + c).num
+    g, qa, qb = poly_gcd(a, b)
     assert g.is_constant() and g.constant_value() == 1
+    assert qa is a and qb is b
 
 
 def test_poly_gcd_keeps_a_factor_the_operands_share_in_one_variable():
     _, d, k = _vars()
-    assert poly_gcd((d * k**2).num, (d**2).num) == d.num
+    assert poly_gcd((d * k**2).num, (d**2).num) == (d.num, (k**2).num, d.num)
 
 
 @st.composite
@@ -292,7 +295,7 @@ def factors(draw):
 @given(factors(), factors(), factors())
 def test_poly_gcd_matches_sympy_and_the_prs_fallback(a, b, g):
     f, h = a * g, b * g
-    got = poly_gcd(f, h)
+    got, qf, qh = poly_gcd(f, h)
     oracle = sympy.gcd(_poly_to_sympy(f), _poly_to_sympy(h))
     assert got == paramfield._primitive_positive(_poly_from_sympy(oracle))
     assert got == paramfield._prs_gcd(f, h)
@@ -301,6 +304,8 @@ def test_poly_gcd_matches_sympy_and_the_prs_fallback(a, b, g):
     # the shared factor divides the gcd, which divides both operands
     assert paramfield.exact_div(got, g) * g == got
     assert paramfield.exact_div(f, got) * got == f
+    # the cofactors come with the gcd
+    assert qf * got == f and qh * got == h
 
 
 def test_poly_gcd_in_many_variables_falls_back_to_the_prs(monkeypatch):
@@ -325,7 +330,9 @@ def test_poly_gcd_in_many_variables_falls_back_to_the_prs(monkeypatch):
         return prs(f, g)
 
     monkeypatch.setattr(paramfield, "_prs_gcd", counting_prs)
-    assert poly_gcd(a, b) == paramfield._primitive_positive(shared)
+    g, qa, qb = poly_gcd(a, b)
+    assert g == paramfield._primitive_positive(shared)
+    assert qa * g == a and qb * g == b
     assert calls
 
 

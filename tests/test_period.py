@@ -41,7 +41,7 @@ def test_radial_series_starts_at_second_order():
         StatePoly({(1, 0, 0): F(1), (1, 1, 0): F(2)}),
         StatePoly({(0, 0, 1): F(-1)}),
     )
-    nf = to_normal_form(VectorField3(comps, "exact", ()), (F(0),) * 3)
+    nf = to_normal_form(VectorField3(comps), (F(0),) * 3)
     red = polar_reduce(nf)
     assert red.radial_min_rho_order() == 2
 
@@ -52,7 +52,7 @@ def test_linear_field_reduces_to_zero_tables():
         StatePoly({(1, 0, 0): F(1)}),
         StatePoly({(0, 0, 1): F(-3)}),
     )
-    nf = to_normal_form(VectorField3(comps, "exact", ()), (F(0),) * 3)
+    nf = to_normal_form(VectorField3(comps), (F(0),) * 3)
     red = polar_reduce(nf)
     assert red.radial == {} and red.angular == {} and red.transverse == {}
 
@@ -207,7 +207,7 @@ def _richer_center(extra_p=None):
         P[e] = P.get(e, 0) + c
     R = {(0, 0, 1): F(-3, 2), (1, 1, 0): F(1), (2, 0, 0): F(-1, 2), (0, 1, 1): F(1, 3),
          (1, 0, 1): F(2, 3), (0, 2, 0): F(1, 4)}
-    fld = VectorField3((StatePoly(P), StatePoly(Q), StatePoly(R)), "exact", ())
+    fld = VectorField3((StatePoly(P), StatePoly(Q), StatePoly(R)))
     return to_normal_form(fld, (F(0),) * 3)
 
 

@@ -42,7 +42,7 @@ def test_khaled_hand_substitution():
 
 
 def test_zero_field_evaluates_to_zero():
-    fld = VectorField3((StatePoly.zero(),) * 3, "exact", ())
+    fld = VectorField3((StatePoly.zero(),) * 3)
     assert fld.evaluate((F(2), F(3), F(4))) == (0, 0, 0)
 
 
@@ -76,7 +76,7 @@ def test_jacobian_of_linear_field_is_coefficient_matrix():
         StatePoly({(1, 0, 0): -one}),
         StatePoly({(0, 0, 1): F(5)}),
     )
-    fld = VectorField3(comps, "exact", ())
+    fld = VectorField3(comps)
     jac = fld.jacobian_at((F(0), F(0), F(0)))
     assert jac == [[0, 2, 0], [-1, 0, 0], [0, 0, 5]]
 
@@ -186,7 +186,7 @@ def test_newton_nonconvergence_reported():
         StatePoly({(0, 0, 0): 1.0}),
         StatePoly({(0, 0, 0): 1.0}),
     )
-    fld = VectorField3(comps, "float", ())
+    fld = VectorField3(comps)
     with pytest.raises(NonConvergence):
         newton_equilibrium(fld, (0.0, 0.0, 0.0), max_iter=5)
 

@@ -51,7 +51,7 @@ def test_tightening_tolerance_reduces_drift(center_field):
 
 def test_zero_field_constant_trajectory():
     comps = (StatePoly.zero(), StatePoly.zero(), StatePoly.zero())
-    fld = VectorField3(comps, "float", ())
+    fld = VectorField3(comps)
     traj = integrate(fld, (1.0, 2.0, 3.0), (0.0, 5.0))
     assert np.allclose(traj.states, [1.0, 2.0, 3.0])
 
@@ -156,7 +156,7 @@ def test_stop_radius_ends_at_the_first_step_outside(t_end):
     # u' = u, v' = -v: forward the orbit leaves radius 3 along u, backward
     # along v
     comps = (StatePoly({(1, 0, 0): 1.0}), StatePoly({(0, 1, 0): -1.0}), StatePoly.zero())
-    fld = VectorField3(comps, "float", ())
+    fld = VectorField3(comps)
     traj = integrate(fld, (1.0, 1.0, 0.0), (0.0, t_end), stop_radius=3.0)
     radii = np.linalg.norm(traj.states, axis=1)
     if t_end < 0:
@@ -169,7 +169,7 @@ def test_stop_radius_ends_at_the_first_step_outside(t_end):
 def test_blow_up_is_a_stiffness_failure():
     # u' = u^2 from u = 1 is 1 / (1 - t): it leaves every bound at t = 1
     comps = (StatePoly({(2, 0, 0): 1.0}), StatePoly.zero(), StatePoly.zero())
-    fld = VectorField3(comps, "float", ())
+    fld = VectorField3(comps)
     with pytest.raises(StiffnessFailure):
         integrate(fld, (1.0, 0.0, 0.0), (0.0, 2.0))
 
@@ -182,7 +182,7 @@ def _rotation_field():
         StatePoly({(1, 0, 0): 1.0}),
         StatePoly({(2, 0, 0): 1.0, (0, 2, 0): 1.0}),
     )
-    return VectorField3(comps, "float", ())
+    return VectorField3(comps)
 
 
 def _rotation_series(n, factorial):
@@ -234,7 +234,7 @@ def test_no_return_for_non_rotating_field():
         StatePoly({(0, 0, 0): 1.0}),
         StatePoly({(0, 0, 1): -1.0}),
     )
-    fld = VectorField3(comps, "float", ())
+    fld = VectorField3(comps)
     with pytest.raises(NoReturn):
         first_return(fld, 0.1, 0.0, horizon=10.0)
 
@@ -248,7 +248,7 @@ def test_first_return_goes_on_past_an_early_crossing():
         StatePoly({(1, 0, 0): 20.0, (0, 0, 1): 20.0}),
         StatePoly({(0, 1, 0): -20.0}),
     )
-    fld = VectorField3(comps, "float", ())
+    fld = VectorField3(comps)
     t, u, omega = first_return(fld, 0.1, 0.0, horizon=10.0)
     assert abs(t - math.pi / 5) < 1e-9
     assert abs(u - 0.1) < 1e-12

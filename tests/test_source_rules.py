@@ -32,6 +32,45 @@ def test_library_takes_configuration_as_arguments_not_environment():
     assert offenders == []
 
 
+NUMBER_TYPE_TAGS = {"float", "exact"}
+# the two readers of a declared tag: a system document and the catalog registry
+TAG_READERS = {("polysys.py", "parse_system"), ("catalog.py", "build")}
+
+
+def _tag_comparisons(path):
+    """(function, line) of each comparison with the literal "float" or
+    "exact", alone or inside a tuple, list or set."""
+
+    def is_tag(node):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return any(map(is_tag, node.elts))
+        return isinstance(node, ast.Constant) and node.value in NUMBER_TYPE_TAGS
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Compare) and any(map(is_tag, [node.left, *node.comparators])):
+            yield function, node.lineno
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, function)
+
+    yield from visit(ast.parse(path.read_text(), str(path)), None)
+
+
+def test_the_number_type_comes_from_the_coefficients_not_a_tag():
+    """Only a system document and the catalog registry declare "float" or
+    "exact"; everywhere else the coefficients say which they are."""
+    modules = sorted(Path(hopfcm.__file__).parent.glob("*.py"))
+    assert modules
+    offenders = [
+        f"{path.name}:{line} in {function}"
+        for path in modules
+        for function, line in _tag_comparisons(path)
+        if (path.name, function) not in TAG_READERS
+    ]
+    assert offenders == []
+
+
 REPO = Path(__file__).resolve().parents[1]
 SEARCHED = ("src", "tests", "scripts", "perfbench")
 # a string that is a (dotted) name, as getattr and the benchmark tracer use
