@@ -12,19 +12,21 @@ from hopfcm.verify import CLAIMS
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--json", action="store_true", help="dump full reports")
-    ap.add_argument("--claim", action="append", help="run only these claims")
+    ap.add_argument(
+        "--claim", action="append", choices=sorted(CLAIMS), help="run only these claims"
+    )
     args = ap.parse_args()
 
     names = args.claim or list(CLAIMS)
     failures = 0
     reports = {}
     for name in names:
-        t0 = time.time()
+        t0 = time.perf_counter()
         res = CLAIMS[name]()
-        dt = time.time() - t0
+        dt = time.perf_counter() - t0
         reports[name] = res
         status = "PASS" if res["passed"] else "FAIL"
-        print(f"{status:4s}  {name:22s} ({dt:6.1f}s)")
+        print(f"{status:4s}  {name:22s} ({dt:7.2f}s)")
         if not res["passed"]:
             failures += 1
             note = res.get("note")

@@ -2,13 +2,16 @@
 
 Subcommands: catalog, hopf, normalize, focus, period, cyclicity, simulate,
 displacement, verify.  Reports are JSON on stdout (exact values as rational
-strings); exit code 0 on success, 2 on domain errors, 1 on usage errors.
+strings); exit code 0 on success, 2 on domain errors, 1 on usage errors
+(among them an input file that cannot be read or an output path that
+cannot be written).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
@@ -56,8 +59,7 @@ def jsonable(x):
 def _emit(report, out=None):
     text = json.dumps(jsonable(report), indent=2, default=str)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        simulate.write_output(out, text + "\n")
     else:
         print(text)
 
@@ -293,7 +295,7 @@ def _cmd_simulate(args):
     simulate.export_csv(traj, out)
     artifacts = [out]
     if args.plot_script:
-        artifacts.append(simulate.export_plot_script(out.rsplit(".", 1)[0] + "_plot.py"))
+        artifacts.append(simulate.export_plot_script(os.path.splitext(out)[0] + "_plot.py"))
     print(json.dumps({"artifacts": artifacts, "steps": len(traj.t), "nfev": traj.nfev}))
     return 0
 
@@ -428,6 +430,9 @@ def main(argv=None):
         return DOMAIN_EXIT
     except FileNotFoundError as exc:
         print(json.dumps({"error": "FileNotFound", "message": str(exc)}), file=sys.stderr)
+        return USAGE_EXIT
+    except OSError as exc:
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return USAGE_EXIT
 
 

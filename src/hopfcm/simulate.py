@@ -15,12 +15,19 @@ the first return from (rho0, 0, rho0*omega0).
 
 The kernel is generic over the number type: trajectories, section returns
 and ``measure_period(precision="double")`` run it on floats, and
-``precision="extended"`` on 30-digit ``mpmath`` floats.
+``precision="extended"`` on 31-digit ``decimal.Decimal`` numbers (C
+libmpdec; at least the 103 bits of 30 decimal digits).
+
+Every file the package writes goes through ``write_output``: the exports
+here, the ``verify`` artifacts and the CLI's ``--out`` reports.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
+import os
+import stat
 from dataclasses import dataclass
 from operator import mul
 from typing import Optional
@@ -120,11 +127,14 @@ def _taylor_steps(plan, t, x, t_end, tol, eps):
 
     Yields, per step, the state (t, x) at its end, its signed length h and
     the Taylor coefficients at its start.  ``eps`` is the working precision
-    of the number type.  Raises WorkCeiling once the steps would make more
-    than ``MAX_RHS_EVALS`` field evaluations (``order`` per step), and
+    of the number type; ``t_end`` and each step are converted to the type of
+    the state.  Raises WorkCeiling once the steps would make more than
+    ``MAX_RHS_EVALS`` field evaluations (``order`` per step), and
     StiffnessFailure when the step collapses below ``eps`` or the state
     stops being finite.
     """
+    num = type(x[0])
+    t_end = num(t_end)
     order = _order(tol)
     evals = 0
     while t != t_end:
@@ -135,11 +145,11 @@ def _taylor_steps(plan, t, x, t_end, tol, eps):
                 f"at t = {float(t):.6g} on the way to {float(t_end):.6g}"
             )
         coeffs = taylor_coefficients(plan, x, order)
-        h = _taylor_step(coeffs)
+        h = num(_taylor_step(coeffs))
         if not h > eps * max(1, abs(t)):
             raise StiffnessFailure(f"Taylor step collapsed at t = {float(t):.6g}")
         if h < abs(t_end - t):
-            h = math.copysign(h, t_end - t)
+            h = h if t_end > t else -h
             t += h
         else:
             h, t = t_end - t, t_end
@@ -166,7 +176,7 @@ def _section_crossings(plan, x, t_end, direction, eps):
 def _flow_direction(fld, rho0):
     """Sign of vdot on the section {v = 0, u > 0} near the origin."""
     vdot = fld.evaluate((rho0, 0.0, 0.0))[1]
-    return 1.0 if vdot > 0 else -1.0
+    return 1 if vdot > 0 else -1
 
 
 def first_return(fld, rho0, omega0, horizon=60.0):
@@ -197,21 +207,22 @@ def measure_period(
     ``settle_time`` so the transverse transient decays onto the invariant
     surface; the radial coordinate is untouched on families that conserve
     u^2 + v^2.  The period is the mean of the next ``turns`` returns.  The
-    Taylor kernel runs on floats for ``precision="double"`` and on 30-digit
-    mpmath floats for ``"extended"``; its order and step follow from that
-    precision.
+    Taylor kernel runs on floats for ``precision="double"`` and on 31-digit
+    ``decimal.Decimal`` numbers for ``"extended"`` (at least the 103 bits of
+    30 decimal digits; the working precision is 10^-30); its order and step
+    follow from that precision.
     """
     if precision == "double":
         plan = taylor_plan(fld.monomials, float)
         return _measure_period(fld, plan, rho0, settle_time, turns, float, DOUBLE_EPS)
     if precision != "extended":
         raise ValueError(f"unknown precision {precision!r}")
-    import mpmath as mp
-
-    with mp.workdps(EXTENDED_DPS):
-        plan = taylor_plan(fld.monomials, mp.mpf, mp.fdot)
-        eps = mp.mpf(10) ** -EXTENDED_DPS
-        return float(_measure_period(fld, plan, rho0, settle_time, turns, mp.mpf, eps))
+    with decimal.localcontext() as ctx:
+        ctx.prec = EXTENDED_DPS + 1
+        num = decimal.Decimal
+        plan = taylor_plan(fld.monomials, num)
+        eps = num(10) ** -EXTENDED_DPS
+        return float(_measure_period(fld, plan, rho0, settle_time, turns, num, eps))
 
 
 def _measure_period(fld, plan, rho0, settle_time, turns, num, eps):
@@ -234,16 +245,14 @@ def _dot(a, b):
     return sum(map(mul, a, b))
 
 
-def taylor_plan(monomials, num, dot=_dot):
+def taylor_plan(monomials, num):
     """Code list of a polynomial field for ``taylor_coefficients``.
 
     ``monomials`` is ``VectorField3.monomials``.  Series 0, 1, 2 are u, v, w;
     every monomial of degree >= 2 is one more series, the product of a lower
     monomial and one state variable, listed after its factors.  Returns the
     products as (factor series, variable) pairs, per component its constant
-    term and its (coefficient, series) terms, all converted by ``num``, and
-    ``dot``, the inner product of two sequences of ``num`` (``mpmath.fdot``
-    rounds an mpf inner product once, about three times faster than a sum).
+    term and its (coefficient, series) terms, all converted by ``num``.
     """
     index = {(1, 0, 0): 0, (0, 1, 0): 1, (0, 0, 1): 2}
     products = []
@@ -265,7 +274,7 @@ def taylor_plan(monomials, num, dot=_dot):
             else:
                 const += num(c)
         components.append((const, terms))
-    return products, components, dot
+    return products, components
 
 
 def taylor_coefficients(plan, x, order):
@@ -274,12 +283,12 @@ def taylor_coefficients(plan, x, order):
     Order n of every product is a Cauchy product of known orders 0..n;
     then x_{n+1} = f_n / (n + 1) (Moore 1966; Jorba & Zou 2005).
     """
-    products, components, dot = plan
+    products, components = plan
     zero = x[0] * 0
     series = [[xi] for xi in x] + [[] for _ in products]
     for n in range(order):
         for k, (left, axis) in enumerate(products, 3):
-            series[k].append(dot(series[left], reversed(series[axis])))
+            series[k].append(_dot(series[left], reversed(series[axis])))
         for i, (const, terms) in enumerate(components):
             f = sum([c * series[k][n] for c, k in terms], const if n == 0 else zero)
             series[i].append(f / (n + 1))
@@ -370,21 +379,46 @@ def displacement(fld: VectorField3, rho0: float) -> DisplacementSample:
 # export
 
 
+def write_output(path, text):
+    """Write ``text`` to ``path`` and return ``path``.
+
+    A regular file with a single link at ``path`` that the caller may write
+    is removed and created anew with the same permission bits (the new file
+    belongs to the caller): truncating a recently rewritten file can wait
+    for the writeback of its old contents (ext4 starts it when a file
+    truncated to zero is closed), and a new file does not.  Anything else
+    (no file, a symlink, a file with other hard links, a FIFO or a device
+    such as /dev/null, a file whose directory the caller cannot write) is
+    opened as by ``open(path, "w")`` and written through.
+    """
+    flags, mode = os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666
+    try:
+        st = os.lstat(path)
+    except FileNotFoundError:
+        st = None
+    if st and stat.S_ISREG(st.st_mode) and st.st_nlink == 1 and os.access(path, os.W_OK):
+        try:
+            os.remove(path)
+            flags, mode = os.O_WRONLY | os.O_CREAT | os.O_EXCL, stat.S_IMODE(st.st_mode)
+        except PermissionError:
+            pass
+    with open(os.open(path, flags, mode), "w") as fh:
+        fh.write(text)
+    return path
+
+
 def export_csv(trajectory: Trajectory, path):
     """CSV with header t,u,v,w at 17 significant digits."""
-    with open(path, "w") as fh:
-        fh.write("t,u,v,w\n")
-        for t, (u, v, w) in zip(trajectory.t, trajectory.states):
-            fh.write(f"{t:.16e},{u:.16e},{v:.16e},{w:.16e}\n")
-    return path
+    rows = "".join(
+        f"{t:.16e},{u:.16e},{v:.16e},{w:.16e}\n"
+        for t, (u, v, w) in zip(trajectory.t, trajectory.states)
+    )
+    return write_output(path, "t,u,v,w\n" + rows)
 
 
 def export_displacement_csv(samples, path):
-    with open(path, "w") as fh:
-        fh.write("rho0,dbar\n")
-        for s in samples:
-            fh.write(f"{s.rho0:.16e},{s.dbar:.16e}\n")
-    return path
+    rows = "".join(f"{s.rho0:.16e},{s.dbar:.16e}\n" for s in samples)
+    return write_output(path, "rho0,dbar\n" + rows)
 
 
 PLOT_SCRIPT = """\
@@ -409,6 +443,4 @@ print(out)
 
 
 def export_plot_script(path):
-    with open(path, "w") as fh:
-        fh.write(PLOT_SCRIPT)
-    return path
+    return write_output(path, PLOT_SCRIPT)

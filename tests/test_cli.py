@@ -1,7 +1,10 @@
 """Command-line interface: subcommands, reports, exit-code contract."""
 
 import json
+import os
 import signal
+import stat
+import threading
 
 import pytest
 
@@ -427,3 +430,64 @@ def test_file_system_rejects_params_it_cannot_bind(tmp_path, capsys, backend, d,
         "error": "SchemaError",
         "message": f"unknown parameter(s) {[given.split('=')[0]]}",
     }
+
+
+def test_plot_script_goes_beside_an_output_in_a_dotted_directory(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "my.dir").mkdir()
+    code, out, _ = run_cli(capsys, *_SIMULATE, "0.1,0,0", "--plot-script", "--out", "my.dir/traj")
+    assert code == 0
+    assert json.loads(out)["artifacts"] == ["my.dir/traj", "my.dir/traj_plot.py"]
+    assert (tmp_path / "my.dir" / "traj_plot.py").exists()
+    assert not (tmp_path / "my_plot.py").exists()
+
+
+def test_report_over_a_longer_file_holds_only_the_new_report(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text("x" * 100_000)
+    assert run_cli(capsys, "catalog", "--out", str(path))[0] == 0
+    assert path.read_text() == run_cli(capsys, "catalog")[1]
+
+
+def test_report_to_a_fifo_is_written_through(tmp_path, capsys):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert run_cli(capsys, "catalog", "--out", str(fifo))[0] == 0
+    reader.join(timeout=10)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert got == [run_cli(capsys, "catalog")[1]]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(_SIMULATE + ("0.1,0,0",), id="simulate"),
+        pytest.param(("catalog",), id="catalog"),
+        pytest.param(("verify", "--claim", "teo1-center"), id="verify"),
+    ],
+)
+def test_output_path_that_is_a_directory_is_a_json_usage_error(tmp_path, capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert str(tmp_path) in json.loads(err)["message"]
+
+
+def test_out_dir_that_is_a_file_is_a_json_usage_error(tmp_path, capsys):
+    path = tmp_path / "taken"
+    path.write_text("")
+    code, out, err = run_cli(capsys, "verify", "--claim", "conservation", "--out-dir", str(path))
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "FileExistsError"
+
+
+def test_conservation_artifacts_are_the_same_on_a_rerun(tmp_path, capsys):
+    argv = ("verify", "--claim", "conservation", "--out-dir", str(tmp_path))
+    assert run_cli(capsys, *argv)[0] == 0
+    first = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert len(first) == 10
+    assert run_cli(capsys, *argv)[0] == 0
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == first

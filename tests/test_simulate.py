@@ -1,5 +1,6 @@
 """Numerical backend: integration accuracy, sections, displacement, export."""
 
+import decimal
 import json
 import math
 import os
@@ -199,18 +200,45 @@ def test_taylor_kernel_matches_the_rotation_series_in_floats():
         assert max(abs(a - b) for a, b in zip(series, want)) < 1e-15
 
 
-def test_taylor_kernel_matches_the_rotation_series_in_mpmath():
+def _mpf_kernel():
     import mpmath as mp
 
+    return mp.workdps(30), mp.mpf, mp.fdot
+
+
+def _decimal_kernel():
+    return decimal.localcontext(decimal.Context(prec=31)), decimal.Decimal, simulate._dot
+
+
+@pytest.mark.parametrize("kernel", [_mpf_kernel, _decimal_kernel], ids=["mpf", "decimal"])
+def test_taylor_kernel_matches_the_rotation_series_in_extended_precision(kernel, monkeypatch):
+    context, num, dot = kernel()
+    monkeypatch.setattr(simulate, "_dot", dot)
     fld = _rotation_field()
-    with mp.workdps(30):
-        x0 = [mp.mpf(1), mp.mpf(0), mp.mpf(0)]
-        got = taylor_coefficients(taylor_plan(fld.monomials, mp.mpf, mp.fdot), x0, 36)
-        want = _rotation_series(36, lambda n: mp.factorial(n))
+    with context:
+        x0 = [num(1), num(0), num(0)]
+        got = taylor_coefficients(taylor_plan(fld.monomials, num), x0, 36)
+        want = _rotation_series(36, lambda n: num(math.factorial(n)))
         for series in got:
-            assert all(isinstance(c, mp.mpf) for c in series)
+            assert all(type(c) is type(x0[0]) for c in series)
         for series, ref in zip(got, want):
-            assert max(abs(a - b) for a, b in zip(series, ref)) < mp.mpf(10) ** -28
+            assert max(abs(a - b) for a, b in zip(series, ref)) < num(10) ** -28
+
+
+def test_extended_period_matches_the_kernel_on_mpf(center_field, monkeypatch):
+    # the mpf run under mp.workdps(30) with mp.fdot is the reference the
+    # decimal kernel replaced
+    import mpmath as mp
+
+    rho0, settle_time, turns = 0.1, 35.0, 6
+    got = measure_period(center_field, rho0, settle_time, turns, precision="extended")
+    monkeypatch.setattr(simulate, "_dot", mp.fdot)
+    with mp.workdps(30):
+        plan = taylor_plan(center_field.monomials, mp.mpf)
+        want = float(simulate._measure_period(
+            center_field, plan, rho0, settle_time, turns, mp.mpf, mp.mpf(10) ** -30
+        ))
+    assert abs(got - want) <= 1e-15 * want
 
 
 def test_displacement_richardson_consistency():
@@ -288,6 +316,55 @@ def test_displacement_csv_and_plot_script(tmp_path):
     export_plot_script(script)
     assert os.access(script, os.R_OK)
     compile(script.read_text(), str(script), "exec")
+
+
+def _long_and_short_trajectories():
+    t = np.linspace(0.0, 1.0, 50)
+    states = np.column_stack([np.cos(t), np.sin(t), t])
+    return Trajectory(t, states, 0, 1e-9), Trajectory(t[:3], states[:3], 0, 1e-9)
+
+
+def test_export_over_a_longer_file_holds_only_the_new_rows(tmp_path):
+    long, short = _long_and_short_trajectories()
+    path = tmp_path / "t.csv"
+    export_csv(long, path)
+    export_csv(short, path)
+    fresh = tmp_path / "fresh.csv"
+    export_csv(short, fresh)
+    assert path.read_bytes() == fresh.read_bytes()
+    assert len(path.read_text().splitlines()) == 4
+
+    script = tmp_path / "plot.py"
+    script.write_text("#" * 10 * len(simulate.PLOT_SCRIPT))
+    export_plot_script(script)
+    assert script.read_text() == simulate.PLOT_SCRIPT
+
+
+def test_export_writes_through_a_symlink_and_a_hard_link(tmp_path):
+    _, short = _long_and_short_trajectories()
+    target = tmp_path / "target.csv"
+    target.write_text("old\n")
+    link = tmp_path / "t.csv"
+    link.symlink_to(target)
+    export_csv(short, link)
+    assert link.is_symlink()
+    assert target.read_text().startswith("t,u,v,w\n")
+
+    hard = tmp_path / "hard.csv"
+    os.link(target, hard)
+    export_plot_script(hard)
+    assert os.path.samefile(target, hard)
+    assert target.read_text() == simulate.PLOT_SCRIPT
+
+
+def test_export_over_a_file_keeps_its_permission_bits(tmp_path):
+    _, short = _long_and_short_trajectories()
+    path = tmp_path / "t.csv"
+    path.write_text("old\n")
+    path.chmod(0o600)
+    export_csv(short, path)
+    assert path.stat().st_mode & 0o777 == 0o600
+    assert path.read_text().startswith("t,u,v,w\n")
 
 
 def test_extended_precision_period(center_field):
