@@ -256,29 +256,53 @@ def _cmd_period(args):
     return 0
 
 
+_NAMES = (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v), "a list of names")
+_COUNT = (lambda v: type(v) is int and v >= 1, "an integer >= 1")
+_NUMBERS = (lambda v: isinstance(v, dict), "an object of numbers")
+# the check and the description of what each custom cyclicity config key holds
+_CYCLICITY_KEYS = {
+    "system": (lambda v: isinstance(v, str), "a name or a path"),
+    "small": _NAMES, "pivots": _NAMES, "order": _COUNT, "degree": _COUNT,
+    "trace": (lambda v: type(v) is bool, "true or false"), "point": _NUMBERS, "line": _NUMBERS,
+}
+
+
+def _cyclicity_config(path):
+    """The custom cyclicity config with its defaults filled in; a
+    SchemaError names the first value of the wrong kind."""
+    cfg = _read_json(path, ("system", "small", "order"), "cyclicity config")
+    if "line" in cfg and "pivots" not in cfg:
+        raise SchemaError(f"cyclicity config {path} has a line but no pivots")
+    cfg = {"point": {}, "pivots": [], "degree": 1, "trace": False, **cfg}
+    for key, (ok, kind) in _CYCLICITY_KEYS.items():
+        if key in cfg and not ok(cfg[key]):
+            raise SchemaError(f"cyclicity config {path}: {key} must be {kind}")
+    try:
+        for key in ("point", "line"):
+            if key in cfg:
+                cfg[key] = {k: Fraction(str(v)) for k, v in cfg[key].items()}
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"cyclicity config {path}: bad number in {key}: {exc}") from exc
+    unknown = sorted({*cfg["pivots"], *cfg.get("line", ())} - set(cfg["small"]))
+    if unknown:
+        raise SchemaError(f"cyclicity config {path}: {unknown} are not small parameters")
+    return cfg
+
+
 def _cmd_cyclicity(args):
     if args.mode == "teo4":
         report = teo4_bound(_exact_number(args.d0))
     elif args.mode == "teo5":
         report = teo5_bound(teo5_jets().quantities)
     else:
-        cfg = _read_json(args.config, ("system", "small", "order"), "cyclicity config")
-        if "line" in cfg and "pivots" not in cfg:
-            raise SchemaError(f"cyclicity config {args.config} has a line but no pivots")
-        fld = _load_system(cfg["system"], None)
-        point = {k: Fraction(str(v)) for k, v in cfg.get("point", {}).items()}
-        small = tuple(cfg["small"])
+        cfg = _cyclicity_config(args.config)
+        at = (_load_system(cfg["system"], None), cfg["point"], cfg["small"])
         if "line" in cfg:
-            line = {k: Fraction(str(v)) for k, v in cfg["line"].items()}
             report = cyclicity_bound_line(
-                fld, point, small, cfg["order"], tuple(cfg["pivots"]), line,
-                trace_declared=cfg.get("trace", False),
+                *at, cfg["order"], cfg["pivots"], cfg["line"], cfg["trace"]
             )
         else:
-            report = cyclicity_bound_rank(
-                fld, point, small, cfg.get("degree", 1), cfg["order"],
-                trace_declared=cfg.get("trace", False),
-            )
+            report = cyclicity_bound_rank(*at, cfg["degree"], cfg["order"], cfg["trace"])
     _emit(report, args.out)
     return 0
 

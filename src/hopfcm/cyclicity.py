@@ -1,14 +1,14 @@
 """Limit-cycle lower bounds from focus-quantity expansions.
 
 Around a point of the center variety the focus quantities are expanded as
-truncated jets in the bifurcation parameters.  Independent linear parts give
-cycles directly (one fewer when the extra cycle comes from a separately
-declared trace parameter); quantities whose linear parts are dependent are
-reduced by subtracting the matching combinations of earlier quantities and
-restricting to the locus where the leading linear parts vanish, leaving
-homogeneous forms h_i in the remaining parameters.  A line on which the
-intermediate h_i vanish transversally while the last one does not certifies
-the extra cycles.
+truncated jets in the bifurcation parameters.  Independent linear parts of
+L_1..L_k give k cycles directly, and a declared trace parameter one more.
+On the locus L_1 = ... = L_k = 0 the k pivot parameters are power series
+in the other parameters; each later quantity restricted to that locus has
+no linear part left, and its degree-2 part is a quadratic form h_j in the
+non-pivot parameters.  A line on which the intermediate h_j vanish with
+independent gradients while the last one does not certifies the extra
+cycles.
 """
 
 from __future__ import annotations
@@ -18,17 +18,14 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import BadPivots, SchemaError
-from .focusq import complexify, focus_quantities
-from .normalform import to_normal_form
+from .focusq import report_for_field
 from .paramfield import Jet, JetContext, ParamExpr
-from .polysys import StatePoly, VectorField3
+from .polysys import VectorField3
 
 
 @dataclass
 class JacobianReport:
     matrix: list  # rows: quantities; columns: parameters
-    params: tuple
-    point: dict
     rank: int
     pivot_params: tuple
 
@@ -77,13 +74,16 @@ def exact_rank(matrix):
     return len(pivots), pivots
 
 
-def _solve_square(a, b):
-    """Solve a x = b exactly (a invertible, small)."""
-    n = len(a)
-    rows, pivots = _row_reduce([list(row) + [v] for row, v in zip(a, b)])
+def _inverse(block):
+    """Inverse of a matrix over Q, or None when it is not square or singular."""
+    n = len(block)
+    if any(len(row) != n for row in block):
+        return None
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    rows, pivots = _row_reduce([list(row) + e for row, e in zip(block, eye)])
     if pivots != tuple(range(n)):
-        raise BadPivots("pivot block is singular")
-    return [row[n] for row in rows]
+        return None
+    return [row[n:] for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -111,33 +111,9 @@ def jet_system(fld: VectorField3, point: dict, small, degree: int) -> VectorFiel
     return fld.substitute_params(assignment)
 
 
-def jet_focus_report(fld, point, small, degree, n, trace_param=None):
-    """Focus quantities as jets around the given parameter point.
-
-    When ``trace_param`` names one of the small parameters, its first-order
-    contribution sigma on the rotation block is peeled off the linear part
-    and threaded through the recursion divisors, so the quantities carry
-    their trace derivatives as well.
-    """
-    jf = jet_system(fld, point, small, degree)
-    zero = Fraction(0)
-    sigma = None
-    if trace_param is not None:
-        lin = jf.linear_matrix()
-        sigma = lin[0][0]
-        if not isinstance(sigma, Jet) or sigma.constant_part() != 0:
-            raise BadPivots("trace entry is not an infinitesimal jet")
-        if lin[1][1] - sigma:
-            raise BadPivots("rotation block trace is not isotropic")
-        comps = list(jf.components)
-        comps[0] = comps[0] - StatePoly({(1, 0, 0): sigma})
-        comps[1] = comps[1] - StatePoly({(0, 1, 0): sigma})
-        jf = VectorField3(tuple(comps), name=jf.name)
-    nf = to_normal_form(jf, (zero, zero, zero))
-    cs = complexify(nf.canonical())
-    if sigma is not None:
-        cs.sigma = sigma
-    return focus_quantities(cs, n)
+def jet_focus_report(fld, point, small, degree, n):
+    """Focus quantities as jets around the given parameter point."""
+    return report_for_field(jet_system(fld, point, small, degree), n)
 
 
 # ---------------------------------------------------------------------------
@@ -165,76 +141,49 @@ def jacobian_rank(quantities, params, point=None) -> JacobianReport:
         else:
             rows.append([Fraction(0)] * len(params))
     rank, pivot_cols = exact_rank(rows)
-    return JacobianReport(
-        rows, params, dict(point or {}), rank, tuple(params[c] for c in pivot_cols)
-    )
+    return JacobianReport(rows, rank, tuple(params[c] for c in pivot_cols))
 
 
 def reduce_quantities(quantities, pivots):
-    """Kill dependent linear parts and restrict to the pivot locus.
+    """The forms h_j of the quantities past the first k on the pivot locus.
 
-    ``quantities`` are degree>=2 jets L_1..L_{k+l} whose first k linear
-    parts are independent with an invertible block in the ``pivots``
-    columns.  Returns the list of homogeneous quadratic forms h_i
-    (i = k+1..k+l) as jets in the non-pivot parameters, plus bookkeeping.
+    ``quantities`` are jets L_1..L_{k+l}, k = len(pivots), whose first k
+    vanish at the expansion point and have linear parts with an invertible
+    block B in the ``pivots`` columns.  On the locus L_1 = ... = L_k = 0 the
+    pivots are power series in the other small parameters: from p = 0, each
+    chord step p <- p - B^-1 (L_1..L_k)(p) fixes one more degree, so
+    ``ctx.degree`` steps give the series to the jet's degree.  Each later
+    L_j evaluated there must have no linear part left; its degree-2 part is
+    h_j, a quadratic form in the non-pivot parameters.  Returns
+    [h_{k+1}, ..., h_{k+l}].
     """
     if not quantities:
-        return [], {}
+        return []
     ctx = quantities[0].ctx
-    names = ctx.names
-    k = len(pivots)
-    piv_idx = [names.index(p) for p in pivots]
-    rest_idx = [i for i in range(len(names)) if i not in piv_idx]
-    lin = [q.linear_coefficients() for q in quantities]
-    block = [[lin[j][i] for i in piv_idx] for j in range(k)]
-    rank, _ = exact_rank(block)
-    if rank != k:
-        raise BadPivots(f"pivot block of {pivots} has rank {rank} < {k}")
-
-    # express later linear parts through the first k and subtract
-    reduced = list(quantities[:k])
-    combos = {}
-    bt = [[block[r][c] for r in range(k)] for c in range(k)]  # transpose
-    for j in range(k, len(quantities)):
-        target = [lin[j][i] for i in piv_idx]
-        coeffs = _solve_square(bt, target)
-        # coefficients found on the pivot columns must match everywhere
-        combined = [
-            sum(coeffs[r] * lin[r][i] for r in range(k)) for i in range(len(names))
-        ]
-        if combined != lin[j]:
-            raise BadPivots(
-                f"linear part of quantity {j + 1} is not a combination of the "
-                f"first {k}"
-            )
-        red = quantities[j]
-        for r in range(k):
-            if coeffs[r]:
-                red = red - ctx.const(coeffs[r]) * quantities[r]
-        reduced.append(red)
-        combos[j] = coeffs
-
-    # on the locus where the first k linear parts vanish, the pivot
-    # parameters are linear functions of the rest
-    rhs_cols = {}
-    for i in rest_idx:
-        col = [-lin[j][i] for j in range(k)]
-        rhs_cols[i] = _solve_square(block, col)
-    substitution = {
-        piv_idx[r]: {i: rhs_cols[i][r] for i in rest_idx if rhs_cols[i][r] != 0}
-        for r in range(k)
-    }
-    eps = [ctx.eps(name) for name in names]
-    on_locus = dict(zip(names, eps))
-    for i, form in substitution.items():
-        on_locus[names[i]] = sum((c * eps[r] for r, c in form.items()), ctx.zero())
-
-    # the zero form stays a jet
-    h_forms = [
-        ctx.zero() + reduced[j].homogeneous_part(2).evaluate(on_locus)
-        for j in range(k, len(quantities))
-    ]
-    return h_forms, {"combinations": combos, "substitution": substitution}
+    leading = quantities[: len(pivots)]
+    outside = [p for p in pivots if p not in ctx.names]
+    if outside:
+        raise BadPivots(f"pivot(s) {outside} are not small parameters")
+    columns = [ctx.names.index(p) for p in pivots]
+    block = [[q.linear_coefficients()[i] for i in columns] for q in leading]
+    inverse = _inverse(block)
+    if inverse is None:
+        raise BadPivots(f"pivot block of {tuple(pivots)} is not invertible")
+    if any(q.constant_part() for q in leading):
+        raise BadPivots("the leading quantities do not vanish at the expansion point")
+    series = {p: ctx.zero() if p in pivots else ctx.eps(p) for p in ctx.names}
+    for _ in range(ctx.degree):
+        residual = [q.evaluate(series) for q in leading]
+        for p, row in zip(pivots, inverse):
+            series[p] = series[p] - sum(c * r for c, r in zip(row, residual) if c)
+    forms = []
+    for j, q in enumerate(quantities[len(pivots):], len(pivots) + 1):
+        # the zero form stays a jet
+        restricted = ctx.zero() + q.evaluate(series)
+        if restricted.homogeneous_part(1):
+            raise BadPivots(f"quantity {j} keeps a linear part on the pivot locus")
+        forms.append(restricted.homogeneous_part(2))
+    return forms
 
 
 def evaluate_on_line(h_list, line):
@@ -276,20 +225,15 @@ def gradient_on_line(h: Jet, line):
 # end-to-end bounds
 
 
-def cyclicity_bound_rank(
-    fld, point, small, degree, n, trace_declared, trace_param=None
-) -> CyclicityReport:
+def cyclicity_bound_rank(fld, point, small, degree, n, trace_declared) -> CyclicityReport:
     """Bound from independent linear parts; a declared trace parameter adds
     one cycle through the classical eigenvalue-crossing mechanism."""
-    report = jet_focus_report(fld, point, small, degree, n, trace_param=trace_param)
-    jac = jacobian_rank(report.quantities, small)
-    k = jac.rank
-    total = k + (1 if trace_declared else 0)
+    jac = jacobian_rank(jet_focus_report(fld, point, small, degree, n).quantities, small)
     return CyclicityReport(
-        k=k,
+        k=jac.rank,
         l=0,
         trace_bonus=trace_declared,
-        total=total,
+        total=jac.rank + (1 if trace_declared else 0),
         rank=jac.rank,
         notes=[f"jacobian pivots: {jac.pivot_params}"],
     )
@@ -309,30 +253,26 @@ def line_analysis(
     """The bound of ``cyclicity_bound_line`` from its degree-2 jet
     quantities: Jacobian rank plus the cycles certified along ``line``."""
     rank = jacobian_rank(quantities, small).rank
-    h_forms, _ = reduce_quantities(quantities, pivots)
+    h_forms = reduce_quantities(quantities, pivots)
     values = evaluate_on_line(h_forms, line)
     l = 0
     notes = []
-    # count trailing h's: intermediates vanish transversally, the last is nonzero
+    # the intermediate h's vanish with independent gradients, the last does not
     if values:
         *mid, last = values
         if last[0] != 0 and all(v[0] == 0 for v in mid):
-            transversal = all(
-                any(g != 0 for g in gradient_on_line(h, line)) for h in h_forms[:-1]
-            )
-            if transversal:
+            gradients = [gradient_on_line(h, line) for h in h_forms[:-1]]
+            if exact_rank(gradients)[0] == len(gradients):
                 l = len(values)
             else:
                 notes.append("transversality failed along the line")
         else:
             notes.append("line values do not match the vanishing pattern")
-    k = rank
-    total = k + l + (1 if trace_declared else 0)
     return CyclicityReport(
-        k=k,
+        k=rank,
         l=l,
         trace_bonus=trace_declared,
-        total=total,
+        total=rank + l + (1 if trace_declared else 0),
         rank=rank,
         eta=dict(line),
         h_on_eta=[(str(v), deg) for v, deg in values],

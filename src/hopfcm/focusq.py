@@ -33,24 +33,18 @@ from .errors import (
     NotRealSystem,
 )
 from .normalform import NormalForm3, to_normal_form
-from .paramfield import Jet, scalar_ring
+from .paramfield import FLOAT_TOL, scalar_ring
 from .polysys import StatePoly, VectorField3
 
 
 @dataclass
 class ComplexSystem:
-    """Complexified quadratic+ coefficients and the transverse eigenvalue.
-
-    ``sigma`` is an optional trace term on the rotation block (xdot =
-    (sigma + i) x + ...); it must be an infinitesimal (zero-constant jet),
-    so the monomials (k, k, 0) stay obstructions.
-    """
+    """Complexified quadratic+ coefficients and the transverse eigenvalue."""
 
     a: dict
     b: dict
     c: dict
     lam: object
-    sigma: object = None
 
 
 @dataclass
@@ -138,17 +132,10 @@ def _psi_recursion(cs: ComplexSystem, n: int):
     if not cs.lam:
         raise DegenerateLambda("transverse eigenvalue is zero")
     lam = cs.lam
-    sigma = cs.sigma
-    if sigma is not None:
-        if not isinstance(sigma, Jet) or sigma.constant_part() != 0:
-            raise ValueError("sigma must be a zero-constant jet")
     ring = scalar_ring(lam)
 
     def divisor(k1, k2, k3):
-        re = lam * k3 if k3 else ring.zero
-        if sigma is not None and k1 + k2:
-            re = re + sigma * (k1 + k2)
-        return ring.gauss(re, ring.one * (k1 - k2))
+        return ring.gauss(lam * k3 if k3 else ring.zero, ring.one * (k1 - k2))
 
     # contributions of each component: (coeff dict, exponent offset axis)
     comps = ((cs.a, 0), (cs.b, 1), (cs.c, 2))
@@ -203,11 +190,10 @@ def identity_defect(cs: ComplexSystem, n: int):
     """
     quantities, d = _psi_recursion(cs, n)
     ring = scalar_ring(cs.lam)
-    sigma = ring.zero if cs.sigma is None else cs.sigma
-    # xdot = (sigma + i) x + X1, ydot = (sigma - i) y + X2, zdot = lam z + X3
+    # xdot = i x + X1, ydot = -i y + X2, zdot = lam z + X3
     field = (
-        StatePoly({(1, 0, 0): ring.gauss(sigma, ring.one)}) + StatePoly(cs.a),
-        StatePoly({(0, 1, 0): ring.gauss(sigma, -ring.one)}) + StatePoly(cs.b),
+        StatePoly({(1, 0, 0): ring.gauss(ring.zero, ring.one)}) + StatePoly(cs.a),
+        StatePoly({(0, 1, 0): ring.gauss(ring.zero, -ring.one)}) + StatePoly(cs.b),
         StatePoly({(0, 0, 1): ring.lift(cs.lam)}) + StatePoly(cs.c),
     )
     psi = StatePoly(d)
@@ -226,7 +212,7 @@ def identity_defect(cs: ComplexSystem, n: int):
     return 0.0
 
 
-def verify_first_integral(fld: VectorField3, H: StatePoly, tol: float = 1e-9) -> bool:
+def verify_first_integral(fld: VectorField3, H: StatePoly) -> bool:
     """True iff the derivative of H along the field is the zero polynomial."""
     if H.total_degree() <= 0:
         raise NotAFirstIntegralCandidate("candidate is constant")
@@ -236,23 +222,15 @@ def verify_first_integral(fld: VectorField3, H: StatePoly, tol: float = 1e-9) ->
         acc = part if acc is None else acc + part
     if acc is None:
         return True
-    # exact survivors are nonzero (StatePoly drops zeros); floats get ``tol``
-    return all(isinstance(c, float) and abs(c) <= tol for c in acc.terms.values())
+    # exact survivors are nonzero (StatePoly drops zeros); floats get FLOAT_TOL
+    return all(isinstance(c, float) and abs(c) <= FLOAT_TOL for c in acc.terms.values())
 
 
-def report_for_field(
-    fld: VectorField3,
-    n: int,
-    equilibrium=None,
-    matrix=None,
-    time_scale=None,
-) -> FocusReport:
-    """Normal form -> canonical frame -> complexify -> focus quantities."""
-    if equilibrium is None:
-        equilibrium = (fld.zero,) * 3
-    nf = to_normal_form(fld, equilibrium, matrix=matrix, time_scale=time_scale)
-    cs = complexify(nf.canonical())
-    return focus_quantities(cs, n)
+def report_for_field(fld: VectorField3, n: int) -> FocusReport:
+    """Normal form at the origin -> canonical frame -> complexify -> focus
+    quantities."""
+    nf = to_normal_form(fld, (fld.zero,) * 3)
+    return focus_quantities(complexify(nf.canonical()), n)
 
 
 def verify_center_conditions(fld: VectorField3, condition: dict, n: int) -> bool:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import BadTransform, NotHopf
-from .paramfield import scalar_ring
+from .paramfield import FLOAT_TOL, scalar_ring
 from .polysys import (
     StatePoly,
     VectorField3,
@@ -96,7 +96,6 @@ def to_normal_form(
     equilibrium,
     matrix=None,
     time_scale=None,
-    tol: float = 1e-9,
 ) -> NormalForm3:
     """Translate the equilibrium to the origin, apply the linear change of
     coordinates and a time rescaling, and validate the resulting shape.
@@ -110,7 +109,7 @@ def to_normal_form(
     """
     res = fld.evaluate(equilibrium)
     for v in res:
-        if not _is_const(v, 0, tol):
+        if not _is_const(v, 0, FLOAT_TOL):
             raise NotHopf(f"point {equilibrium!r} is not an equilibrium: {res!r}")
     jac = fld.jacobian_at(equilibrium)
     report = hopf_test(char_cubic(jac))
@@ -131,7 +130,7 @@ def to_normal_form(
     shift = tuple(equilibrium)
     moved = transform(fld, shift, matrix, one)
     lin = moved.jacobian_at((zero, zero, zero))
-    s, lam_raw = _classify_linear(lin, tol * 10)
+    s, lam_raw = _classify_linear(lin, FLOAT_TOL * 10)
 
     if time_scale is None:
         # rescale by |s|, which must be a known constant; time never reverses
@@ -145,13 +144,13 @@ def to_normal_form(
     final = transform(fld, shift, matrix, time_scale)
     if not exact:
         final = replace(
-            final, components=tuple(c.chop(tol * 1e-3) for c in final.components)
+            final, components=tuple(c.chop(FLOAT_TOL * 1e-3) for c in final.components)
         )
     lin = final.jacobian_at((zero, zero, zero))
-    s, lam = _classify_linear(lin, tol)
-    if _is_const(s, 1, tol):
+    s, lam = _classify_linear(lin, FLOAT_TOL)
+    if _is_const(s, 1, FLOAT_TOL):
         orientation = -1  # udot = +v: clockwise frame
-    elif _is_const(s, -1, tol):
+    elif _is_const(s, -1, FLOAT_TOL):
         orientation = 1
     else:
         raise BadTransform(f"rotation entry {s!r} did not rescale to +/-1")

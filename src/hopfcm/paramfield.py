@@ -920,6 +920,11 @@ class GaussExpr:
     __repr__ = __str__
 
 
+# the float backend's test for zero: in the complex ring below, in the
+# normal form's equilibrium, shape and Hopf tests, and for first integrals
+FLOAT_TOL = 1e-9
+
+
 class FloatRing:
     """Complex scalars of the float backend: Python ``complex``.
 
@@ -930,7 +935,7 @@ class FloatRing:
     zero = 0.0
     one = 1.0
     exact = False
-    tol = 1e-9
+    tol = FLOAT_TOL
 
     gauss = lift = complex
 

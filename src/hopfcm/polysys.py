@@ -25,7 +25,7 @@ from .errors import (
     SingularTransform,
 )
 from . import grammar
-from .paramfield import Jet, ParamExpr
+from .paramfield import FLOAT_TOL, Jet, ParamExpr
 
 
 class StatePoly:
@@ -221,17 +221,6 @@ class VectorField3:
             for i in range(3)
         ]
 
-    def linear_matrix(self):
-        """Coefficient matrix of the linear part (field must vanish at 0)."""
-        rows = []
-        for comp in self.components:
-            row = []
-            for j in range(3):
-                e = tuple(1 if i == j else 0 for i in range(3))
-                row.append(comp.terms.get(e, self.zero))
-            rows.append(row)
-        return rows
-
     def substitute_params(self, mapping):
         """Bind some or all parameters by evaluating every coefficient once.
 
@@ -338,19 +327,20 @@ def known_value(x):
     return x if isinstance(x, (int, Fraction, float)) else None
 
 
-def hopf_test(cubic: CharCubic, tol: float = 1e-9) -> HopfReport:
+def hopf_test(cubic: CharCubic) -> HopfReport:
     """Purely imaginary pair plus nonzero real eigenvalue.
 
     Requires gamma - alpha*beta = 0, beta > 0 and alpha != 0; then the
     spectrum is +/- sqrt(beta) i together with -alpha.  Exact residuals are
-    tested exactly; float residuals against ``tol`` relative to the cubic's
-    coefficient scale.
+    tested exactly; float residuals against ``FLOAT_TOL`` relative to the
+    cubic's coefficient scale.
     """
     alpha, beta, gamma = cubic.alpha, cubic.beta, cubic.gamma
     residual = gamma - alpha * beta
     conditions = {"gamma_minus_alpha_beta": residual, "beta": beta, "alpha": alpha}
     if isinstance(residual, float):
         scale = max(1.0, abs(gamma), abs(alpha * beta))
+        tol = FLOAT_TOL
         ok = abs(residual) <= tol * scale and beta > tol and abs(alpha) > tol
         return HopfReport(ok, beta, -alpha, conditions)
     res, b, a = known_value(residual), known_value(beta), known_value(alpha)

@@ -435,7 +435,7 @@ def claim_teo5_cyclicity():
             proportional = False
 
     rep2 = teo5_jets()
-    h_forms, _ = reduce_quantities(rep2.quantities, TEO5_PIVOTS)
+    h_forms = reduce_quantities(rep2.quantities, TEO5_PIVOTS)
     values = evaluate_on_line(h_forms, ETA_LINE)
     h4_zero = values[0][0] == 0
     h5_value = values[1][0]

@@ -8,7 +8,9 @@ import threading
 
 import pytest
 
+from hopfcm.catalog import PERTURBATION_PARAMS
 from hopfcm.cli import build_parser, main
+from hopfcm.verify import ETA_LINE, TEO5_PIVOTS
 
 
 def run_cli(capsys, *argv):
@@ -239,14 +241,32 @@ def test_normalize_rejects_a_malformed_matrix(tmp_path, capsys, system, matrix, 
     assert report["error"] == error and message in report["message"]
 
 
+RANK_CONFIG = {
+    "system": "e1-normal", "point": {"k": 1, "c": 0, "d": 1}, "small": ["k", "c", "d"],
+    "order": 3,
+}
+LINE_CONFIG = {**RANK_CONFIG, "pivots": ["k"], "line": {"c": 1}}
+
+
 @pytest.mark.parametrize(
     "text",
     [
         json.dumps({"system": "e1-normal", "order": 2}),
         json.dumps({"system": "e1-normal", "small": ["k", "c", "d"]}),
         '{"system": "e1-normal",',
+        json.dumps({**LINE_CONFIG, "pivots": ["q"]}),
+        json.dumps({**LINE_CONFIG, "line": {"q": 1}}),
+        json.dumps({**RANK_CONFIG, "order": "4"}),
+        json.dumps({**RANK_CONFIG, "point": {"k": 1, "c": "x", "d": 1}}),
+        json.dumps({**LINE_CONFIG, "line": {"c": "1/0"}}),
+        json.dumps({**RANK_CONFIG, "degree": 0}),
+        json.dumps({**RANK_CONFIG, "small": "kcd"}),
+        json.dumps({**RANK_CONFIG, "trace": "yes"}),
+        json.dumps({**RANK_CONFIG, "system": 7}),
     ],
-    ids=["no-small", "no-order", "invalid-json"],
+    ids=["no-small", "no-order", "invalid-json", "unknown-pivot", "unknown-line-name",
+         "order-a-string", "point-not-a-number", "line-divides-by-zero", "degree-0",
+         "small-a-string", "trace-not-a-bool", "system-not-a-string"],
 )
 def test_custom_cyclicity_config_errors_are_schema_errors(tmp_path, capsys, text):
     path = tmp_path / "config.json"
@@ -254,6 +274,24 @@ def test_custom_cyclicity_config_errors_are_schema_errors(tmp_path, capsys, text
     code, out, err = run_cli(capsys, "cyclicity", "--mode", "custom", "--config", str(path))
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "SchemaError"
+
+
+@pytest.mark.parametrize(
+    "config,total",
+    [
+        ({**RANK_CONFIG, "system": "e1-normal-trace",
+          "point": {"k": 1, "c": 0, "d": 1, "sigma": 0}, "trace": True}, 3),
+        ({"system": "e1-center-perturbed", "small": list(PERTURBATION_PARAMS), "order": 5,
+          "pivots": list(TEO5_PIVOTS), "line": {k: str(v) for k, v in ETA_LINE.items()}}, 5),
+    ],
+    ids=["rank", "line"],
+)
+def test_custom_cyclicity_config_gives_the_built_in_bounds(tmp_path, capsys, config, total):
+    """The teo4 rank bound and the teo5 line bound, read from config files."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, _ = run_cli(capsys, "cyclicity", "--mode", "custom", "--config", str(path))
+    assert code == 0 and json.loads(out)["total"] == total
 
 
 def test_verify_subcommand_exit_codes(capsys):

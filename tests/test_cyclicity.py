@@ -21,6 +21,7 @@ from hopfcm.cyclicity import (
     gradient_on_line,
     jacobian_rank,
     jet_focus_report,
+    line_analysis,
     reduce_quantities,
 )
 from hopfcm.errors import BadPivots, TruncationTooLow
@@ -117,21 +118,6 @@ def test_trace_bound_reaches_three():
     assert report.trace_bonus and report.k == 2 and report.l == 0
 
 
-def test_bound_without_quantities_is_trace_only():
-    # the first quantity has no linear sigma-dependence in this
-    # normalization, so rank 0 plus the declared trace yields one cycle
-    report = cyclicity_bound_rank(
-        e1_normal_trace(),
-        {"k": 1, "c": 0, "d": 1, "sigma": 0},
-        ("sigma",),
-        1,
-        1,
-        trace_declared=True,
-        trace_param="sigma",
-    )
-    assert report.rank == 0 and report.total == 1
-
-
 # --- reduction pipeline ------------------------------------------------------------
 
 
@@ -142,7 +128,7 @@ def perturbed_jets():
 
 def test_reduced_quantities_have_zero_linear_parts(perturbed_jets):
     quantities = perturbed_jets.quantities
-    h_forms, details = reduce_quantities(quantities, ("a011", "a101", "b011"))
+    h_forms = reduce_quantities(quantities, ("a011", "a101", "b011"))
     ctx = quantities[0].ctx
     piv = {ctx.names.index(p) for p in ("a011", "a101", "b011")}
     for h in h_forms:
@@ -150,56 +136,99 @@ def test_reduced_quantities_have_zero_linear_parts(perturbed_jets):
         assert all(i not in piv for m in h.terms for i, _ in m)
 
 
-def test_reduction_combination_coefficients_are_consistent(perturbed_jets):
-    quantities = perturbed_jets.quantities
-    _, details = reduce_quantities(quantities, ("a011", "a101", "b011"))
-    combos = details["combinations"]
-    rng = random.Random(5)
+def _det(m):
+    if not m:
+        return F(1)
+    return sum(
+        (-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
+        for j in range(len(m))
+    )
+
+
+def _solve(a, b):
+    """a x = b by Cramer's rule: no code shared with the library's elimination."""
+    d = _det(a)
+    return [
+        _det([row[:i] + [v] + row[i + 1:] for row, v in zip(a, b)]) / d
+        for i in range(len(a))
+    ]
+
+
+def _linear_route(quantities, pivots):
+    """The h forms by the route the pivot series replaces: subtract from each
+    later quantity the combination of L_1..L_k that matches its linear part,
+    put in the pivots' linear solution on the locus, read the degree-2 part."""
     ctx = quantities[0].ctx
-    for j, coeffs in combos.items():
-        reduced = quantities[j]
-        for r in range(3):
-            reduced = reduced - ctx.const(coeffs[r]) * quantities[r]
+    names, k = ctx.names, len(pivots)
+    lin = [q.linear_coefficients() for q in quantities]
+    cols = [names.index(p) for p in pivots]
+    block = [[lin[r][c] for c in cols] for r in range(k)]
+    on_locus = {p: ctx.zero() if p in pivots else ctx.eps(p) for p in names}
+    for i, name in enumerate(names):
+        if i not in cols:
+            for p, v in zip(pivots, _solve(block, [-lin[r][i] for r in range(k)])):
+                on_locus[p] = on_locus[p] + v * ctx.eps(name)
+    forms = []
+    for j in range(k, len(quantities)):
+        coeffs = _solve([list(col) for col in zip(*block)], [lin[j][c] for c in cols])
+        reduced = quantities[j] - sum(c * q for c, q in zip(coeffs, quantities))
         assert not reduced.homogeneous_part(1)
+        forms.append(ctx.zero() + reduced.homogeneous_part(2).evaluate(on_locus))
+    return forms
 
 
-def test_pivot_locus_substitution_matches_direct_evaluation(perturbed_jets):
-    """On the locus where the leading linear parts vanish, the h forms agree
-    with the reduced quantities' quadratic parts evaluated directly."""
+def test_series_forms_match_the_linear_substitution_route(perturbed_jets):
+    """At degree 2 the forms on the pivot series are exactly those of the
+    combinations and the linear pivot solution."""
     quantities = perturbed_jets.quantities
-    h_forms, details = reduce_quantities(quantities, ("a011", "a101", "b011"))
-    ctx = quantities[0].ctx
-    names = ctx.names
-    substitution = details["substitution"]
-    rng = random.Random(17)
+    h_forms = reduce_quantities(quantities, TEO5_PIVOTS)
+    assert len(h_forms) == 2 and all(h_forms)
+    assert h_forms == _linear_route(quantities, TEO5_PIVOTS)
 
-    def eval_jet(q, assign):
-        total = F(0)
-        for mono, c in q.terms.items():
-            prod = c
-            for i, e in mono:
-                prod *= assign[i] ** e
-            total += prod
-        return total
 
-    for _ in range(5):
-        assign = {i: F(rng.randint(-3, 3), rng.randint(1, 3)) for i in range(len(names))}
-        # impose the locus: pivot values are the linear solves in the rest
-        for piv, lin_form in substitution.items():
-            assign[piv] = sum((c * assign[r] for r, c in lin_form.items()), F(0))
-        for h, j in zip(h_forms, (3, 4)):
-            reduced = quantities[j]
-            for r, coeff in enumerate(details["combinations"][j]):
-                reduced = reduced - ctx.const(coeff) * quantities[r]
-            quad = reduced.homogeneous_part(2)
-            assert eval_jet(h, assign) == eval_jet(quad, assign)
+@pytest.fixture(scope="module")
+def perturbed_jets_degree_3():
+    return jet_focus_report(e1_center_perturbed(), {}, PERTURBATION_PARAMS, 3, 5)
+
+
+def test_degree_3_jets_give_the_degree_2_line_analysis(perturbed_jets, perturbed_jets_degree_3):
+    """The pivot series carries the quadratic corrections of a degree-3 jet,
+    and the degree-2 parts on the locus are the degree-2 forms."""
+    deg3 = perturbed_jets_degree_3.quantities
+    forms3 = reduce_quantities(deg3, TEO5_PIVOTS)
+    forms2 = reduce_quantities(perturbed_jets.quantities, TEO5_PIVOTS)
+    assert [h.terms for h in forms3] == [h.terms for h in forms2]
+    r3 = line_analysis(deg3, PERTURBATION_PARAMS, TEO5_PIVOTS, ETA_LINE)
+    r2 = line_analysis(perturbed_jets.quantities, PERTURBATION_PARAMS, TEO5_PIVOTS, ETA_LINE)
+    assert (r3.k, r3.l, r3.h_on_eta) == (r2.k, r2.l, r2.h_on_eta)
+    assert (r3.k, r3.l, r3.total) == (3, 2, 5)
+
+
+@pytest.mark.parametrize(
+    "parallel,line,l",
+    [(True, {"x": 1, "y": 1}, 0), (False, {"x": 1, "y": 1, "z": 1}, 3)],
+    ids=["parallel-gradients", "independent-gradients"],
+)
+def test_transversality_needs_independent_gradients(parallel, line, l):
+    """h1 = x^2 - y^2 and h2 vanish on the line and x^2 does not.  On
+    x = y = 1, h2 = 2 h1 + z^2 has the gradient (4, -4, 0), parallel to h1's
+    (2, -2, 0), and nothing is certified; on x = y = z = 1, h2 = z^2 - x^2
+    has (-2, 0, 2), independent of h1's, and the three forms give 3."""
+    ctx = JetContext(("x", "y", "z"), 2)
+    x, y, z = (ctx.eps(n) for n in ctx.names)
+    h1 = x * x - y * y
+    h2 = 2 * h1 + z * z if parallel else z * z - x * x
+    report = line_analysis([h1, h2, x * x], ctx.names, (), line)
+    assert [v for v, _ in report.h_on_eta] == ["0", "0", "1"]
+    assert (report.k, report.l, report.total) == (0, l, l)
+    assert ("transversality failed along the line" in report.notes) == parallel
 
 
 def test_identity_reduction_with_no_pivots():
     # with no leading quantities the reduction passes quadratic parts through
     ctx = JetContext(("x", "y"), 2)
     q = 3 * ctx.eps("x") * ctx.eps("y") + ctx.eps("y") * ctx.eps("y")
-    h_forms, _ = reduce_quantities([q], ())
+    h_forms = reduce_quantities([q], ())
     assert h_forms == [q]
 
 
@@ -220,7 +249,7 @@ def test_truncation_guard():
 
 
 def test_line_evaluation_scaling_and_zero_line(perturbed_jets):
-    h_forms, _ = reduce_quantities(perturbed_jets.quantities, ("a011", "a101", "b011"))
+    h_forms = reduce_quantities(perturbed_jets.quantities, ("a011", "a101", "b011"))
     line = {"b200": F(1), "c101": F(-252889, 66891)}
     double = {k: 2 * v for k, v in line.items()}
     vals = evaluate_on_line(h_forms, line)
@@ -240,7 +269,7 @@ def test_line_evaluation_scaling_and_zero_line(perturbed_jets):
 def test_gradient_on_line_matches_the_polynomial_derivative(perturbed_jets):
     """The jet gradient of the teo5 forms on the eta line equals the
     ParamPoly derivative at the line point, which shares no code with jets."""
-    h_forms, _ = reduce_quantities(perturbed_jets.quantities, TEO5_PIVOTS)
+    h_forms = reduce_quantities(perturbed_jets.quantities, TEO5_PIVOTS)
     names = h_forms[0].ctx.names
     point = {p: ETA_LINE.get(p, F(0)) for p in names}
     for h in h_forms:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfcm import paramfield
-from hopfcm.catalog import e1_center, e1_normal, e1_normal_trace, e4_normal, e5_normal
+from hopfcm.catalog import e1_center, e1_normal, e4_normal, e5_normal
 from hopfcm.cyclicity import jet_system
 from hopfcm.errors import (
     DegenerateLambda,
@@ -68,29 +68,6 @@ def _complexified(fld):
     return complexify(to_normal_form(fld, (fld.zero,) * 3).canonical())
 
 
-def _trace_jet_system():
-    """The system jet_focus_report builds for a trace parameter: degree-2
-    jets, so the sigma * d_K terms of the identity survive truncation."""
-    import hopfcm.cyclicity as cyclicity
-
-    seen = []
-    inner = cyclicity.focus_quantities
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(
-            cyclicity, "focus_quantities", lambda cs, n: seen.append(cs) or inner(cs, n)
-        )
-        cyclicity.jet_focus_report(
-            e1_normal_trace(),
-            {"k": 1, "c": 0, "d": F(1, 2), "sigma": 0},
-            ("k", "c", "d", "sigma"),
-            2,
-            1,
-            trace_param="sigma",
-        )
-    assert seen[0].sigma is not None
-    return seen[0]
-
-
 # (system builder, order): one case per scalar backend of the recursion
 DEFECT_CASES = [
     pytest.param(lambda: _complexified(
@@ -101,7 +78,6 @@ DEFECT_CASES = [
     pytest.param(lambda: _complexified(
         jet_system(e1_normal(), {"k": 1, "c": 0, "d": 1}, ("k", "c", "d"), 2)), 2,
         id="jet-degree-2"),
-    pytest.param(_trace_jet_system, 2, id="jet-trace"),
     pytest.param(lambda: _complexified(e4_normal({"c": 0.25, "h": 2.0})), 2, id="float"),
 ]
 

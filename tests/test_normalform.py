@@ -57,7 +57,7 @@ def test_canonical_swap_records_orientation():
     assert canon.swapped is True
     assert canon.canonical() is canon
     # canonical frame: udot = -v + nonlinear
-    lin = canon.field.linear_matrix()
+    lin = canon.field.jacobian_at(_zero3())
     assert lin[0][1] == -1 and lin[1][0] == 1
 
 
