@@ -3,14 +3,17 @@
 The coefficient tower used by the symbolic half of the package:
 
 * ``Rational``          -- arbitrary-precision rationals (``fractions.Fraction``).
-* ``ParamPoly``         -- multivariate polynomials in the declared parameters,
-  sparse dict of exponent vectors, rational coefficients.
+* ``ParamPoly``         -- multivariate polynomials in the declared parameters:
+  one rational content times a sparse dict of exponent vectors to integers,
+  integer-primitive with a positive leading coefficient (the content/primitive
+  part split of Geddes, Czapor & Labahn, 1992, ch. 2).  Products need no gcd
+  (Gauss's lemma); a sum takes one integer gcd pass.
 * ``ParamExpr``         -- the fraction field of ``ParamPoly``, kept in a
-  canonical form (gcd-cancelled, primitive positive-leading denominator) so
-  structural equality is field equality.
+  canonical form (gcd-cancelled, denominator of content 1) so structural
+  equality is field equality.
 * ``poly_gcd``          -- the gcd behind that canonical form: Char, Geddes &
-  Gonnet's heuristic GCDHEU.  Both operands are scaled to primitive integer
-  polynomials; one variable at a time is evaluated at an integer xi above
+  Gonnet's heuristic GCDHEU.  It runs on the operands' integer parts as they
+  are stored; one variable at a time is evaluated at an integer xi above
   twice the smaller max-norm, down to an integer gcd; the gcd is rebuilt
   from the symmetric base-xi digits of the images' gcd, with the integer
   contents pulled out at every level and their gcd put back.  A candidate is
@@ -50,10 +53,12 @@ from collections import Counter
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations_with_replacement
+from operator import add
 
 from .errors import DivisionByZero, PoleAtPoint, TruncationTooLow
 
 Rational = Fraction
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def rat(value, den=None) -> Fraction:
@@ -71,70 +76,134 @@ def _grlex_key(exp):
     return (sum(exp), exp)
 
 
-def _mono_mul(e1, e2):
-    return tuple(a + b for a, b in zip(e1, e2))
+def _power_sum(terms, vals, scale):
+    """scale * sum(n * prod(vals[i] ** p for i, p in mono)) over the
+    (mono, n) pairs of ``terms``, each ``mono`` a sequence of (index,
+    exponent) pairs and each n an int; every power is computed once.
+    Returns a Rational for no terms."""
+    powers = {}
+    acc = None
+    for mono, n in terms:
+        term = n
+        for ip in mono:
+            x = powers.get(ip)
+            if x is None:
+                i, p = ip
+                x = powers[ip] = vals[i] ** p
+            term = term * x
+        acc = term if acc is None else acc + term
+    return _ZERO if acc is None else acc * scale
+
+
+def _binary_power(base, n, one):
+    """base ** n by repeated squaring, for an integer n >= 0."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("exponents must be nonnegative integers")
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
 
 
 class ParamPoly:
-    """Sparse multivariate polynomial over Q in a fixed parameter tuple."""
+    """Sparse multivariate polynomial over Q in a fixed parameter tuple.
 
-    __slots__ = ("params", "terms", "_hash")
+    Held as one rational ``content`` times an {exponent: int} dict ``prim``
+    that is integer-primitive with a positive graded-lex leading
+    coefficient; the zero polynomial has the empty dict and content 0.  The
+    form is canonical, so equality and hashing are structural.
+    """
+
+    __slots__ = ("params", "content", "prim", "_hash")
 
     def __init__(self, params, terms):
-        self.params = tuple(params)
-        self.terms = {e: c for e, c in terms.items() if c != 0}
-        self._hash = None
+        """The polynomial with the rational coefficients ``{exponent: c}``."""
+        terms = {e: Fraction(c) for e, c in terms.items() if c}
+        den = math.lcm(*[c.denominator for c in terms.values()])
+        ints = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+        poly = ParamPoly._normal(tuple(params), ints, Fraction(1, den))
+        self.params, self.content, self.prim, self._hash = poly.params, poly.content, poly.prim, None
+
+    @classmethod
+    def _make(cls, params, content, prim):
+        """content * prim for a ``prim`` already in canonical form, without
+        the normalization of ``__init__``."""
+        poly = cls.__new__(cls)
+        poly.params, poly.content, poly.prim, poly._hash = params, content, prim, None
+        return poly
+
+    @classmethod
+    def _normal(cls, params, ints, scale):
+        """scale * ints for any {exponent: int} dict and rational scale:
+        one integer gcd pass, and the sign of the grlex lead."""
+        if 0 in ints.values():
+            ints = {e: c for e, c in ints.items() if c}
+        if not ints or not scale:
+            return cls._make(params, _ZERO, {})
+        g = math.gcd(*ints.values())
+        if ints[max(ints, key=_grlex_key)] < 0:
+            g = -g
+        if g != 1:
+            ints = {e: c // g for e, c in ints.items()}
+        return cls._make(params, scale * g, ints)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls, params):
-        return cls(params, {})
+        return cls._make(tuple(params), _ZERO, {})
 
     @classmethod
     def const(cls, params, value):
         value = Fraction(value)
-        n = len(params)
         if value == 0:
-            return cls(params, {})
-        return cls(params, {(0,) * n: value})
+            return cls.zero(params)
+        return cls._make(tuple(params), value, {(0,) * len(params): 1})
 
     @classmethod
     def var(cls, params, name):
         i = params.index(name)
         e = tuple(1 if j == i else 0 for j in range(len(params)))
-        return cls(params, {e: Fraction(1)})
+        return cls._make(tuple(params), _ONE, {e: 1})
 
     # -- basic queries -------------------------------------------------------
 
+    @property
+    def terms(self):
+        """The coefficients as a new {exponent: Rational} dict."""
+        content = self.content
+        return {e: content * n for e, n in self.prim.items()}
+
+    def primitive(self):
+        """The integer part ``prim`` as a polynomial (content 1; 0 stays 0)."""
+        if self.content == 1 or not self.prim:
+            return self
+        return ParamPoly._make(self.params, _ONE, self.prim)
+
     def is_zero(self):
-        return not self.terms
+        return not self.prim
 
     def is_constant(self):
-        terms = self.terms
-        return not terms or (len(terms) == 1 and not any(next(iter(terms))))
+        prim = self.prim
+        return not prim or (len(prim) == 1 and not any(next(iter(prim))))
 
     def constant_value(self):
-        if self.is_zero():
-            return Fraction(0)
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
-        return next(iter(self.terms.values()))
-
-    def total_degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+        return self.content
 
     def leading(self):
         """Leading (exponent, coefficient) under graded lex order."""
-        e = max(self.terms, key=_grlex_key)
-        return e, self.terms[e]
+        e = max(self.prim, key=_grlex_key)
+        return e, self.content * self.prim[e]
 
     def degree_in(self, i):
-        if not self.terms:
+        if not self.prim:
             return -1
-        return max(e[i] for e in self.terms)
+        return max(e[i] for e in self.prim)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -151,19 +220,27 @@ class ParamPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, 0) + c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
-        return ParamPoly(self.params, terms)
+        if not other.prim:
+            return self
+        if not self.prim:
+            return other
+        # self + other = s * (a self.prim + b other.prim), s the rational gcd
+        # of the contents and a, b integers
+        p, q = self.content, other.content
+        g = math.gcd(p.numerator, q.numerator)
+        den = math.lcm(p.denominator, q.denominator)
+        a = p.numerator // g * (den // p.denominator)
+        b = q.numerator // g * (den // q.denominator)
+        ints = dict(self.prim) if a == 1 else {e: c * a for e, c in self.prim.items()}
+        get = ints.get
+        for e, c in other.prim.items():
+            ints[e] = get(e, 0) + c * b
+        return ParamPoly._normal(self.params, ints, Fraction(g, den))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ParamPoly(self.params, {e: -c for e, c in self.terms.items()})
+        return ParamPoly._make(self.params, -self.content, self.prim)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -175,82 +252,71 @@ class ParamPoly:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # a rational scaling changes only the content
+            if not other:
+                return ParamPoly.zero(self.params)
+            return ParamPoly._make(self.params, self.content * other, self.prim)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        # Gauss's lemma: the product of primitive parts is primitive, and its
+        # lead is the product of the (positive) leads
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = _mono_mul(e1, e2)
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return ParamPoly(self.params, out)
+        get = out.get
+        for e1, c1 in self.prim.items():
+            for e2, c2 in other.prim.items():
+                e = tuple(map(add, e1, e2))
+                out[e] = get(e, 0) + c1 * c2
+        if 0 in out.values():
+            out = {e: c for e, c in out.items() if c}
+        return ParamPoly._make(self.params, self.content * other.content, out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponents must be nonnegative integers")
-        result = ParamPoly.const(self.params, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _binary_power(self, n, ParamPoly.const(self.params, 1))
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.terms == other.terms
+        return self.content == other.content and self.prim == other.prim
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.params, frozenset(self.terms.items())))
+            self._hash = hash((self.params, self.content, frozenset(self.prim.items())))
         return self._hash
 
     # -- calculus / evaluation ------------------------------------------------
 
     def derivative(self, name):
         i = self.params.index(name)
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            e2 = tuple(x - 1 if j == i else x for j, x in enumerate(e))
-            out[e2] = out.get(e2, 0) + c * e[i]
-        return ParamPoly(self.params, out)
+        out = {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in self.prim.items() if e[i]}
+        return ParamPoly._normal(self.params, out, self.content)
 
     def evaluate(self, values):
         """Evaluate with every parameter bound.
 
         ``values`` maps parameter name to any scalar supporting + * **
         (Rational, float, Jet, ParamExpr, ...). Returns a Rational for the
-        empty polynomial.
+        zero polynomial.
         """
         vals = [values[p] for p in self.params]
-        acc = None
-        for e, c in sorted(self.terms.items(), key=lambda item: _grlex_key(item[0])):
-            term = c
-            for v, p in zip(vals, e):
-                if p:
-                    term = term * v**p
-            acc = term if acc is None else acc + term
-        return Fraction(0) if acc is None else acc
+        terms = (
+            ([(i, p) for i, p in enumerate(e) if p], self.prim[e])
+            for e in sorted(self.prim, key=_grlex_key)
+        )
+        return _power_sum(terms, vals, self.content)
 
     # -- printing -------------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
+        if not self.prim:
             return "0"
         parts = []
-        for e in sorted(self.terms, key=_grlex_key, reverse=True):
-            c = self.terms[e]
+        for e in sorted(self.prim, key=_grlex_key, reverse=True):
+            c = self.content * self.prim[e]
             factors = []
             for name, p in zip(self.params, e):
                 if p == 1:
@@ -277,42 +343,8 @@ class ParamPoly:
 # ---------------------------------------------------------------------------
 # multivariate gcd: heuristic gcd by integer evaluation, PRS fallback
 #
-# The kernels below work on integer polynomials as {exponent: int} dicts.
-
-
-def _rational_content(poly: ParamPoly) -> Fraction:
-    """Positive rational c with poly/c integer-primitive; sign from grlex lead."""
-    if poly.is_zero():
-        return Fraction(1)
-    coeffs = poly.terms.values()
-    content = Fraction(
-        math.gcd(*[c.numerator for c in coeffs]),
-        math.lcm(*[c.denominator for c in coeffs]),
-    )
-    _, lead = poly.leading()
-    return content if lead > 0 else -content
-
-
-def _scale(poly: ParamPoly, q: Fraction) -> ParamPoly:
-    if q == 1:
-        return poly
-    return ParamPoly(poly.params, {e: c * q for e, c in poly.terms.items()})
-
-
-def _integer_terms(poly: ParamPoly):
-    """(c, p) with poly = c * p, c = ``_rational_content(poly)`` and p the
-    integer-primitive polynomial with positive lead, as an int dict."""
-    content = _rational_content(poly)
-    kn, kd = content.numerator, content.denominator
-    return content, {
-        e: c.numerator * kd // (c.denominator * kn) for e, c in poly.terms.items()
-    }
-
-
-def _from_integer_terms(params, terms, scale=1) -> ParamPoly:
-    if scale == 1:
-        return ParamPoly(params, {e: Fraction(v) for e, v in terms.items()})
-    return ParamPoly(params, {e: v * scale for e, v in terms.items()})
+# The kernels below work on the integer parts of polynomials, {exponent:
+# int} dicts; a polynomial's content stays outside them.
 
 
 def _div_int(a: dict, b: dict):
@@ -368,15 +400,12 @@ def exact_div(a: ParamPoly, b: ParamPoly) -> ParamPoly:
         raise DivisionByZero("polynomial division by zero")
     if a.is_zero():
         return a
-    if b.is_constant():
-        return _scale(a, 1 / b.constant_value())
-    # b | a over Q iff pp(b) | pp(a) over Z (Gauss's lemma)
-    ca, pa = _integer_terms(a)
-    cb, pb = _integer_terms(b)
-    quo = _div_int(pa, pb)
+    # b | a over Q iff b.prim | a.prim over Z (Gauss's lemma), and then the
+    # quotient of the integer parts is primitive with a positive lead
+    quo = a.prim if b.is_constant() else _div_int(a.prim, b.prim)
     if quo is None:
         raise ValueError("inexact polynomial division")
-    return _from_integer_terms(a.params, quo, ca / cb)
+    return ParamPoly._make(a.params, a.content / b.content, quo)
 
 
 # Char, Geddes & Gonnet's GCDHEU (J. Symbolic Comput. 7, 1989; Geddes,
@@ -478,27 +507,27 @@ def _heu_gcd(f: dict, g: dict):
 
 
 def poly_gcd(a: ParamPoly, b: ParamPoly):
-    """(g, a/g, b/g) for g the gcd in Q[params], normalized
-    integer-primitive with positive lead; a and b themselves when g is 1."""
+    """(g, a/g, b/g) for g the gcd in Q[params], normalized to content 1;
+    a and b themselves when g is 1."""
     if a.is_zero():
-        g = _primitive_positive(b) if not b.is_zero() else b
+        g = b.primitive()
     elif b.is_zero():
-        g = _primitive_positive(a)
+        g = a.primitive()
     elif a.is_constant() or b.is_constant():
         return ParamPoly.const(a.params, 1), a, b
     else:
-        (ca, pa), (cb, pb) = _integer_terms(a), _integer_terms(b)
-        heu = _heu_gcd(pa, pb)
+        heu = _heu_gcd(a.prim, b.prim)
         if heu is None:
             g = _prs_gcd(a, b)
         else:
             h, qa, qb = heu
             if h[max(h, key=_grlex_key)] < 0:
                 h, qa, qb = ({e: -c for e, c in p.items()} for p in heu)
-            g = _from_integer_terms(a.params, h)
+            # the integer parts are primitive, so h and its cofactors are too
+            g = ParamPoly._make(a.params, _ONE, h)
             if not g.is_constant():
-                qa = _from_integer_terms(a.params, qa, ca)
-                return g, qa, _from_integer_terms(a.params, qb, cb)
+                qa = ParamPoly._make(a.params, a.content, qa)
+                return g, qa, ParamPoly._make(a.params, b.content, qb)
     if g.is_constant():
         return g, a, b
     return g, exact_div(a, g), exact_div(b, g)
@@ -510,21 +539,14 @@ def poly_gcd(a: ParamPoly, b: ParamPoly):
 
 def _coeff_wrt(poly: ParamPoly, i: int, d: int) -> ParamPoly:
     """Coefficient of x_i^d, as a polynomial with x_i-exponent zeroed."""
-    out = {}
-    for e, c in poly.terms.items():
-        if e[i] == d:
-            e2 = tuple(0 if j == i else x for j, x in enumerate(e))
-            out[e2] = c
-    return ParamPoly(poly.params, out)
+    ints = {e[:i] + (0,) + e[i + 1:]: c for e, c in poly.prim.items() if e[i] == d}
+    return ParamPoly._normal(poly.params, ints, poly.content)
 
 
 def _shift(poly: ParamPoly, i: int, d: int) -> ParamPoly:
-    """Multiply by x_i^d."""
-    return ParamPoly(
-        poly.params,
-        {tuple(x + d if j == i else x for j, x in enumerate(e)): c
-         for e, c in poly.terms.items()},
-    )
+    """Multiply by x_i^d (which keeps the grlex order of the terms)."""
+    ints = {e[:i] + (e[i] + d,) + e[i + 1:]: c for e, c in poly.prim.items()}
+    return ParamPoly._make(poly.params, poly.content, ints)
 
 
 def _content_wrt(poly: ParamPoly, i: int) -> ParamPoly:
@@ -550,18 +572,13 @@ def _prem(f: ParamPoly, g: ParamPoly, i: int) -> ParamPoly:
     return r
 
 
-def _primitive_positive(poly: ParamPoly) -> ParamPoly:
-    c = _rational_content(poly)
-    return poly if c == 1 else _scale(poly, 1 / c)
-
-
 def _prs_gcd(a: ParamPoly, b: ParamPoly) -> ParamPoly:
     """The gcd of ``poly_gcd``, without cofactors, by content /
     primitive-part recursion."""
     if a.is_zero():
-        return _primitive_positive(b) if not b.is_zero() else b
+        return b.primitive()
     if b.is_zero():
-        return _primitive_positive(a)
+        return a.primitive()
     if a.is_constant() or b.is_constant():
         return ParamPoly.const(a.params, 1)
     # main variable: lowest index occurring in either operand
@@ -585,16 +602,16 @@ def _prs_gcd(a: ParamPoly, b: ParamPoly) -> ParamPoly:
         if r.degree_in(main) == 0:
             g = ParamPoly.const(a.params, 1)
             break
-        f, g = g, _primitive_positive(exact_div(r, _content_wrt(r, main)))
-    return _primitive_positive(cg * _primitive_positive(g))
+        f, g = g, exact_div(r, _content_wrt(r, main)).primitive()
+    return cg * g.primitive()
 
 
 def _unit_den(num: ParamPoly, den: ParamPoly):
-    """Scale num/den so den is integer-primitive with a positive grlex lead."""
-    c = _rational_content(den)
+    """num/den rescaled so den has content 1, the canonical denominator."""
+    c = den.content
     if c == 1:
         return num, den
-    return _scale(num, 1 / c), _scale(den, 1 / c)
+    return num * (1 / c), den.primitive()
 
 
 # ---------------------------------------------------------------------------
@@ -603,9 +620,9 @@ def _unit_den(num: ParamPoly, den: ParamPoly):
 class ParamExpr:
     """Element of the fraction field Q(params), canonical after normalization.
 
-    Canonical form: gcd(num, den) = 1 and den integer-primitive with positive
-    leading coefficient under graded lex, so equal field elements have
-    identical representations.
+    Canonical form: gcd(num, den) = 1 and den of content 1 (its integer part
+    primitive with a positive leading coefficient under graded lex), so
+    equal field elements have identical representations.
     """
 
     __slots__ = ("num", "den", "_hash")
@@ -696,7 +713,7 @@ class ParamExpr:
         """self * q for a rational q; the denominator is unchanged."""
         if q == 0:
             return ParamExpr.zero(self.params)
-        return ParamExpr(_scale(self.num, q), self.den, _normalized=True)
+        return ParamExpr(self.num * q, self.den, _normalized=True)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -804,7 +821,7 @@ class ParamExpr:
             raise PoleAtPoint(f"denominator vanishes at {values!r}") from exc
 
     def __str__(self):
-        if self.den.is_constant() and self.den.constant_value() == 1:
+        if self.den.is_constant():  # content 1, so den is 1
             return str(self.num)
         return f"({self.num})/({self.den})"
 
@@ -894,16 +911,7 @@ class GaussExpr:
         return other / self
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponents must be nonnegative integers")
-        result = GaussExpr(self.re ** 0, self.re * 0)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _binary_power(self, n, GaussExpr(self.re ** 0, self.re * 0))
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -1110,13 +1118,9 @@ class Jet:
         Returns a Rational for the zero jet.
         """
         vals = [values[name] for name in self.ctx.names]
-        acc = Fraction(0)
-        for mono, c in self.terms.items():
-            term = c
-            for i, e in mono:
-                term = term * vals[i] ** e
-            acc = acc + term
-        return acc
+        monos = self.ctx.monomials
+        terms = ((monos[k], n) for k, n in self.nums.items())
+        return _power_sum(terms, vals, Fraction(1, self.den))
 
     def constant_part(self):
         return Fraction(self.nums.get(0, 0), self.den)
@@ -1220,16 +1224,7 @@ class Jet:
         return other * self.inverse()
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponents must be nonnegative integers")
-        result = self.ctx.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _binary_power(self, n, self.ctx.one())
 
     def __eq__(self, other):
         other = self._coerce(other)

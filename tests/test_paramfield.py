@@ -278,6 +278,34 @@ def test_poly_gcd_keeps_a_factor_the_operands_share_in_one_variable():
     assert poly_gcd((d * k**2).num, (d**2).num) == (d.num, (k**2).num, d.num)
 
 
+def _grlex(e):
+    return (sum(e), e)
+
+
+def _primitive_ints(terms):
+    """The integer-primitive multiple with a positive grlex lead of a
+    nonzero {exponent: Fraction} dict, computed from the coefficients alone."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    ints = {e: int(c * den) for e, c in terms.items()}
+    g = math.gcd(*ints.values())
+    if ints[max(ints, key=_grlex)] < 0:
+        g = -g
+    return {e: c // g for e, c in ints.items()}
+
+
+def _assert_canonical(p):
+    """content * prim with prim integer-primitive and a positive grlex lead;
+    the zero polynomial has prim {} and content 0."""
+    assert type(p.content) is Fraction
+    if not p.prim:
+        assert p.content == 0
+        return
+    assert p.content != 0
+    assert all(type(c) is int and c for c in p.prim.values())
+    assert p.prim == _primitive_ints(p.prim)
+    assert p.terms == {e: p.content * c for e, c in p.prim.items()}
+
+
 @st.composite
 def factors(draw):
     """A nonzero polynomial in (c, d, k) of degree <= 2 in each variable,
@@ -297,10 +325,11 @@ def test_poly_gcd_matches_sympy_and_the_prs_fallback(a, b, g):
     f, h = a * g, b * g
     got, qf, qh = poly_gcd(f, h)
     oracle = sympy.gcd(_poly_to_sympy(f), _poly_to_sympy(h))
-    assert got == paramfield._primitive_positive(_poly_from_sympy(oracle))
+    assert (got.content, got.prim) == (1, _primitive_ints(_poly_from_sympy(oracle).terms))
     assert got == paramfield._prs_gcd(f, h)
-    # normalized: integer-primitive with a positive grlex lead
-    assert paramfield._rational_content(got) == 1
+    # normalized: content 1, and an integer part that is primitive with a
+    # positive grlex lead
+    _assert_canonical(got)
     # the shared factor divides the gcd, which divides both operands
     assert paramfield.exact_div(got, g) * g == got
     assert paramfield.exact_div(f, got) * got == f
@@ -331,9 +360,98 @@ def test_poly_gcd_in_many_variables_falls_back_to_the_prs(monkeypatch):
 
     monkeypatch.setattr(paramfield, "_prs_gcd", counting_prs)
     g, qa, qb = poly_gcd(a, b)
-    assert g == paramfield._primitive_positive(shared)
+    assert (g.content, g.prim) == (1, _primitive_ints(shared.terms))
     assert qa * g == a and qb * g == b
     assert calls
+
+
+def _fraction_dict_str(params, terms):
+    """The printer of a ParamPoly held as an {exponent: Fraction} dict, kept
+    here as the reference for the printed strings."""
+    if not terms:
+        return "0"
+    parts = []
+    for e in sorted(terms, key=_grlex, reverse=True):
+        c = terms[e]
+        factors = []
+        for name, p in zip(params, e):
+            if p == 1:
+                factors.append(name)
+            elif p > 1:
+                factors.append(f"{name}^{p}")
+        if not factors:
+            body = str(c)
+        elif c == 1:
+            body = "*".join(factors)
+        elif c == -1:
+            body = "-" + "*".join(factors)
+        else:
+            body = str(c) + "*" + "*".join(factors)
+        parts.append(body)
+    out = parts[0]
+    for p in parts[1:]:
+        out += " - " + p[1:] if p.startswith("-") else " + " + p
+    return out
+
+
+@st.composite
+def rational_terms(draw):
+    """An {exponent: Fraction} dict in (c, d, k), empty at times, with
+    negative and non-integer coefficients."""
+    exps = st.tuples(*[st.integers(0, 2)] * len(P))
+    coeffs = st.fractions(min_value=-40, max_value=40, max_denominator=12).filter(bool)
+    scale = draw(st.sampled_from([1, -1, Fraction(3, 7), Fraction(-10, 9), 6]))
+    return {e: c * scale for e, c in draw(st.dictionaries(exps, coeffs, max_size=4)).items()}
+
+
+def _by_arithmetic(terms):
+    x = [ParamPoly.var(P, name) for name in P]
+    acc = ParamPoly.zero(P)
+    for e, c in terms.items():
+        acc = acc + c * x[0] ** e[0] * x[1] ** e[1] * x[2] ** e[2]
+    return acc
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_terms(), rational_terms(), st.integers(0, 3), st.sampled_from(P))
+def test_the_polynomial_form_is_canonical(ta, tb, n, name):
+    a, b = ParamPoly(P, ta), ParamPoly(P, tb)
+    assert str(a) == _fraction_dict_str(P, ta)
+    assert a.terms == ta
+    # three constructions of one polynomial: equal, with equal hashes
+    built = [a, _by_arithmetic(ta)]
+    if not b.is_zero():
+        built.append(paramfield.exact_div(a * b, b))
+    for p in built:
+        _assert_canonical(p)
+        assert p == a and hash(p) == hash(a) and str(p) == str(a)
+    results = [a + b, a - b, b - a, a * b, -a, a**n, a.derivative(name), a * Fraction(-2, 3)]
+    if not b.is_zero():
+        results.append(paramfield.exact_div(a * b, b))
+    if not (a.is_zero() and b.is_zero()):
+        g, qa, qb = poly_gcd(a, b)
+        results += [g, qa, qb]
+        assert qa * g == a and qb * g == b
+    for p in results:
+        _assert_canonical(p)
+        assert ParamPoly(P, p.terms) == p
+        assert str(p) == _fraction_dict_str(P, p.terms)
+    # the rational read-outs agree with Fraction-dict arithmetic
+    total = dict(ta)
+    for e, c in tb.items():
+        total[e] = total.get(e, 0) + c
+    assert (a + b).terms == {e: c for e, c in total.items() if c}
+    product = {}
+    for e1, c1 in ta.items():
+        for e2, c2 in tb.items():
+            e = tuple(map(sum, zip(e1, e2)))
+            product[e] = product.get(e, 0) + c1 * c2
+    assert (a * b).terms == {e: c for e, c in product.items() if c}
+    if ta:
+        lead = max(ta, key=_grlex)
+        assert a.leading() == (lead, ta[lead])
+    if a.is_constant():
+        assert a.constant_value() == ta.get((0, 0, 0), 0)
 
 
 def test_exact_div_rejects_an_inexact_quotient():

@@ -131,3 +131,38 @@ def test_the_command_line_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+# paramfield's gcd and exact division: they work on the integer parts of
+# polynomials, and a polynomial's rational content stays outside them
+INTEGER_KERNEL = {
+    "_div_int", "exact_div", "_int_content", "_evaluate_at", "_xi_adic", "_times",
+    "_heu_gcd", "poly_gcd",
+}
+RATIONAL_TYPES = {"Fraction", "Rational", "rat"}
+
+
+def _rational_constructions(path, functions):
+    """(function, line) of each call that builds a rational number (the
+    type itself, or one of its class methods) inside the named module-level
+    functions, and the set of those functions that were found."""
+    found, calls = set(), []
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, ast.FunctionDef) and node.name in functions:
+            found.add(node.name)
+            for call in ast.walk(node):
+                if not isinstance(call, ast.Call):
+                    continue
+                func = call.func
+                if isinstance(func, ast.Attribute):
+                    func = func.value
+                if isinstance(func, ast.Name) and func.id in RATIONAL_TYPES:
+                    calls.append((node.name, call.lineno))
+    return found, calls
+
+
+def test_the_gcd_kernel_builds_no_rationals():
+    path = Path(hopfcm.__file__).parent / "paramfield.py"
+    found, calls = _rational_constructions(path, INTEGER_KERNEL)
+    assert found == INTEGER_KERNEL
+    assert calls == []
