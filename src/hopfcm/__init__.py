@@ -17,7 +17,7 @@ from .focusq import (
     verify_first_integral,
 )
 from .normalform import NormalForm3, to_normal_form
-from .paramfield import GaussExpr, Jet, JetContext, ParamExpr, ParamPoly, Rational, rat
+from .paramfield import GaussExpr, Jet, JetContext, ParamExpr, ParamPoly
 from .period import PeriodExpansion, isochronicity_constants
 from .polysys import StatePoly, VectorField3, char_cubic, hopf_test, parse_system
 
@@ -31,7 +31,6 @@ __all__ = [
     "ParamExpr",
     "ParamPoly",
     "PeriodExpansion",
-    "Rational",
     "StatePoly",
     "VectorField3",
     "build",
@@ -41,7 +40,6 @@ __all__ = [
     "hopf_test",
     "isochronicity_constants",
     "parse_system",
-    "rat",
     "report_for_field",
     "to_normal_form",
     "verify_center_conditions",

@@ -49,8 +49,6 @@ def jsonable(x):
         return {str(k): jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [jsonable(v) for v in x]
-    if hasattr(x, "tolist"):
-        return x.tolist()
     if isinstance(x, float) and x != x:
         return "nan"
     return x

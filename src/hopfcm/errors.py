@@ -17,12 +17,10 @@ class SchemaError(HopfcmError):
     """A system definition document violates the input schema."""
 
 
-class NonConvergence(HopfcmError):
-    """An iterative solve exhausted its iteration budget."""
-
-
 class RegionUndefined(HopfcmError):
-    """An existence-region test was requested outside its domain of validity."""
+    """A catalog family was built at parameters outside its domain (a radical
+    of the closed-form equilibrium is not real, or a required coefficient is
+    zero)."""
 
 
 class SingularTransform(HopfcmError):

@@ -101,29 +101,10 @@ def _check_reality(cs: ComplexSystem):
                 )
 
 
-@dataclass
-class PsiSeries:
-    """Coefficients d_K of the formal series Psi = xy + sum d_K x^K.
-
-    The normalization zeroes every diagonal coefficient d_kk0, which makes the
-    obstruction values unique.
-    """
-
-    coefficients: dict
-    truncation_degree: int
-    normalization: str = "d_kk0 = 0"
-
-
 def focus_quantities(cs: ComplexSystem, n: int) -> FocusReport:
     """First n focus quantities through monomial degree 2n + 2."""
     quantities, _ = _psi_recursion(cs, n)
     return FocusReport(quantities, "exact" if scalar_ring(cs.lam).exact else "float")
-
-
-def psi_series(cs: ComplexSystem, n: int) -> PsiSeries:
-    """The formal series built alongside the first n focus quantities."""
-    _, d = _psi_recursion(cs, n)
-    return PsiSeries(d, 2 * n + 2)
 
 
 def _psi_recursion(cs: ComplexSystem, n: int):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .errors import BadTransform, NotHopf
+from .errors import BadTransform, NotHopf, SingularTransform
 from .paramfield import FLOAT_TOL, scalar_ring
 from .polysys import (
     StatePoly,
@@ -141,7 +141,10 @@ def to_normal_form(
             )
         time_scale = abs(value)
 
-    final = transform(fld, shift, matrix, time_scale)
+    if not time_scale:
+        raise SingularTransform("time_scale must be nonzero")
+    inv_scale = 1 / time_scale
+    final = replace(moved, components=tuple(c.scale(inv_scale) for c in moved.components))
     if not exact:
         final = replace(
             final, components=tuple(c.chop(FLOAT_TOL * 1e-3) for c in final.components)

@@ -1,8 +1,8 @@
 """Exact arithmetic over declared real parameters.
 
-The coefficient tower used by the symbolic half of the package:
+The coefficient tower used by the symbolic half of the package, built over
+the rationals of ``fractions.Fraction``:
 
-* ``Rational``          -- arbitrary-precision rationals (``fractions.Fraction``).
 * ``ParamPoly``         -- multivariate polynomials in the declared parameters:
   one rational content times a sparse dict of exponent vectors to integers,
   integer-primitive with a positive leading coefficient (the content/primitive
@@ -57,15 +57,7 @@ from operator import add
 
 from .errors import DivisionByZero, PoleAtPoint, TruncationTooLow
 
-Rational = Fraction
 _ZERO, _ONE = Fraction(0), Fraction(1)
-
-
-def rat(value, den=None) -> Fraction:
-    """Build a Rational from ints, strings like '3/7', floats or Fractions."""
-    if den is not None:
-        return Fraction(value, den)
-    return Fraction(value)
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +72,7 @@ def _power_sum(terms, vals, scale):
     """scale * sum(n * prod(vals[i] ** p for i, p in mono)) over the
     (mono, n) pairs of ``terms``, each ``mono`` a sequence of (index,
     exponent) pairs and each n an int; every power is computed once.
-    Returns a Rational for no terms."""
+    Returns a Fraction for no terms."""
     powers = {}
     acc = None
     for mono, n in terms:
@@ -173,7 +165,7 @@ class ParamPoly:
 
     @property
     def terms(self):
-        """The coefficients as a new {exponent: Rational} dict."""
+        """The coefficients as a new {exponent: Fraction} dict."""
         content = self.content
         return {e: content * n for e, n in self.prim.items()}
 
@@ -185,6 +177,9 @@ class ParamPoly:
 
     def is_zero(self):
         return not self.prim
+
+    def __bool__(self):
+        return bool(self.prim)
 
     def is_constant(self):
         prim = self.prim
@@ -299,7 +294,7 @@ class ParamPoly:
         """Evaluate with every parameter bound.
 
         ``values`` maps parameter name to any scalar supporting + * **
-        (Rational, float, Jet, ParamExpr, ...). Returns a Rational for the
+        (Fraction, float, Jet, ParamExpr, ...). Returns a Fraction for the
         zero polynomial.
         """
         vals = [values[p] for p in self.params]
@@ -812,7 +807,7 @@ class ParamExpr:
 
     def evaluate(self, values):
         """Evaluate at a full assignment; raises PoleAtPoint where the
-        denominator is not invertible.  Values may be Rationals, floats, or
+        denominator is not invertible.  Values may be Fractions, floats, or
         Jets."""
         num_val, den_val = self.num.evaluate(values), self.den.evaluate(values)
         try:
@@ -1114,8 +1109,8 @@ class Jet:
         """Evaluate with every small parameter bound.
 
         ``values`` maps small-parameter name to any scalar supporting + * **
-        (Rational, Jet of another context, ...), like ``ParamPoly.evaluate``.
-        Returns a Rational for the zero jet.
+        (Fraction, Jet of another context, ...), like ``ParamPoly.evaluate``.
+        Returns a Fraction for the zero jet.
         """
         vals = [values[name] for name in self.ctx.names]
         monos = self.ctx.monomials
@@ -1253,7 +1248,7 @@ class Jet:
         )
 
     def linear_coefficients(self):
-        """Gradient w.r.t. the small parameters, as a list of Rationals."""
+        """Gradient w.r.t. the small parameters, as a list of Fractions."""
         return [
             Fraction(self.nums.get(1 + i, 0), self.den)
             for i in range(len(self.ctx.names))

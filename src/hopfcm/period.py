@@ -95,9 +95,6 @@ class TrigPoly:
     def mean(self):
         return self.terms.get(0)
 
-    def harmonics(self):
-        return max((abs(n) for n in self.terms), default=0)
-
     def integrate_from_zero(self, ring):
         """Antiderivative vanishing at theta = 0; the mean must be zero."""
         if 0 in self.terms:
@@ -181,9 +178,6 @@ class PolarReduction:
     radial: dict
     angular: dict
     transverse: dict
-
-    def radial_min_rho_order(self):
-        return min((m for (m, _) in self.radial), default=None)
 
 
 @dataclass

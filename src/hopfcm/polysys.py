@@ -1,11 +1,10 @@
 """Polynomial vector fields on three-dimensional state space.
 
 Evaluation, Jacobians, characteristic cubics and the Hopf eigenvalue test,
-closed-form and Newton equilibria, existence regions, and affine/linear
-changes of coordinates with time rescaling.  Coefficients are either exact
-field elements (``ParamExpr``/``Fraction``/``Jet``) or machine floats; the
-algorithms are generic over the scalar type, which the coefficients declare
-themselves (``VectorField3.zero``).
+and affine/linear changes of coordinates with time rescaling.  Coefficients
+are either exact field elements (``ParamExpr``/``Fraction``/``Jet``) or
+machine floats; the algorithms are generic over the scalar type, which the
+coefficients declare themselves (``VectorField3.zero``).
 """
 
 from __future__ import annotations
@@ -18,9 +17,7 @@ from typing import Optional
 
 from .errors import (
     HopfcmError,
-    NonConvergence,
     PoleAtPoint,
-    RegionUndefined,
     SchemaError,
     SingularTransform,
 )
@@ -148,9 +145,6 @@ class StatePoly:
 
     def homogeneous_component(self, degree):
         return StatePoly({e: c for e, c in self.terms.items() if sum(e) == degree})
-
-    def min_degree(self):
-        return min((sum(e) for e in self.terms), default=-1)
 
     def chop(self, tol):
         """Drop float coefficients below tol in absolute value."""
@@ -351,85 +345,6 @@ def hopf_test(cubic: CharCubic) -> HopfReport:
     else:
         ok = b > 0 and a != 0
     return HopfReport(ok, beta, -alpha, conditions)
-
-
-# ---------------------------------------------------------------------------
-# existence regions for the d = 0 equilibria
-
-
-def check_existence_conditions(region: str, params) -> bool:
-    """Membership in one of the parameter sets W1..W4 (d = 0 families).
-
-    Each requires discriminant (a+b)^2 + 4ac > 0 and c != 0.
-    """
-    a, b, c = (Fraction(params[k]) for k in ("a", "b", "c"))
-    delta = (a + b) ** 2 + 4 * a * c
-    if delta <= 0:
-        raise RegionUndefined(f"discriminant {delta} is not positive")
-    sqrt_delta = _fraction_sqrt_or_float(delta)
-    if region == "W1":
-        return a > 0 and c != 0 and b < -a - sqrt_delta
-    if region == "W2":
-        return a < 0 and c != 0 and b > -a - sqrt_delta
-    if region == "W3":
-        return a > 0 and c != 0 and b < -a + sqrt_delta
-    if region == "W4":
-        return a < 0 and c != 0 and b > -a + sqrt_delta
-    raise ValueError(f"unknown region {region!r}")
-
-
-def _fraction_sqrt_or_float(q: Fraction):
-    """Exact square root when q is a perfect rational square, else float."""
-    num, den = q.numerator, q.denominator
-    rn = _isqrt_exact(num)
-    rd = _isqrt_exact(den)
-    if rn is not None and rd is not None:
-        return Fraction(rn, rd)
-    return float(q) ** 0.5
-
-
-def _isqrt_exact(n: int):
-    import math
-
-    r = math.isqrt(n)
-    return r if r * r == n else None
-
-
-# ---------------------------------------------------------------------------
-# Newton refinement (float backend)
-
-
-def newton_equilibrium(fld: VectorField3, seed, tol=1e-12, max_iter=100):
-    """Damped Newton on the residual; tolerance on the residual sup-norm."""
-    import numpy as np
-
-    x = np.array([float(v) for v in seed], dtype=float)
-    for _ in range(max_iter):
-        r = np.array(fld.evaluate(tuple(x)), dtype=float)
-        if np.max(np.abs(r)) < tol:
-            return tuple(x)
-        jac = np.array(fld.jacobian_at(tuple(x)), dtype=float)
-        try:
-            step = np.linalg.solve(jac, r)
-        except np.linalg.LinAlgError as exc:
-            raise NonConvergence(f"singular Jacobian at {x}") from exc
-        lam = 1.0
-        best = None
-        r0 = np.max(np.abs(r))
-        for _ in range(40):
-            cand = x - lam * step
-            rc = np.max(np.abs(np.array(fld.evaluate(tuple(cand)), dtype=float)))
-            if rc < r0:
-                best = cand
-                break
-            lam *= 0.5
-        if best is None:
-            raise NonConvergence(f"step damping failed at {x}")
-        x = best
-    r = np.max(np.abs(np.array(fld.evaluate(tuple(x)), dtype=float)))
-    if r < tol:
-        return tuple(x)
-    raise NonConvergence(f"residual {r} after {max_iter} iterations")
 
 
 # ---------------------------------------------------------------------------

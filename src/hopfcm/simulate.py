@@ -52,22 +52,18 @@ SECANT_MAX_ITER = 60
 class Trajectory:
     """Step ends of a Taylor integration and the field evaluations it made.
 
-    Each step's error is about ``tol`` relative to the size of the state;
-    timestamps are strictly increasing.
+    Timestamps are strictly increasing.
     """
 
     t: np.ndarray
     states: np.ndarray  # shape (n, 3)
     nfev: int
-    tol: float
-    backward: bool = False
 
 
 @dataclass
 class DisplacementSample:
     rho0: float
     dbar: float
-    crossings: int
     omega0: float
     omega_residual: float
 
@@ -107,13 +103,12 @@ def integrate(
         if stop_radius is not None and math.hypot(*x) > stop_radius:
             break
     t, y = np.array(ts), np.array(xs)
-    backward = t1 < t0
-    if backward:
+    if t1 < t0:
         t, y = t[::-1], y[::-1]
     if max_points is not None and len(t) > max_points:
         idx = np.linspace(0, len(t) - 1, max_points).astype(int)
         t, y = t[idx], y[idx]
-    return Trajectory(t, y, (len(ts) - 1) * _order(tol), tol, backward)
+    return Trajectory(t, y, (len(ts) - 1) * _order(tol))
 
 
 def _order(tol):
@@ -372,7 +367,7 @@ def displacement(fld: VectorField3, rho0: float) -> DisplacementSample:
         it += 1
     if abs(resid) > OMEGA_TOL:
         raise NoReturn(f"omega fixed point not reached: residual {resid}")
-    return DisplacementSample(rho0, u1 - rho0, it + 1, om, abs(resid))
+    return DisplacementSample(rho0, u1 - rho0, om, abs(resid))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hopfcm.catalog import e1_normal, e1_shifted, e4m, e4_normal, khaled_original
-from hopfcm.errors import BadTransform, NotHopf
+from hopfcm.errors import BadTransform, NotHopf, SingularTransform
 from hopfcm.normalform import roundtrip_defect, to_normal_form
 from hopfcm.paramfield import ParamExpr
 from hopfcm.polysys import StatePoly, VectorField3
@@ -36,7 +36,7 @@ def test_already_normal_system_validates_with_identity():
     assert nf.lam == -(d**2) / k
     assert nf.orientation == -1
     for part in (nf.P, nf.Q, nf.R):
-        assert part.min_degree() >= 2
+        assert min(map(sum, part.terms)) >= 2
 
 
 def test_shifted_system_reduces_to_printed_normal_form():
@@ -64,6 +64,13 @@ def test_canonical_swap_records_orientation():
 def test_nonconstant_rotation_requires_explicit_time_scale():
     with pytest.raises(BadTransform):
         to_normal_form(e1_shifted(), _zero3(), matrix=_eigen_matrix())
+
+
+def test_zero_time_scale_rejected():
+    exact, numeric = e1_normal(), e4_normal({"c": 0.25, "h": 2.0})
+    for fld, point in ((exact, _zero3()), (numeric, (0.0, 0.0, 0.0))):
+        with pytest.raises(SingularTransform):
+            to_normal_form(fld, point, time_scale=point[0] * 0)
 
 
 def test_float_eigenbasis_path():

@@ -17,7 +17,6 @@ from hopfcm.paramfield import (
     JetContext,
     ParamExpr,
     ParamPoly,
-    Rational,
     poly_gcd,
 )
 
@@ -68,20 +67,20 @@ def _b_expr():
 
 def test_evaluate_hopf_reparametrization_consistency():
     b = _b_expr()
-    val = b.evaluate({"c": Rational(0), "d": Rational(1), "k": Rational(1)})
+    val = b.evaluate({"c": Fraction(0), "d": Fraction(1), "k": Fraction(1)})
     assert val == 0
 
 
 def test_evaluate_direct_substitution():
     b = _b_expr()
-    val = b.evaluate({"c": Rational(1), "d": Rational(1), "k": Rational(1)})
+    val = b.evaluate({"c": Fraction(1), "d": Fraction(1), "k": Fraction(1)})
     assert val == Fraction(1 + 1 - 1 - 1, 2)
 
 
 def test_evaluate_pole_on_excluded_locus():
     b = _b_expr()
     with pytest.raises(PoleAtPoint):
-        b.evaluate({"c": Rational(-1), "d": Rational(1), "k": Rational(2)})
+        b.evaluate({"c": Fraction(-1), "d": Fraction(1), "k": Fraction(2)})
 
 
 def test_evaluate_float_backend():
@@ -143,7 +142,7 @@ def test_field_axioms_hold_exactly(a, b, c):
 @settings(max_examples=40, deadline=None)
 @given(exprs(), exprs(), st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 4))
 def test_evaluate_commutes_with_arithmetic(a, b, pc, pd, pk):
-    point = {"c": Rational(pc), "d": Rational(pd), "k": Rational(pk)}
+    point = {"c": Fraction(pc), "d": Fraction(pd), "k": Fraction(pk)}
     try:
         va, vb = a.evaluate(point), b.evaluate(point)
         vsum = (a + b).evaluate(point)
@@ -545,6 +544,13 @@ def test_every_scalar_meets_the_protocol(x):
     assert type(ring.zero) is type(x) and type(ring.one) is type(x)
     assert x + ring.zero == x and ring.zero + x == x
     assert x * ring.one == x and ring.one * x == x
+
+
+def test_a_polynomial_is_falsy_exactly_when_zero():
+    c = ParamPoly.var(P, "c")
+    assert not ParamPoly.zero(P) and not c - c
+    assert ParamPoly.const(P, Fraction(-1, 3))
+    assert c
 
 
 @settings(max_examples=40, deadline=None)

@@ -43,7 +43,7 @@ def test_radial_series_starts_at_second_order():
     )
     nf = to_normal_form(VectorField3(comps), (F(0),) * 3)
     red = polar_reduce(nf)
-    assert red.radial_min_rho_order() == 2
+    assert min(m for m, _ in red.radial) == 2
 
 
 def test_linear_field_reduces_to_zero_tables():
@@ -94,7 +94,7 @@ def test_transverse_coefficients_are_periodic_solutions():
     # instead of rebuilding g, verify v_1 has no resonant constant term
     v1 = sol["v"][0]
     assert 0 not in v1.terms or not lam
-    assert dtheta(v1).harmonics() == v1.harmonics()
+    assert set(dtheta(v1).terms) == set(v1.terms) - {0}
 
 
 def test_isochronicity_constants_symbolic():

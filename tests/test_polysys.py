@@ -12,15 +12,13 @@ from hopfcm.catalog import (
     equilibria_catalog,
     khaled_original,
 )
-from hopfcm.errors import NonConvergence, RegionUndefined, SchemaError, SingularTransform
+from hopfcm.errors import SchemaError, SingularTransform
 from hopfcm.paramfield import ParamExpr
 from hopfcm.polysys import (
     StatePoly,
     VectorField3,
     char_cubic,
-    check_existence_conditions,
     hopf_test,
-    newton_equilibrium,
     parse_system,
     transform,
 )
@@ -171,45 +169,6 @@ def test_catalog_equilibria_are_roots():
         res = max(abs(v) for v in fld.evaluate(tuple(float(x) for x in p)))
         assert res < 1e-10, lab
     assert dict(equilibria_catalog({"a": 1, "b": 0, "c": 1, "d": 1}))["E1"] == (0, 0, 1)
-
-
-def test_newton_converges_to_first_equilibrium():
-    fld = khaled_original().substitute_params({"a": 1, "b": 0, "c": 1, "d": 1}).to_float()
-    root = newton_equilibrium(fld, (0.0, 0.0, 1.01))
-    assert max(abs(r - e) for r, e in zip(root, (0, 0, 1))) < 1e-12
-
-
-def test_newton_nonconvergence_reported():
-    # constant nonzero field has no equilibria at all
-    comps = (
-        StatePoly({(0, 0, 0): 1.0}),
-        StatePoly({(0, 0, 0): 1.0}),
-        StatePoly({(0, 0, 0): 1.0}),
-    )
-    fld = VectorField3(comps)
-    with pytest.raises(NonConvergence):
-        newton_equilibrium(fld, (0.0, 0.0, 0.0), max_iter=5)
-
-
-# --- existence regions ---------------------------------------------------------------------
-
-
-def test_region_membership_sample():
-    params = {"a": 1, "b": -8, "c": 3}
-    assert check_existence_conditions("W3", params) is True
-    assert check_existence_conditions("W1", params) is False
-
-
-def test_region_requires_positive_discriminant():
-    # (a+b)^2 + 4ac = 4 - 4 = 0 here
-    with pytest.raises(RegionUndefined):
-        check_existence_conditions("W1", {"a": 1, "b": 1, "c": -1})
-
-
-def test_region_a_zero_never_member():
-    params = {"a": 0, "b": 5, "c": 1}
-    for region in ("W1", "W2", "W3", "W4"):
-        assert check_existence_conditions(region, params) is False
 
 
 # --- transforms ------------------------------------------------------------------------------

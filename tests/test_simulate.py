@@ -295,7 +295,6 @@ def test_csv_export_three_points(tmp_path):
         np.array([0.0, 0.5, 1.0]),
         np.array([[1.0, 2.0, 3.0]] * 3),
         nfev=0,
-        tol=1e-9,
     )
     path = tmp_path / "t.csv"
     export_csv(traj, path)
@@ -321,7 +320,7 @@ def test_displacement_csv_and_plot_script(tmp_path):
 def _long_and_short_trajectories():
     t = np.linspace(0.0, 1.0, 50)
     states = np.column_stack([np.cos(t), np.sin(t), t])
-    return Trajectory(t, states, 0, 1e-9), Trajectory(t[:3], states[:3], 0, 1e-9)
+    return Trajectory(t, states, 0), Trajectory(t[:3], states[:3], 0)
 
 
 def test_export_over_a_longer_file_holds_only_the_new_rows(tmp_path):
