@@ -366,5 +366,4 @@ def build(name, values=None):
         missing = set(meta["params"]) - set(values)
         if missing:
             raise SchemaError(f"{name} missing parameter(s) {sorted(missing)}")
-        return meta["factory"](values)
     return meta["factory"](values)

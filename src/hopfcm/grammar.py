@@ -96,11 +96,9 @@ class _Parser:
         node = self.atom()
         if self.peek() == "^":
             self.next()
-            sign = 1
             if self.peek() == "-":
                 raise SchemaError(f"negative exponent in {self.text!r}")
-            tok = self.expect("int")
-            node = ("pow", node, sign * tok[1])
+            node = ("pow", node, self.expect("int")[1])
         return node
 
     def atom(self):

@@ -10,6 +10,7 @@ system's own frame.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -104,8 +105,8 @@ def to_normal_form(
     and the rescaled rotation entries must be exactly +/-1.  When
     ``time_scale`` is omitted it is |s| for the rotation entry s, which must
     then be a known constant; time is never reversed.  Float coefficients
-    (see ``VectorField3.zero``) with no matrix: an eigenbasis is computed
-    numerically.
+    (see ``VectorField3.zero``) with no matrix: the eigenbasis comes from
+    the spectrum that the Hopf test found.
     """
     res = fld.evaluate(equilibrium)
     for v in res:
@@ -119,7 +120,7 @@ def to_normal_form(
     exact = scalar_ring(fld.zero).exact
     if matrix is None:
         if not exact:
-            matrix = _float_eigenbasis(jac)
+            matrix = _float_eigenbasis(jac, report.omega, report.lambda3)
         else:
             one = fld.components[0].evaluate_or(equilibrium, Fraction(0)) ** 0
             zero = one * 0
@@ -178,25 +179,30 @@ def _validate_nonlinear(nf: NormalForm3):
             raise BadTransform("constant term survived the translation")
 
 
-def _float_eigenbasis(jac):
-    """Real basis (Im v, Re v, v3) from the complex eigenpair."""
-    import numpy as np
+def _float_eigenbasis(jac, omega, lam):
+    """Real basis (Im v, Re v, a) at a float Hopf point of spectrum +/- i omega, lam.
 
-    m = np.array(jac, dtype=float)
-    vals, vecs = np.linalg.eig(m)
-    complex_idx = [i for i in range(3) if abs(vals[i].imag) > 1e-12]
-    real_idx = [i for i in range(3) if abs(vals[i].imag) <= 1e-12]
-    if len(complex_idx) != 2 or len(real_idx) != 1:
-        raise NotHopf(f"eigenvalues {vals} lack a complex pair plus real axis")
-    i = complex_idx[0] if vals[complex_idx[0]].imag > 0 else complex_idx[1]
-    v = vecs[:, i]
-    # fix the phase so the basis is deterministic
-    pivot = max(range(3), key=lambda r: abs(v[r]))
-    v = v / v[pivot]
-    vr, vi = v.real, v.imag
-    v3 = vecs[:, real_idx[0]].real
-    basis = np.column_stack([vi, vr, v3])
-    return [[float(basis[r][c]) for c in range(3)] for r in range(3)]
+    The columns of J - lam span the rotation plane, so their largest, p,
+    gives the +i omega eigenvector v = J p / omega + i p, scaled so that its
+    largest-modulus entry is 1.  The columns of J^2 + omega^2 span the axis;
+    a is their largest, of unit length, its largest-modulus entry positive.
+    """
+    jac = [[float(x) for x in row] for row in jac]
+    idx = range(3)
+
+    def largest_column(m):
+        return max(zip(*m), key=lambda col: math.hypot(*col))
+
+    p = largest_column([[jac[r][c] - lam * (r == c) for c in idx] for r in idx])
+    v = [complex(sum(jac[r][c] * p[c] for c in idx) / omega, p[r]) for r in idx]
+    pivot = max(v, key=abs)
+    v = [x / pivot for x in v]
+    a = largest_column(
+        [[sum(jac[r][k] * jac[k][c] for k in idx) + omega * omega * (r == c) for c in idx]
+         for r in idx]
+    )
+    scale = math.copysign(math.hypot(*a), max(a, key=abs))
+    return [[v[r].imag, v[r].real, a[r] / scale] for r in idx]
 
 
 def roundtrip_defect(nf: NormalForm3, original: VectorField3):

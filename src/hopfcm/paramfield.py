@@ -87,17 +87,21 @@ def _power_sum(terms, vals, scale):
     return _ZERO if acc is None else acc * scale
 
 
-def _binary_power(base, n, one):
-    """base ** n by repeated squaring, for an integer n >= 0."""
+def binary_power(base, n, one):
+    """base ** n by repeated squaring, for an integer n >= 0; ``one()``
+    gives base ** 0."""
     if not isinstance(n, int) or n < 0:
         raise ValueError("exponents must be nonnegative integers")
-    result = one
-    while n:
+    if not n:
+        return one()
+    result = None
+    while True:
         if n & 1:
-            result = result * base
-        base = base * base
+            result = base if result is None else result * base
         n >>= 1
-    return result
+        if not n:
+            return result
+        base = base * base
 
 
 class ParamPoly:
@@ -270,7 +274,7 @@ class ParamPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        return _binary_power(self, n, ParamPoly.const(self.params, 1))
+        return binary_power(self, n, lambda: ParamPoly.const(self.params, 1))
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -906,7 +910,7 @@ class GaussExpr:
         return other / self
 
     def __pow__(self, n):
-        return _binary_power(self, n, GaussExpr(self.re ** 0, self.re * 0))
+        return binary_power(self, n, lambda: GaussExpr(self.re ** 0, self.re * 0))
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -1219,7 +1223,7 @@ class Jet:
         return other * self.inverse()
 
     def __pow__(self, n):
-        return _binary_power(self, n, self.ctx.one())
+        return binary_power(self, n, self.ctx.one)
 
     def __eq__(self, other):
         other = self._coerce(other)

@@ -22,7 +22,7 @@ from .errors import (
     SingularTransform,
 )
 from . import grammar
-from .paramfield import FLOAT_TOL, Jet, ParamExpr
+from .paramfield import FLOAT_TOL, Jet, ParamExpr, binary_power
 
 
 class StatePoly:
@@ -83,21 +83,12 @@ class StatePoly:
         return StatePoly({e: c * factor for e, c in self.terms.items()})
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponents must be nonnegative integers")
-        if n == 0:
-            if not self.terms:
-                raise ValueError("0**0 of an empty polynomial needs a coefficient ring")
-            return StatePoly.const(next(iter(self.terms.values())) ** 0)
-        acc = None
-        base = self
-        while n:
-            if n & 1:
-                acc = base if acc is None else acc * base
-            n >>= 1
-            if n:
-                base = base * base
-        return acc
+        return binary_power(self, n, self._one)
+
+    def _one(self):
+        if not self.terms:
+            raise ValueError("0**0 of an empty polynomial needs a coefficient ring")
+        return StatePoly.const(next(iter(self.terms.values())) ** 0)
 
     def diff(self, axis):
         out = {}

@@ -32,8 +32,6 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Optional
 
-import numpy as np
-
 from .errors import HopfcmError, NoReturn, StiffnessFailure, WorkCeiling
 from .polysys import VectorField3
 
@@ -55,8 +53,8 @@ class Trajectory:
     Timestamps are strictly increasing.
     """
 
-    t: np.ndarray
-    states: np.ndarray  # shape (n, 3)
+    t: list
+    states: list  # of [u, v, w]
     nfev: int
 
 
@@ -81,15 +79,19 @@ def integrate(
 
     ``stop_radius`` ends the run at the first step that leaves that radius,
     which keeps exponentially diverging directions from consuming the whole
-    budget.  Raises HopfcmError on a tolerance outside (0, 1e-2], a start
-    state or an end of ``t_span`` that is not finite, WorkCeiling once the
-    run has made ``MAX_RHS_EVALS`` field evaluations (a finite but huge span
-    would take as long), and StiffnessFailure when the solution blows up.
+    budget.  ``max_points`` keeps that many evenly spaced step ends, the
+    first and the last among them.  Raises HopfcmError on a tolerance
+    outside (0, 1e-2], a start state or an end of ``t_span`` that is not
+    finite or a ``max_points`` below 2, WorkCeiling once the run has made
+    ``MAX_RHS_EVALS`` field evaluations (a finite but huge span would take
+    as long), and StiffnessFailure when the solution blows up.
     """
     if not 0 < tol <= 1e-2:
         raise HopfcmError(f"tolerance must lie in (0, 1e-2], got {tol}")
     if not all(math.isfinite(t) for t in t_span):
         raise HopfcmError(f"time span must be finite, got {tuple(t_span)}")
+    if max_points is not None and max_points < 2:
+        raise HopfcmError(f"max_points must be at least 2, got {max_points}")
     x0 = [float(v) for v in x0]
     if not all(map(math.isfinite, x0)):
         raise HopfcmError(f"start state must be finite, got {tuple(x0)}")
@@ -102,13 +104,16 @@ def integrate(
         xs.append(x)
         if stop_radius is not None and math.hypot(*x) > stop_radius:
             break
-    t, y = np.array(ts), np.array(xs)
+    n = len(ts)
     if t1 < t0:
-        t, y = t[::-1], y[::-1]
-    if max_points is not None and len(t) > max_points:
-        idx = np.linspace(0, len(t) - 1, max_points).astype(int)
-        t, y = t[idx], y[idx]
-    return Trajectory(t, y, (len(ts) - 1) * _order(tol))
+        ts.reverse()
+        xs.reverse()
+    if max_points is not None and n > max_points:
+        # the indices of numpy.linspace(0, n - 1, max_points).astype(int)
+        step = (n - 1) / (max_points - 1)
+        idx = [int(i * step) for i in range(max_points - 1)] + [n - 1]
+        ts, xs = [ts[i] for i in idx], [xs[i] for i in idx]
+    return Trajectory(ts, xs, (n - 1) * _order(tol))
 
 
 def _order(tol):

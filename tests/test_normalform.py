@@ -1,14 +1,17 @@
 """Normal-form reduction: validation, orientation, round trips."""
 
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hopfcm.catalog import e1_normal, e1_shifted, e4m, e4_normal, khaled_original
 from hopfcm.errors import BadTransform, NotHopf, SingularTransform
+from hopfcm.focusq import complexify, focus_quantities
 from hopfcm.normalform import roundtrip_defect, to_normal_form
-from hopfcm.paramfield import ParamExpr
-from hopfcm.polysys import StatePoly, VectorField3
+from hopfcm.paramfield import FLOAT_TOL, ParamExpr
+from hopfcm.polysys import StatePoly, VectorField3, transform
 
 F = Fraction
 P = ("c", "d", "k")
@@ -141,3 +144,45 @@ def test_degenerate_transverse_eigenvalue_rejected():
     )
     with pytest.raises(NotHopf):
         to_normal_form(VectorField3(comps), (F(0),) * 3)
+
+
+def _moved(fld, rng):
+    """fld in coordinates x = shift + M y with time rescaled by tau > 0, and
+    the image there of its equilibrium at the origin."""
+    while True:
+        m = [[rng.uniform(-1, 1) for _ in range(3)] for _ in range(3)]
+        if abs(np.linalg.det(m)) > 0.1:
+            break
+    shift = [rng.uniform(-1, 1) for _ in range(3)]
+    moved = transform(fld, shift, m, rng.uniform(0.5, 2.0))
+    return moved, m, [float(y) for y in np.linalg.solve(m, [-s for s in shift])]
+
+
+def _plane_vector(nf):
+    """The +i omega eigenvector Re v + i Im v from the basis (Im v, Re v, a)."""
+    return np.array([complex(row[1], row[0]) for row in nf.matrix])
+
+
+@pytest.mark.parametrize(
+    "fld",
+    [e4_normal({"c": 0.25, "h": 2.0}), e1_normal({"c": "1/10", "d": 1, "k": 1}).to_float()],
+    ids=["e4-normal", "e1-normal"],
+)
+def test_float_eigenbasis_of_moved_fields(fld):
+    rng = random.Random(5)
+    ref_nf = to_normal_form(fld, (0.0, 0.0, 0.0))
+    ref = focus_quantities(complexify(ref_nf.canonical()), 2).quantities
+    for _ in range(4):
+        moved, m, point = _moved(fld, rng)
+        nf = to_normal_form(moved, point)
+        lin = nf.field.jacobian_at((0.0, 0.0, 0.0))
+        want = [[0, -1, 0], [1, 0, 0], [0, 0, ref_nf.lam]]
+        assert np.max(np.abs(np.subtract(lin, want))) <= FLOAT_TOL
+        # the moved plane coordinates are those of the unmoved eigenbasis
+        # times a complex c with M v' = c v, so L_k scales by |c|^(2k)
+        v, mv = _plane_vector(ref_nf), np.array(m) @ _plane_vector(nf)
+        c = mv[0] / v[0]
+        assert np.max(np.abs(mv - c * v)) <= 1e-9 * abs(c)
+        got = focus_quantities(complexify(nf.canonical()), 2).quantities
+        for k, (g, r) in enumerate(zip(got, ref), start=1):
+            assert g == pytest.approx(r * abs(c) ** (2 * k), rel=1e-9)

@@ -631,6 +631,21 @@ def test_jet_inverse_and_division():
         e.inverse()
 
 
+def test_jet_power_squares_only_what_it_uses(monkeypatch):
+    ctx = JetContext(("e",), 3)
+    j = 2 + ctx.eps("e")
+    cases = [(0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (8, 3)]
+    wants = [math.prod([j] * n, start=ctx.one()) for n, _ in cases]
+    products = []
+    mul = Jet.__mul__
+    monkeypatch.setattr(Jet, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    for (n, count), want in zip(cases, wants):
+        products.clear()
+        power = j**n
+        assert len(products) == count
+        assert power == want
+
+
 def test_jet_homogeneous_part_and_truncation_guard():
     ctx = JetContext(("a", "b"), 2)
     a, b = ctx.eps("a"), ctx.eps("b")

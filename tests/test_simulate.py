@@ -34,7 +34,8 @@ def center_field():
 
 def test_energy_conservation(center_field):
     traj = integrate(center_field, (0.5, -0.75, 0.1), (0.0, 100.0), 1e-10)
-    H = traj.states[:, 0] ** 2 + traj.states[:, 1] ** 2
+    states = np.asarray(traj.states)
+    H = states[:, 0] ** 2 + states[:, 1] ** 2
     drift = np.max(np.abs(H - 0.8125)) / 0.8125
     assert drift < 1e-8
     assert np.all(np.diff(traj.t) > 0)
@@ -43,7 +44,8 @@ def test_energy_conservation(center_field):
 def test_tightening_tolerance_reduces_drift(center_field):
     def drift(tol):
         traj = integrate(center_field, (0.5, -0.75, 0.1), (0.0, 50.0), tol)
-        H = traj.states[:, 0] ** 2 + traj.states[:, 1] ** 2
+        states = np.asarray(traj.states)
+        H = states[:, 0] ** 2 + states[:, 1] ** 2
         return float(np.max(np.abs(H - 0.8125)) / 0.8125)
 
     loose, tight = drift(1e-6), drift(1e-8)
@@ -165,6 +167,24 @@ def test_stop_radius_ends_at_the_first_step_outside(t_end):
     assert radii[-1] > 3.0
     assert np.all(radii[:-1] <= 3.0)
     assert np.max(np.abs(traj.t)) < abs(t_end)
+
+
+@pytest.mark.parametrize("t_end", [50.0, -50.0])
+def test_max_points_keeps_the_indices_of_numpy_linspace(t_end):
+    # a rotation: about 70 step ends either way
+    fld = VectorField3((StatePoly({(0, 1, 0): -1.0}), StatePoly({(1, 0, 0): 1.0}), StatePoly.zero()))
+    full = integrate(fld, (1.0, 0.0, 1.0), (0.0, t_end))
+    n = len(full.t)
+    assert n > 50
+    for m in range(2, n + 2):
+        thin = integrate(fld, (1.0, 0.0, 1.0), (0.0, t_end), max_points=m)
+        idx = np.linspace(0, n - 1, m).astype(int) if m < n else range(n)
+        assert thin.t == [full.t[i] for i in idx]
+        assert thin.states == [full.states[i] for i in idx]
+        assert thin.nfev == full.nfev
+    for m in (1, 0):
+        with pytest.raises(HopfcmError):
+            integrate(fld, (1.0, 0.0, 1.0), (0.0, t_end), max_points=m)
 
 
 def test_blow_up_is_a_stiffness_failure():

@@ -131,13 +131,26 @@ def test_every_library_definition_is_referenced_by_name():
     assert unreferenced == []
 
 
-def test_the_command_line_imports_no_scipy():
-    # a fresh interpreter: the test session itself may have loaded scipy
-    code = "import sys, hopfcm.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def test_the_command_line_imports_no_numpy_or_scipy(tmp_path):
+    # a fresh interpreter, since the test session itself loads numpy; the
+    # float commands run first, so a lazy import inside them shows too
+    code = f"""
+import contextlib, io, sys
+from hopfcm.cli import main
+runs = [
+    ["focus", "--system", "e4-normal", "--params", "c=0.25,h=2", "--order", "2"],
+    ["normalize", "--system", "e4m", "--params", "c=0.25,h=2"],
+    ["simulate", "--system", "e1-center", "--params", "d=1", "--x0", "0.5,-0.75,0.1",
+     "--tmax", "10", "--out", {str(tmp_path / "t.csv")!r}],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in runs]
+print(codes, sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))
+"""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "[]"
+    assert out.strip() == "[0, 0, 0] []"
 
 
 # paramfield's gcd and exact division: they work on the integer parts of
