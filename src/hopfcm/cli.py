@@ -17,7 +17,7 @@ from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 
 from . import catalog, simulate
-from .cyclicity import cyclicity_bound_line, cyclicity_bound_rank, jet_focus_report
+from .cyclicity import jet_focus_report
 from .errors import FocusObstruction, HopfcmError, SchemaError
 from .focusq import report_for_field
 from .grammar import eval_exact, parse_expression
@@ -25,7 +25,7 @@ from .normalform import to_normal_form
 from .paramfield import GaussExpr, Jet, ParamExpr, scalar_ring
 from .period import isochronicity_constants
 from .polysys import char_cubic, hopf_test, parse_system
-from .verify import CLAIMS, run_claim, teo4_bound, teo5_bound, teo5_jets
+from .verify import CLAIMS, TEO5_CONFIG, config_bound, run_claim, teo4_config
 
 USAGE_EXIT = 1
 DOMAIN_EXIT = 2
@@ -289,18 +289,12 @@ def _cyclicity_config(path):
 
 def _cmd_cyclicity(args):
     if args.mode == "teo4":
-        report = teo4_bound(_exact_number(args.d0))
+        cfg = teo4_config(_exact_number(args.d0))
     elif args.mode == "teo5":
-        report = teo5_bound(teo5_jets().quantities)
+        cfg = TEO5_CONFIG
     else:
         cfg = _cyclicity_config(args.config)
-        at = (_load_system(cfg["system"], None), cfg["point"], cfg["small"])
-        if "line" in cfg:
-            report = cyclicity_bound_line(
-                *at, cfg["order"], cfg["pivots"], cfg["line"], cfg["trace"]
-            )
-        else:
-            report = cyclicity_bound_rank(*at, cfg["degree"], cfg["order"], cfg["trace"])
+    _, report = config_bound(_load_system(cfg["system"], None), cfg)
     _emit(report, args.out)
     return 0
 
@@ -440,13 +434,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except FocusObstruction as exc:
-        print(
-            json.dumps({"error": "FocusObstruction", "order": exc.order,
-                        "value": jsonable(exc.value)}),
-            file=sys.stderr,
-        )
-        return DOMAIN_EXIT
     except HopfcmError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return DOMAIN_EXIT

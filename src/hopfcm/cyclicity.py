@@ -19,7 +19,7 @@ from typing import Optional
 
 from .errors import BadPivots, SchemaError
 from .focusq import report_for_field
-from .paramfield import Jet, JetContext, ParamExpr
+from .paramfield import Jet, JetContext
 from .polysys import VectorField3
 
 
@@ -38,7 +38,7 @@ class CyclicityReport:
     total: int
     rank: int
     eta: Optional[dict] = None
-    h_on_eta: list = dc_field(default_factory=list)
+    h_on_eta: list = dc_field(default_factory=list)  # (value, degree) per form
     notes: list = dc_field(default_factory=list)
 
 
@@ -120,12 +120,9 @@ def jet_focus_report(fld, point, small, degree, n):
 # operations
 
 
-def jacobian_rank(quantities, params, point=None) -> JacobianReport:
-    """Exact rank of the Jacobian of the quantities w.r.t. the parameters.
-
-    Jet-valued quantities carry their own linear parts; symbolic quantities
-    are differentiated and evaluated at ``point``.
-    """
+def jacobian_rank(quantities, params) -> JacobianReport:
+    """Exact rank of the linear parts of the jet quantities in ``params``;
+    a quantity that is not a jet (no parameter is small) has a zero row."""
     rows = []
     params = tuple(params)
     for q in quantities:
@@ -133,11 +130,6 @@ def jacobian_rank(quantities, params, point=None) -> JacobianReport:
             grad = q.linear_coefficients()
             names = q.ctx.names
             rows.append([grad[names.index(p)] if p in names else Fraction(0) for p in params])
-        elif isinstance(q, ParamExpr):
-            if point is None:
-                raise ValueError("symbolic quantities need an evaluation point")
-            vals = {k: Fraction(v) for k, v in point.items()}
-            rows.append([q.derivative(p).evaluate(vals) for p in params])
         else:
             rows.append([Fraction(0)] * len(params))
     rank, pivot_cols = exact_rank(rows)
@@ -222,59 +214,45 @@ def gradient_on_line(h: Jet, line):
 
 
 # ---------------------------------------------------------------------------
-# end-to-end bounds
+# the bound
 
 
-def cyclicity_bound_rank(fld, point, small, degree, n, trace_declared) -> CyclicityReport:
-    """Bound from independent linear parts; a declared trace parameter adds
-    one cycle through the classical eigenvalue-crossing mechanism."""
-    jac = jacobian_rank(jet_focus_report(fld, point, small, degree, n).quantities, small)
+def cyclicity_bound(
+    quantities, small, trace_declared=False, pivots=(), line=None
+) -> CyclicityReport:
+    """Cycles certified by the jet quantities L_1..L_n in the ``small``
+    parameters: k, the rank of their linear parts.  With a ``line``, the
+    quantities past the ``pivots`` become forms on the pivot locus, and
+    they add one cycle each when the intermediate forms vanish on the line
+    with independent gradients and the last does not.  A declared trace
+    parameter adds one through the classical eigenvalue crossing."""
+    jac = jacobian_rank(quantities, small)
+    l = 0
+    values = []
+    notes = []
+    if line is not None:
+        h_forms = reduce_quantities(quantities, pivots)
+        values = evaluate_on_line(h_forms, line)
+        if values:
+            *mid, last = values
+            if last[0] != 0 and all(v[0] == 0 for v in mid):
+                gradients = [gradient_on_line(h, line) for h in h_forms[:-1]]
+                if exact_rank(gradients)[0] == len(gradients):
+                    l = len(values)
+                else:
+                    notes.append("transversality failed along the line")
+            else:
+                notes.append("line values do not match the vanishing pattern")
+    notes.append(
+        f"jacobian pivots: {jac.pivot_params}" if line is None else f"pivots: {tuple(pivots)}"
+    )
     return CyclicityReport(
         k=jac.rank,
-        l=0,
-        trace_bonus=trace_declared,
-        total=jac.rank + (1 if trace_declared else 0),
-        rank=jac.rank,
-        notes=[f"jacobian pivots: {jac.pivot_params}"],
-    )
-
-
-def cyclicity_bound_line(
-    fld, point, small, n, pivots, line, trace_declared=False
-) -> CyclicityReport:
-    """Bound combining independent linear parts with the line analysis."""
-    deg2 = jet_focus_report(fld, point, small, 2, n)
-    return line_analysis(deg2.quantities, small, pivots, line, trace_declared)
-
-
-def line_analysis(
-    quantities, small, pivots, line, trace_declared=False
-) -> CyclicityReport:
-    """The bound of ``cyclicity_bound_line`` from its degree-2 jet
-    quantities: Jacobian rank plus the cycles certified along ``line``."""
-    rank = jacobian_rank(quantities, small).rank
-    h_forms = reduce_quantities(quantities, pivots)
-    values = evaluate_on_line(h_forms, line)
-    l = 0
-    notes = []
-    # the intermediate h's vanish with independent gradients, the last does not
-    if values:
-        *mid, last = values
-        if last[0] != 0 and all(v[0] == 0 for v in mid):
-            gradients = [gradient_on_line(h, line) for h in h_forms[:-1]]
-            if exact_rank(gradients)[0] == len(gradients):
-                l = len(values)
-            else:
-                notes.append("transversality failed along the line")
-        else:
-            notes.append("line values do not match the vanishing pattern")
-    return CyclicityReport(
-        k=rank,
         l=l,
         trace_bonus=trace_declared,
-        total=rank + l + (1 if trace_declared else 0),
-        rank=rank,
-        eta=dict(line),
-        h_on_eta=[(str(v), deg) for v, deg in values],
-        notes=notes + [f"pivots: {tuple(pivots)}"],
+        total=jac.rank + l + (1 if trace_declared else 0),
+        rank=jac.rank,
+        eta=None if line is None else dict(line),
+        h_on_eta=values,
+        notes=notes,
     )

@@ -147,9 +147,11 @@ def to_normal_form(
     inv_scale = 1 / time_scale
     final = replace(moved, components=tuple(c.scale(inv_scale) for c in moved.components))
     if not exact:
-        final = replace(
-            final, components=tuple(c.chop(FLOAT_TOL * 1e-3) for c in final.components)
-        )
+        # the equilibrium test vouched for the constant terms
+        final = replace(final, components=tuple(
+            StatePoly({e: v for e, v in c.chop(FLOAT_TOL * 1e-3).terms.items() if any(e)})
+            for c in final.components
+        ))
     lin = final.jacobian_at((zero, zero, zero))
     s, lam = _classify_linear(lin, FLOAT_TOL)
     if _is_const(s, 1, FLOAT_TOL):

@@ -10,6 +10,7 @@ coefficients declare themselves (``VectorField3.zero``).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import KW_ONLY, dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -448,6 +449,13 @@ def parse_system(document) -> VectorField3:
             raise SchemaError(f"float backend requires values for {missing}")
         values = {k: float(_parse_value(v)) for k, v in params_doc.items()}
     else:
+        for k, v in params_doc.items():
+            if isinstance(v, float):
+                exact = f'"{Fraction(repr(v))}"' if math.isfinite(v) else "a string p/q"
+                raise SchemaError(
+                    f"exact-backend parameter {k} = {v!r} is a JSON float, which would "
+                    f"bind its binary value; write {exact}"
+                )
         values = {
             k: _parse_value(v) for k, v in params_doc.items() if v is not None
         }

@@ -16,12 +16,10 @@ from fractions import Fraction
 
 from . import catalog, simulate
 from .cyclicity import (
-    cyclicity_bound_rank,
-    evaluate_on_line,
+    cyclicity_bound,
     gradient_on_line,
     jacobian_rank,
     jet_focus_report,
-    line_analysis,
     reduce_quantities,
 )
 from .focusq import report_for_field, verify_first_integral
@@ -284,20 +282,22 @@ def claim_teo1_isochronous():
 # ---------------------------------------------------------------------------
 # claim 6: cyclicity of the unperturbed family
 
-TEO4_SMALL = ("k", "c", "d")
+
+def config_bound(fld, cfg):
+    """The jet quantities of a cyclicity config (the keys of a ``cyclicity
+    --mode custom`` file, defaults filled in) on ``fld`` and the bound from
+    them; the jets have degree 2 when the config has a line."""
+    line = cfg.get("line")
+    degree = cfg["degree"] if line is None else 2
+    jets = jet_focus_report(fld, cfg["point"], cfg["small"], degree, cfg["order"]).quantities
+    return jets, cyclicity_bound(jets, cfg["small"], cfg["trace"], cfg["pivots"], line)
 
 
-def teo4_bound(d0):
-    """Rank of the degree-1 jets of L_1..L_3 of e1-normal-trace in (k, c, d)
-    at the center-line point (1, 0, d0), plus the declared trace."""
-    return cyclicity_bound_rank(
-        catalog.e1_normal_trace(),
-        {"k": 1, "c": 0, "d": d0, "sigma": 0},
-        TEO4_SMALL,
-        1,
-        3,
-        trace_declared=True,
-    )
+def teo4_config(d0):
+    """Degree-1 jets of L_1..L_3 of e1-normal in (k, c, d) at the
+    center-line point (1, 0, d0), plus the declared trace."""
+    return {"system": "e1-normal", "small": ("k", "c", "d"), "order": 3, "degree": 1,
+            "point": {"k": 1, "c": 0, "d": d0}, "pivots": (), "trace": True}
 
 
 def claim_teo4_cyclicity():
@@ -315,16 +315,13 @@ def claim_teo4_cyclicity():
     """
     ranks = {}
     matrices = {}
-    for d0 in (F(1, 2), F(1), F(2)):
-        rep = jet_focus_report(
-            catalog.e1_normal(), {"k": 1, "c": 0, "d": d0}, TEO4_SMALL, 1, 3
-        )
-        jac = jacobian_rank(rep.quantities, TEO4_SMALL)
-        ranks[str(d0)] = jac.rank
-        matrices[str(d0)] = [[str(x) for x in row] for row in jac.matrix]
     bounds = {}
     for d0 in (F(1, 2), F(1), F(2)):
-        report = teo4_bound(d0)
+        cfg = teo4_config(d0)
+        quantities, report = config_bound(catalog.build(cfg["system"]), cfg)
+        jac = jacobian_rank(quantities, cfg["small"])
+        ranks[str(d0)] = jac.rank
+        matrices[str(d0)] = [[str(x) for x in row] for row in jac.matrix]
         bounds[str(d0)] = {
             "k": report.k,
             "l": report.l,
@@ -397,24 +394,17 @@ H5_ON_ETA = F(-4990766496931, 7701305314560000)
 TEO5_PIVOTS = ("a011", "a101", "b011")
 
 
-def teo5_jets():
-    """Degree-2 jets of L_1..L_5 of e1-center-perturbed around the center."""
-    return jet_focus_report(
-        catalog.e1_center_perturbed(), {}, catalog.PERTURBATION_PARAMS, 2, 5
-    )
-
-
-def teo5_bound(quantities):
-    """The bound from the ``teo5_jets`` quantities: Jacobian rank plus the
-    cycles certified along ETA_LINE, with the pivot trio eliminated."""
-    return line_analysis(quantities, catalog.PERTURBATION_PARAMS, TEO5_PIVOTS, ETA_LINE)
+# the bound 5 = 3 + 2 of h4 and h5 on ETA_LINE, from the degree-2 jets of L1..L5
+TEO5_CONFIG = {"system": "e1-center-perturbed", "small": catalog.PERTURBATION_PARAMS,
+               "order": 5, "degree": 2, "point": {}, "pivots": TEO5_PIVOTS,
+               "line": ETA_LINE, "trace": False}
 
 
 def claim_teo5_cyclicity():
     """Rank-3 linear parts proportional to the published ones, the exact
     h_4 / h_5 behavior on the published line, and the bound 5."""
-    params = catalog.PERTURBATION_PARAMS
-    fld = catalog.e1_center_perturbed()
+    params = TEO5_CONFIG["small"]
+    fld = catalog.build(TEO5_CONFIG["system"])
     rep1 = jet_focus_report(fld, {}, params, 1, TEO5_LINEAR_ORDER)
     jac_all = jacobian_rank(rep1.quantities, params)
     jac3 = jacobian_rank(rep1.quantities[:3], params)
@@ -434,16 +424,14 @@ def claim_teo5_cyclicity():
         else:
             proportional = False
 
-    rep2 = teo5_jets()
-    h_forms = reduce_quantities(rep2.quantities, TEO5_PIVOTS)
-    values = evaluate_on_line(h_forms, ETA_LINE)
-    h4_zero = values[0][0] == 0
-    h5_value = values[1][0]
-    h5_ok = h5_value < 0 and values[1][1] == 2
+    quantities, bound = config_bound(fld, TEO5_CONFIG)
+    (h4_value, _), (h5_value, h5_degree) = bound.h_on_eta
+    h4_zero = h4_value == 0
+    h5_ok = h5_value < 0 and h5_degree == 2
     h5_exact = h5_value == H5_ON_ETA
-    transversal = any(g != 0 for g in gradient_on_line(h_forms[0], ETA_LINE))
+    h4 = reduce_quantities(quantities, TEO5_PIVOTS)[0]
+    transversal = any(g != 0 for g in gradient_on_line(h4, ETA_LINE))
 
-    bound = teo5_bound(rep2.quantities)
     passed = (
         jac_all.rank == 3
         and jac3.rank == 3
@@ -461,7 +449,7 @@ def claim_teo5_cyclicity():
         "rank_L1_L9": jac_all.rank,
         "rank_L1_L3": jac3.rank,
         "per_quantity_scales": {i: str(s) for i, s in scales.items()},
-        "h4_on_line": str(values[0][0]),
+        "h4_on_line": str(h4_value),
         "h5_on_line": str(h5_value),
         "h5_matches_published_exactly": h5_exact,
         "transversal": transversal,

@@ -277,21 +277,23 @@ def test_custom_cyclicity_config_errors_are_schema_errors(tmp_path, capsys, text
 
 
 @pytest.mark.parametrize(
-    "config,total",
+    "config,mode",
     [
-        ({**RANK_CONFIG, "system": "e1-normal-trace",
-          "point": {"k": 1, "c": 0, "d": 1, "sigma": 0}, "trace": True}, 3),
+        ({**RANK_CONFIG, "trace": True}, ["teo4", "--d0", "1"]),
         ({"system": "e1-center-perturbed", "small": list(PERTURBATION_PARAMS), "order": 5,
-          "pivots": list(TEO5_PIVOTS), "line": {k: str(v) for k, v in ETA_LINE.items()}}, 5),
+          "pivots": list(TEO5_PIVOTS), "line": {k: str(v) for k, v in ETA_LINE.items()}},
+         ["teo5"]),
     ],
     ids=["rank", "line"],
 )
-def test_custom_cyclicity_config_gives_the_built_in_bounds(tmp_path, capsys, config, total):
-    """The teo4 rank bound and the teo5 line bound, read from config files."""
+def test_custom_cyclicity_config_gives_the_built_in_bounds(tmp_path, capsys, config, mode):
+    """The teo4 rank bound and the teo5 line bound, read from config files,
+    are the built-in reports."""
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     code, out, _ = run_cli(capsys, "cyclicity", "--mode", "custom", "--config", str(path))
-    assert code == 0 and json.loads(out)["total"] == total
+    assert code == 0
+    assert out == run_cli(capsys, "cyclicity", "--mode", *mode)[1]
 
 
 def test_verify_subcommand_exit_codes(capsys):
@@ -320,6 +322,20 @@ def test_custom_system_document(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "focus", "--system", str(path), "--order", "2")
     assert code == 0
     assert json.loads(out)["quantities"] == ["0", "0"]
+
+
+def test_an_exact_document_refuses_a_float_parameter(tmp_path, capsys):
+    """A JSON float would bind its binary value: 0.1 is 3602879701896397/2^55."""
+    path = tmp_path / "center.json"
+    argv = ("focus", "--system", str(path), "--order", "1")
+    path.write_text(json.dumps(_center_document("exact", 0.1)))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "SchemaError" and 'write "1/10"' in report["message"]
+    for d in (2, "1/10"):
+        path.write_text(json.dumps(_center_document("exact", d)))
+        assert run_cli(capsys, *argv)[0] == 0
 
 
 @pytest.mark.parametrize("backend", ["exact", "float"])

@@ -13,15 +13,14 @@ from hopfcm.catalog import (
     e1_normal,
     e1_normal_trace,
 )
+from hopfcm import cyclicity, verify
 from hopfcm.cyclicity import (
-    cyclicity_bound_line,
-    cyclicity_bound_rank,
+    cyclicity_bound,
     evaluate_on_line,
     exact_rank,
     gradient_on_line,
     jacobian_rank,
     jet_focus_report,
-    line_analysis,
     reduce_quantities,
 )
 from hopfcm.errors import BadPivots, TruncationTooLow
@@ -75,12 +74,20 @@ def test_rank_invariant_under_invertible_reparametrization(rows):
 
 
 def test_symbolic_and_jet_jacobians_agree():
-    # d/dk of the published first quantity at the center is 2 d0
+    """L1 of e1-normal is printed(k, c, d) d^3 / clearing(k, c, d), and the
+    printed form vanishes at (1, 0, d0), so there the degree-1 jet gradient
+    of L1 is the symbolic gradient of the printed form times
+    d0^3 / clearing(1, 0, d0), with clearing = 4k(c^2d^2 + k^2)(d^4 + 4k^2)."""
     P = ("c", "d", "k")
     c, d, k = (ParamExpr.var(P, n) for n in P)
     printed = d * (k**2 + 4 * c**2 - 1) + 2 * (k**2 + 1) * c + 2 * c * (2 * c**2 - 1) * d**2
-    jac = jacobian_rank([printed], ("k", "c", "d"), point={"k": 1, "c": 0, "d": 2})
-    assert jac.matrix[0] == [4, 2 * (1 + 1) + (-2) * 4, 0]
+    small = ("k", "c", "d")
+    for d0 in (F(1, 2), F(1), F(2), F(-3)):
+        point = {"k": F(1), "c": F(0), "d": d0}
+        L1 = jet_focus_report(e1_normal(), point, small, 1, 1).quantities[0]
+        scale = d0**3 / (4 * (d0**4 + 4))
+        want = [printed.derivative(p).evaluate(point) * scale for p in small]
+        assert jacobian_rank([L1], small).matrix[0] == want
 
 
 def test_all_zero_quantities_have_rank_zero():
@@ -106,16 +113,34 @@ def test_center_line_jacobian_rank_is_two(d0):
 
 
 def test_trace_bound_reaches_three():
-    report = cyclicity_bound_rank(
-        e1_normal_trace(),
-        {"k": 1, "c": 0, "d": 1, "sigma": 0},
-        ("k", "c", "d"),
-        1,
-        3,
-        trace_declared=True,
-    )
+    """The bound of e1-normal-trace at sigma = 0 is that of e1-normal, on
+    which the teo4 config runs, with the declared trace."""
+    small = ("k", "c", "d")
+    reports = [
+        cyclicity_bound(jet_focus_report(fld, point, small, 1, 3).quantities, small, True)
+        for fld, point in (
+            (e1_normal_trace(), {"k": 1, "c": 0, "d": 1, "sigma": 0}),
+            (e1_normal(), {"k": 1, "c": 0, "d": 1}),
+        )
+    ]
+    report = reports[0]
     assert report.total == 3
     assert report.trace_bonus and report.k == 2 and report.l == 0
+    assert reports[1] == report
+
+
+def test_the_teo4_claim_builds_each_jet_set_once(monkeypatch):
+    """One jet_focus_report per base point d0, through either module's name."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return jet_focus_report(*args)
+
+    for module in (cyclicity, verify):
+        monkeypatch.setattr(module, "jet_focus_report", counted)
+    verify.claim_teo4_cyclicity()
+    assert len(calls) == 3
 
 
 # --- reduction pipeline ------------------------------------------------------------
@@ -198,8 +223,10 @@ def test_degree_3_jets_give_the_degree_2_line_analysis(perturbed_jets, perturbed
     forms3 = reduce_quantities(deg3, TEO5_PIVOTS)
     forms2 = reduce_quantities(perturbed_jets.quantities, TEO5_PIVOTS)
     assert [h.terms for h in forms3] == [h.terms for h in forms2]
-    r3 = line_analysis(deg3, PERTURBATION_PARAMS, TEO5_PIVOTS, ETA_LINE)
-    r2 = line_analysis(perturbed_jets.quantities, PERTURBATION_PARAMS, TEO5_PIVOTS, ETA_LINE)
+    r3 = cyclicity_bound(deg3, PERTURBATION_PARAMS, pivots=TEO5_PIVOTS, line=ETA_LINE)
+    r2 = cyclicity_bound(
+        perturbed_jets.quantities, PERTURBATION_PARAMS, pivots=TEO5_PIVOTS, line=ETA_LINE
+    )
     assert (r3.k, r3.l, r3.h_on_eta) == (r2.k, r2.l, r2.h_on_eta)
     assert (r3.k, r3.l, r3.total) == (3, 2, 5)
 
@@ -218,8 +245,8 @@ def test_transversality_needs_independent_gradients(parallel, line, l):
     x, y, z = (ctx.eps(n) for n in ctx.names)
     h1 = x * x - y * y
     h2 = 2 * h1 + z * z if parallel else z * z - x * x
-    report = line_analysis([h1, h2, x * x], ctx.names, (), line)
-    assert [v for v, _ in report.h_on_eta] == ["0", "0", "1"]
+    report = cyclicity_bound([h1, h2, x * x], ctx.names, line=line)
+    assert [v for v, _ in report.h_on_eta] == [0, 0, 1]
     assert (report.k, report.l, report.total) == (0, l, l)
     assert ("transversality failed along the line" in report.notes) == parallel
 
@@ -288,9 +315,9 @@ def test_gradient_on_line_matches_the_polynomial_derivative(perturbed_jets):
 
 def test_full_quadratic_perturbation_bound(perturbed_jets):
     line = {"b200": F(1), "c101": F(-252889, 66891)}
-    report = cyclicity_bound_line(
-        e1_center_perturbed(), {}, PERTURBATION_PARAMS, 5,
-        ("a011", "a101", "b011"), line,
+    report = cyclicity_bound(
+        perturbed_jets.quantities, PERTURBATION_PARAMS,
+        pivots=("a011", "a101", "b011"), line=line,
     )
     assert (report.k, report.l, report.total) == (3, 2, 5)
     assert report.rank == 3

@@ -169,20 +169,23 @@ def _plane_vector(nf):
     ids=["e4-normal", "e1-normal"],
 )
 def test_float_eigenbasis_of_moved_fields(fld):
-    rng = random.Random(5)
     ref_nf = to_normal_form(fld, (0.0, 0.0, 0.0))
     ref = focus_quantities(complexify(ref_nf.canonical()), 2).quantities
-    for _ in range(4):
-        moved, m, point = _moved(fld, rng)
-        nf = to_normal_form(moved, point)
-        lin = nf.field.jacobian_at((0.0, 0.0, 0.0))
-        want = [[0, -1, 0], [1, 0, 0], [0, 0, ref_nf.lam]]
-        assert np.max(np.abs(np.subtract(lin, want))) <= FLOAT_TOL
-        # the moved plane coordinates are those of the unmoved eigenbasis
-        # times a complex c with M v' = c v, so L_k scales by |c|^(2k)
-        v, mv = _plane_vector(ref_nf), np.array(m) @ _plane_vector(nf)
-        c = mv[0] / v[0]
-        assert np.max(np.abs(mv - c * v)) <= 1e-9 * abs(c)
-        got = focus_quantities(complexify(nf.canonical()), 2).quantities
-        for k, (g, r) in enumerate(zip(got, ref), start=1):
-            assert g == pytest.approx(r * abs(c) ** (2 * k), rel=1e-9)
+    # the second move of seed 1 takes e4-normal to an equilibrium whose
+    # residual is 3.7e-13
+    for seed in (1, 5):
+        rng = random.Random(seed)
+        for _ in range(4):
+            moved, m, point = _moved(fld, rng)
+            nf = to_normal_form(moved, point)
+            lin = nf.field.jacobian_at((0.0, 0.0, 0.0))
+            want = [[0, -1, 0], [1, 0, 0], [0, 0, ref_nf.lam]]
+            assert np.max(np.abs(np.subtract(lin, want))) <= FLOAT_TOL
+            # the moved plane coordinates are those of the unmoved eigenbasis
+            # times a complex c with M v' = c v, so L_k scales by |c|^(2k)
+            v, mv = _plane_vector(ref_nf), np.array(m) @ _plane_vector(nf)
+            c = mv[0] / v[0]
+            assert np.max(np.abs(mv - c * v)) <= 1e-9 * abs(c)
+            got = focus_quantities(complexify(nf.canonical()), 2).quantities
+            for k, (g, r) in enumerate(zip(got, ref), start=1):
+                assert g == pytest.approx(r * abs(c) ** (2 * k), rel=1e-9)
