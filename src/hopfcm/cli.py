@@ -22,7 +22,7 @@ from .errors import FocusObstruction, HopfcmError, SchemaError
 from .focusq import report_for_field
 from .grammar import eval_exact, parse_expression
 from .normalform import to_normal_form
-from .paramfield import GaussExpr, Jet, ParamExpr, scalar_ring
+from .paramfield import scalar_ring
 from .period import isochronicity_constants
 from .polysys import char_cubic, hopf_test, parse_system
 from .verify import CLAIMS, TEO5_CONFIG, config_bound, run_claim, teo4_config
@@ -39,10 +39,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def jsonable(x):
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, (ParamExpr, Jet, GaussExpr)):
-        return str(x)
+    """Containers and dataclasses as JSON values; scalars that JSON lacks
+    are left for ``_emit``'s ``default=str``."""
     if is_dataclass(x) and not isinstance(x, type):
         return {k: jsonable(v) for k, v in asdict(x).items()}
     if isinstance(x, dict):
@@ -220,7 +218,7 @@ def _cmd_focus(args):
             "order": args.order,
             "backend": report.backend,
             "normalization": report.normalization,
-            "quantities": [jsonable(q) for q in report.quantities],
+            "quantities": report.quantities,
         },
         args.out,
     )
@@ -237,7 +235,7 @@ def _cmd_period(args):
         _emit(
             {
                 "system": args.system,
-                "focus_obstruction": {"order": exc.order, "value": jsonable(exc.value)},
+                "focus_obstruction": {"order": exc.order, "value": exc.value},
             },
             args.out,
         )
@@ -245,8 +243,8 @@ def _cmd_period(args):
     _emit(
         {
             "system": args.system,
-            "constants": [jsonable(t) for t in pe.constants],
-            "odd_residuals": [jsonable(t) for t in pe.odd_residuals],
+            "constants": pe.constants,
+            "odd_residuals": pe.odd_residuals,
             "isochronous": pe.is_isochronous(),
         },
         args.out,
@@ -292,6 +290,8 @@ def _cmd_cyclicity(args):
         cfg = teo4_config(_exact_number(args.d0))
     elif args.mode == "teo5":
         cfg = TEO5_CONFIG
+    elif args.config is None:
+        args.usage_error("--mode custom needs --config")
     else:
         cfg = _cyclicity_config(args.config)
     _, report = config_bound(_load_system(cfg["system"], None), cfg)
@@ -399,7 +399,7 @@ def build_parser():
     sp.add_argument("--d0", default="1", help="teo4 base point d value")
     sp.add_argument("--config", help="JSON config for custom mode")
     common(sp)
-    sp.set_defaults(fn=_cmd_cyclicity)
+    sp.set_defaults(fn=_cmd_cyclicity, usage_error=sp.error)
 
     sp = sub.add_parser("simulate", help="integrate and export a trajectory")
     sp.add_argument("--system", required=True)

@@ -36,7 +36,8 @@ class BadTransform(HopfcmError):
 
 
 class NotRealSystem(HopfcmError):
-    """Complexified coefficients violate the conjugate-pairing constraints."""
+    """A focus quantity came out with a nonzero imaginary part, so the
+    complexified system was not the image of a real field."""
 
 
 class DegenerateLambda(HopfcmError):

@@ -1,14 +1,16 @@
 """Focus quantities via the formal-first-integral recursion.
 
-Starting from the canonical normal form (udot = -v + P, vdot = u + Q,
-wdot = lam w + R), the complex variables x = u + iv, y = u - iv, z = w turn
-the system into
+``complexify`` reads a normal form of either orientation.  For +1
+(udot = -v + P, vdot = u + Q, wdot = lam w + R) the complex variables
+x = u + iv, y = u - iv, z = w, and for -1 (udot = v + P, vdot = -u + Q) the
+turned ones x = v + iu, y = v - iu, z = w, turn the system into
 
     xdot = ix + sum a_jkl x^j y^k z^l,
     ydot = -iy + sum b_jkl x^j y^k z^l,
     zdot = lam z + sum c_jkl x^j y^k z^l,
 
-with b_jkl = conj(a_kjl) and c_jkl = conj(c_kjl).  A formal series
+where b_jkl = conj(a_kjl) and c_jkl = conj(c_kjl) hold by construction,
+since P, Q and R are real; so only a and c are composed.  A formal series
 Psi = xy + sum d_K x^K is built degree by degree: writing the derivative of
 Psi along the field as a sum of monomial coefficients L_K, every coefficient
 with K != (k,k,0) is killed by choosing d_K = -S_K / (i(k1-k2) + lam k3),
@@ -64,41 +66,30 @@ class FocusReport:
 
 
 def complexify(nf: NormalForm3) -> ComplexSystem:
-    """Complex coefficient extraction; requires canonical orientation."""
-    if nf.orientation != 1:
-        raise ValueError("complexify needs the canonical (+1) orientation frame")
+    """Complex coefficients a, b, c of the normal form in either orientation.
+
+    Orientation +1 (udot = -v + P) takes x = u + iv and composes P + iQ;
+    orientation -1 (udot = v + P) takes the turned frame x = v + iu, so
+    u = -i(x - y)/2, v = (x + y)/2, and composes Q + iP.  Both give
+    xdot = ix + ...  P, Q and R are real, so b is the conjugate mirror
+    b_jkl = conj(a_kjl) and needs no composition of its own.
+    """
     ring = scalar_ring(nf.lam)
     half = ring.one * Fraction(1, 2)
     half_i = ring.gauss(ring.zero, half)
-    # u = (x + y)/2, v = -i/2 (x - y), w = z
-    subs = [
-        StatePoly({(1, 0, 0): ring.lift(half), (0, 1, 0): ring.lift(half)}),
-        StatePoly({(1, 0, 0): -half_i, (0, 1, 0): half_i}),
-        StatePoly({(0, 0, 1): ring.lift(ring.one)}),
-    ]
+    re = StatePoly({(1, 0, 0): ring.lift(half), (0, 1, 0): ring.lift(half)})
+    im = StatePoly({(1, 0, 0): -half_i, (0, 1, 0): half_i})
+    z = StatePoly({(0, 0, 1): ring.lift(ring.one)})
     P, Q = nf.P.terms, nf.Q.terms
-    # P + iQ coefficient by coefficient; P - iQ is its conjugate
+    subs = [re, im, z]
+    if nf.orientation == -1:
+        P, Q, subs = Q, P, [im, re, z]
     P_iQ = StatePoly(
         {e: ring.gauss(P.get(e, ring.zero), Q.get(e, ring.zero)) for e in {**P, **Q}}
     )
-    X1 = P_iQ.compose(subs)
-    X2 = P_iQ.map_coeffs(ring.conj).compose(subs)
-    X3 = nf.R.map_coeffs(ring.lift).compose(subs)
-    cs = ComplexSystem(dict(X1.terms), dict(X2.terms), dict(X3.terms), nf.lam)
-    _check_reality(cs)
-    return cs
-
-
-def _check_reality(cs: ComplexSystem):
-    ring = scalar_ring(cs.lam)
-    zero = ring.lift(ring.zero)
-    pairs = (("a", cs.a, "b", cs.b), ("b", cs.b, "a", cs.a), ("c", cs.c, "c", cs.c))
-    for name, coeffs, other_name, other in pairs:
-        for (j, k, l), coeff in coeffs.items():
-            if not ring.close(other.get((k, j, l), zero), ring.conj(coeff)):
-                raise NotRealSystem(
-                    f"{other_name}[{k},{j},{l}] != conj({name}[{j},{k},{l}])"
-                )
+    a = P_iQ.compose(subs).terms
+    b = {(k, j, l): ring.conj(coeff) for (j, k, l), coeff in a.items()}
+    return ComplexSystem(a, b, nf.R.map_coeffs(ring.lift).compose(subs).terms, nf.lam)
 
 
 def focus_quantities(cs: ComplexSystem, n: int) -> FocusReport:
@@ -208,10 +199,9 @@ def verify_first_integral(fld: VectorField3, H: StatePoly) -> bool:
 
 
 def report_for_field(fld: VectorField3, n: int) -> FocusReport:
-    """Normal form at the origin -> canonical frame -> complexify -> focus
-    quantities."""
+    """Normal form at the origin -> complexify -> focus quantities."""
     nf = to_normal_form(fld, (fld.zero,) * 3)
-    return focus_quantities(complexify(nf.canonical()), n)
+    return focus_quantities(complexify(nf), n)
 
 
 def verify_center_conditions(fld: VectorField3, condition: dict, n: int) -> bool:

@@ -1,11 +1,10 @@
 """Reduction of a Hopf equilibrium to rotation-plus-axis normal form.
 
 The target shape has linear part ((0, -o, 0), (o, 0, 0), (0, 0, lambda)) with
-o = +/-1 after time rescaling; ``orientation`` records o.  The canonical
-orientation for the complexification step is +1 (udot = -v + ...); a field
-arriving with orientation -1 is canonicalized by the swap (u, v) -> (v, u),
-and the swap is recorded so reported quantities stay attached to the
-system's own frame.
+o = +/-1 after time rescaling; ``orientation`` records o.  The field stays
+in the frame it was reduced to, with u and v never swapped;
+``focusq.complexify`` reads ``orientation`` to pick its complex variable
+(x = u + iv for +1, x = v + iu for -1).
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ class NormalForm3:
     shift: tuple = None
     matrix: list = None
     time_scale: object = None
-    swapped: bool = False
 
     @property
     def P(self):
@@ -49,23 +47,6 @@ class NormalForm3:
     @property
     def R(self):
         return _nonlinear_part(self.field.components[2])
-
-    def canonical(self):
-        """Orientation +1 frame (udot = -v + ...), swapping u and v if needed."""
-        if self.orientation == 1:
-            return self
-        comps = self.field.components
-        swapped = (
-            _swap_uv(comps[1]),
-            _swap_uv(comps[0]),
-            _swap_uv(comps[2]),
-        )
-        fld = VectorField3(swapped, params=self.field.params, name=self.field.name)
-        return replace(self, field=fld, orientation=1, swapped=not self.swapped)
-
-
-def _swap_uv(poly: StatePoly) -> StatePoly:
-    return StatePoly({(e[1], e[0], e[2]): c for e, c in poly.terms.items()})
 
 
 def _nonlinear_part(poly: StatePoly) -> StatePoly:
@@ -213,13 +194,8 @@ def roundtrip_defect(nf: NormalForm3, original: VectorField3):
     (0 when exact, None when a symbolic coefficient fails to cancel).
     """
     redone = transform(original, nf.shift, nf.matrix, nf.time_scale)
-    reference = nf.field.components
-    if nf.swapped:
-        reference = tuple(
-            _swap_uv(c) for c in (reference[1], reference[0], reference[2])
-        )
     worst = 0
-    for got, want in zip(redone.components, reference):
+    for got, want in zip(redone.components, nf.field.components):
         diff = got - want
         for coeff in diff.terms.values():
             if isinstance(coeff, (int, float, Fraction)):

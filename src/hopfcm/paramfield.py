@@ -284,15 +284,13 @@ class ParamPoly:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.params, self.content, frozenset(self.prim.items())))
+            # a constant equals its Fraction, so it hashes like it
+            self._hash = hash(self.content) if self.is_constant() else hash(
+                (self.params, self.content, frozenset(self.prim.items()))
+            )
         return self._hash
 
-    # -- calculus / evaluation ------------------------------------------------
-
-    def derivative(self, name):
-        i = self.params.index(name)
-        out = {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in self.prim.items() if e[i]}
-        return ParamPoly._normal(self.params, out, self.content)
+    # -- evaluation -----------------------------------------------------------
 
     def evaluate(self, values):
         """Evaluate with every parameter bound.
@@ -797,17 +795,12 @@ class ParamExpr:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.num, self.den))
+            # a denominator 1 makes it equal to its numerator, and so a
+            # constant to its Fraction; it hashes like them
+            self._hash = hash(self.num) if self.den.is_constant() else hash((self.num, self.den))
         return self._hash
 
-    # -- calculus / evaluation ------------------------------------------------------
-
-    def derivative(self, name):
-        if name not in self.params:
-            raise ValueError(f"unknown parameter {name!r}")
-        dn = self.num.derivative(name)
-        dd = self.den.derivative(name)
-        return ParamExpr(dn * self.den - self.num * dd, self.den * self.den)
+    # -- evaluation ------------------------------------------------------------------
 
     def evaluate(self, values):
         """Evaluate at a full assignment; raises PoleAtPoint where the
@@ -919,7 +912,8 @@ class GaussExpr:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # as for complex: with no imaginary part it hashes like its real part
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __str__(self):
         return f"({self.re}) + i*({self.im})"
@@ -935,8 +929,8 @@ FLOAT_TOL = 1e-9
 class FloatRing:
     """Complex scalars of the float backend: Python ``complex``.
 
-    ``zero`` and ``one`` are real; ``close`` and ``real`` test against a
-    relative tolerance.
+    ``zero`` and ``one`` are real; ``real`` tests against a relative
+    tolerance.
     """
 
     zero = 0.0
@@ -949,9 +943,6 @@ class FloatRing:
     @staticmethod
     def conj(z):
         return z.conjugate()
-
-    def close(self, p, q):
-        return abs(p - q) <= self.tol * max(1.0, abs(p), abs(q))
 
     def real(self, z, what, error):
         """Real part of z; raises ``error`` when Im z is not negligible."""
@@ -977,10 +968,6 @@ class GaussRing:
     @staticmethod
     def conj(z):
         return z.conj()
-
-    @staticmethod
-    def close(p, q):
-        return not (p - q)
 
     @staticmethod
     def real(z, what, error):

@@ -3,7 +3,9 @@
 The quasi-cylindrical coordinates u = rho cos(theta), v = rho sin(theta),
 w = rho omega are the complex coordinates of ``focusq.complexify`` in polar
 form: x = u + iv = rho e^{i theta}, y = rho e^{-i theta}, z = rho omega.
-With theta as independent variable the canonical normal form becomes
+For orientation -1 complexify takes x = v + iu, so there u = rho sin(theta),
+v = rho cos(theta), and P, Q below stand for the field's Q, P.  With theta
+as independent variable the normal form becomes
 
     drho/dtheta   = (P cos + Q sin) / (1 + B),
     domega/dtheta = (lam omega + (R - omega (P cos + Q sin))/rho) / (1 + B),
@@ -194,11 +196,11 @@ class PeriodExpansion:
 def polar_reduce(nf: NormalForm3) -> PolarReduction:
     """The three reduced right-hand sides, read off the complexified field.
 
-    a_jkl and b_jkl (from P + iQ and P - iQ) land at harmonics j - k - 1 and
+    a_jkl and its conjugate mirror b_jkl land at harmonics j - k - 1 and
     j - k + 1, with weight 1/2 in the radial table and -i/2, +i/2 in the
     angular one; c_jkl lands in R/rho at harmonic j - k.
     """
-    cs = complexify(nf.canonical())
+    cs = complexify(nf)
     ring = scalar_ring(cs.lam)
     half = ring.one * Fraction(1, 2)
     half_i = ring.gauss(ring.zero, half)
@@ -255,7 +257,6 @@ def periodic_solution_series(nf: NormalForm3, order: int):
     """
     if order < 1:
         raise HopfcmError("the period series needs an order of at least 1")
-    nf = nf.canonical()
     ring = scalar_ring(nf.lam)
     reduction = polar_reduce(nf)
     one_tp = TrigPoly.const(ring.lift(ring.one))

@@ -276,6 +276,16 @@ def test_custom_cyclicity_config_errors_are_schema_errors(tmp_path, capsys, text
     assert json.loads(err)["error"] == "SchemaError"
 
 
+def test_custom_cyclicity_without_a_config_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["cyclicity", "--mode", "custom"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 1 and out == ""
+    usage, message = err.splitlines()[0], err.splitlines()[-1]
+    assert usage.startswith("usage: hopfcm cyclicity")
+    assert message == "error: --mode custom needs --config"
+
+
 @pytest.mark.parametrize(
     "config,mode",
     [

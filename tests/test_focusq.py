@@ -1,6 +1,7 @@
 """Focus quantities: oracles, center certificates, printed-form agreement."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -64,7 +65,7 @@ def test_reversible_planar_center_all_quantities_vanish():
 
 
 def _complexified(fld):
-    return complexify(to_normal_form(fld, (fld.zero,) * 3).canonical())
+    return complexify(to_normal_form(fld, (fld.zero,) * 3))
 
 
 # (system builder, order): one case per scalar backend of the recursion
@@ -142,7 +143,7 @@ def test_center_certificate_via_psi_series_normalization():
     from hopfcm.focusq import _psi_recursion
 
     nf = to_normal_form(e1_center(), tuple(ParamExpr.zero(("d",)) for _ in range(3)))
-    _, coefficients = _psi_recursion(complexify(nf.canonical()), 2)
+    _, coefficients = _psi_recursion(complexify(nf), 2)
     for (k1, k2, k3), coeff in coefficients.items():
         if k1 == k2 and k3 == 0 and k1 >= 2:
             raise AssertionError("diagonal coefficient stored despite normalization")
@@ -152,10 +153,11 @@ def test_center_certificate_via_psi_series_normalization():
 
 
 def test_complexified_center_coefficients():
-    # canonical frame of the center family at d = 1:
-    # udot = -v - vw, vdot = u + uw, wdot = -w + uv
-    # gives X1 = i x z, X2 = -i y z, X3 = -(i/4)(x^2 - y^2)
-    nf = to_normal_form(e1_center({"d": 1}), (F(0),) * 3).canonical()
+    # the center family at d = 1, udot = v + vw, vdot = -u - uw,
+    # wdot = -w + uv, read in the turned frame x = v + iu of its
+    # orientation -1, gives X1 = i x z, X2 = -i y z, X3 = -(i/4)(x^2 - y^2)
+    nf = to_normal_form(e1_center({"d": 1}), (F(0),) * 3)
+    assert nf.orientation == -1
     cs = complexify(nf)
     i_one = GaussExpr(F(0), F(1))
     assert cs.a == {(1, 0, 1): i_one}
@@ -177,31 +179,31 @@ def test_purely_linear_field_has_empty_coefficient_sets():
     assert cs.a == {} and cs.b == {} and cs.c == {}
 
 
+# a hand-built system whose b is not the conjugate mirror of a: the c term
+# carries the mismatch into the first obstruction, which is then not real
+
+
 def test_broken_conjugate_pair_rejected():
     i_one = GaussExpr(F(0), F(1))
-    from hopfcm.focusq import _check_reality
-
     cs = ComplexSystem(
         a={(1, 0, 1): i_one},
         b={(0, 1, 1): i_one},  # should be the conjugate -i
-        c={},
+        c={(1, 1, 0): GaussExpr(F(1), F(0))},
         lam=F(-1),
     )
-    with pytest.raises(NotRealSystem):
-        _check_reality(cs)
+    with pytest.raises(NotRealSystem, match="imaginary part 2"):
+        focus_quantities(cs, 1)
+    cs.b = {(0, 1, 1): -i_one}
+    assert focus_quantities(cs, 1).quantities == [0]
 
 
 def test_broken_conjugate_pair_rejected_on_float_ring():
-    from hopfcm.focusq import _check_reality
-
-    cs = ComplexSystem(
-        a={(1, 0, 1): 1j}, b={(0, 1, 1): 1j + 1e-6}, c={}, lam=-1.0
-    )
-    with pytest.raises(NotRealSystem):
-        _check_reality(cs)
+    cs = ComplexSystem(a={(1, 0, 1): 1j}, b={(0, 1, 1): 1j}, c={(1, 1, 0): 1 + 0j}, lam=-1.0)
+    with pytest.raises(NotRealSystem, match="imaginary part 2"):
+        focus_quantities(cs, 1)
     # a conjugate pair that agrees within the float tolerance passes
     cs.b = {(0, 1, 1): -1j + 1e-12}
-    _check_reality(cs)
+    assert focus_quantities(cs, 1).quantities == [pytest.approx(0.0, abs=1e-11)]
 
 
 def test_degenerate_lambda_rejected():
@@ -210,11 +212,61 @@ def test_degenerate_lambda_rejected():
         focus_quantities(cs, 1)
 
 
-def test_complexify_requires_canonical_orientation():
-    nf = to_normal_form(e1_center({"d": 1}), (F(0),) * 3)
+def _turned(nf):
+    """The counterclockwise copy of a clockwise normal form: u and v trade
+    places, so udot = v + P, vdot = -u + Q becomes udot = -v + Q(v, u, w),
+    vdot = u + P(v, u, w)."""
+
+    def swap(poly):
+        return StatePoly({(e[1], e[0], e[2]): c for e, c in poly.terms.items()})
+
+    p, q, r = nf.field.components
+    fld = VectorField3((swap(q), swap(p), swap(r)), params=nf.field.params)
+    return replace(nf, field=fld, orientation=1)
+
+
+_IDENTITY = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+
+
+@pytest.mark.parametrize(
+    "build,matrix",
+    [
+        (lambda: e1_normal({"c": F(1, 3), "d": F(2), "k": F(1)}), None),
+        (e1_center, None),
+        (lambda: jet_system(e1_normal(), {"k": 1, "c": 0, "d": 1}, ("k", "c", "d"), 2), None),
+        (lambda: e4_normal({"c": 0.25, "h": 2.0}), _IDENTITY),
+    ],
+    ids=["e1-normal-bound", "e1-center-symbolic", "jet-degree-2", "e4-normal-float"],
+)
+def test_complexify_reads_a_clockwise_frame_like_its_turned_copy(build, matrix):
+    fld = build()
+    nf = to_normal_form(fld, (fld.zero,) * 3, matrix=matrix)
     assert nf.orientation == -1
-    with pytest.raises(ValueError):
+    got, want = complexify(nf), complexify(_turned(nf))
+    for name in ("a", "b", "c"):
+        g, w = getattr(got, name), getattr(want, name)
+        if isinstance(nf.lam, float):
+            assert max(abs(g.get(e, 0) - w.get(e, 0)) for e in {**g, **w}) <= 1e-12
+        else:
+            assert g == w
+
+
+def test_complexify_composes_two_polynomials(monkeypatch):
+    # P + iQ and R; b is the conjugate mirror of a
+    calls = []
+    compose = StatePoly.compose
+
+    def counted(poly, subs):
+        calls.append(poly)
+        return compose(poly, subs)
+
+    monkeypatch.setattr(StatePoly, "compose", counted)
+    # one field of each orientation: +1, then -1
+    for fld in (planar_field(F(1), F(-2), F(1, 3), F(2), F(0), F(1)), e1_center({"d": 1})):
+        nf = to_normal_form(fld, (F(0),) * 3)
+        calls.clear()
         complexify(nf)
+        assert len(calls) == 2
 
 
 # --- printed first-quantity agreement (exact pointwise) -----------------------------

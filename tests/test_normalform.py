@@ -53,15 +53,13 @@ def test_shifted_system_reduces_to_printed_normal_form():
     assert roundtrip_defect(nf, e1_shifted()) == 0
 
 
-def test_canonical_swap_records_orientation():
+def test_clockwise_normal_form_keeps_its_frame():
     nf = to_normal_form(e1_normal(), _zero3())
-    canon = nf.canonical()
-    assert canon.orientation == 1
-    assert canon.swapped is True
-    assert canon.canonical() is canon
-    # canonical frame: udot = -v + nonlinear
-    lin = canon.field.jacobian_at(_zero3())
-    assert lin[0][1] == -1 and lin[1][0] == 1
+    assert nf.orientation == -1
+    # clockwise frame as reduced, u and v not swapped: udot = v + nonlinear
+    lin = nf.field.jacobian_at(_zero3())
+    assert lin[0][1] == 1 and lin[1][0] == -1
+    assert roundtrip_defect(nf, e1_normal()) == 0
 
 
 def test_nonconstant_rotation_requires_explicit_time_scale():
@@ -107,8 +105,7 @@ def test_float_prebuilt_normal_form_orientation():
     identity = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     nf = to_normal_form(fld, (0.0, 0.0, 0.0), matrix=identity)
     assert nf.orientation == -1  # clockwise frame as built
-    assert nf.canonical().orientation == 1
-    # the automatic eigenbasis lands directly in the canonical frame
+    # the automatic eigenbasis lands in the counterclockwise frame
     auto = to_normal_form(fld, (0.0, 0.0, 0.0))
     assert auto.orientation == 1
 
@@ -170,7 +167,7 @@ def _plane_vector(nf):
 )
 def test_float_eigenbasis_of_moved_fields(fld):
     ref_nf = to_normal_form(fld, (0.0, 0.0, 0.0))
-    ref = focus_quantities(complexify(ref_nf.canonical()), 2).quantities
+    ref = focus_quantities(complexify(ref_nf), 2).quantities
     # the second move of seed 1 takes e4-normal to an equilibrium whose
     # residual is 3.7e-13
     for seed in (1, 5):
@@ -186,6 +183,6 @@ def test_float_eigenbasis_of_moved_fields(fld):
             v, mv = _plane_vector(ref_nf), np.array(m) @ _plane_vector(nf)
             c = mv[0] / v[0]
             assert np.max(np.abs(mv - c * v)) <= 1e-9 * abs(c)
-            got = focus_quantities(complexify(nf.canonical()), 2).quantities
+            got = focus_quantities(complexify(nf), 2).quantities
             for k, (g, r) in enumerate(zip(got, ref), start=1):
                 assert g == pytest.approx(r * abs(c) ** (2 * k), rel=1e-9)

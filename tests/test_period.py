@@ -178,16 +178,20 @@ def _table_at(table, rho, theta, omega):
 )
 def test_polar_tables_match_the_cylindrical_field(nf):
     # the oracle evaluates P, Q, R at u = rho cos, v = rho sin, w = rho omega
-    # directly, sharing no code with the complexified tables
+    # directly, sharing no code with the complexified tables; a clockwise
+    # frame is read turned: u = rho sin, v = rho cos, with P and Q traded
     red = polar_reduce(nf)
-    canon = nf.canonical()
-    P, Q, R = (poly.map_coeffs(float) for poly in (canon.P, canon.Q, canon.R))
+    P, Q, R = (poly.map_coeffs(float) for poly in (nf.P, nf.Q, nf.R))
     for rho in (0.3, 0.7):
         for theta in (0.4, 2.1, 5.0):
             for omega in (-0.8, 0.5):
                 cos, sin = math.cos(theta), math.sin(theta)
-                point = (rho * cos, rho * sin, rho * omega)
-                p, q, r = (poly.evaluate_or(point, 0.0) for poly in (P, Q, R))
+                if nf.orientation == 1:
+                    point = (rho * cos, rho * sin, rho * omega)
+                    p, q, r = (poly.evaluate_or(point, 0.0) for poly in (P, Q, R))
+                else:
+                    point = (rho * sin, rho * cos, rho * omega)
+                    q, p, r = (poly.evaluate_or(point, 0.0) for poly in (P, Q, R))
                 radial = p * cos + q * sin
                 expected = (radial, (q * cos - p * sin) / rho, (r - omega * radial) / rho)
                 tables = (red.radial, red.angular, red.transverse)

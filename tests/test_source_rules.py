@@ -97,23 +97,37 @@ def _definitions(path):
                     yield f"{node.name}.{item.name}", item.name, item.lineno
 
 
+def _names_in(node):
+    if isinstance(node, ast.Name):
+        yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+    elif isinstance(node, ast.alias):
+        yield node.name.rsplit(".", 1)[-1]
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        if DOTTED_NAME.match(node.value):
+            yield from node.value.split(".")
+
+
 def _referenced_names(path):
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
-        if isinstance(node, ast.Name):
-            yield node.id
-        elif isinstance(node, ast.Attribute):
-            yield node.attr
-        elif isinstance(node, ast.alias):
-            yield node.name.rsplit(".", 1)[-1]
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            if DOTTED_NAME.match(node.value):
-                yield from node.value.split(".")
+    """Every name the file uses, except inside a function of that name: a
+    function that calls itself, or a method that calls its namesake on
+    another type, is not a caller."""
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            enclosing = enclosing | {node.name}
+        yield from (name for name in _names_in(node) if name not in enclosing)
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, enclosing)
+
+    yield from visit(ast.parse(path.read_text(), str(path)), frozenset())
 
 
 def test_every_library_definition_is_referenced_by_name():
     """Name-based, so a definition is reported only when no file of the
-    program (tests excluded) uses its name at all; its own def statement is
-    not a use of it."""
+    program (tests excluded) uses its name outside a function of the same
+    name; its own def statement is not a use of it."""
     used = TEST_ORACLES | {
         name
         for top in SEARCHED
