@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import RegionUndefined, SchemaError
+from .errors import RegionUndefined, SchemaError, SingularTransform
 from .paramfield import ParamExpr
 from .polysys import StatePoly, VectorField3, transform
 
@@ -157,18 +157,30 @@ def _maybe_bind(fld, values):
 # d = 0 radical families (float coefficients)
 
 
-def _radical_point(values, s):
-    """(c, h) of the E4 (s = 1) or E5 (s = -1) family, whose c has sign s."""
-    c, h = float(values["c"]), float(values["h"])
-    if not (s * c > 0 and h > 0 and h**4 - 4 * c**2 > 0):
-        family, order = ("e4", ">") if s > 0 else ("e5", "<")
-        raise RegionUndefined(f"{family} family needs c {order} 0, h > 0, h^4 - 4c^2 > 0")
-    return c, h
+def _radical_field(values, s, name, build):
+    """``build(c, h, s, name)`` at the (c, h) of ``values`` in the E4 (s = 1)
+    or E5 (s = -1) family, whose c has sign s.  A point outside the region,
+    or one whose coefficients do not fit a float, is RegionUndefined."""
+    family, order = ("e4", ">") if s > 0 else ("e5", "<")
+    try:
+        c, h = float(values["c"]), float(values["h"])
+        # h^2 > 2|c| is h^4 - 4c^2 > 0 without the fourth power
+        if not (s * c > 0 and h > 0 and h * h > 2 * s * c):
+            raise RegionUndefined(f"{family} family needs c {order} 0, h > 0, h^4 - 4c^2 > 0")
+        fld = build(c, h, s, name)
+    except (ArithmeticError, ValueError, SingularTransform):
+        # a power overflows, a divisor underflows to zero, or h^4 - 4c^2
+        # rounds to zero or below at the edge of the region
+        fld = None
+    if fld is None or not all(
+        math.isfinite(x) for comp in fld.components for x in comp.terms.values()
+    ):
+        raise RegionUndefined(f"the {name} coefficients at this (c, h) do not fit a float")
+    return fld
 
 
-def _radical_translated(values, s, name):
+def _radical_translated(c, h, s, name):
     """E4- (s = 1) or E5- (s = -1) translated to the origin; sqrt|c| = sqrt(s c)."""
-    c, h = _radical_point(values, s)
     sc = math.sqrt(s * c)
     comps = (
         StatePoly({(1, 0, 0): c, (0, 1, 0): s * h * h / 2.0,
@@ -181,14 +193,13 @@ def _radical_translated(values, s, name):
     return VectorField3(comps, name=name)
 
 
-def _radical_normal(values, s, name):
+def _radical_normal(c, h, s, name):
     """The eigenbasis change plus time rescaling of ``_radical_translated``.
 
     With a = |c|: dd = 8 c^3 h^2 + s (h^4 - 4 c^2), and the first column
     carries (a h^2 - 1), the factor the eigenvectors of the translated
     linear part produce for either sign of c.
     """
-    c, h = _radical_point(values, s)
     a = s * c
     root = math.sqrt(h**4 - 4 * c**2)
     dd = 8 * c**3 * h**2 - s * 4 * c**2 + s * h**4
@@ -203,27 +214,27 @@ def _radical_normal(values, s, name):
         [0.0, 1.0, 0.0],
     ]
     scale = root / (math.sqrt(2.0) * sc * h)
-    return transform(_radical_translated(values, s, name), (0.0, 0.0, 0.0), m, scale)
+    return transform(_radical_translated(c, h, s, name), (0.0, 0.0, 0.0), m, scale)
 
 
 def e4m(values):
     """E4- translated to the origin (d = 0, a = -c, b solved through h > 0)."""
-    return _radical_translated(values, 1, "e4m")
+    return _radical_field(values, 1, "e4m", _radical_translated)
 
 
 def e5m(values):
     """E5- translated to the origin (d = 0, a = -c, c < 0)."""
-    return _radical_translated(values, -1, "e5m")
+    return _radical_field(values, -1, "e5m", _radical_translated)
 
 
 def e4_normal(values):
     """Rotation normal form at E4-: eigenbasis change plus time rescaling."""
-    return _radical_normal(values, 1, "e4-normal")
+    return _radical_field(values, 1, "e4-normal", _radical_normal)
 
 
 def e5_normal(values):
     """Rotation normal form at E5-."""
-    return _radical_normal(values, -1, "e5-normal")
+    return _radical_field(values, -1, "e5-normal", _radical_normal)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,10 @@ from .errors import SchemaError
 from .paramfield import ParamExpr
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(.))")
+# the deepest a coefficient may nest, in signs, parentheses and sqrt while it
+# is parsed and in operations once parsed, so that neither the recursive
+# parser nor ``evaluate`` comes near the interpreter's recursion limit
+MAX_DEPTH = 100
 
 
 def _tokenize(text):
@@ -49,6 +53,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.nesting = 0
 
     def peek(self):
         return self.tokens[self.pos][0]
@@ -68,6 +73,8 @@ class _Parser:
         node = self.expr()
         if self.peek() != "end":
             raise SchemaError(f"trailing input in {self.text!r}")
+        if _depth(node) > MAX_DEPTH:
+            raise SchemaError(f"coefficient expression deeper than {MAX_DEPTH} operations")
         return node
 
     def expr(self):
@@ -87,18 +94,22 @@ class _Parser:
         return node
 
     def factor(self):
-        if self.peek() == "-":
-            self.next()
-            return ("neg", self.factor())
-        if self.peek() == "+":
-            self.next()
-            return self.factor()
-        node = self.atom()
-        if self.peek() == "^":
-            self.next()
-            if self.peek() == "-":
-                raise SchemaError(f"negative exponent in {self.text!r}")
-            node = ("pow", node, self.expect("int")[1])
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise SchemaError(f"coefficient expression nested deeper than {MAX_DEPTH} levels")
+        if self.peek() in ("-", "+"):
+            sign = self.next()[0]
+            node = self.factor()
+            if sign == "-":
+                node = ("neg", node)
+        else:
+            node = self.atom()
+            if self.peek() == "^":
+                self.next()
+                if self.peek() == "-":
+                    raise SchemaError(f"negative exponent in {self.text!r}")
+                node = ("pow", node, self.expect("int")[1])
+        self.nesting -= 1
         return node
 
     def atom(self):
@@ -124,21 +135,14 @@ def parse_expression(text):
     return _Parser(str(text)).parse()
 
 
-def ast_params(node, acc=None):
-    """Collect parameter identifiers appearing in an AST."""
-    if acc is None:
-        acc = set()
-    kind = node[0]
-    if kind == "var":
-        acc.add(node[1])
-    elif kind in ("add", "sub", "mul", "div"):
-        ast_params(node[1], acc)
-        ast_params(node[2], acc)
-    elif kind in ("neg", "sqrt"):
-        ast_params(node[1], acc)
-    elif kind == "pow":
-        ast_params(node[1], acc)
-    return acc
+def _depth(tree):
+    """The number of nodes on the longest path from the root of ``tree``."""
+    deepest, stack = 0, [(tree, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        stack.extend((child, depth + 1) for child in node[1:] if isinstance(child, tuple))
+    return deepest
 
 
 _OPERATORS = {

@@ -194,11 +194,6 @@ class ParamPoly:
             raise ValueError("not a constant polynomial")
         return self.content
 
-    def leading(self):
-        """Leading (exponent, coefficient) under graded lex order."""
-        e = max(self.prim, key=_grlex_key)
-        return e, self.content * self.prim[e]
-
     def degree_in(self, i):
         if not self.prim:
             return -1
@@ -832,10 +827,6 @@ class GaussExpr:
     def __init__(self, re, im):
         self.re = re
         self.im = im
-
-    @classmethod
-    def real(cls, value):
-        return cls(value, value * 0)
 
     def conj(self):
         return GaussExpr(self.re, -self.im)

@@ -474,10 +474,6 @@ def parse_system(document) -> VectorField3:
             ):
                 raise SchemaError(f"malformed monomial exponent {exp!r}")
             node = grammar.parse_expression(item["coeff"])
-            used = grammar.ast_params(node)
-            unknown = used - set(param_names)
-            if unknown:
-                raise SchemaError(f"unknown parameter(s) {sorted(unknown)}")
             if backend == "float":
                 coeff = grammar.eval_float(node, values)
             else:

@@ -83,10 +83,11 @@ PUBLISHED_L1_ROWS = {
 }
 
 
-def _bound_quantities(fld, k, c, d):
-    """L1..L3 as Fractions at one fully bound parameter point (no jets)."""
-    bound = fld.substitute_params({"k": k, "c": c, "d": d})
-    return report_for_field(bound, 3).quantities
+def _quantities_in(fld, bound, var):
+    """L1..L3 of ``fld`` with every parameter but ``var`` bound, as sympy
+    rational functions of the symbol ``var`` (read from the printed form)."""
+    quantities = report_for_field(fld.substitute_params(bound), 3).quantities
+    return [sympy.sympify(str(q).replace("^", "**"), locals={var.name: var}) for q in quantities]
 
 
 def test_criterion_6_rank_as_stated(teo4_result):
@@ -96,8 +97,8 @@ def test_criterion_6_rank_as_stated(teo4_result):
     Rank <= 2: e1-normal at k = 1, c = 0 is e1-center, a center for every d,
     so the d-column is zero.  Rank >= 2: the L2 row is zero and the (k, c)
     minor of the L1 and L3 rows is non-zero.  The L1 row is the derivative of
-    the published closed form; the L2 and L3 rows match central differences
-    of the quantities at bound points.
+    the published closed form; every row is the exact derivative of the
+    quantities computed in k alone (c = 0) and in c alone (k = 1).
     """
     res = teo4_result
     d0s = tuple(PUBLISHED_L1_ROWS)
@@ -116,7 +117,6 @@ def test_criterion_6_rank_as_stated(teo4_result):
     k, c, d = sympy.symbols("k c d")
     published = verify._printed_L1(c, d, k) * d**3 / verify._clearing_e1(c, d, k)
     fld = catalog.e1_normal()
-    h = F(1, 10**6)
     for d0 in d0s:
         jac = [[F(x) for x in row] for row in res["matrices"][str(d0)]]
         at = {k: 1, c: 0, d: sympy.Rational(d0.numerator, d0.denominator)}
@@ -130,20 +130,18 @@ def test_criterion_6_rank_as_stated(teo4_result):
         checks[f"{d0}: (k, c) minor of L1, L3"] = (
             jac[0][0] * jac[2][1] - jac[0][1] * jac[2][0] != 0
         )
-        k_plus, k_minus, c_plus, c_minus = (
-            _bound_quantities(fld, 1 + dk, dc, d0)
-            for dk, dc in ((h, 0), (-h, 0), (0, h), (0, -h))
-        )
-        checks[f"{d0}: central differences"] = all(
-            abs(jac[i][0] - (k_plus[i] - k_minus[i]) / (2 * h)) <= 1e-9
-            and abs(jac[i][1] - (c_plus[i] - c_minus[i]) / (2 * h)) <= 1e-9
-            for i in range(3)
-        )
+        in_k = _quantities_in(fld, {"c": 0, "d": d0}, k)
+        in_c = _quantities_in(fld, {"k": 1, "d": d0}, c)
+        # the d-column is zero because the whole line is a center
+        rows = [
+            [F(str(sympy.diff(q, k).subs(k, 1))), F(str(sympy.diff(p, c).subs(c, 0))), 0]
+            for q, p in zip(in_k, in_c)
+        ]
+        checks[f"{d0}: exact derivatives"] = rows == jac
         # why the L2 row is zero: L2 vanishes on c = 0 and is quadratic in c
+        num, den = sympy.fraction(sympy.cancel(in_c[1]))
         checks[f"{d0}: L2 = O(c^2)"] = (
-            k_plus[1] == 0 == k_minus[1]
-            and abs(c_plus[1]) <= 10 * h**2
-            and abs(c_minus[1]) <= 10 * h**2
+            in_k[1] == 0 and sympy.rem(num, c**2, c) == 0 and den.subs(c, 0) != 0
         )
     ok = all(checks.values())
     _report(

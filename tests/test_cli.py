@@ -334,6 +334,16 @@ def test_custom_system_document(tmp_path, capsys):
     assert json.loads(out)["quantities"] == ["0", "0"]
 
 
+def test_a_document_with_a_too_deep_coefficient_is_a_schema_error(tmp_path, capsys):
+    document = _center_document("exact", "1")
+    document["equations"][0][0]["coeff"] = "-" * 3000 + "1"
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run_cli(capsys, "hopf", "--system", str(path))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "SchemaError"
+
+
 def test_an_exact_document_refuses_a_float_parameter(tmp_path, capsys):
     """A JSON float would bind its binary value: 0.1 is 3602879701896397/2^55."""
     path = tmp_path / "center.json"
@@ -418,6 +428,24 @@ def test_malformed_param_is_a_json_domain_error(capsys, tmp_path, monkeypatch, a
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "HopfcmError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("focus", "--system", "e4-normal", "--params", "c=1e308,h=2", "--order", "1"),
+        ("normalize", "--system", "e4m", "--params", "c=1e200,h=1e60"),
+        ("focus", "--system", "e4-normal", "--params", "c=1e150,h=1e80", "--order", "1"),
+        # h^2 > 2c in floats, while h^4 - 4c^2 rounds to 0
+        ("focus", "--system", "e4-normal", "--params",
+         "c=96.00828090831627,h=13.857004070744605", "--order", "1"),
+    ],
+    ids=["c-squared", "e4m-c-squared", "h-fourth", "edge-of-region"],
+)
+def test_a_radical_family_point_without_float_coefficients_is_a_region_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "RegionUndefined"
 
 
 def test_huge_finite_span_stops_at_the_work_ceiling(capsys, tmp_path, monkeypatch):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hopfcm.errors import SchemaError
-from hopfcm.grammar import ast_params, eval_exact, eval_float, parse_expression
+from hopfcm.grammar import MAX_DEPTH, eval_exact, eval_float, parse_expression
 from hopfcm.paramfield import ParamExpr
 
 
@@ -47,11 +47,6 @@ def test_negative_exponent_rejected():
         parse_expression("k^-2")
 
 
-def test_param_collection():
-    node = parse_expression("a*(b + sqrt(c))^2 - 4")
-    assert ast_params(node) == {"a", "b", "c"}
-
-
 def test_float_division_by_zero():
     node = parse_expression("1/(c - c)")
     with pytest.raises(SchemaError):
@@ -61,3 +56,21 @@ def test_float_division_by_zero():
 def test_integer_literals_are_exact():
     node = parse_expression("1/3")
     assert eval_exact(node, ()) == Fraction(1, 3)
+
+
+@pytest.mark.parametrize(
+    "shape,value",
+    [
+        (lambda n: "-" * (n - 1) + "1", -1),
+        (lambda n: "(" * (n - 1) + "1" + ")" * (n - 1), 1),
+        (lambda n: "+".join(["1"] * n), MAX_DEPTH),
+    ],
+    ids=["signs", "parentheses", "sum"],
+)
+def test_nesting_beyond_the_depth_bound_is_a_schema_error(shape, value):
+    # up to the bound it parses and evaluates; far beyond it the recursive
+    # parser or evaluator would overflow the interpreter's stack
+    assert eval_exact(parse_expression(shape(MAX_DEPTH)), ()) == value
+    for n in (MAX_DEPTH + 1, 3000):
+        with pytest.raises(SchemaError, match="deeper than"):
+            parse_expression(shape(n))

@@ -48,8 +48,8 @@ def test_normalize_sign_convention():
     assert e == -k
     # denominator leading coefficient positive after normalization
     f = k / (1 - k)
-    _, lead = f.den.leading()
-    assert lead > 0
+    den = f.den.terms
+    assert den[max(den, key=_grlex)] > 0
 
 
 def test_zero_denominator_rejected():
@@ -427,9 +427,6 @@ def test_the_polynomial_form_is_canonical(ta, tb, n):
             e = tuple(map(sum, zip(e1, e2)))
             product[e] = product.get(e, 0) + c1 * c2
     assert (a * b).terms == {e: c for e, c in product.items() if c}
-    if ta:
-        lead = max(ta, key=_grlex)
-        assert a.leading() == (lead, ta[lead])
     if a.is_constant():
         assert a.constant_value() == ta.get((0, 0, 0), 0)
 
@@ -453,7 +450,7 @@ def test_gauss_conjugation_is_ring_automorphism():
     assert (z1 + z2).conj() == z1.conj() + z2.conj()
     assert z1.conj().conj() == z1
     # fixes the real subfield
-    r = GaussExpr.real(c)
+    r = GaussExpr(c, c * 0)
     assert r.conj() == r
 
 

@@ -323,8 +323,13 @@ def test_parse_system_sqrt_backend_rule():
     assert fld.components[0].terms[(1, 0, 0)] == pytest.approx(2.0)
 
 
-def test_parse_system_unknown_parameter():
-    doc = _khaled_doc()
+@pytest.mark.parametrize(
+    "backend,params",
+    [("exact", None), ("float", {"a": 1, "b": 2, "c": 3, "d": 4})],
+    ids=["exact", "float"],
+)
+def test_parse_system_unknown_parameter(backend, params):
+    doc = _khaled_doc(backend, params)
     doc["equations"][0][0]["coeff"] = "-q"
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match="unknown parameter 'q'"):
         parse_system(doc)

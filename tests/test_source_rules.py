@@ -98,26 +98,29 @@ def _definitions(path):
 
 
 def _names_in(node):
+    """(name, whether it is an attribute) of each name ``node`` uses: an
+    attribute access and a dotted string name an attribute, a bare name and
+    an import do not."""
     if isinstance(node, ast.Name):
-        yield node.id
+        yield node.id, False
     elif isinstance(node, ast.Attribute):
-        yield node.attr
+        yield node.attr, True
     elif isinstance(node, ast.alias):
-        yield node.name.rsplit(".", 1)[-1]
+        yield node.name.rsplit(".", 1)[-1], False
     elif isinstance(node, ast.Constant) and isinstance(node.value, str):
         if DOTTED_NAME.match(node.value):
-            yield from node.value.split(".")
+            yield from ((part, True) for part in node.value.split("."))
 
 
 def _referenced_names(path):
-    """Every name the file uses, except inside a function of that name: a
-    function that calls itself, or a method that calls its namesake on
-    another type, is not a caller."""
+    """Every (name, is attribute) the file uses, except inside a function of
+    that name: a function that calls itself, or a method that calls its
+    namesake on another type, is not a caller."""
 
     def visit(node, enclosing):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             enclosing = enclosing | {node.name}
-        yield from (name for name in _names_in(node) if name not in enclosing)
+        yield from (used for used in _names_in(node) if used[0] not in enclosing)
         for child in ast.iter_child_nodes(node):
             yield from visit(child, enclosing)
 
@@ -127,20 +130,24 @@ def _referenced_names(path):
 def test_every_library_definition_is_referenced_by_name():
     """Name-based, so a definition is reported only when no file of the
     program (tests excluded) uses its name outside a function of the same
-    name; its own def statement is not a use of it."""
-    used = TEST_ORACLES | {
-        name
+    name; its own def statement is not a use of it.  A method counts as used
+    only through an attribute (``x.name``) or a dotted string, so a local
+    variable of the same name does not keep it."""
+    used = {
+        (name, attribute)
         for top in SEARCHED
         for path in sorted((REPO / top).rglob("*.py"))
-        for name in _referenced_names(path)
+        for name, attribute in _referenced_names(path)
     }
+    names = TEST_ORACLES | {name for name, _ in used}
+    attributes = {name for name, attribute in used if attribute}
     modules = sorted(Path(hopfcm.__file__).parent.glob("*.py"))
     assert modules
     unreferenced = [
         f"{path.name}:{line} {qualified}"
         for path in modules
         for qualified, name, line in _definitions(path)
-        if name not in used
+        if name not in (names if qualified == name else attributes)
     ]
     assert unreferenced == []
 
