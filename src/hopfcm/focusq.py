@@ -18,6 +18,11 @@ whose divisor never vanishes for lam != 0.  The obstructions at (k,k,0),
 with the normalization d_kk0 = 0, are the focus quantities L_{k-1}; the
 origin is a center on the center manifold exactly when they all vanish.
 
+The same reality makes Psi real: d_{k2,k1,k3} = conj(d_{k1,k2,k3}).  The
+recursion therefore computes only the coefficients with k1 >= k2 and
+mirrors the rest by conjugation, which relies on the b = conj(a) mirror
+that ``complexify`` builds.
+
 The recursion is generic over the coefficient scalar: exact rational
 functions, rationals, truncated jets (for expansions around a center point),
 or machine complex numbers.
@@ -41,7 +46,14 @@ from .polysys import StatePoly, VectorField3
 
 @dataclass
 class ComplexSystem:
-    """Complexified quadratic+ coefficients and the transverse eigenvalue."""
+    """Complexified quadratic+ coefficients and the transverse eigenvalue.
+
+    The focus recursion assumes the system is real: b_jkl = conj(a_kjl) and
+    c_jkl = conj(c_kjl), as ``complexify`` builds them.  It computes half of
+    the Psi coefficients and mirrors the rest on that assumption; a system
+    built by hand that breaks it is caught only where it leaves an obstruction
+    with an imaginary part (``NotRealSystem``).
+    """
 
     a: dict
     b: dict
@@ -99,6 +111,16 @@ def focus_quantities(cs: ComplexSystem, n: int) -> FocusReport:
 
 
 def _psi_recursion(cs: ComplexSystem, n: int):
+    """Focus quantities L_1..L_n and the Psi coefficients d through degree
+    2n + 2.
+
+    Each d of layer m comes from layers below m only, so within a layer the
+    targets are independent.  Only those with k1 >= k2 are computed; each
+    d_{k1,k2,k3} with k1 != k2 is stored with its mirror d_{k2,k1,k3} =
+    conj(d_{k1,k2,k3}).  That halves the work and relies on
+    b_jkl = conj(a_kjl) and c_jkl = conj(c_kjl), which ``complexify``
+    guarantees.
+    """
     if n < 1:
         raise HopfcmError(f"the focus recursion needs n >= 1, got {n}")
     if not cs.lam:
@@ -116,7 +138,7 @@ def _psi_recursion(cs: ComplexSystem, n: int):
     for m in range(3, 2 * n + 3):
         layer = {}
         for k1 in range(m, -1, -1):
-            for k2 in range(m - k1, -1, -1):
+            for k2 in range(min(m - k1, k1), -1, -1):
                 k3 = m - k1 - k2
                 target = (k1, k2, k3)
                 S = None
@@ -140,6 +162,8 @@ def _psi_recursion(cs: ComplexSystem, n: int):
                     layer[target] = S  # obstruction; d stays zero
                 elif S:
                     d[target] = -S / divisor(k1, k2, k3)
+                    if k1 != k2:
+                        d[(k2, k1, k3)] = ring.conj(d[target])
         if m % 2 == 0 and m >= 4:
             k = m // 2
             S = layer.get((k, k, 0))
