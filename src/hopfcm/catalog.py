@@ -39,7 +39,7 @@ PERTURBATION_PARAMS = tuple(
 )
 
 
-def _exact_field(params, rows, name):
+def _exact_field(params, rows):
     comps = []
     for row in rows:
         terms = {}
@@ -49,7 +49,7 @@ def _exact_field(params, rows, name):
             if coeff:
                 terms[exp] = coeff
         comps.append(StatePoly(terms))
-    return VectorField3(tuple(comps), params=params, name=name)
+    return VectorField3(tuple(comps), params=params)
 
 
 def khaled_original(values=None):
@@ -61,7 +61,7 @@ def khaled_original(values=None):
         {(1, 0, 0): b, (0, 1, 0): c, (1, 0, 1): ParamExpr.const(P, -1)},
         {(0, 0, 1): -d, (1, 1, 0): ParamExpr.const(P, 1), (0, 0, 0): ParamExpr.const(P, 1)},
     ]
-    return _maybe_bind(_exact_field(P, rows, "khaled-original"), values)
+    return _maybe_bind(_exact_field(P, rows), values)
 
 
 def e1_shifted(values=None):
@@ -78,7 +78,7 @@ def e1_shifted(values=None):
         },
         {(1, 1, 0): one, (0, 0, 1): -d},
     ]
-    return _maybe_bind(_exact_field(P, rows, "e1-shifted"), values)
+    return _maybe_bind(_exact_field(P, rows), values)
 
 
 def _e1_normal_rows(P):
@@ -105,7 +105,7 @@ def _e1_normal_rows(P):
 
 def e1_normal(values=None):
     """Rotation normal form at E1; parameters c, d, k (k > 0, d != 0)."""
-    return _maybe_bind(_exact_field(("c", "d", "k"), _e1_normal_rows(("c", "d", "k")), "e1-normal"), values)
+    return _maybe_bind(_exact_field(("c", "d", "k"), _e1_normal_rows(("c", "d", "k"))), values)
 
 
 def e1_normal_trace(values=None):
@@ -115,7 +115,7 @@ def e1_normal_trace(values=None):
     sigma = ParamExpr.var(P, "sigma")
     rows[0][(1, 0, 0)] = sigma
     rows[1][(0, 1, 0)] = sigma
-    return _maybe_bind(_exact_field(P, rows, "e1-normal-trace"), values)
+    return _maybe_bind(_exact_field(P, rows), values)
 
 
 def e1_center(values=None):
@@ -128,7 +128,7 @@ def e1_center(values=None):
         {(1, 0, 0): -one, (1, 0, 1): -d},
         {(0, 0, 1): -(d**2), (1, 1, 0): d},
     ]
-    return _maybe_bind(_exact_field(P, rows, "e1-center"), values)
+    return _maybe_bind(_exact_field(P, rows), values)
 
 
 def e1_center_perturbed(values=None):
@@ -146,7 +146,7 @@ def e1_center_perturbed(values=None):
             name = f"{letter}{exp[0]}{exp[1]}{exp[2]}"
             prev = row.get(exp, ParamExpr.zero(P))
             row[exp] = prev + ParamExpr.var(P, name)
-    return _maybe_bind(_exact_field(P, rows, "e1-center-perturbed"), values)
+    return _maybe_bind(_exact_field(P, rows), values)
 
 
 def _maybe_bind(fld, values):
@@ -158,7 +158,7 @@ def _maybe_bind(fld, values):
 
 
 def _radical_field(values, s, name, build):
-    """``build(c, h, s, name)`` at the (c, h) of ``values`` in the E4 (s = 1)
+    """``build(c, h, s)`` at the (c, h) of ``values`` in the E4 (s = 1)
     or E5 (s = -1) family, whose c has sign s.  A point outside the region,
     or one whose coefficients do not fit a float, is RegionUndefined."""
     family, order = ("e4", ">") if s > 0 else ("e5", "<")
@@ -167,7 +167,7 @@ def _radical_field(values, s, name, build):
         # h^2 > 2|c| is h^4 - 4c^2 > 0 without the fourth power
         if not (s * c > 0 and h > 0 and h * h > 2 * s * c):
             raise RegionUndefined(f"{family} family needs c {order} 0, h > 0, h^4 - 4c^2 > 0")
-        fld = build(c, h, s, name)
+        fld = build(c, h, s)
     except (ArithmeticError, ValueError, SingularTransform):
         # a power overflows, a divisor underflows to zero, or h^4 - 4c^2
         # rounds to zero or below at the edge of the region
@@ -179,7 +179,7 @@ def _radical_field(values, s, name, build):
     return fld
 
 
-def _radical_translated(c, h, s, name):
+def _radical_translated(c, h, s):
     """E4- (s = 1) or E5- (s = -1) translated to the origin; sqrt|c| = sqrt(s c)."""
     sc = math.sqrt(s * c)
     comps = (
@@ -190,10 +190,10 @@ def _radical_translated(c, h, s, name):
         StatePoly({(1, 0, 0): math.sqrt(2.0) * sc / h,
                    (0, 1, 0): -h / (math.sqrt(2.0) * sc), (1, 1, 0): 1.0}),
     )
-    return VectorField3(comps, name=name)
+    return VectorField3(comps)
 
 
-def _radical_normal(c, h, s, name):
+def _radical_normal(c, h, s):
     """The eigenbasis change plus time rescaling of ``_radical_translated``.
 
     With a = |c|: dd = 8 c^3 h^2 + s (h^4 - 4 c^2), and the first column
@@ -214,7 +214,7 @@ def _radical_normal(c, h, s, name):
         [0.0, 1.0, 0.0],
     ]
     scale = root / (math.sqrt(2.0) * sc * h)
-    return transform(_radical_translated(c, h, s, name), (0.0, 0.0, 0.0), m, scale)
+    return transform(_radical_translated(c, h, s), (0.0, 0.0, 0.0), m, scale)
 
 
 def e4m(values):

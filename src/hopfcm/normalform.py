@@ -60,8 +60,8 @@ def _is_const(x, value, tol):
 
 
 def _classify_linear(mat, tol):
-    """Check rotation + axis block shape; return (s, orientation, lam) where
-    the (u, v) block is ((0, -o*s), (o*s, 0)) and lam is the axis entry."""
+    """Check rotation + axis block shape; return (s, lam) where the (u, v)
+    block is ((0, s), (-s, 0)) and lam is the axis entry."""
     for (i, j) in ((0, 2), (1, 2), (2, 0), (2, 1), (0, 0), (1, 1)):
         if not _is_const(mat[i][j], 0, tol):
             raise BadTransform(f"linear part entry {(i, j)} does not vanish")

@@ -666,10 +666,6 @@ class ParamExpr:
     def one(cls, params):
         return cls.const(params, 1)
 
-    @classmethod
-    def from_poly(cls, poly):
-        return cls(poly, ParamPoly.const(poly.params, 1), _normalized=True)
-
     # -- queries ---------------------------------------------------------------
 
     @property
@@ -694,8 +690,6 @@ class ParamExpr:
             return other
         if isinstance(other, (int, Fraction)):
             return ParamExpr.const(self.params, other)
-        if isinstance(other, ParamPoly):
-            return ParamExpr.from_poly(other)
         return None
 
     # Henrici's scheme (Knuth, TAOCP 2, 4.5.1): both operands are coprime

@@ -175,7 +175,6 @@ class VectorField3:
     components: tuple
     _: KW_ONLY
     params: tuple = ()
-    name: Optional[str] = None
 
     def evaluate(self, point):
         return tuple(c.evaluate_or(point, self.zero) for c in self.components)
@@ -229,7 +228,7 @@ class VectorField3:
             c.map_coeffs(lambda q: q.evaluate(scope) if isinstance(q, ParamExpr) else q)
             for c in self.components
         )
-        return VectorField3(comps, params=ring, name=self.name)
+        return VectorField3(comps, params=ring)
 
     def _check_known(self, names):
         unknown = set(names) - set(self.params)
@@ -247,7 +246,7 @@ class VectorField3:
                 f"parameter(s) {list(self.params)} are free; a float field needs values"
             )
         comps = tuple(c.map_coeffs(float) for c in self.components)
-        return VectorField3(comps, name=self.name)
+        return VectorField3(comps)
 
 
 @dataclass
@@ -374,7 +373,7 @@ def _mat_inv3(m):
             m[0][0] * m[1][1] - m[0][1] * m[1][0],
         ],
     ]
-    return [[cof[j][i] / det for j in range(3)] for i in range(3)], det
+    return [[cof[j][i] / det for j in range(3)] for i in range(3)]
 
 
 def transform(fld: VectorField3, shift, linear, time_scale) -> VectorField3:
@@ -383,7 +382,7 @@ def transform(fld: VectorField3, shift, linear, time_scale) -> VectorField3:
     """
     if not time_scale:
         raise SingularTransform("time_scale must be nonzero")
-    inv, _ = _mat_inv3(linear)
+    inv = _mat_inv3(linear)
     subs = []
     for i in range(3):
         terms = {}
@@ -406,7 +405,7 @@ def transform(fld: VectorField3, shift, linear, time_scale) -> VectorField3:
             acc = part if acc is None else acc + part
         acc = StatePoly.zero() if acc is None else acc
         new_comps.append(acc.scale(inv_scale))
-    return VectorField3(tuple(new_comps), params=fld.params, name=fld.name)
+    return VectorField3(tuple(new_comps), params=fld.params)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +484,7 @@ def parse_system(document) -> VectorField3:
                 terms[e] = coeff
         comps.append(StatePoly(terms))
     params = () if backend == "float" else param_names
-    fld = VectorField3(tuple(comps), params=params, name=document.get("name"))
+    fld = VectorField3(tuple(comps), params=params)
     if backend == "float" or not values:
         return fld
     try:

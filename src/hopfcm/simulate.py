@@ -13,10 +13,10 @@ solved for its fixed point omega0 (secant iteration, which handles both
 signs of the transverse eigenvalue), then dbar(rho0) is the radial change of
 the first return from (rho0, 0, rho0*omega0).
 
-The kernel is generic over the number type: trajectories, section returns
-and ``measure_period(precision="double")`` run it on floats, and
-``precision="extended"`` on 31-digit ``decimal.Decimal`` numbers (C
-libmpdec; at least the 103 bits of 30 decimal digits).
+The kernel is generic over the number type: trajectories and section
+returns run it on floats, and ``measure_period`` on 31-digit
+``decimal.Decimal`` numbers (C libmpdec; at least the 103 bits of 30
+decimal digits).
 
 Every file the package writes goes through ``write_output``: the exports
 here, the ``verify`` artifacts and the CLI's ``--out`` reports.
@@ -43,6 +43,12 @@ EXTENDED_DPS = 30
 # README and the verification claims (under 10^4).
 MAX_RHS_EVALS = 1_000_000
 OMEGA_TOL = 1e-10
+# The period fit settles before it counts: on e1-center at d = 1, the field
+# of the teo1-isochronous claim, the transverse transient decays as e^(-t),
+# and e^(-35) < 1e-15.
+SETTLE_TIME = 35.0
+PERIOD_TURNS = 6
+RETURN_HORIZON = 60.0
 SECANT_MAX_ITER = 60
 
 
@@ -179,50 +185,38 @@ def _flow_direction(fld, rho0):
     return 1 if vdot > 0 else -1
 
 
-def first_return(fld, rho0, omega0, horizon=60.0):
+def first_return(fld, rho0, omega0):
     """First return (t, u, omega) of the section map from (rho0, 0, rho0*omega0).
 
     A crossing before t = 0.5 or with u <= 0 is not a return: the orbit is
-    followed on to a return or to the horizon.
+    followed on to a return or to t = ``RETURN_HORIZON``.
     """
     plan = taylor_plan(fld.monomials, float)
     x = [float(rho0), 0.0, float(rho0 * omega0)]
     direction = _flow_direction(fld, rho0)
-    for t, u, w in _section_crossings(plan, x, horizon, direction, DOUBLE_EPS):
+    for t, u, w in _section_crossings(plan, x, RETURN_HORIZON, direction, DOUBLE_EPS):
         if t > 0.5 and u > 0:
             return t, u, w / u
-    raise NoReturn(f"no section return within t = {horizon}")
+    raise NoReturn(f"no section return within t = {RETURN_HORIZON}")
 
 
-def measure_period(
-    fld: VectorField3,
-    rho0: float,
-    settle_time: float = 35.0,
-    turns: int = 8,
-    precision: str = "double",
-) -> float:
+def measure_period(fld: VectorField3, rho0: float) -> float:
     """Mean time between same-direction section crossings after settling.
 
     The orbit is started on the section at radius rho0 and followed for
-    ``settle_time`` so the transverse transient decays onto the invariant
+    ``SETTLE_TIME`` so the transverse transient decays onto the invariant
     surface; the radial coordinate is untouched on families that conserve
-    u^2 + v^2.  The period is the mean of the next ``turns`` returns.  The
-    Taylor kernel runs on floats for ``precision="double"`` and on 31-digit
-    ``decimal.Decimal`` numbers for ``"extended"`` (at least the 103 bits of
-    30 decimal digits; the working precision is 10^-30); its order and step
-    follow from that precision.
+    u^2 + v^2.  The period is the mean of the next ``PERIOD_TURNS``
+    returns.  The Taylor kernel runs on 31-digit ``decimal.Decimal``
+    numbers (at least the 103 bits of 30 decimal digits; the working
+    precision is 10^-30); its order and step follow from that precision.
     """
-    if precision == "double":
-        plan = taylor_plan(fld.monomials, float)
-        return _measure_period(fld, plan, rho0, settle_time, turns, float, DOUBLE_EPS)
-    if precision != "extended":
-        raise ValueError(f"unknown precision {precision!r}")
     with decimal.localcontext() as ctx:
         ctx.prec = EXTENDED_DPS + 1
         num = decimal.Decimal
         plan = taylor_plan(fld.monomials, num)
         eps = num(10) ** -EXTENDED_DPS
-        return float(_measure_period(fld, plan, rho0, settle_time, turns, num, eps))
+        return float(_measure_period(fld, plan, rho0, SETTLE_TIME, PERIOD_TURNS, num, eps))
 
 
 def _measure_period(fld, plan, rho0, settle_time, turns, num, eps):

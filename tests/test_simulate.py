@@ -88,7 +88,7 @@ def test_period_fit_matches_quartic_constant_at_d2():
     # the quartic period constant is d^4/(8(d^4+4)) = 1/10 at d = 2
     fld = e1_center({"d": 2}).to_float()
     for rho0 in (0.05, 0.1):
-        T = measure_period(fld, rho0, settle_time=12.0)
+        T = measure_period(fld, rho0)
         fit = (T / (2 * math.pi) - 1) / rho0**4
         assert abs(fit - 0.1) <= 0.05 * 0.1
 
@@ -250,13 +250,14 @@ def test_extended_period_matches_the_kernel_on_mpf(center_field, monkeypatch):
     # decimal kernel replaced
     import mpmath as mp
 
-    rho0, settle_time, turns = 0.1, 35.0, 6
-    got = measure_period(center_field, rho0, settle_time, turns, precision="extended")
+    rho0 = 0.1
+    got = measure_period(center_field, rho0)
     monkeypatch.setattr(simulate, "_dot", mp.fdot)
     with mp.workdps(30):
         plan = taylor_plan(center_field.monomials, mp.mpf)
         want = float(simulate._measure_period(
-            center_field, plan, rho0, settle_time, turns, mp.mpf, mp.mpf(10) ** -30
+            center_field, plan, rho0, simulate.SETTLE_TIME, simulate.PERIOD_TURNS,
+            mp.mpf, mp.mpf(10) ** -30,
         ))
     assert abs(got - want) <= 1e-15 * want
 
@@ -284,7 +285,7 @@ def test_no_return_for_non_rotating_field():
     )
     fld = VectorField3(comps)
     with pytest.raises(NoReturn):
-        first_return(fld, 0.1, 0.0, horizon=10.0)
+        first_return(fld, 0.1, 0.0)
 
 
 def test_first_return_goes_on_past_an_early_crossing():
@@ -297,7 +298,7 @@ def test_first_return_goes_on_past_an_early_crossing():
         StatePoly({(0, 1, 0): -20.0}),
     )
     fld = VectorField3(comps)
-    t, u, omega = first_return(fld, 0.1, 0.0, horizon=10.0)
+    t, u, omega = first_return(fld, 0.1, 0.0)
     assert abs(t - math.pi / 5) < 1e-9
     assert abs(u - 0.1) < 1e-12
     assert abs(omega) < 1e-9
@@ -387,13 +388,6 @@ def test_export_over_a_file_keeps_its_permission_bits(tmp_path):
 
 
 def test_extended_precision_period(center_field):
-    T = measure_period(center_field, 0.1, settle_time=30.0, turns=4, precision="extended")
+    T = measure_period(center_field, 0.1)
     expected = 2 * math.pi * (1 + 0.1**4 / 40)
     assert abs(T - expected) / expected < 1e-7
-    T_double = measure_period(center_field, 0.1, settle_time=30.0, turns=4)
-    assert abs(T_double - T) / T < 1e-9
-
-
-def test_unknown_period_precision_is_rejected(center_field):
-    with pytest.raises(ValueError):
-        measure_period(center_field, 0.1, precision="quad")

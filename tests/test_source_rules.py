@@ -152,6 +152,107 @@ def test_every_library_definition_is_referenced_by_name():
     assert unreferenced == []
 
 
+def _defaulted_parameters(path):
+    """(qualified name, name a call uses, positional parameters, parameters
+    with a default) of each module-level function and method; ``self`` or
+    ``cls`` is left out, and ``__init__`` is called by its class's name."""
+
+    def signature(fn, qualified, name, bound):
+        args = fn.args
+        positional = [a.arg for a in args.posonlyargs + args.args][bound:]
+        defaulted = positional[len(positional) - len(args.defaults):] + [
+            a.arg for a, default in zip(args.kwonlyargs, args.kw_defaults) if default
+        ]
+        return qualified, name, positional, defaulted
+
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, functions):
+            yield signature(node, node.name, node.name, False)
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if not isinstance(item, functions):
+                    continue
+                if item.name == "__init__":
+                    name = node.name
+                elif item.name.startswith("__") and item.name.endswith("__"):
+                    continue
+                else:
+                    name = item.name
+                static = any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in item.decorator_list
+                )
+                yield signature(item, f"{node.name}.{item.name}", name, not static)
+
+
+def _call_sites(path):
+    """The calls of the file as (called name, call), the names it uses
+    other than as the function of a call, and its string constants; as in
+    ``_referenced_names``, nothing inside a function of the same name
+    counts."""
+    calls, named, strings = [], set(), set()
+
+    def name_of(node):
+        if isinstance(node, ast.Name):
+            return node.id
+        return node.attr if isinstance(node, ast.Attribute) else None
+
+    def visit(node, enclosing, called):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            enclosing = enclosing | {node.name}
+        name = name_of(node)
+        if isinstance(node, ast.Call) and name_of(node.func) not in enclosing:
+            calls.append((name_of(node.func), node))
+        elif name is not None and node is not called and name not in enclosing:
+            named.add(name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            strings.add(node.value)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing, node.func if isinstance(node, ast.Call) else None)
+
+    visit(ast.parse(path.read_text(), str(path)), frozenset(), None)
+    return calls, named, strings
+
+
+def test_every_defaulted_parameter_is_set_by_the_program():
+    """A parameter with a default that no call of the program sets has one
+    value in use, and that value belongs in a constant.  Name-based, like
+    the reference rule: a call sets a parameter by keyword or by position,
+    and ``*args`` or ``**kwargs`` sets every one it could.  A function the
+    program names other than in a call (a registry entry, a callback)
+    counts as called with every parameter, and a parameter whose name is a
+    string constant of the program (``kwargs["out_dir"]``) counts as set."""
+    calls, named, strings = [], set(), set()
+    for top in SEARCHED:
+        for path in sorted((REPO / top).rglob("*.py")):
+            file_calls, file_named, file_strings = _call_sites(path)
+            calls += file_calls
+            named |= file_named
+            strings |= file_strings
+    modules = sorted(Path(hopfcm.__file__).parent.glob("*.py"))
+    assert modules
+    unset = []
+    for path in modules:
+        for qualified, name, positional, defaulted in _defaulted_parameters(path):
+            if name in named:
+                continue
+            set_here = set(strings)
+            for called, call in calls:
+                if called != name:
+                    continue
+                starred = any(isinstance(a, ast.Starred) for a in call.args)
+                set_here.update(positional if starred else positional[: len(call.args)])
+                for keyword in call.keywords:
+                    set_here.update(defaulted if keyword.arg is None else {keyword.arg})
+            unset += [
+                f"{path.name} {qualified}({parameter})"
+                for parameter in defaulted
+                if parameter not in set_here
+            ]
+    assert unset == []
+
+
 def test_the_command_line_imports_no_numpy_or_scipy(tmp_path):
     # a fresh interpreter, since the test session itself loads numpy; the
     # float commands run first, so a lazy import inside them shows too
