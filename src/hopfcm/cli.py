@@ -22,7 +22,6 @@ from .errors import FocusObstruction, HopfcmError, SchemaError
 from .focusq import report_for_field
 from .grammar import eval_exact, parse_expression
 from .normalform import to_normal_form
-from .paramfield import scalar_ring
 from .period import isochronicity_constants
 from .polysys import char_cubic, hopf_test, parse_system
 from .verify import CLAIMS, TEO5_CONFIG, config_bound, teo4_config
@@ -172,7 +171,7 @@ def _cmd_normalize(args):
             and all(isinstance(row, list) and len(row) == 3 for row in rows)
         ):
             raise SchemaError(f"matrix in {args.transform} must be a 3x3 list of lists")
-        if not scalar_ring(fld.zero).exact:
+        if isinstance(fld.zero, float):
             matrix = [[float(_exact_number(str(v))) for v in row] for row in rows]
             if doc.get("time_scale") is not None:
                 time_scale = float(_exact_number(str(doc["time_scale"])))
@@ -205,7 +204,7 @@ def _cmd_focus(args):
         if args.jet_degree < 1:
             raise HopfcmError(f"--jet-degree must be at least 1, got {args.jet_degree}")
         fld = _load_system(args.system, None)
-        if not scalar_ring(fld.zero).exact:
+        if isinstance(fld.zero, float):
             raise HopfcmError("jet expansions need an exact-backend system")
         small = tuple(s.strip() for s in args.small.split(",")) if args.small else fld.params
         report = jet_focus_report(fld, params, small, args.jet_degree, args.order)

@@ -13,7 +13,7 @@ cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -37,9 +37,9 @@ class CyclicityReport:
     trace_bonus: bool
     total: int
     rank: int
-    eta: Optional[dict] = None
-    h_on_eta: list = dc_field(default_factory=list)  # (value, degree) per form
-    notes: list = dc_field(default_factory=list)
+    eta: Optional[dict]
+    h_on_eta: list  # (value, degree) per form
+    notes: list
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from .errors import (
     NotRealSystem,
 )
 from .normalform import NormalForm3, to_normal_form
-from .paramfield import FLOAT_TOL, scalar_ring
+from .paramfield import FLOAT_TOL, gauss, real_part
 from .polysys import StatePoly, VectorField3
 
 
@@ -74,7 +74,7 @@ class FocusReport:
 
     quantities: list
     backend: str
-    normalization: str = "psi-coefficients d_kk0 = 0; quantities real"
+    normalization = "psi-coefficients d_kk0 = 0; quantities real"
 
 
 def complexify(nf: NormalForm3) -> ComplexSystem:
@@ -86,28 +86,30 @@ def complexify(nf: NormalForm3) -> ComplexSystem:
     xdot = ix + ...  P, Q and R are real, so b is the conjugate mirror
     b_jkl = conj(a_kjl) and needs no composition of its own.
     """
-    ring = scalar_ring(nf.lam)
-    half = ring.one * Fraction(1, 2)
-    half_i = ring.gauss(ring.zero, half)
-    re = StatePoly({(1, 0, 0): ring.lift(half), (0, 1, 0): ring.lift(half)})
+    one = nf.lam ** 0
+    zero = one * 0
+    half = one * Fraction(1, 2)
+    half_i = gauss(zero, half)
+    re = StatePoly({(1, 0, 0): gauss(half, zero), (0, 1, 0): gauss(half, zero)})
     im = StatePoly({(1, 0, 0): -half_i, (0, 1, 0): half_i})
-    z = StatePoly({(0, 0, 1): ring.lift(ring.one)})
+    z = StatePoly({(0, 0, 1): gauss(one, zero)})
     P, Q = nf.P.terms, nf.Q.terms
     subs = [re, im, z]
     if nf.orientation == -1:
         P, Q, subs = Q, P, [im, re, z]
     P_iQ = StatePoly(
-        {e: ring.gauss(P.get(e, ring.zero), Q.get(e, ring.zero)) for e in {**P, **Q}}
+        {e: gauss(P.get(e, zero), Q.get(e, zero)) for e in {**P, **Q}}
     )
     a = P_iQ.compose(subs).terms
-    b = {(k, j, l): ring.conj(coeff) for (j, k, l), coeff in a.items()}
-    return ComplexSystem(a, b, nf.R.map_coeffs(ring.lift).compose(subs).terms, nf.lam)
+    b = {(k, j, l): coeff.conjugate() for (j, k, l), coeff in a.items()}
+    c = nf.R.map_coeffs(lambda x: gauss(x, zero)).compose(subs).terms
+    return ComplexSystem(a, b, c, nf.lam)
 
 
 def focus_quantities(cs: ComplexSystem, n: int) -> FocusReport:
     """First n focus quantities through monomial degree 2n + 2."""
     quantities, _ = _psi_recursion(cs, n)
-    return FocusReport(quantities, "exact" if scalar_ring(cs.lam).exact else "float")
+    return FocusReport(quantities, "float" if isinstance(cs.lam, float) else "exact")
 
 
 def _psi_recursion(cs: ComplexSystem, n: int):
@@ -126,14 +128,15 @@ def _psi_recursion(cs: ComplexSystem, n: int):
     if not cs.lam:
         raise DegenerateLambda("transverse eigenvalue is zero")
     lam = cs.lam
-    ring = scalar_ring(lam)
+    one = lam ** 0
+    zero = one * 0  # not lam * 0, which is -0.0 for a negative float lam
 
     def divisor(k1, k2, k3):
-        return ring.gauss(lam * k3 if k3 else ring.zero, ring.one * (k1 - k2))
+        return gauss(lam * k3 if k3 else zero, one * (k1 - k2))
 
     # contributions of each component: (coeff dict, exponent offset axis)
     comps = ((cs.a, 0), (cs.b, 1), (cs.c, 2))
-    d = {(1, 1, 0): ring.lift(ring.one)}
+    d = {(1, 1, 0): gauss(one, zero)}
     quantities = []
     for m in range(3, 2 * n + 3):
         layer = {}
@@ -163,14 +166,14 @@ def _psi_recursion(cs: ComplexSystem, n: int):
                 elif S:
                     d[target] = -S / divisor(k1, k2, k3)
                     if k1 != k2:
-                        d[(k2, k1, k3)] = ring.conj(d[target])
+                        d[(k2, k1, k3)] = d[target].conjugate()
         if m % 2 == 0 and m >= 4:
             k = m // 2
             S = layer.get((k, k, 0))
             if S is None:
-                quantities.append(ring.zero)
+                quantities.append(zero)
             else:
-                quantities.append(ring.real(S, "focus quantity", NotRealSystem))
+                quantities.append(real_part(S, "focus quantity", NotRealSystem))
     return quantities, d
 
 
@@ -185,22 +188,23 @@ def identity_defect(cs: ComplexSystem, n: int):
     AssertionError on a symbolic survivor.
     """
     quantities, d = _psi_recursion(cs, n)
-    ring = scalar_ring(cs.lam)
+    one = cs.lam ** 0
+    zero = one * 0
     # xdot = i x + X1, ydot = -i y + X2, zdot = lam z + X3
     field = (
-        StatePoly({(1, 0, 0): ring.gauss(ring.zero, ring.one)}) + StatePoly(cs.a),
-        StatePoly({(0, 1, 0): ring.gauss(ring.zero, -ring.one)}) + StatePoly(cs.b),
-        StatePoly({(0, 0, 1): ring.lift(cs.lam)}) + StatePoly(cs.c),
+        StatePoly({(1, 0, 0): gauss(zero, one)}) + StatePoly(cs.a),
+        StatePoly({(0, 1, 0): gauss(zero, -one)}) + StatePoly(cs.b),
+        StatePoly({(0, 0, 1): gauss(cs.lam, zero)}) + StatePoly(cs.c),
     )
     psi = StatePoly(d)
     defect = StatePoly(
-        {(j, j, 0): -ring.lift(L) for j, L in enumerate(quantities, start=2)}
+        {(j, j, 0): -gauss(L, zero) for j, L in enumerate(quantities, start=2)}
     )
     for axis, comp in enumerate(field):
         defect = defect + psi.diff(axis) * comp
     top = 2 * n + 2
     survivors = {e: c for e, c in defect.terms.items() if 3 <= sum(e) <= top}
-    if not ring.exact:
+    if isinstance(cs.lam, float):
         return max(map(abs, survivors.values()), default=0.0)
     if survivors:
         e, c = next(iter(survivors.items()))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import BadTransform, NotHopf, SingularTransform
-from .paramfield import FLOAT_TOL, scalar_ring
+from .paramfield import FLOAT_TOL
 from .polysys import (
     StatePoly,
     VectorField3,
@@ -32,9 +32,9 @@ class NormalForm3:
     field: VectorField3
     lam: object
     orientation: int
-    shift: tuple = None
-    matrix: list = None
-    time_scale: object = None
+    shift: tuple
+    matrix: list
+    time_scale: object
 
     @property
     def P(self):
@@ -98,13 +98,12 @@ def to_normal_form(
     if report.is_hopf is False:
         raise NotHopf(f"eigenvalue conditions fail: {report.conditions!r}")
 
-    exact = scalar_ring(fld.zero).exact
+    floating = isinstance(fld.zero, float)
     if matrix is None:
-        if not exact:
+        if floating:
             matrix = _float_eigenbasis(jac, report.omega, report.lambda3)
         else:
-            one = fld.components[0].evaluate_or(equilibrium, Fraction(0)) ** 0
-            zero = one * 0
+            one, zero = fld.zero ** 0, fld.zero
             matrix = [[one, zero, zero], [zero, one, zero], [zero, zero, one]]
 
     one = matrix[0][0] ** 0
@@ -112,7 +111,7 @@ def to_normal_form(
     shift = tuple(equilibrium)
     moved = transform(fld, shift, matrix, one)
     lin = moved.jacobian_at((zero, zero, zero))
-    s, lam_raw = _classify_linear(lin, FLOAT_TOL * 10)
+    s, _ = _classify_linear(lin, FLOAT_TOL * 10)
 
     if time_scale is None:
         # rescale by |s|, which must be a known constant; time never reverses
@@ -127,7 +126,7 @@ def to_normal_form(
         raise SingularTransform("time_scale must be nonzero")
     inv_scale = 1 / time_scale
     final = replace(moved, components=tuple(c.scale(inv_scale) for c in moved.components))
-    if not exact:
+    if floating:
         # the equilibrium test vouched for the constant terms
         final = replace(final, components=tuple(
             StatePoly({e: v for e, v in c.chop(FLOAT_TOL * 1e-3).terms.items() if any(e)})
@@ -144,7 +143,7 @@ def to_normal_form(
     if not lam:
         raise NotHopf("transverse eigenvalue is zero")
 
-    nf = NormalForm3(
+    return NormalForm3(
         field=final,
         lam=lam,
         orientation=orientation,
@@ -152,14 +151,6 @@ def to_normal_form(
         matrix=matrix,
         time_scale=time_scale,
     )
-    _validate_nonlinear(nf)
-    return nf
-
-
-def _validate_nonlinear(nf: NormalForm3):
-    for comp in nf.field.components:
-        if comp.constant_term():
-            raise BadTransform("constant term survived the translation")
 
 
 def _float_eigenbasis(jac, omega, lam):

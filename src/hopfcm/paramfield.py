@@ -23,12 +23,11 @@ the rationals of ``fractions.Fraction``:
   cofactors with the gcd: the heuristic's check has computed them already,
   and after the PRS ``exact_div`` does.  Quotients (``exact_div`` and the
   check) come from one sparse division over integer dicts.
-* ``GaussExpr``         -- the Gaussian extension ``re + i*im`` of any of the
-  real scalar types here, used for complexified vector fields.
-* ``FloatRing`` / ``GaussRing`` -- the complex scalar ring of the float and the
-  exact backends, so complexified algorithms need no per-type branches.
-  ``scalar_ring(sample)`` picks one from a real sample value: ``FloatRing``
-  for a float, ``GaussRing`` over the sample's type otherwise.
+* ``GaussExpr``         -- the Gaussian extension ``real + i*imag`` of any of
+  the real scalar types here, used for complexified vector fields.  It has
+  the ``real``, ``imag`` and ``conjugate()`` of ``complex``, which stays the
+  float backend's complex type; ``gauss(real, imag)`` builds whichever of
+  the two the parts call for, and ``real_part`` takes a real part back.
 * ``Jet``               -- truncated polynomials in designated small parameters,
   used to expand focus quantities around a point of the center variety.
 
@@ -813,26 +812,27 @@ class ParamExpr:
 
 
 class GaussExpr:
-    """re + i*im over any real scalar type of this module (parameters stay real,
-    so conjugation negates im and fixes everything else)."""
+    """real + i*imag over any real scalar type of this module, with the
+    attribute names of ``complex`` (parameters stay real, so conjugation
+    negates imag and fixes everything else)."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("real", "imag")
 
-    def __init__(self, re, im):
-        self.re = re
-        self.im = im
+    def __init__(self, real, imag):
+        self.real = real
+        self.imag = imag
 
-    def conj(self):
-        return GaussExpr(self.re, -self.im)
+    def conjugate(self):
+        return GaussExpr(self.real, -self.imag)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self.real) or bool(self.imag)
 
     def _coerce(self, other):
         if isinstance(other, GaussExpr):
             return other
         if isinstance(other, _REALS):
-            zero = self.re * 0
+            zero = self.real * 0
             return GaussExpr(other + zero, zero)
         return None
 
@@ -840,12 +840,12 @@ class GaussExpr:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return GaussExpr(self.re + other.re, self.im + other.im)
+        return GaussExpr(self.real + other.real, self.imag + other.imag)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussExpr(-self.re, -self.im)
+        return GaussExpr(-self.real, -self.imag)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -858,27 +858,27 @@ class GaussExpr:
 
     def __mul__(self, other):
         if isinstance(other, _REALS):
-            return GaussExpr(self.re * other, self.im * other)
+            return GaussExpr(self.real * other, self.imag * other)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         return GaussExpr(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
+            self.real * other.real - self.imag * other.imag,
+            self.real * other.imag + self.imag * other.real,
         )
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, _REALS):
-            return GaussExpr(self.re / other, self.im / other)
+            return GaussExpr(self.real / other, self.imag / other)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        norm = other.re * other.re + other.im * other.im
+        norm = other.real * other.real + other.imag * other.imag
         return GaussExpr(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
+            (self.real * other.real + self.imag * other.imag) / norm,
+            (self.imag * other.real - self.real * other.imag) / norm,
         )
 
     def __rtruediv__(self, other):
@@ -888,85 +888,47 @@ class GaussExpr:
         return other / self
 
     def __pow__(self, n):
-        return binary_power(self, n, lambda: GaussExpr(self.re ** 0, self.re * 0))
+        return binary_power(self, n, lambda: GaussExpr(self.real ** 0, self.real * 0))
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.real == other.real and self.imag == other.imag
 
     def __hash__(self):
         # as for complex: with no imaginary part it hashes like its real part
-        return hash((self.re, self.im)) if self.im else hash(self.re)
+        return hash((self.real, self.imag)) if self.imag else hash(self.real)
 
     def __str__(self):
-        return f"({self.re}) + i*({self.im})"
+        return f"({self.real}) + i*({self.imag})"
 
     __repr__ = __str__
 
 
-# the float backend's test for zero: in the complex ring below, in the
+# the float backend's test for zero: in ``real_part`` below, in the
 # normal form's equilibrium, shape and Hopf tests, and for first integrals
 FLOAT_TOL = 1e-9
 
 
-class FloatRing:
-    """Complex scalars of the float backend: Python ``complex``.
-
-    ``zero`` and ``one`` are real; ``real`` tests against a relative
-    tolerance.
-    """
-
-    zero = 0.0
-    one = 1.0
-    exact = False
-    tol = FLOAT_TOL
-
-    gauss = lift = complex
-
-    @staticmethod
-    def conj(z):
-        return z.conjugate()
-
-    def real(self, z, what, error):
-        """Real part of z; raises ``error`` when Im z is not negligible."""
-        if abs(z.imag) > self.tol * max(1.0, abs(z)):
-            raise error(f"{what} has imaginary part {z.imag}")
-        return z.real
+def gauss(real, imag):
+    """real + i*imag: a ``complex`` when the parts are floats, else a
+    ``GaussExpr`` over their type."""
+    if isinstance(real, float):
+        return complex(real, imag)
+    return GaussExpr(real, imag)
 
 
-class GaussRing:
-    """Complex scalars of the exact backends: ``GaussExpr`` over the real
-    type of ``sample`` (Fraction, ParamExpr or Jet), compared exactly."""
-
-    exact = True
-    gauss = GaussExpr
-
-    def __init__(self, sample):
-        self.zero = sample * 0
-        self.one = sample ** 0
-
-    def lift(self, real):
-        return GaussExpr(real, self.zero)
-
-    @staticmethod
-    def conj(z):
-        return z.conj()
-
-    @staticmethod
-    def real(z, what, error):
-        """Real part of z; raises ``error`` unless Im z is exactly zero."""
-        if z.im:
-            raise error(f"{what} has imaginary part {z.im}")
-        return z.re
-
-
-def scalar_ring(sample):
-    """The complex scalar ring over the type of ``sample``, a real scalar
-    (the transverse eigenvalue, say): ``FloatRing`` for a float, else
-    ``GaussRing``."""
-    return FloatRing() if isinstance(sample, float) else GaussRing(sample)
+def real_part(z, what, error):
+    """Re z; raises ``error`` unless Im z is zero: exactly for a
+    ``GaussExpr``, relative to ``FLOAT_TOL`` for a ``complex``."""
+    if isinstance(z, complex):
+        nonreal = abs(z.imag) > FLOAT_TOL * max(1.0, abs(z))
+    else:
+        nonreal = bool(z.imag)
+    if nonreal:
+        raise error(f"{what} has imaginary part {z.imag}")
+    return z.real
 
 
 # ---------------------------------------------------------------------------

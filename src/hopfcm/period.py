@@ -42,7 +42,7 @@ from fractions import Fraction
 from .errors import FocusObstruction, HopfcmError
 from .focusq import complexify
 from .normalform import NormalForm3
-from .paramfield import scalar_ring
+from .paramfield import gauss, real_part
 
 
 class TrigPoly:
@@ -97,14 +97,16 @@ class TrigPoly:
     def mean(self):
         return self.terms.get(0)
 
-    def integrate_from_zero(self, ring):
-        """Antiderivative vanishing at theta = 0; the mean must be zero."""
+    def integrate_from_zero(self, one):
+        """Antiderivative vanishing at theta = 0, over the real scalars of
+        ``one``; the mean must be zero."""
         if 0 in self.terms:
             raise ValueError("nonzero mean: antiderivative is not trigonometric")
+        zero = one * 0
         out = {}
         const = None
         for n, c in self.terms.items():
-            cn = c / ring.gauss(ring.zero, ring.one * n)
+            cn = c / gauss(zero, one * n)
             out[n] = cn
             const = cn if const is None else const + cn
         if const is not None:
@@ -201,9 +203,9 @@ def polar_reduce(nf: NormalForm3) -> PolarReduction:
     angular one; c_jkl lands in R/rho at harmonic j - k.
     """
     cs = complexify(nf)
-    ring = scalar_ring(cs.lam)
-    half = ring.one * Fraction(1, 2)
-    half_i = ring.gauss(ring.zero, half)
+    one = cs.lam ** 0
+    half = one * Fraction(1, 2)
+    half_i = gauss(one * 0, half)
     radial, angular, transverse = {}, {}, {}
 
     def add(table, key, n, value):
@@ -257,10 +259,11 @@ def periodic_solution_series(nf: NormalForm3, order: int):
     """
     if order < 1:
         raise HopfcmError("the period series needs an order of at least 1")
-    ring = scalar_ring(nf.lam)
+    one = nf.lam ** 0
+    zero = one * 0
     reduction = polar_reduce(nf)
-    one_tp = TrigPoly.const(ring.lift(ring.one))
-    lam_c = ring.lift(nf.lam)
+    one_tp = TrigPoly.const(gauss(one, zero))
+    lam_c = gauss(nf.lam, zero)
     u = [one_tp]  # u_0 = 1; the order-1 radial equation is u_0' = 0
     v = []
     for n in range(1, order + 1):
@@ -270,21 +273,20 @@ def periodic_solution_series(nf: NormalForm3, order: int):
         f_rho, b_theta, f_omega = _evaluate(reduction, rho_s, omega_s, one_tp)
         inv_theta = (RhoSeries([one_tp], top) + b_theta).inverse(one_tp)
         g = ((omega_s.scale(lam_c) + f_omega) * inv_theta).at(n)
-        v.append(_fourier_periodic_solution(g, nf.lam, ring))
+        v.append(_fourier_periodic_solution(g, nf.lam))
         if n < order:
             rhs = (f_rho * inv_theta).at(n + 1)
             mean = rhs.mean()
             if mean is not None:
-                raise FocusObstruction(n + 1, ring.real(mean, "mean", ValueError) * 2)
-            u.append(rhs.integrate_from_zero(ring))
+                raise FocusObstruction(n + 1, real_part(mean, "mean", ValueError) * 2)
+            u.append(rhs.integrate_from_zero(one))
     return {"u": u, "v": v, "inv_theta": inv_theta}
 
 
-def _fourier_periodic_solution(g: TrigPoly, lam, ring):
+def _fourier_periodic_solution(g: TrigPoly, lam):
     """Unique 2pi-periodic solution of v' = lam v + g."""
-    return TrigPoly(
-        {n: c / ring.gauss(-lam, ring.one * n) for n, c in g.terms.items()}
-    )
+    one = lam ** 0
+    return TrigPoly({n: c / gauss(-lam, one * n) for n, c in g.terms.items()})
 
 
 def isochronicity_constants(nf: NormalForm3, m: int) -> PeriodExpansion:
@@ -293,10 +295,10 @@ def isochronicity_constants(nf: NormalForm3, m: int) -> PeriodExpansion:
     The period is reported in the positive minimal period convention:
     T(rho0) = 2 pi (1 + sum T_2k rho0^{2k}).
     """
-    ring = scalar_ring(nf.lam)
+    zero = nf.lam ** 0 * 0
     inv_theta = periodic_solution_series(nf, 2 * m)["inv_theta"]
     means = []
     for k in range(1, 2 * m + 1):
         mean = inv_theta.at(k).mean()
-        means.append(ring.zero if mean is None else ring.real(mean, "mean", ValueError))
+        means.append(zero if mean is None else real_part(mean, "mean", ValueError))
     return PeriodExpansion(means[1::2], means[0::2])

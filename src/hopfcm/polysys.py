@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import KW_ONLY, dataclass, field
+from dataclasses import KW_ONLY, dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
@@ -131,9 +131,6 @@ class StatePoly:
                     term = term * s**p
             acc = term if acc is None else acc + term
         return StatePoly.zero() if acc is None else acc
-
-    def constant_term(self):
-        return self.terms.get((0, 0, 0))
 
     def homogeneous_component(self, degree):
         return StatePoly({e: c for e, c in self.terms.items() if sum(e) == degree})
@@ -270,7 +267,7 @@ class HopfReport:
     is_hopf: Optional[bool]
     omega_squared: object
     lambda3: object
-    conditions: dict = field(default_factory=dict)
+    conditions: dict
 
     @property
     def omega(self):

@@ -75,7 +75,7 @@ def test_higher_radial_coefficients_vanish_at_zero_angle():
         at_zero = None
         for c in ui.terms.values():
             at_zero = c if at_zero is None else at_zero + c
-        assert at_zero is None or not at_zero.re and not at_zero.im
+        assert at_zero is None or not at_zero.real and not at_zero.imag
 
 
 def test_transverse_coefficients_are_periodic_solutions():
@@ -157,7 +157,7 @@ def test_trig_poly_reality_closed_under_product():
 
 
 def _complex(c):
-    return complex(c) if isinstance(c, complex) else complex(float(c.re), float(c.im))
+    return complex(float(c.real), float(c.imag))
 
 
 def _table_at(table, rho, theta, omega):

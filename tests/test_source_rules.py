@@ -1,10 +1,12 @@
 """Rules on the library source itself."""
 
 import ast
+import importlib
 import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import hopfcm
@@ -186,6 +188,29 @@ def _defaulted_parameters(path):
                 yield signature(item, f"{node.name}.{item.name}", name, not static)
 
 
+def _dataclass_fields(path):
+    """(class name, positional fields, fields with a default) of each
+    module-level dataclass; a field after ``_: KW_ONLY`` is keyword-only."""
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if not isinstance(node, ast.ClassDef) or not any(
+            getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+            for d in node.decorator_list
+        ):
+            continue
+        positional, defaulted, keyword_only = [], [], False
+        for item in node.body:
+            if not (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)):
+                continue
+            if ast.unparse(item.annotation) == "KW_ONLY":
+                keyword_only = True
+                continue
+            if not keyword_only:
+                positional.append(item.target.id)
+            if item.value is not None:
+                defaulted.append(item.target.id)
+        yield node.name, positional, defaulted
+
+
 def _call_sites(path):
     """The calls of the file as (called name, call), the names it uses
     other than as the function of a call, and its string constants; as in
@@ -215,14 +240,28 @@ def _call_sites(path):
     return calls, named, strings
 
 
+def _set_by_calls(name, positional, defaulted, calls):
+    """The parameters that the calls of ``name`` set, by keyword or by
+    position; ``*args`` or ``**kwargs`` sets every one it could."""
+    set_here = set()
+    for called, call in calls:
+        if called != name:
+            continue
+        starred = any(isinstance(a, ast.Starred) for a in call.args)
+        set_here.update(positional if starred else positional[: len(call.args)])
+        for keyword in call.keywords:
+            set_here.update(defaulted if keyword.arg is None else {keyword.arg})
+    return set_here
+
+
 def test_every_defaulted_parameter_is_set_by_the_program():
     """A parameter with a default that no call of the program sets has one
     value in use, and that value belongs in a constant.  Name-based, like
-    the reference rule: a call sets a parameter by keyword or by position,
-    and ``*args`` or ``**kwargs`` sets every one it could.  A function the
-    program names other than in a call (a registry entry, a callback)
-    counts as called with every parameter, and a parameter whose name is a
-    string constant of the program (``kwargs["out_dir"]``) counts as set."""
+    the reference rule.  A function the program names other than in a call
+    (a registry entry, a callback) counts as called with every parameter,
+    and a parameter whose name is a string constant of the program
+    (``kwargs["out_dir"]``) counts as set.  A dataclass field with a
+    default must be set by a call of its class."""
     calls, named, strings = [], set(), set()
     for top in SEARCHED:
         for path in sorted((REPO / top).rglob("*.py")):
@@ -237,20 +276,53 @@ def test_every_defaulted_parameter_is_set_by_the_program():
         for qualified, name, positional, defaulted in _defaulted_parameters(path):
             if name in named:
                 continue
-            set_here = set(strings)
-            for called, call in calls:
-                if called != name:
-                    continue
-                starred = any(isinstance(a, ast.Starred) for a in call.args)
-                set_here.update(positional if starred else positional[: len(call.args)])
-                for keyword in call.keywords:
-                    set_here.update(defaulted if keyword.arg is None else {keyword.arg})
+            set_here = strings | _set_by_calls(name, positional, defaulted, calls)
             unset += [
                 f"{path.name} {qualified}({parameter})"
                 for parameter in defaulted
                 if parameter not in set_here
             ]
+        for name, positional, defaulted in _dataclass_fields(path):
+            set_here = _set_by_calls(name, positional, defaulted, calls)
+            unset += [
+                f"{path.name} {name}.{field}" for field in defaulted if field not in set_here
+            ]
     assert unset == []
+
+
+def _load_tracer():
+    # executed from source, so no bytecode cache is written under perfbench/
+    path = REPO / "perfbench" / "tracer.py"
+    module = types.ModuleType("perfbench_tracer")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+def test_every_name_the_benchmark_tracer_wraps_exists():
+    """The benchmark's tracer wraps library functions and methods by name,
+    and installing it fails on a name the library no longer has."""
+    tracer = _load_tracer()
+
+    def module(name):
+        return importlib.import_module(f"hopfcm.{name}")
+
+    functions = [
+        *tracer.SPAN_FUNCTIONS,
+        *tracer.KERNEL_FUNCTIONS,
+        ("simulate", "displacement"),
+        ("simulate", "measure_period"),
+    ]
+    missing = [
+        f"{mod}.{name}" for mod, name in functions if not callable(getattr(module(mod), name, None))
+    ]
+    missing += [
+        f"{mod}.{cls}.{method}"
+        for mod, cls, _, methods in tracer.KERNEL_METHODS
+        for method in methods
+        if not callable(vars(getattr(module(mod), cls, object)).get(method))
+    ]
+    assert missing == []
 
 
 def test_the_command_line_imports_no_numpy_or_scipy(tmp_path):
