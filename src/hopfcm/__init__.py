@@ -13,7 +13,6 @@ from .focusq import (
     complexify,
     focus_quantities,
     report_for_field,
-    verify_center_conditions,
     verify_first_integral,
 )
 from .normalform import NormalForm3, to_normal_form
@@ -42,6 +41,5 @@ __all__ = [
     "parse_system",
     "report_for_field",
     "to_normal_form",
-    "verify_center_conditions",
     "verify_first_integral",
 ]

@@ -231,15 +231,3 @@ def report_for_field(fld: VectorField3, n: int) -> FocusReport:
     nf = to_normal_form(fld, (fld.zero,) * 3)
     return focus_quantities(complexify(nf), n)
 
-
-def verify_center_conditions(fld: VectorField3, condition: dict, n: int) -> bool:
-    """True iff L_1..L_n vanish identically under the parameter substitution."""
-    bound = fld.substitute_params(condition)  # raises PoleAtPoint
-    if all(
-        comp.homogeneous_component(deg).is_zero()
-        for comp in bound.components
-        for deg in range(2, comp.total_degree() + 1)
-    ):
-        return True  # linear system: every obstruction vanishes
-    report = report_for_field(bound, n)
-    return not any(report.quantities)

@@ -178,9 +178,6 @@ class ParamPoly:
             return self
         return ParamPoly._make(self.params, _ONE, self.prim)
 
-    def is_zero(self):
-        return not self.prim
-
     def __bool__(self):
         return bool(self.prim)
 
@@ -387,9 +384,9 @@ def _div_int(a: dict, b: dict):
 
 def exact_div(a: ParamPoly, b: ParamPoly) -> ParamPoly:
     """Quotient a/b when b divides a exactly; raises ValueError otherwise."""
-    if b.is_zero():
+    if not b:
         raise DivisionByZero("polynomial division by zero")
-    if a.is_zero():
+    if not a:
         return a
     # b | a over Q iff b.prim | a.prim over Z (Gauss's lemma), and then the
     # quotient of the integer parts is primitive with a positive lead
@@ -500,9 +497,9 @@ def _heu_gcd(f: dict, g: dict):
 def poly_gcd(a: ParamPoly, b: ParamPoly):
     """(g, a/g, b/g) for g the gcd in Q[params], normalized to content 1;
     a and b themselves when g is 1."""
-    if a.is_zero():
+    if not a:
         g = b.primitive()
-    elif b.is_zero():
+    elif not b:
         g = a.primitive()
     elif a.is_constant() or b.is_constant():
         return ParamPoly.const(a.params, 1), a, b
@@ -544,7 +541,7 @@ def _content_wrt(poly: ParamPoly, i: int) -> ParamPoly:
     cont = ParamPoly.zero(poly.params)
     for d in range(poly.degree_in(i) + 1):
         c = _coeff_wrt(poly, i, d)
-        if not c.is_zero():
+        if c:
             cont = _prs_gcd(cont, c)
             if cont.is_constant():
                 break
@@ -556,7 +553,7 @@ def _prem(f: ParamPoly, g: ParamPoly, i: int) -> ParamPoly:
     dg = g.degree_in(i)
     lcg = _coeff_wrt(g, i, dg)
     r = f
-    while not r.is_zero() and r.degree_in(i) >= dg:
+    while r and r.degree_in(i) >= dg:
         dr = r.degree_in(i)
         lcr = _coeff_wrt(r, i, dr)
         r = lcg * r - _shift(lcr * g, i, dr - dg)
@@ -566,9 +563,9 @@ def _prem(f: ParamPoly, g: ParamPoly, i: int) -> ParamPoly:
 def _prs_gcd(a: ParamPoly, b: ParamPoly) -> ParamPoly:
     """The gcd of ``poly_gcd``, without cofactors, by content /
     primitive-part recursion."""
-    if a.is_zero():
+    if not a:
         return b.primitive()
-    if b.is_zero():
+    if not b:
         return a.primitive()
     if a.is_constant() or b.is_constant():
         return ParamPoly.const(a.params, 1)
@@ -588,7 +585,7 @@ def _prs_gcd(a: ParamPoly, b: ParamPoly) -> ParamPoly:
     f, g = (pa, pb) if pa.degree_in(main) >= pb.degree_in(main) else (pb, pa)
     while True:
         r = _prem(f, g, main)
-        if r.is_zero():
+        if not r:
             break
         if r.degree_in(main) == 0:
             g = ParamPoly.const(a.params, 1)
@@ -619,7 +616,7 @@ class ParamExpr:
     __slots__ = ("num", "den", "_hash")
 
     def __init__(self, num: ParamPoly, den: ParamPoly, _normalized=False):
-        if den.is_zero():
+        if not den:
             raise DivisionByZero("zero denominator polynomial")
         if not _normalized:
             num, den = self._normalize(num, den)
@@ -629,7 +626,7 @@ class ParamExpr:
 
     @staticmethod
     def _normalize(num, den):
-        if num.is_zero():
+        if not num:
             return num, ParamPoly.const(num.params, 1)
         _, num, den = poly_gcd(num, den)
         return _unit_den(num, den)
@@ -672,7 +669,7 @@ class ParamExpr:
         return self.num.params
 
     def __bool__(self):
-        return not self.num.is_zero()
+        return bool(self.num)
 
     def is_constant(self):
         return self.num.is_constant() and self.den.is_constant()

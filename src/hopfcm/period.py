@@ -14,7 +14,10 @@ as independent variable the normal form becomes
 and (P + iQ) e^{-i theta} = (P cos + Q sin) + i rho B.  A complexified
 monomial a_jkl x^j y^k z^l is a_jkl rho^{j+k+l} omega^l e^{i(j-k) theta}, so
 the three right-hand sides are read off the coefficients a, b, c as tables
-(rho-power, omega-power) -> trigonometric polynomial.
+(rho-power, omega-power) -> trigonometric polynomial.  A trigonometric
+polynomial sum c_n e^{i n theta} is a ``StatePoly`` in the one variable
+e^{i theta}, keyed (n,) with n of either sign; it is real-valued when
+c_{-n} = conj(c_n).
 
 The solution through rho(0) = rho0 on the selected path expands as
 rho = sum u_i(theta) rho0^{i+1}, omega = sum v_i(theta) rho0^i with u_0 = 1,
@@ -43,83 +46,31 @@ from .errors import FocusObstruction, HopfcmError
 from .focusq import complexify
 from .normalform import NormalForm3
 from .paramfield import gauss, real_part
+from .polysys import StatePoly
 
 
-class TrigPoly:
-    """Finite Fourier polynomial sum c_n e^{i n theta}; real-valued when
-    c_{-n} = conj(c_n)."""
+def _mean(t):
+    """The constant term of a Fourier polynomial, or None."""
+    return t.terms.get((0,))
 
-    __slots__ = ("terms",)
 
-    def __init__(self, terms):
-        self.terms = {n: c for n, c in terms.items() if c}
-
-    @classmethod
-    def zero(cls):
-        return cls({})
-
-    @classmethod
-    def const(cls, value):
-        return cls({0: value})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for n, c in other.terms.items():
-            if n in terms:
-                terms[n] = terms[n] + c
-            else:
-                terms[n] = c
-        return TrigPoly(terms)
-
-    def __neg__(self):
-        return TrigPoly({n: -c for n, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        out = {}
-        for n1, c1 in self.terms.items():
-            for n2, c2 in other.terms.items():
-                n = n1 + n2
-                if n in out:
-                    out[n] = out[n] + c1 * c2
-                else:
-                    out[n] = c1 * c2
-        return TrigPoly(out)
-
-    def scale(self, s):
-        return TrigPoly({n: c * s for n, c in self.terms.items()})
-
-    def mean(self):
-        return self.terms.get(0)
-
-    def integrate_from_zero(self, one):
-        """Antiderivative vanishing at theta = 0, over the real scalars of
-        ``one``; the mean must be zero."""
-        if 0 in self.terms:
-            raise ValueError("nonzero mean: antiderivative is not trigonometric")
-        zero = one * 0
-        out = {}
-        const = None
-        for n, c in self.terms.items():
-            cn = c / gauss(zero, one * n)
-            out[n] = cn
-            const = cn if const is None else const + cn
-        if const is not None:
-            out[0] = -const
-        return TrigPoly(out)
-
-    def __repr__(self):
-        body = ", ".join(f"{n}: {c}" for n, c in sorted(self.terms.items()))
-        return f"TrigPoly({body})"
+def _integrate_from_zero(t, one):
+    """Antiderivative vanishing at theta = 0 of a Fourier polynomial without
+    constant term, over the real scalars of ``one``."""
+    zero = one * 0
+    out = {}
+    const = None
+    for (n,), c in t.terms.items():
+        cn = c / gauss(zero, one * n)
+        out[(n,)] = cn
+        const = cn if const is None else const + cn
+    if const is not None:
+        out[(0,)] = -const
+    return StatePoly(out)
 
 
 class RhoSeries:
-    """Truncated power series in rho0 with TrigPoly coefficients."""
+    """Truncated power series in rho0 with Fourier polynomial coefficients."""
 
     __slots__ = ("coeffs", "order")
 
@@ -127,7 +78,7 @@ class RhoSeries:
         self.order = order
         self.coeffs = list(coeffs[: order + 1])
         while len(self.coeffs) <= order:
-            self.coeffs.append(TrigPoly.zero())
+            self.coeffs.append(StatePoly.zero())
 
     def __add__(self, other):
         return RhoSeries(
@@ -135,45 +86,45 @@ class RhoSeries:
         )
 
     def __mul__(self, other):
-        out = [TrigPoly.zero() for _ in range(self.order + 1)]
+        out = [StatePoly.zero() for _ in range(self.order + 1)]
         for i, a in enumerate(self.coeffs):
-            if a.is_zero():
+            if not a:
                 continue
             for j, b in enumerate(other.coeffs):
                 if i + j > self.order:
                     break
-                if b.is_zero():
+                if not b:
                     continue
                 out[i + j] = out[i + j] + a * b
         return RhoSeries(out, self.order)
 
-    def scale_trig(self, t: TrigPoly):
+    def scale_trig(self, t: StatePoly):
         return RhoSeries([c * t for c in self.coeffs], self.order)
 
     def scale(self, s):
         return RhoSeries([c.scale(s) for c in self.coeffs], self.order)
 
-    def inverse(self, one_tp: TrigPoly):
-        """Series inverse; the leading coefficient must be the constant 1."""
-        if not (self.coeffs[0] - one_tp).is_zero():
-            raise ValueError("series inverse requires unit leading coefficient")
-        inv = [one_tp] + [TrigPoly.zero() for _ in range(self.order)]
+    def inverse(self):
+        """Series inverse; the leading coefficient is the constant 1 (the
+        angular table, the only series inverted, starts at rho-power 1)."""
+        inv = [self.coeffs[0]] + [StatePoly.zero() for _ in range(self.order)]
         for n in range(1, self.order + 1):
-            acc = TrigPoly.zero()
+            acc = StatePoly.zero()
             for j in range(1, n + 1):
-                if self.coeffs[j].is_zero() or inv[n - j].is_zero():
+                if not self.coeffs[j] or not inv[n - j]:
                     continue
                 acc = acc + self.coeffs[j] * inv[n - j]
             inv[n] = -acc
         return RhoSeries(inv, self.order)
 
     def at(self, k):
-        return self.coeffs[k] if k <= self.order else TrigPoly.zero()
+        return self.coeffs[k] if k <= self.order else StatePoly.zero()
 
 
 @dataclass
 class PolarReduction:
-    """Composed right-hand sides as (rho-power, omega-power) -> TrigPoly.
+    """Composed right-hand sides as (rho-power, omega-power) -> Fourier
+    polynomial.
 
     ``radial`` is P cos + Q sin; ``angular`` is (Q cos - P sin)/rho;
     ``transverse`` is (R - omega (P cos + Q sin))/rho.
@@ -224,7 +175,8 @@ def polar_reduce(nf: NormalForm3) -> PolarReduction:
         for n, value in terms.items():
             add(transverse, (m - 1, q + 1), n, -value)
     return PolarReduction(*(
-        {key: TrigPoly(terms) for key, terms in table.items() if any(terms.values())}
+        {key: StatePoly({(n,): c for n, c in terms.items()})
+         for key, terms in table.items() if any(terms.values())}
         for table in (radial, angular, transverse)
     ))
 
@@ -262,31 +214,31 @@ def periodic_solution_series(nf: NormalForm3, order: int):
     one = nf.lam ** 0
     zero = one * 0
     reduction = polar_reduce(nf)
-    one_tp = TrigPoly.const(gauss(one, zero))
+    one_tp = StatePoly({(0,): gauss(one, zero)})
     lam_c = gauss(nf.lam, zero)
     u = [one_tp]  # u_0 = 1; the order-1 radial equation is u_0' = 0
     v = []
     for n in range(1, order + 1):
         top = min(n + 1, order)
-        rho_s = RhoSeries([TrigPoly.zero()] + u, top)
-        omega_s = RhoSeries([TrigPoly.zero()] + v, top)
+        rho_s = RhoSeries([StatePoly.zero()] + u, top)
+        omega_s = RhoSeries([StatePoly.zero()] + v, top)
         f_rho, b_theta, f_omega = _evaluate(reduction, rho_s, omega_s, one_tp)
-        inv_theta = (RhoSeries([one_tp], top) + b_theta).inverse(one_tp)
+        inv_theta = (RhoSeries([one_tp], top) + b_theta).inverse()
         g = ((omega_s.scale(lam_c) + f_omega) * inv_theta).at(n)
         v.append(_fourier_periodic_solution(g, nf.lam))
         if n < order:
             rhs = (f_rho * inv_theta).at(n + 1)
-            mean = rhs.mean()
+            mean = _mean(rhs)
             if mean is not None:
                 raise FocusObstruction(n + 1, real_part(mean, "mean", ValueError) * 2)
-            u.append(rhs.integrate_from_zero(one))
+            u.append(_integrate_from_zero(rhs, one))
     return {"u": u, "v": v, "inv_theta": inv_theta}
 
 
-def _fourier_periodic_solution(g: TrigPoly, lam):
+def _fourier_periodic_solution(g: StatePoly, lam):
     """Unique 2pi-periodic solution of v' = lam v + g."""
     one = lam ** 0
-    return TrigPoly({n: c / gauss(-lam, one * n) for n, c in g.terms.items()})
+    return StatePoly({(n,): c / gauss(-lam, one * n) for (n,), c in g.terms.items()})
 
 
 def isochronicity_constants(nf: NormalForm3, m: int) -> PeriodExpansion:
@@ -299,6 +251,6 @@ def isochronicity_constants(nf: NormalForm3, m: int) -> PeriodExpansion:
     inv_theta = periodic_solution_series(nf, 2 * m)["inv_theta"]
     means = []
     for k in range(1, 2 * m + 1):
-        mean = inv_theta.at(k).mean()
+        mean = _mean(inv_theta.at(k))
         means.append(zero if mean is None else real_part(mean, "mean", ValueError))
     return PeriodExpansion(means[1::2], means[0::2])

@@ -14,6 +14,7 @@ import math
 from dataclasses import KW_ONLY, dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import add
 from typing import Optional
 
 from .errors import (
@@ -27,7 +28,10 @@ from .paramfield import FLOAT_TOL, Jet, ParamExpr, binary_power
 
 
 class StatePoly:
-    """Sparse polynomial in the three state variables, generic coefficients."""
+    """Sparse polynomial with generic coefficients, keyed by exponent tuples
+    of one length: the three state variables, or the one variable e^{i theta}
+    of a Fourier polynomial in ``period`` (exponents of either sign).  Zero
+    exactly when falsy, like every scalar."""
 
     __slots__ = ("terms",)
 
@@ -42,8 +46,8 @@ class StatePoly:
     def const(cls, value):
         return cls({(0, 0, 0): value})
 
-    def is_zero(self):
-        return not self.terms
+    def __bool__(self):
+        return bool(self.terms)
 
     def total_degree(self):
         return max((sum(e) for e in self.terms), default=-1)
@@ -73,7 +77,7 @@ class StatePoly:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
+                e = tuple(map(add, e1, e2))
                 if e in out:
                     out[e] = out[e] + c1 * c2
                 else:
@@ -89,7 +93,8 @@ class StatePoly:
     def _one(self):
         if not self.terms:
             raise ValueError("0**0 of an empty polynomial needs a coefficient ring")
-        return StatePoly.const(next(iter(self.terms.values())) ** 0)
+        e, c = next(iter(self.terms.items()))
+        return StatePoly({(0,) * len(e): c ** 0})
 
     def diff(self, axis):
         out = {}
@@ -104,7 +109,8 @@ class StatePoly:
                 out[e2] = coeff
         return StatePoly(out)
 
-    def evaluate(self, point):
+    def evaluate(self, point, zero):
+        """The value at ``point``; ``zero`` for the zero polynomial."""
         acc = None
         for e, c in self.terms.items():
             term = c
@@ -112,11 +118,7 @@ class StatePoly:
                 if p:
                     term = term * v**p
             acc = term if acc is None else acc + term
-        return acc
-
-    def evaluate_or(self, point, default):
-        val = self.evaluate(point)
-        return default if val is None else val
+        return zero if acc is None else acc
 
     def map_coeffs(self, fn):
         return StatePoly({e: fn(c) for e, c in self.terms.items()})
@@ -132,9 +134,6 @@ class StatePoly:
             acc = term if acc is None else acc + term
         return StatePoly.zero() if acc is None else acc
 
-    def homogeneous_component(self, degree):
-        return StatePoly({e: c for e, c in self.terms.items() if sum(e) == degree})
-
     def chop(self, tol):
         """Drop float coefficients below tol in absolute value."""
         return StatePoly(
@@ -144,9 +143,7 @@ class StatePoly:
     def __eq__(self, other):
         if not isinstance(other, StatePoly):
             return NotImplemented
-        if set(self.terms) != set(other.terms):
-            return False
-        return not any(self.terms[e] - other.terms[e] for e in self.terms)
+        return not self - other
 
     def __str__(self):
         if not self.terms:
@@ -174,7 +171,7 @@ class VectorField3:
     params: tuple = ()
 
     def evaluate(self, point):
-        return tuple(c.evaluate_or(point, self.zero) for c in self.components)
+        return tuple(c.evaluate(point, self.zero) for c in self.components)
 
     @cached_property
     def zero(self):
@@ -199,7 +196,7 @@ class VectorField3:
 
     def jacobian_at(self, point):
         return [
-            [self.components[i].diff(j).evaluate_or(point, self.zero) for j in range(3)]
+            [self.components[i].diff(j).evaluate(point, self.zero) for j in range(3)]
             for i in range(3)
         ]
 

@@ -104,6 +104,12 @@ def test_substitute_params_rejects_an_unknown_name(mapping):
         e1_normal().substitute_params(mapping)
 
 
+def test_substitute_params_at_a_pole_raises_pole_at_point():
+    # c d = -1 is a pole of e1-normal's coefficients
+    with pytest.raises(PoleAtPoint):
+        e1_normal().substitute_params({"c": 1, "d": -1})
+
+
 def test_to_float_names_the_free_parameters():
     with pytest.raises(HopfcmError, match=r"\['c'\] are free"):
         e1_normal({"d": 1, "k": 1}).to_float()

@@ -15,7 +15,6 @@ from hopfcm.errors import (
     DegenerateLambda,
     NotAFirstIntegralCandidate,
     NotRealSystem,
-    PoleAtPoint,
 )
 from hopfcm.focusq import (
     ComplexSystem,
@@ -23,7 +22,6 @@ from hopfcm.focusq import (
     focus_quantities,
     identity_defect,
     report_for_field,
-    verify_center_conditions,
     verify_first_integral,
 )
 from hopfcm.normalform import to_normal_form
@@ -378,20 +376,6 @@ def test_first_quantity_sample_values():
     assert printed_L1(F(0), F(2), F(2)) == 6
     # (c,d,k) = (0,1,2): printed 3 (= 3 d at d=1), computed 3/544
     assert _computed_L1(F(0), F(1), F(2)) == F(3, 544)
-
-
-def test_center_conditions_on_normal_family():
-    fld = e1_normal()
-    assert verify_center_conditions(fld, {"k": 1, "c": 0}, 3) is True
-    # the d = c = 0 locus collapses the system to its linear part
-    assert verify_center_conditions(fld, {"d": 0, "c": 0}, 2) is True
-    assert verify_center_conditions(fld, {"k": 2, "c": 0, "d": 1}, 1) is False
-
-
-def test_center_conditions_pole_detected():
-    fld = e1_normal()
-    with pytest.raises(PoleAtPoint):
-        verify_center_conditions(fld, {"c": 1, "d": -1}, 1)
 
 
 # --- the d = 0 focus families ----------------------------------------------------------

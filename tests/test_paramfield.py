@@ -21,6 +21,7 @@ from hopfcm.paramfield import (
     poly_gcd,
     real_part,
 )
+from hopfcm.polysys import StatePoly
 
 P = ("c", "d", "k")
 
@@ -402,15 +403,15 @@ def test_the_polynomial_form_is_canonical(ta, tb, n):
     assert a.terms == ta
     # three constructions of one polynomial: equal, with equal hashes
     built = [a, _by_arithmetic(ta)]
-    if not b.is_zero():
+    if b:
         built.append(paramfield.exact_div(a * b, b))
     for p in built:
         _assert_canonical(p)
         assert p == a and hash(p) == hash(a) and str(p) == str(a)
     results = [a + b, a - b, b - a, a * b, -a, a**n, a * Fraction(-2, 3)]
-    if not b.is_zero():
+    if b:
         results.append(paramfield.exact_div(a * b, b))
-    if not (a.is_zero() and b.is_zero()):
+    if a or b:
         g, qa, qb = poly_gcd(a, b)
         results += [g, qa, qb]
         assert qa * g == a and qb * g == b
@@ -561,6 +562,11 @@ def test_a_polynomial_is_falsy_exactly_when_zero():
     assert not ParamPoly.zero(P) and not c - c
     assert ParamPoly.const(P, Fraction(-1, 3))
     assert c
+    # state exponents, and the one-variable Fourier keys (n,) of the period series
+    for key, other in (((1, 0, 2), (0, 1, 0)), ((-2,), (3,))):
+        p = StatePoly({key: Fraction(1, 2), other: ParamExpr.var(P, "d")})
+        assert not StatePoly.zero() and not StatePoly({key: Fraction(0)}) and not p - p
+        assert p and StatePoly({other: 0.5}) and p - StatePoly({key: Fraction(1, 2)})
 
 
 @settings(max_examples=40, deadline=None)

@@ -12,7 +12,6 @@ from hopfcm.focusq import report_for_field
 from hopfcm.normalform import to_normal_form
 from hopfcm.paramfield import GaussExpr, ParamExpr
 from hopfcm.period import (
-    TrigPoly,
     isochronicity_constants,
     periodic_solution_series,
     polar_reduce,
@@ -66,7 +65,7 @@ def test_transverse_forcing_present_for_center_family():
 def test_leading_radial_coefficient_is_one():
     sol = periodic_solution_series(_center_nf(1), 3)
     u0 = sol["u"][0]
-    assert set(u0.terms) == {0}
+    assert set(u0.terms) == {(0,)}
 
 
 def test_higher_radial_coefficients_vanish_at_zero_angle():
@@ -83,18 +82,18 @@ def test_transverse_coefficients_are_periodic_solutions():
     nf = _center_nf(1)
     sol = periodic_solution_series(nf, 3)
     lam = nf.lam
-    # derivative of TrigPoly: multiply each harmonic by i n
+    # derivative of a Fourier polynomial: multiply each harmonic by i n
     def dtheta(tp):
         out = {}
-        for n, c in tp.terms.items():
-            out[n] = c * GaussExpr(F(0), F(n))
-        return TrigPoly(out)
+        for (n,), c in tp.terms.items():
+            out[(n,)] = c * GaussExpr(F(0), F(n))
+        return StatePoly(out)
 
     # v_1 satisfies v' - lam v = g with g the first-order transverse forcing;
     # instead of rebuilding g, verify v_1 has no resonant constant term
     v1 = sol["v"][0]
-    assert 0 not in v1.terms or not lam
-    assert set(dtheta(v1).terms) == set(v1.terms) - {0}
+    assert (0,) not in v1.terms or not lam
+    assert set(dtheta(v1).terms) == set(v1.terms) - {(0,)}
 
 
 def test_isochronicity_constants_symbolic():
@@ -149,11 +148,11 @@ def test_focus_obstruction_sign_on_second_focus_family():
 
 def test_trig_poly_reality_closed_under_product():
     # c_{-n} = conj(c_n) inputs produce outputs with the same structure
-    a = TrigPoly({1: 0.5 + 0.25j, -1: 0.5 - 0.25j, 0: 1.0 + 0j})
-    b = TrigPoly({2: -0.125j, -2: 0.125j})
+    a = StatePoly({(1,): 0.5 + 0.25j, (-1,): 0.5 - 0.25j, (0,): 1.0 + 0j})
+    b = StatePoly({(2,): -0.125j, (-2,): 0.125j})
     prod = a * b
-    for n, c in prod.terms.items():
-        assert prod.terms[-n] == pytest.approx(c.conjugate())
+    for (n,), c in prod.terms.items():
+        assert prod.terms[(-n,)] == pytest.approx(c.conjugate())
 
 
 def _complex(c):
@@ -163,7 +162,7 @@ def _complex(c):
 def _table_at(table, rho, theta, omega):
     total = 0j
     for (m, q), t in table.items():
-        harmonics = sum(_complex(c) * cmath.exp(1j * n * theta) for n, c in t.terms.items())
+        harmonics = sum(_complex(c) * cmath.exp(1j * n * theta) for (n,), c in t.terms.items())
         total += rho**m * omega**q * harmonics
     return total
 
@@ -188,10 +187,10 @@ def test_polar_tables_match_the_cylindrical_field(nf):
                 cos, sin = math.cos(theta), math.sin(theta)
                 if nf.orientation == 1:
                     point = (rho * cos, rho * sin, rho * omega)
-                    p, q, r = (poly.evaluate_or(point, 0.0) for poly in (P, Q, R))
+                    p, q, r = (poly.evaluate(point, 0.0) for poly in (P, Q, R))
                 else:
                     point = (rho * sin, rho * cos, rho * omega)
-                    q, p, r = (poly.evaluate_or(point, 0.0) for poly in (P, Q, R))
+                    q, p, r = (poly.evaluate(point, 0.0) for poly in (P, Q, R))
                 radial = p * cos + q * sin
                 expected = (radial, (q * cos - p * sin) / rho, (r - omega * radial) / rho)
                 tables = (red.radial, red.angular, red.transverse)

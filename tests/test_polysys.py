@@ -209,7 +209,7 @@ def test_equilibrium_translation_reproduces_shifted_catalog_entry():
     ident = [[one, zero, zero], [zero, one, zero], [zero, zero, one]]
     shifted = transform(bound, (zero, zero, 1 / d), ident, one)
     for got, want in zip(shifted.components, e1_shifted().components):
-        assert (got - want).is_zero()
+        assert not got - want
 
 
 def test_normal_form_transform_matches_catalog_exactly():
@@ -219,7 +219,7 @@ def test_normal_form_transform_matches_catalog_exactly():
     g = transform(e1_shifted(), (zero, zero, zero), _eigen_matrix(P), k / d)
     ref = e1_normal()
     for got, want in zip(g.components, ref.components):
-        assert (got - want).is_zero()
+        assert not got - want
 
 
 def test_identity_transform_is_identity():
@@ -229,7 +229,7 @@ def test_identity_transform_is_identity():
     ident = [[one, zero, zero], [zero, one, zero], [zero, zero, one]]
     g = transform(fld, (zero, zero, zero), ident, one)
     for got, want in zip(g.components, fld.components):
-        assert (got - want).is_zero()
+        assert not got - want
 
 
 def test_singular_matrix_rejected():

@@ -74,10 +74,12 @@ def test_the_number_type_comes_from_the_coefficients_not_a_tag():
 
 
 REPO = Path(__file__).resolve().parents[1]
-# the callers: the package (whose __init__ imports count, since __all__ is
-# its public API), the scripts and the benchmark; a use in tests/ alone does
-# not make a definition part of the program
+# the callers: the package, the scripts and the benchmark; a use in tests/
+# alone does not make a definition part of the program
 SEARCHED = ("src", "scripts", "perfbench")
+# the package's re-exports: a name imported there or listed in ``__all__`` is
+# not used by the program
+REEXPORTS = REPO / "src" / "hopfcm" / "__init__.py"
 # reference implementations that only tests call: each is an oracle that
 # shares no code with the path it checks
 TEST_ORACLES = {"identity_defect", "roundtrip_defect"}
@@ -131,14 +133,16 @@ def _referenced_names(path):
 
 def test_every_library_definition_is_referenced_by_name():
     """Name-based, so a definition is reported only when no file of the
-    program (tests excluded) uses its name outside a function of the same
-    name; its own def statement is not a use of it.  A method counts as used
-    only through an attribute (``x.name``) or a dotted string, so a local
-    variable of the same name does not keep it."""
+    program (tests and the package's re-exports excluded) uses its name
+    outside a function of the same name; its own def statement is not a use
+    of it.  A method counts as used only through an attribute (``x.name``)
+    or a dotted string, so a local variable of the same name does not keep
+    it."""
     used = {
         (name, attribute)
         for top in SEARCHED
         for path in sorted((REPO / top).rglob("*.py"))
+        if path != REEXPORTS
         for name, attribute in _referenced_names(path)
     }
     names = TEST_ORACLES | {name for name, _ in used}
@@ -152,6 +156,22 @@ def test_every_library_definition_is_referenced_by_name():
         if name not in (names if qualified == name else attributes)
     ]
     assert unreferenced == []
+
+
+def test_no_class_defines_an_is_zero_method():
+    """Every scalar and polynomial is zero exactly when it is falsy, so no
+    class keeps a second zero test."""
+    modules = sorted(Path(hopfcm.__file__).parent.glob("*.py"))
+    assert modules
+    offenders = [
+        f"{path.name}:{item.lineno} {node.name}.is_zero"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and item.name == "is_zero"
+    ]
+    assert offenders == []
 
 
 def _defaulted_parameters(path):
