@@ -46,7 +46,7 @@ def main():
     ap.add_argument("--tmax", type=float, default=40.0)
     args = ap.parse_args()
 
-    center = catalog.e1_center({"d": 1}).to_float()
+    center = catalog.build("e1-center", {"d": 1}).to_float()
     dump(center, FIG_PHASE_ICS, os.path.join(args.out, "center"), 100.0)
     series = simulate.integrate(center, FIG_SERIES_IC, (0.0, 100.0), 1e-10)
     simulate.export_csv(series, os.path.join(args.out, "center", "series.csv"))

@@ -16,11 +16,14 @@ The quadratic four-wing family and the coordinate forms derived from it:
 * ``e4-normal`` / ``e5-normal`` -- their rotation normal forms, built by
   applying the eigenbasis change of coordinates and time rescaling (float).
 
-The exact entries keep radical-free coefficients; the radical families have
-float coefficients only.  A field's number type is that of its
-coefficients; the registry's ``"backend"`` is metadata: the ``catalog``
-command lists it, and ``build`` requires parameter values for the float
-entries.
+Each exact entry is one function of its parameter values that returns the
+three {exponent: coefficient} rows of its field, radical-free, computed in
+the number type of the values; ``build`` binds it (``polysys.bind``), so a
+field is built once, in Fractions, jets, or ParamExprs where parameters
+stay free.  The radical families have float coefficients only.  A field's
+number type is that of its coefficients; the registry's ``"backend"`` is
+metadata: the ``catalog`` command lists it, and ``build`` requires
+parameter values for the float entries.
 """
 
 from __future__ import annotations
@@ -29,8 +32,7 @@ import math
 from fractions import Fraction
 
 from .errors import RegionUndefined, SchemaError, SingularTransform
-from .paramfield import ParamExpr
-from .polysys import StatePoly, VectorField3, transform
+from .polysys import StatePoly, VectorField3, bind, parse_system, refuse_jets, transform
 
 PERTURBATION_PARAMS = tuple(
     f"{letter}{j}{k}{l}"
@@ -39,51 +41,26 @@ PERTURBATION_PARAMS = tuple(
 )
 
 
-def _exact_field(params, rows):
-    comps = []
-    for row in rows:
-        terms = {}
-        for exp, coeff in row.items():
-            if isinstance(coeff, (int, Fraction)):
-                coeff = ParamExpr.const(params, coeff)
-            if coeff:
-                terms[exp] = coeff
-        comps.append(StatePoly(terms))
-    return VectorField3(tuple(comps), params=params)
-
-
-def khaled_original(values=None):
+def khaled_original(a, b, c, d):
     """The quadratic four-wing system with parameters a, b, c, d."""
-    P = ("a", "b", "c", "d")
-    a, b, c, d = (ParamExpr.var(P, n) for n in P)
-    rows = [
-        {(0, 1, 0): a, (1, 0, 0): -a, (0, 1, 1): ParamExpr.const(P, 1)},
-        {(1, 0, 0): b, (0, 1, 0): c, (1, 0, 1): ParamExpr.const(P, -1)},
-        {(0, 0, 1): -d, (1, 1, 0): ParamExpr.const(P, 1), (0, 0, 0): ParamExpr.const(P, 1)},
+    return [
+        {(0, 1, 0): a, (1, 0, 0): -a, (0, 1, 1): 1},
+        {(1, 0, 0): b, (0, 1, 0): c, (1, 0, 1): -1},
+        {(0, 0, 1): -d, (1, 1, 0): 1, (0, 0, 0): 1},
     ]
-    return _maybe_bind(_exact_field(P, rows), values)
 
 
-def e1_shifted(values=None):
+def e1_shifted(c, d, k):
     """E1 moved to the origin, a = c, with b eliminated through k > 0."""
-    P = ("c", "d", "k")
-    c, d, k = (ParamExpr.var(P, n) for n in P)
-    one = ParamExpr.one(P)
-    rows = [
-        {(1, 0, 0): -c, (0, 1, 0): c + 1 / d, (0, 1, 1): one},
-        {
-            (1, 0, 0): -(c**2 * d**2 + k**2) / (d * (1 + c * d)),
-            (0, 1, 0): c,
-            (1, 0, 1): -one,
-        },
-        {(1, 1, 0): one, (0, 0, 1): -d},
+    return [
+        {(1, 0, 0): -c, (0, 1, 0): c + 1 / d, (0, 1, 1): 1},
+        {(1, 0, 0): -(c**2 * d**2 + k**2) / (d * (1 + c * d)), (0, 1, 0): c, (1, 0, 1): -1},
+        {(1, 1, 0): 1, (0, 0, 1): -d},
     ]
-    return _maybe_bind(_exact_field(P, rows), values)
 
 
-def _e1_normal_rows(P):
-    c, d, k = (ParamExpr.var(P, n) for n in ("c", "d", "k"))
-    one = ParamExpr.one(P)
+def e1_normal(c, d, k):
+    """Rotation normal form at E1; parameters c, d, k (k > 0, d != 0)."""
     denom = c**2 * d**2 + k**2
     a_uw = c * d**2 * (c * d + 1) / (k * denom)
     a_vw = (
@@ -95,62 +72,39 @@ def _e1_normal_rows(P):
     b_vw = -c * d**2 * (c * d + 1) / (k * denom)
     c_uv = d * (c * d + 1) / denom
     c_vv = c * d**2 * (c * d + 1) / (k * denom)
-    rows = [
-        {(0, 1, 0): one, (1, 0, 1): a_uw, (0, 1, 1): a_vw},
-        {(1, 0, 0): -one, (1, 0, 1): b_uw, (0, 1, 1): b_vw},
+    return [
+        {(0, 1, 0): 1, (1, 0, 1): a_uw, (0, 1, 1): a_vw},
+        {(1, 0, 0): -1, (1, 0, 1): b_uw, (0, 1, 1): b_vw},
         {(0, 0, 1): -(d**2) / k, (1, 1, 0): c_uv, (0, 2, 0): c_vv},
     ]
+
+
+def e1_normal_trace(c, d, k, sigma):
+    """e1-normal with a trace term sigma on the rotation block."""
+    rows = e1_normal(c, d, k)
+    rows[0][(1, 0, 0)] = sigma
+    rows[1][(0, 1, 0)] = sigma
     return rows
 
 
-def e1_normal(values=None):
-    """Rotation normal form at E1; parameters c, d, k (k > 0, d != 0)."""
-    return _maybe_bind(_exact_field(("c", "d", "k"), _e1_normal_rows(("c", "d", "k"))), values)
-
-
-def e1_normal_trace(values=None):
-    """e1-normal with a trace term sigma on the rotation block."""
-    P = ("c", "d", "k", "sigma")
-    rows = _e1_normal_rows(P)
-    sigma = ParamExpr.var(P, "sigma")
-    rows[0][(1, 0, 0)] = sigma
-    rows[1][(0, 1, 0)] = sigma
-    return _maybe_bind(_exact_field(P, rows), values)
-
-
-def e1_center(values=None):
+def e1_center(d):
     """The center family: k = 1, c = 0 in e1-normal, one parameter d."""
-    P = ("d",)
-    d = ParamExpr.var(P, "d")
-    one = ParamExpr.one(P)
-    rows = [
-        {(0, 1, 0): one, (0, 1, 1): d},
-        {(1, 0, 0): -one, (1, 0, 1): -d},
+    return [
+        {(0, 1, 0): 1, (0, 1, 1): d},
+        {(1, 0, 0): -1, (1, 0, 1): -d},
         {(0, 0, 1): -(d**2), (1, 1, 0): d},
     ]
-    return _maybe_bind(_exact_field(P, rows), values)
 
 
-def e1_center_perturbed(values=None):
-    """e1-center at d = 1 with all 18 quadratic perturbation coefficients."""
-    P = PERTURBATION_PARAMS
-    one = ParamExpr.one(P)
-    rows = [
-        {(0, 1, 0): one, (0, 1, 1): one},
-        {(1, 0, 0): -one, (1, 0, 1): -one},
-        {(0, 0, 1): -one, (1, 1, 0): one},
-    ]
-    quad_exps = ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
-    for letter, row in zip("abc", rows):
-        for exp in quad_exps:
-            name = f"{letter}{exp[0]}{exp[1]}{exp[2]}"
-            prev = row.get(exp, ParamExpr.zero(P))
-            row[exp] = prev + ParamExpr.var(P, name)
-    return _maybe_bind(_exact_field(P, rows), values)
-
-
-def _maybe_bind(fld, values):
-    return fld.substitute_params(values) if values else fld
+def e1_center_perturbed(*coefficients):
+    """e1-center at d = 1 plus the 18 quadratic perturbation coefficients,
+    in the order of PERTURBATION_PARAMS."""
+    rows = e1_center(1)
+    for name, value in zip(PERTURBATION_PARAMS, coefficients):
+        row = rows["abc".index(name[0])]
+        exp = tuple(map(int, name[1:]))
+        row[exp] = row.get(exp, 0) + value
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -367,14 +321,26 @@ BUILTIN_SYSTEMS = {
 
 
 def build(name, values=None):
-    """Instantiate a built-in system by name."""
+    """Instantiate a built-in system by name, with ``values`` bound: an exact
+    entry through ``polysys.bind``, so the parameters left out stay free; a
+    float entry needs a number for each parameter."""
     if name not in BUILTIN_SYSTEMS:
         raise SchemaError(f"unknown built-in system {name!r}")
     meta = BUILTIN_SYSTEMS[name]
+    values = values or {}
     if meta["backend"] == "float":
-        if not values:
-            raise SchemaError(f"{name} requires parameter values")
+        refuse_jets(values)
         missing = set(meta["params"]) - set(values)
         if missing:
-            raise SchemaError(f"{name} missing parameter(s) {sorted(missing)}")
-    return meta["factory"](values)
+            raise SchemaError(f"{name} requires values for {sorted(missing)}")
+        return meta["factory"](values)
+    return bind(meta["params"], values, meta["factory"])
+
+
+def load(name_or_path, values=None):
+    """A built-in system by name, or else the system document at a path,
+    with ``values`` bound (see ``build`` and ``polysys.parse_system``)."""
+    if name_or_path in BUILTIN_SYSTEMS:
+        return build(name_or_path, values)
+    with open(name_or_path) as fh:
+        return parse_system(fh.read(), values)

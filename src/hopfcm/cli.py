@@ -23,7 +23,7 @@ from .focusq import report_for_field
 from .grammar import eval_exact, parse_expression
 from .normalform import to_normal_form
 from .period import isochronicity_constants
-from .polysys import char_cubic, hopf_test, parse_system
+from .polysys import char_cubic, hopf_test
 from .verify import CLAIMS, TEO5_CONFIG, config_bound, teo4_config
 
 USAGE_EXIT = 1
@@ -99,14 +99,6 @@ def _parse_params(spec):
     return out
 
 
-def _load_system(name_or_path, params):
-    if name_or_path in catalog.BUILTIN_SYSTEMS:
-        return catalog.build(name_or_path, params or None)
-    with open(name_or_path) as fh:
-        fld = parse_system(fh.read())
-    return fld.substitute_params(params) if params else fld
-
-
 def _parse_point(spec, fld, params):
     if spec is None:
         return (fld.zero,) * 3
@@ -138,7 +130,7 @@ def _cmd_catalog(args):
 
 def _cmd_hopf(args):
     params = _parse_params(args.params)
-    fld = _load_system(args.system, params)
+    fld = catalog.load(args.system, params)
     point = _parse_point(args.point, fld, params)
     cubic = char_cubic(fld.jacobian_at(point))
     report = hopf_test(cubic)
@@ -159,7 +151,7 @@ def _cmd_hopf(args):
 
 def _cmd_normalize(args):
     params = _parse_params(args.params)
-    fld = _load_system(args.system, params)
+    fld = catalog.load(args.system, params)
     matrix = None
     time_scale = None
     if args.transform:
@@ -199,18 +191,16 @@ def _cmd_normalize(args):
 
 
 def _cmd_focus(args):
+    if args.small is not None and args.jet_degree is None:
+        args.usage_error("--small needs --jet-degree")
     params = _parse_params(args.params)
-    if args.jet_degree is not None:
+    if args.jet_degree is None:
+        report = report_for_field(catalog.load(args.system, params), args.order)
+    else:
         if args.jet_degree < 1:
             raise HopfcmError(f"--jet-degree must be at least 1, got {args.jet_degree}")
-        fld = _load_system(args.system, None)
-        if isinstance(fld.zero, float):
-            raise HopfcmError("jet expansions need an exact-backend system")
-        small = tuple(s.strip() for s in args.small.split(",")) if args.small else fld.params
-        report = jet_focus_report(fld, params, small, args.jet_degree, args.order)
-    else:
-        fld = _load_system(args.system, params)
-        report = report_for_field(fld, args.order)
+        small = tuple(s.strip() for s in args.small.split(",")) if args.small else None
+        report = jet_focus_report(args.system, params, small, args.jet_degree, args.order)
     _emit(
         {
             "system": args.system,
@@ -226,7 +216,7 @@ def _cmd_focus(args):
 
 def _cmd_period(args):
     params = _parse_params(args.params)
-    fld = _load_system(args.system, params)
+    fld = catalog.load(args.system, params)
     nf = to_normal_form(fld, (fld.zero,) * 3)
     try:
         pe = isochronicity_constants(nf, args.order)
@@ -285,22 +275,26 @@ def _cyclicity_config(path):
 
 
 def _cmd_cyclicity(args):
+    if args.d0 is not None and args.mode != "teo4":
+        args.usage_error("--d0 needs --mode teo4")
+    if args.config is not None and args.mode != "custom":
+        args.usage_error("--config needs --mode custom")
     if args.mode == "teo4":
-        cfg = teo4_config(_exact_number(args.d0))
+        cfg = teo4_config(_exact_number("1" if args.d0 is None else args.d0))
     elif args.mode == "teo5":
         cfg = TEO5_CONFIG
     elif args.config is None:
         args.usage_error("--mode custom needs --config")
     else:
         cfg = _cyclicity_config(args.config)
-    _, report = config_bound(_load_system(cfg["system"], None), cfg)
+    _, report = config_bound(cfg)
     _emit(report, args.out)
     return 0
 
 
 def _cmd_simulate(args):
     params = _parse_params(args.params)
-    fld = _load_system(args.system, params).to_float()
+    fld = catalog.load(args.system, params).to_float()
     x0 = tuple(float(v) for v in _numbers(args.x0))
     if len(x0) != 3:
         raise HopfcmError("--x0 must be three comma-separated values")
@@ -317,7 +311,7 @@ def _cmd_simulate(args):
 
 def _cmd_displacement(args):
     params = _parse_params(args.params)
-    fld = _load_system(args.system, params).to_float()
+    fld = catalog.load(args.system, params).to_float()
     grid = [float(v) for v in _numbers(args.rho0_grid)]
     samples = []
     for rho0 in grid:
@@ -382,9 +376,9 @@ def build_parser():
     sp.add_argument("--order", type=int, required=True)
     sp.add_argument("--params")
     sp.add_argument("--jet-degree", type=int, dest="jet_degree")
-    sp.add_argument("--small", help="comma-separated small parameters")
+    sp.add_argument("--small", help="comma-separated small parameters (with --jet-degree)")
     common(sp)
-    sp.set_defaults(fn=_cmd_focus)
+    sp.set_defaults(fn=_cmd_focus, usage_error=sp.error)
 
     sp = sub.add_parser("period", help="isochronicity constants")
     sp.add_argument("--system", required=True)
@@ -395,7 +389,7 @@ def build_parser():
 
     sp = sub.add_parser("cyclicity", help="limit-cycle lower bounds")
     sp.add_argument("--mode", choices=("teo4", "teo5", "custom"), required=True)
-    sp.add_argument("--d0", default="1", help="teo4 base point d value")
+    sp.add_argument("--d0", help="teo4 base point d value (default 1)")
     sp.add_argument("--config", help="JSON config for custom mode")
     common(sp)
     sp.set_defaults(fn=_cmd_cyclicity, usage_error=sp.error)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from . import catalog
 from .errors import BadPivots, SchemaError
 from .focusq import report_for_field
 from .paramfield import Jet, JetContext
@@ -90,30 +91,37 @@ def _inverse(block):
 # jet-valued focus reports
 
 
-def jet_system(fld: VectorField3, point: dict, small, degree: int) -> VectorField3:
-    """Bind every parameter to a jet: its ``point`` value plus eps for the
-    small parameters, which need no point value (it defaults to 0).
+def jet_system(system, point: dict, small, degree: int) -> VectorField3:
+    """The field of ``system``, a built-in name or a document path
+    (``catalog.load``), with every parameter bound to a jet: its ``point``
+    value plus eps for the small parameters, which need no point value (it
+    defaults to 0).  ``small`` None makes every parameter small.
 
-    Raises SchemaError on a repeated small parameter, a name that is not a
-    parameter of ``fld``, or a parameter neither in ``point`` nor small.
+    Raises HopfcmError on a float system, and SchemaError on a repeated
+    small parameter, a name that is not a parameter of the system, or a
+    parameter neither in ``point`` nor small.
     """
-    small = tuple(small)
-    repeated = sorted({p for p in small if small.count(p) > 1})
-    if repeated:
-        raise SchemaError(f"small parameter(s) {repeated} repeated")
-    ctx = JetContext(small, degree)
-    assignment = {p: ctx.const(v) for p, v in point.items()}
-    for p in small:
-        assignment[p] = assignment.get(p, ctx.zero()) + ctx.eps(p)
-    missing = [p for p in fld.params if p not in assignment]
-    if missing:
-        raise SchemaError(f"parameter(s) {missing} have no value")
-    return fld.substitute_params(assignment)
+
+    def jets(params):
+        names = params if small is None else tuple(small)
+        repeated = sorted({p for p in names if names.count(p) > 1})
+        if repeated:
+            raise SchemaError(f"small parameter(s) {repeated} repeated")
+        ctx = JetContext(names, degree)
+        assignment = {p: ctx.const(v) for p, v in point.items()}
+        for p in names:
+            assignment[p] = assignment.get(p, ctx.zero()) + ctx.eps(p)
+        return assignment
+
+    fld = catalog.load(system, jets)
+    if fld.params:
+        raise SchemaError(f"parameter(s) {list(fld.params)} have no value")
+    return fld
 
 
-def jet_focus_report(fld, point, small, degree, n):
+def jet_focus_report(system, point, small, degree, n):
     """Focus quantities as jets around the given parameter point."""
-    return report_for_field(jet_system(fld, point, small, degree), n)
+    return report_for_field(jet_system(system, point, small, degree), n)
 
 
 # ---------------------------------------------------------------------------
@@ -139,14 +147,15 @@ def jacobian_rank(quantities, params) -> JacobianReport:
 def reduce_quantities(quantities, pivots):
     """The forms h_j of the quantities past the first k on the pivot locus.
 
-    ``quantities`` are jets L_1..L_{k+l}, k = len(pivots), whose first k
-    vanish at the expansion point and have linear parts with an invertible
-    block B in the ``pivots`` columns.  On the locus L_1 = ... = L_k = 0 the
-    pivots are power series in the other small parameters: from p = 0, each
-    chord step p <- p - B^-1 (L_1..L_k)(p) fixes one more degree, so
-    ``ctx.degree`` steps give the series to the jet's degree.  Each later
-    L_j evaluated there must have no linear part left; its degree-2 part is
-    h_j, a quadratic form in the non-pivot parameters.  Returns
+    ``quantities`` are jets L_1..L_{k+l}, k = len(pivots), that vanish at
+    the expansion point (``cyclicity_bound`` checks it) and whose first k
+    have linear parts with an invertible block B in the ``pivots`` columns.
+    On the locus L_1 = ... = L_k = 0 the pivots are power series in the
+    other small parameters: from p = 0, each chord step
+    p <- p - B^-1 (L_1..L_k)(p) fixes one more degree, so ``ctx.degree``
+    steps give the series to the jet's degree.  Each later L_j evaluated
+    there must have no linear part left; its degree-2 part is h_j, a
+    quadratic form in the non-pivot parameters.  Returns
     [h_{k+1}, ..., h_{k+l}].
     """
     if not quantities:
@@ -161,8 +170,6 @@ def reduce_quantities(quantities, pivots):
     inverse = _inverse(block)
     if inverse is None:
         raise BadPivots(f"pivot block of {tuple(pivots)} is not invertible")
-    if any(q.constant_part() for q in leading):
-        raise BadPivots("the leading quantities do not vanish at the expansion point")
     series = {p: ctx.zero() if p in pivots else ctx.eps(p) for p in ctx.names}
     for _ in range(ctx.degree):
         residual = [q.evaluate(series) for q in leading]
@@ -225,7 +232,18 @@ def cyclicity_bound(
     quantities past the ``pivots`` become forms on the pivot locus, and
     they add one cycle each when the intermediate forms vanish on the line
     with independent gradients and the last does not.  A declared trace
-    parameter adds one through the classical eigenvalue crossing."""
+    parameter adds one through the classical eigenvalue crossing.
+
+    Every L_j must vanish at the expansion point, which is then a center
+    to order n; raises BadPivots naming the first that does not (the point
+    is a weak focus of that order) and the order that stops before it."""
+    for j, q in enumerate(quantities, 1):
+        value = q.constant_part() if isinstance(q, Jet) else q
+        if value:
+            hint = f"use order {j - 1}" if j > 1 else "expand at a center"
+            raise BadPivots(
+                f"L{j} = {value} at the expansion point, a weak focus of order {j}: {hint}"
+            )
     jac = jacobian_rank(quantities, small)
     l = 0
     values = []

@@ -67,7 +67,9 @@ class TruncationTooLow(HopfcmError):
 
 
 class BadPivots(HopfcmError):
-    """The chosen pivot parameters do not make the leading linear parts invertible."""
+    """The chosen pivot parameters do not make the leading linear parts
+    invertible, or a quantity of a cyclicity bound does not vanish at the
+    expansion point."""
 
 
 class StiffnessFailure(HopfcmError):

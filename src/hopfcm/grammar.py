@@ -4,8 +4,9 @@ Accepted: integers, parameter identifiers, ``+ - * / ^`` with nonnegative
 integer exponents, parentheses, and ``sqrt(...)`` of a float.  One
 evaluator, ``evaluate``, runs a parsed string in any number type: the
 caller supplies the parameter values and the conversion of integer
-literals.  ``eval_exact`` uses it for the exact fraction field over the
-parameters, ``eval_float`` for machine floats at a full assignment.
+literals.  A system document runs it at its bound values, in Fractions,
+jets or floats (``polysys.parse_system``); ``eval_exact`` runs it in the
+exact fraction field over the parameters.
 """
 
 from __future__ import annotations
@@ -177,17 +178,11 @@ def evaluate(node, scope, literal):
             raise SchemaError("sqrt of a negative value in coefficient")
         return math.sqrt(args[0])
     if kind == "div" and not args[1]:
-        raise SchemaError("division by zero in coefficient expression")
+        raise SchemaError("division by zero in coefficient expression (a pole)")
     return _OPERATORS[kind](*args)
 
 
 def eval_exact(node, params) -> ParamExpr | Fraction:
-    """``node`` in the exact fraction field over ``params``; a Fraction when
-    ``params`` is empty."""
-    scope = {p: ParamExpr.var(params, p) for p in params}
-    return evaluate(node, scope, lambda q: ParamExpr.const(params, q) if params else q)
-
-
-def eval_float(node, values) -> float:
-    """``node`` as a float at a full parameter assignment."""
-    return evaluate(node, {k: float(v) for k, v in values.items()}, float)
+    """``node`` in the exact fraction field over ``params``; a Fraction
+    where it names no parameter."""
+    return evaluate(node, {p: ParamExpr.var(params, p) for p in params}, Fraction)

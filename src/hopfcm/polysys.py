@@ -1,10 +1,12 @@
 """Polynomial vector fields on three-dimensional state space.
 
 Evaluation, Jacobians, characteristic cubics and the Hopf eigenvalue test,
-and affine/linear changes of coordinates with time rescaling.  Coefficients
-are either exact field elements (``ParamExpr``/``Fraction``/``Jet``) or
-machine floats; the algorithms are generic over the scalar type, which the
-coefficients declare themselves (``VectorField3.zero``).
+affine/linear changes of coordinates with time rescaling, and the binding
+of parameter values: a field is built once, by evaluating its coefficient
+formulas at the values (``bind``; ``parse_system`` for documents).
+Coefficients are either exact field elements (``ParamExpr``/``Fraction``/
+``Jet``) or machine floats; the algorithms are generic over the scalar
+type, which the coefficients declare themselves (``VectorField3.zero``).
 """
 
 from __future__ import annotations
@@ -17,12 +19,7 @@ from functools import cached_property
 from operator import add
 from typing import Optional
 
-from .errors import (
-    HopfcmError,
-    PoleAtPoint,
-    SchemaError,
-    SingularTransform,
-)
+from .errors import DivisionByZero, HopfcmError, PoleAtPoint, SchemaError, SingularTransform
 from . import grammar
 from .paramfield import FLOAT_TOL, Jet, ParamExpr, binary_power
 
@@ -200,40 +197,11 @@ class VectorField3:
             for i in range(3)
         ]
 
-    def substitute_params(self, mapping):
-        """Bind some or all parameters by evaluating every coefficient once.
-
-        A value is a Jet, a ParamExpr, or anything ``Fraction`` accepts.  The
-        result's parameter ring is that of any ParamExpr value, and otherwise
-        the parameters left out of ``mapping``, in their order; those stay
-        free as variables of the ring.  A fully bound field has Fraction (or
-        Jet) coefficients.  Raises SchemaError on a name that is not a
-        parameter of the field, and PoleAtPoint where a coefficient's
-        denominator vanishes.
-        """
-        self._check_known(mapping)
-        free = tuple(p for p in self.params if p not in mapping)
-        ring = next((v.params for v in mapping.values() if isinstance(v, ParamExpr)), free)
-        scope = {p: ParamExpr.var(ring, p) for p in free}
-        for p, v in mapping.items():
-            scope[p] = v if isinstance(v, (ParamExpr, Jet)) else Fraction(v)
-        # a partially bound field holds its constant coefficients as Fractions
-        comps = tuple(
-            c.map_coeffs(lambda q: q.evaluate(scope) if isinstance(q, ParamExpr) else q)
-            for c in self.components
-        )
-        return VectorField3(comps, params=ring)
-
-    def _check_known(self, names):
-        unknown = set(names) - set(self.params)
-        if unknown:
-            raise SchemaError(f"unknown parameter(s) {sorted(unknown)}")
-
     def to_float(self):
         """The float field of a bound field, every coefficient through ``float``.
 
-        Raises HopfcmError naming the free parameters; bind them first with
-        ``substitute_params``.
+        Raises HopfcmError naming the free parameters; bind them first
+        (``bind``).
         """
         if self.params:
             raise HopfcmError(
@@ -403,16 +371,70 @@ def transform(fld: VectorField3, shift, linear, time_scale) -> VectorField3:
 
 
 # ---------------------------------------------------------------------------
+# binding parameter values
+
+
+def bind(params, values, rows) -> VectorField3:
+    """The field whose coefficient rows ``rows`` computes at ``values``.
+
+    ``rows`` takes one value per name of ``params``, in order, in any
+    number type.  ``values`` maps names to values, or is a function that
+    makes that map from ``params``.  A value is a Jet, a ParamExpr, or
+    anything ``Fraction`` accepts; a parameter left out is a variable of the
+    result's ring: the ring of any ParamExpr value, else the parameters left
+    out, in order.  Raises SchemaError on a name not in ``params`` or on a
+    parameter left out beside a Jet value (jets have no parameter ring), and
+    PoleAtPoint where a coefficient divides by zero.
+    """
+    if callable(values):
+        values = values(params)
+    unknown = set(values) - set(params)
+    if unknown:
+        raise SchemaError(f"unknown parameter(s) {sorted(unknown)}")
+    free = tuple(p for p in params if p not in values)
+    if free and any(isinstance(v, Jet) for v in values.values()):
+        raise SchemaError(f"parameter(s) {list(free)} have no value")
+    ring = next((v.params for v in values.values() if isinstance(v, ParamExpr)), free)
+    scope = {p: ParamExpr.var(ring, p) for p in free}
+    for p, v in values.items():
+        scope[p] = v if isinstance(v, (ParamExpr, Jet)) else Fraction(v)
+    try:
+        coefficient_rows = rows(*(scope[p] for p in params))
+    except (ZeroDivisionError, DivisionByZero) as exc:
+        point = ", ".join(f"{p} = {v}" for p, v in values.items())
+        raise PoleAtPoint(f"a coefficient has a pole at {point}") from exc
+    # an integer literal of ``rows`` becomes a Fraction like every other number
+    comps = tuple(
+        StatePoly({e: Fraction(c) if type(c) is int else c for e, c in row.items()})
+        for row in coefficient_rows
+    )
+    return VectorField3(comps, params=ring)
+
+
+def refuse_jets(values):
+    """Raise HopfcmError on values given as a function of the parameters
+    (``cyclicity.jet_system`` gives its jets so) or on a jet among them: a
+    float system binds numbers only."""
+    if callable(values) or any(isinstance(v, Jet) for v in values.values()):
+        raise HopfcmError("jet expansions need an exact-backend system")
+
+
+# ---------------------------------------------------------------------------
 # system-definition documents
 
 
-def parse_system(document) -> VectorField3:
-    """Build a field from a JSON document or dict (see the schema in README).
+def parse_system(document, values=None) -> VectorField3:
+    """Build a field from a JSON document or dict (see the schema in README),
+    with the document's parameter values and ``values``, which binds only
+    those it leaves null, bound through ``bind``.
 
     Schema: {"backend": "exact"|"float", "params": {name: value-or-null},
     "state_vars": [s1, s2, s3], "equations": [[{"exp": [i,j,k],
-    "coeff": "<grammar string>"}...] x3]}.
+    "coeff": "<grammar string>"}...] x3]}.  A coefficient is evaluated as
+    written, so one that divides by zero at the bound values is a
+    SchemaError, even where it cancels (0/0).
     """
+    values = values or {}
     if isinstance(document, str):
         try:
             document = json.loads(document)
@@ -434,26 +456,38 @@ def parse_system(document) -> VectorField3:
         raise SchemaError("equations must list exactly three components")
     if any(not eq for eq in equations):
         raise SchemaError("empty equations array")
-
-    param_names = tuple(sorted(params_doc))
     if backend == "float":
+        refuse_jets(values)
+        if values:
+            raise SchemaError(f"unknown parameter(s) {sorted(values)}")
         missing = [k for k, v in params_doc.items() if v is None]
         if missing:
             raise SchemaError(f"float backend requires values for {missing}")
-        values = {k: float(_parse_value(v)) for k, v in params_doc.items()}
-    else:
-        for k, v in params_doc.items():
-            if isinstance(v, float):
-                exact = f'"{Fraction(repr(v))}"' if math.isfinite(v) else "a string p/q"
-                raise SchemaError(
-                    f"exact-backend parameter {k} = {v!r} is a JSON float, which would "
-                    f"bind its binary value; write {exact}"
-                )
-        values = {
-            k: _parse_value(v) for k, v in params_doc.items() if v is not None
-        }
+        scope = {k: float(_parse_value(v)) for k, v in params_doc.items()}
+        rows = _rows(equations, lambda node: grammar.evaluate(node, scope, float))
+        return VectorField3(tuple(StatePoly(row) for row in rows))
+    for k, v in params_doc.items():
+        if isinstance(v, float):
+            exact = f'"{Fraction(repr(v))}"' if math.isfinite(v) else "a string p/q"
+            raise SchemaError(
+                f"exact-backend parameter {k} = {v!r} is a JSON float, which would "
+                f"bind its binary value; write {exact}"
+            )
+    fixed = {k: Fraction(_parse_value(v)) for k, v in params_doc.items() if v is not None}
+    free = tuple(sorted(k for k, v in params_doc.items() if v is None))
 
-    comps = []
+    def rows(*free_values):
+        scope = {**fixed, **dict(zip(free, free_values))}
+        return _rows(equations, lambda node: grammar.evaluate(node, scope, Fraction))
+
+    return bind(free, values, rows)
+
+
+def _rows(equations, evaluate):
+    """The coefficient rows of a document's equations, each coefficient
+    parsed and then evaluated by ``evaluate``; a repeated exponent sums its
+    coefficients."""
+    rows = []
     for eq in equations:
         terms = {}
         for item in eq:
@@ -466,25 +500,14 @@ def parse_system(document) -> VectorField3:
                 or any(not isinstance(e, int) or e < 0 for e in exp)
             ):
                 raise SchemaError(f"malformed monomial exponent {exp!r}")
-            node = grammar.parse_expression(item["coeff"])
-            if backend == "float":
-                coeff = grammar.eval_float(node, values)
-            else:
-                coeff = grammar.eval_exact(node, param_names)
             e = tuple(exp)
+            coeff = evaluate(grammar.parse_expression(item["coeff"]))
             if e in terms:
                 terms[e] = terms[e] + coeff
             else:
                 terms[e] = coeff
-        comps.append(StatePoly(terms))
-    params = () if backend == "float" else param_names
-    fld = VectorField3(tuple(comps), params=params)
-    if backend == "float" or not values:
-        return fld
-    try:
-        return fld.substitute_params(values)
-    except PoleAtPoint as exc:
-        raise SchemaError("parameter values hit a coefficient pole") from exc
+        rows.append(terms)
+    return rows
 
 
 def _parse_value(v):

@@ -59,7 +59,6 @@ def claim_teo1_hopf():
     is +/-(k/d)i and -d, and the point is a Hopf point.
     """
     rng = random.Random(HOPF_SEED)
-    fld = catalog.khaled_original()
     mismatches = []
     for i in range(HOPF_SAMPLES):
         b = _sample_rationals(rng, -6, 6, 4)
@@ -68,7 +67,7 @@ def claim_teo1_hopf():
         if d == 0:
             continue
         a = c if i % 2 == 0 else c + _sample_rationals(rng, 1, 4, 3)
-        bound = fld.substitute_params({"a": a, "b": b, "c": c, "d": d})
+        bound = catalog.build("khaled-original", {"a": a, "b": b, "c": c, "d": d})
         cubic = char_cubic(bound.jacobian_at((F(0), F(0), 1 / d)))
         report = hopf_test(cubic)
         disc = (1 + c * d) * (1 - b * d) - c**2 * d**2
@@ -77,7 +76,7 @@ def claim_teo1_hopf():
             mismatches.append((a, b, c, d))
     c, d, k = (ParamExpr.var(("c", "d", "k"), n) for n in "cdk")
     b = (1 + c * d - c**2 * d**2 - k**2) / (d * (1 + c * d))
-    bound = fld.substitute_params({"a": c, "b": b, "c": c, "d": d})
+    bound = catalog.build("khaled-original", {"a": c, "b": b, "c": c, "d": d})
     report = hopf_test(char_cubic(bound.jacobian_at((0, 0, 1 / d))))
     identities = {
         "gamma - alpha*beta = 0": not report.conditions["gamma_minus_alpha_beta"],
@@ -100,7 +99,7 @@ def claim_teo1_hopf():
 
 def claim_teo1_center():
     """First integral u^2 + v^2 and vanishing L_1..L_3 in symbolic d."""
-    fld = catalog.e1_center()
+    fld = catalog.build("e1-center")
     one = ParamExpr.one(("d",))
     H = StatePoly({(2, 0, 0): one, (0, 2, 0): one})
     integral_ok = verify_first_integral(fld, H)
@@ -134,7 +133,7 @@ def claim_teo1_l1():
     so on the domain (k > 0, d != 0, cd != -1) the identity gives the
     printed zero set, and for d > 0 (orientation-preserving) its sign.
     """
-    raw = report_for_field(catalog.e1_normal(), 1).quantities[0]
+    raw = report_for_field(catalog.build("e1-normal"), 1).quantities[0]
     c, d, k = (ParamExpr.var(raw.params, n) for n in "cdk")
     scale = raw * _clearing_e1(c, d, k) / (_printed_L1(c, d, k) * d**3)
     failures = [] if scale == 1 else [str(scale)]
@@ -200,7 +199,7 @@ def claim_teo1_isochronous():
     with that sign, so magnitudes carry the certification.
     """
     zero3 = tuple(ParamExpr.zero(("d",)) for _ in range(3))
-    nf = to_normal_form(catalog.e1_center(), zero3)
+    nf = to_normal_form(catalog.build("e1-center"), zero3)
     pe = isochronicity_constants(nf, 2)
     d = ParamExpr.var(("d",), "d")
     t2_ok = not pe.constants[0]
@@ -209,7 +208,7 @@ def claim_teo1_isochronous():
     odd_ok = not any(pe.odd_residuals)
     not_isochronous = not pe.is_isochronous()
 
-    fld = catalog.e1_center({"d": 1}).to_float()
+    fld = catalog.build("e1-center", {"d": 1}).to_float()
     fits = []
     for rho0 in (0.05, 0.1):
         T = simulate.measure_period(fld, rho0)
@@ -231,13 +230,14 @@ def claim_teo1_isochronous():
 # claim 6: cyclicity of the unperturbed family
 
 
-def config_bound(fld, cfg):
+def config_bound(cfg):
     """The jet quantities of a cyclicity config (the keys of a ``cyclicity
-    --mode custom`` file, defaults filled in) on ``fld`` and the bound from
-    them; the jets have degree 2 when the config has a line."""
+    --mode custom`` file, defaults filled in) and the bound from them; the
+    jets have degree 2 when the config has a line."""
     line = cfg.get("line")
     degree = cfg["degree"] if line is None else 2
-    jets = jet_focus_report(fld, cfg["point"], cfg["small"], degree, cfg["order"]).quantities
+    jets = jet_focus_report(cfg["system"], cfg["point"], cfg["small"], degree,
+                            cfg["order"]).quantities
     return jets, cyclicity_bound(jets, cfg["small"], cfg["trace"], cfg["pivots"], line)
 
 
@@ -266,7 +266,7 @@ def claim_teo4_cyclicity():
     bounds = {}
     for d0 in (F(1, 2), F(1), F(2)):
         cfg = teo4_config(d0)
-        quantities, report = config_bound(catalog.build(cfg["system"]), cfg)
+        quantities, report = config_bound(cfg)
         jac = jacobian_rank(quantities, cfg["small"])
         ranks[str(d0)] = jac.rank
         matrices[str(d0)] = [[str(x) for x in row] for row in jac.matrix]
@@ -352,8 +352,7 @@ def claim_teo5_cyclicity():
     """Rank-3 linear parts proportional to the published ones, the exact
     h_4 / h_5 behavior on the published line, and the bound 5."""
     params = TEO5_CONFIG["small"]
-    fld = catalog.build(TEO5_CONFIG["system"])
-    rep1 = jet_focus_report(fld, {}, params, 1, TEO5_LINEAR_ORDER)
+    rep1 = jet_focus_report(TEO5_CONFIG["system"], {}, params, 1, TEO5_LINEAR_ORDER)
     jac_all = jacobian_rank(rep1.quantities, params)
     jac3 = jacobian_rank(rep1.quantities[:3], params)
     names = rep1.quantities[0].ctx.names
@@ -372,7 +371,7 @@ def claim_teo5_cyclicity():
         else:
             proportional = False
 
-    quantities, bound = config_bound(fld, TEO5_CONFIG)
+    quantities, bound = config_bound(TEO5_CONFIG)
     (h4_value, _), (h5_value, h5_degree) = bound.h_on_eta
     h4_zero = h4_value == 0
     h5_ok = h5_value < 0 and h5_degree == 2
@@ -429,7 +428,7 @@ def claim_lyapunov_crosscheck():
         ok = ok and rel <= CROSSCHECK_REL_TOL and (ratio < 0) == (target < 0)
         rows.append({"rho0": rho0, "dbar": s.dbar, "ratio": ratio, "pi_L1": target, "rel": rel})
 
-    f1 = catalog.e1_normal({"c": F(1, 10), "d": 1, "k": 1}).to_float()
+    f1 = catalog.build("e1-normal", {"c": F(1, 10), "d": 1, "k": 1}).to_float()
     L1n = report_for_field(f1, 1).quantities[0]
     s1 = simulate.displacement(f1, 0.05)
     sign_ok = (s1.dbar > 0) == (L1n > 0)
@@ -462,7 +461,7 @@ FIG_SERIES_IC = (0.5, -0.75, 0.1)
 def claim_conservation(out_dir=None):
     """u^2 + v^2 conservation at tol 1e-10 over t in [0, 100], plus the
     CSV/plot-script artifacts for the reference initial conditions."""
-    fld = catalog.e1_center({"d": 1}).to_float()
+    fld = catalog.build("e1-center", {"d": 1}).to_float()
     traj = simulate.integrate(fld, FIG_SERIES_IC, (0.0, 100.0), 1e-10)
     H0 = FIG_SERIES_IC[0] ** 2 + FIG_SERIES_IC[1] ** 2
     drift = max(abs(u * u + v * v - H0) for u, v, _ in traj.states) / H0

@@ -83,10 +83,11 @@ PUBLISHED_L1_ROWS = {
 }
 
 
-def _quantities_in(fld, bound, var):
-    """L1..L3 of ``fld`` with every parameter but ``var`` bound, as sympy
-    rational functions of the symbol ``var`` (read from the printed form)."""
-    quantities = report_for_field(fld.substitute_params(bound), 3).quantities
+def _quantities_in(name, bound, var):
+    """L1..L3 of the built-in ``name`` with every parameter but ``var``
+    bound, as sympy rational functions of the symbol ``var`` (read from the
+    printed form)."""
+    quantities = report_for_field(catalog.build(name, bound), 3).quantities
     return [sympy.sympify(str(q).replace("^", "**"), locals={var.name: var}) for q in quantities]
 
 
@@ -104,8 +105,8 @@ def test_criterion_6_rank_as_stated(teo4_result):
     d0s = tuple(PUBLISHED_L1_ROWS)
     checks = {
         "e1-normal(k=1, c=0) is e1-center": (
-            catalog.e1_normal({"k": 1, "c": 0}).components
-            == catalog.e1_center().components
+            catalog.build("e1-normal", {"k": 1, "c": 0}).components
+            == catalog.build("e1-center").components
         ),
         "e1-center certified": verify.claim_teo1_center()["passed"],
         "passed iff computed = stated and bound": res["passed"] == (
@@ -116,7 +117,6 @@ def test_criterion_6_rank_as_stated(teo4_result):
     }
     k, c, d = sympy.symbols("k c d")
     published = verify._printed_L1(c, d, k) * d**3 / verify._clearing_e1(c, d, k)
-    fld = catalog.e1_normal()
     for d0 in d0s:
         jac = [[F(x) for x in row] for row in res["matrices"][str(d0)]]
         at = {k: 1, c: 0, d: sympy.Rational(d0.numerator, d0.denominator)}
@@ -130,8 +130,8 @@ def test_criterion_6_rank_as_stated(teo4_result):
         checks[f"{d0}: (k, c) minor of L1, L3"] = (
             jac[0][0] * jac[2][1] - jac[0][1] * jac[2][0] != 0
         )
-        in_k = _quantities_in(fld, {"c": 0, "d": d0}, k)
-        in_c = _quantities_in(fld, {"k": 1, "d": d0}, c)
+        in_k = _quantities_in("e1-normal", {"c": 0, "d": d0}, k)
+        in_c = _quantities_in("e1-normal", {"k": 1, "d": d0}, c)
         # the d-column is zero because the whole line is a center
         rows = [
             [F(str(sympy.diff(q, k).subs(k, 1))), F(str(sympy.diff(p, c).subs(c, 0))), 0]

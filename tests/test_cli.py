@@ -165,6 +165,8 @@ def test_cyclicity_modes(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["total"] == 5 and report["k"] == 3 and report["l"] == 2
+    assert run_cli(capsys, "cyclicity", "--mode", "teo4")[1] == run_cli(
+        capsys, "cyclicity", "--mode", "teo4", "--d0", "1")[1]
 
 
 def test_simulate_and_displacement(tmp_path, capsys):
@@ -287,6 +289,56 @@ def test_custom_cyclicity_without_a_config_is_a_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["focus", "--system", "e1-normal", "--order", "1", "--small", "k",
+          "--params", "c=0,d=1,k=1"], "--small needs --jet-degree"),
+        (["cyclicity", "--mode", "teo4", "--config", "config.json"],
+         "--config needs --mode custom"),
+        (["cyclicity", "--mode", "teo5", "--config", "config.json"],
+         "--config needs --mode custom"),
+        (["cyclicity", "--mode", "teo5", "--d0", "2"], "--d0 needs --mode teo4"),
+        (["cyclicity", "--mode", "custom", "--config", "config.json", "--d0", "2"],
+         "--d0 needs --mode teo4"),
+    ],
+    ids=["focus-small", "teo4-config", "teo5-config", "teo5-d0", "custom-d0"],
+)
+def test_an_option_the_mode_ignores_is_a_usage_error(capsys, argv, message):
+    """The options are refused before anything is read or computed."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 1 and out == ""
+    assert err.splitlines()[-1] == f"error: {message}"
+
+
+_ALL_SMALL = {"system": "e1-center-perturbed", "small": list(PERTURBATION_PARAMS), "order": 9}
+
+
+def test_a_bound_needs_a_center_to_the_order_it_uses(tmp_path, capsys):
+    """At a200 = 1/3 the point is a weak focus of order 2 (L1 = 0,
+    L2 = 17/720), so a bound from L1..L9 there is refused; at a110 = 1/3,
+    b200 = -1/3, a center of the family whose first integral is u^2 + v^2,
+    each of L1..L9 adds one to the rank."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**_ALL_SMALL, "point": {"a200": "1/3"}}))
+    code, out, err = run_cli(capsys, "cyclicity", "--mode", "custom", "--config", str(path))
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "BadPivots",
+        "message": "L2 = 17/720 at the expansion point, a weak focus of order 2: use order 1",
+    }
+    path.write_text(json.dumps({**_ALL_SMALL, "order": 1, "point": {"a200": "1/3"}}))
+    code, out, _ = run_cli(capsys, "cyclicity", "--mode", "custom", "--config", str(path))
+    assert code == 0 and json.loads(out)["k"] == 1
+    path.write_text(json.dumps({**_ALL_SMALL, "point": {"a110": "1/3", "b200": "-1/3"}}))
+    code, out, _ = run_cli(capsys, "cyclicity", "--mode", "custom", "--config", str(path))
+    assert code == 0
+    report = json.loads(out)
+    assert (report["k"], report["total"]) == (9, 9)
+
+
+@pytest.mark.parametrize(
     "config,mode",
     [
         ({**RANK_CONFIG, "trace": True}, ["teo4", "--d0", "1"]),
@@ -370,15 +422,23 @@ def test_focus_reports_the_number_type_of_a_document(tmp_path, capsys, backend):
 
 
 def test_jets_of_a_float_document_are_refused(tmp_path, capsys):
+    """Also where no jet value would be given (a document whose parameters
+    all have values), and likewise for a float built-in."""
     path = tmp_path / "center.json"
     path.write_text(json.dumps(_center_document("float", "1")))
-    code, out, err = run_cli(capsys, "focus", "--system", str(path), "--order", "1",
-                             "--jet-degree", "1", "--small", "d", "--params", "d=1")
-    assert code == 2 and out == ""
-    assert json.loads(err) == {
-        "error": "HopfcmError",
-        "message": "jet expansions need an exact-backend system",
-    }
+    for system, options in [
+        (str(path), ("--small", "d", "--params", "d=1")),
+        (str(path), ()),
+        ("e4-normal", ("--params", "c=1/4,h=2")),
+        ("e4-normal", ("--small", "c", "--params", "h=2")),
+    ]:
+        code, out, err = run_cli(capsys, "focus", "--system", system, "--order", "1",
+                                 "--jet-degree", "1", *options)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {
+            "error": "HopfcmError",
+            "message": "jet expansions need an exact-backend system",
+        }
 
 
 def test_decimal_params_parse_exactly(capsys):
@@ -499,6 +559,17 @@ def test_file_system_binds_params_like_a_builtin(tmp_path, capsys):
     path = tmp_path / "center.json"
     path.write_text(json.dumps(_center_document("exact", None)))
     argv = ("period", "--order", "2", "--params", "d=2", "--system")
+    code, out, _ = run_cli(capsys, *argv, str(path))
+    assert code == 0
+    assert out == run_cli(capsys, *argv, "e1-center")[1].replace(
+        '"e1-center"', json.dumps(str(path))
+    )
+
+
+def test_file_system_expands_in_jets_like_a_builtin(tmp_path, capsys):
+    path = tmp_path / "center.json"
+    path.write_text(json.dumps(_center_document("exact", None)))
+    argv = ("focus", "--order", "2", "--jet-degree", "2", "--params", "d=1/2", "--system")
     code, out, _ = run_cli(capsys, *argv, str(path))
     assert code == 0
     assert out == run_cli(capsys, *argv, "e1-center")[1].replace(

@@ -8,12 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfcm.catalog import (
-    PERTURBATION_PARAMS,
-    e1_center_perturbed,
-    e1_normal,
-    e1_normal_trace,
-)
+from hopfcm.catalog import PERTURBATION_PARAMS
 from hopfcm import cyclicity, verify
 from hopfcm.cyclicity import (
     cyclicity_bound,
@@ -84,7 +79,7 @@ def test_symbolic_and_jet_jacobians_agree():
     small = ("k", "c", "d")
     for d0 in (F(1, 2), F(1), F(2), F(-3)):
         point = {"k": F(1), "c": F(0), "d": d0}
-        L1 = jet_focus_report(e1_normal(), point, small, 1, 1).quantities[0]
+        L1 = jet_focus_report("e1-normal", point, small, 1, 1).quantities[0]
         scale = d0**3 / (4 * (d0**4 + 4))
         at = {k: 1, c: 0, d: sympy.Rational(d0.numerator, d0.denominator)}
         want = [F(str(sympy.diff(printed, p).subs(at))) * scale for p in (k, c, d)]
@@ -104,9 +99,7 @@ def test_center_line_jacobian_rank_is_two(d0):
     across it), so the rank is exactly two; the acceptance test of
     criterion 6 refutes the stated rank 3 and certifies this rank without
     the jet code."""
-    rep = jet_focus_report(
-        e1_normal(), {"k": 1, "c": 0, "d": d0}, ("k", "c", "d"), 1, 3
-    )
+    rep = jet_focus_report("e1-normal", {"k": 1, "c": 0, "d": d0}, ("k", "c", "d"), 1, 3)
     jac = jacobian_rank(rep.quantities, ("k", "c", "d"))
     assert jac.rank == 2
     assert all(row[2] == 0 for row in jac.matrix)
@@ -118,16 +111,28 @@ def test_trace_bound_reaches_three():
     which the teo4 config runs, with the declared trace."""
     small = ("k", "c", "d")
     reports = [
-        cyclicity_bound(jet_focus_report(fld, point, small, 1, 3).quantities, small, True)
-        for fld, point in (
-            (e1_normal_trace(), {"k": 1, "c": 0, "d": 1, "sigma": 0}),
-            (e1_normal(), {"k": 1, "c": 0, "d": 1}),
+        cyclicity_bound(jet_focus_report(name, point, small, 1, 3).quantities, small, True)
+        for name, point in (
+            ("e1-normal-trace", {"k": 1, "c": 0, "d": 1, "sigma": 0}),
+            ("e1-normal", {"k": 1, "c": 0, "d": 1}),
         )
     ]
     report = reports[0]
     assert report.total == 3
     assert report.trace_bonus and report.k == 2 and report.l == 0
     assert reports[1] == report
+
+
+def test_the_bound_refuses_a_quantity_that_does_not_vanish_at_the_point():
+    """Off the center line (c = 1/10) L1 is nonzero at the expansion point,
+    a focus, so no bound is counted there; on the line L1 gives k = 1."""
+    small = ("k", "c", "d")
+    point = {"k": 1, "c": F(1, 10), "d": 1}
+    quantities = jet_focus_report("e1-normal", point, small, 1, 2).quantities
+    with pytest.raises(BadPivots, match=r"^L1 = 61/5050 at the expansion point.*at a center"):
+        cyclicity_bound(quantities, small)
+    on_line = jet_focus_report("e1-normal", {"k": 1, "c": 0, "d": 1}, small, 1, 1).quantities
+    assert cyclicity_bound(on_line, small).k == 1
 
 
 def test_the_teo4_claim_builds_each_jet_set_once(monkeypatch):
@@ -149,7 +154,7 @@ def test_the_teo4_claim_builds_each_jet_set_once(monkeypatch):
 
 @pytest.fixture(scope="module")
 def perturbed_jets():
-    return jet_focus_report(e1_center_perturbed(), {}, PERTURBATION_PARAMS, 2, 5)
+    return jet_focus_report("e1-center-perturbed", {}, PERTURBATION_PARAMS, 2, 5)
 
 
 def test_reduced_quantities_have_zero_linear_parts(perturbed_jets):
@@ -214,7 +219,7 @@ def test_series_forms_match_the_linear_substitution_route(perturbed_jets):
 
 @pytest.fixture(scope="module")
 def perturbed_jets_degree_3():
-    return jet_focus_report(e1_center_perturbed(), {}, PERTURBATION_PARAMS, 3, 5)
+    return jet_focus_report("e1-center-perturbed", {}, PERTURBATION_PARAMS, 3, 5)
 
 
 def test_degree_3_jets_give_the_degree_2_line_analysis(perturbed_jets, perturbed_jets_degree_3):

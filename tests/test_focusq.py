@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfcm import paramfield
-from hopfcm.catalog import e1_center, e1_normal, e4_normal, e5_normal
+from hopfcm.catalog import build, e4_normal, e5_normal
 from hopfcm.cyclicity import jet_focus_report, jet_system
 from hopfcm.errors import (
     DegenerateLambda,
@@ -71,10 +71,10 @@ DEFECT_CASES = [
     pytest.param(lambda: _complexified(
         planar_field(F(1), F(-2), F(1, 3), F(2), F(0), F(1))), 3, id="planar-fraction"),
     pytest.param(lambda: _complexified(
-        e1_normal({"c": F(1, 3), "d": F(2), "k": F(1)})), 3, id="bound-paramexpr"),
-    pytest.param(lambda: _complexified(e1_center()), 3, id="symbolic"),
+        build("e1-normal", {"c": F(1, 3), "d": F(2), "k": F(1)})), 3, id="bound-paramexpr"),
+    pytest.param(lambda: _complexified(build("e1-center")), 3, id="symbolic"),
     pytest.param(lambda: _complexified(
-        jet_system(e1_normal(), {"k": 1, "c": 0, "d": 1}, ("k", "c", "d"), 2)), 2,
+        jet_system("e1-normal", {"k": 1, "c": 0, "d": 1}, ("k", "c", "d"), 2)), 2,
         id="jet-degree-2"),
     pytest.param(lambda: _complexified(e4_normal({"c": 0.25, "h": 2.0})), 2, id="float"),
 ]
@@ -149,7 +149,7 @@ def test_the_recursion_computes_only_half_the_psi_coefficients(monkeypatch):
 
     monkeypatch.setattr(paramfield.Jet, "__mul__", counted)
     monkeypatch.setattr(paramfield.Jet, "__rmul__", counted)
-    rep = jet_focus_report(e1_normal(), {"k": 1, "c": 0, "d": 1}, ("k", "c", "d"), 2, 5)
+    rep = jet_focus_report("e1-normal", {"k": 1, "c": 0, "d": 1}, ("k", "c", "d"), 2, 5)
     assert [str(q) for q in rep.quantities] == JET_L1_TO_L5
     assert count[0] <= 5500
 
@@ -158,25 +158,25 @@ def test_the_recursion_computes_only_half_the_psi_coefficients(monkeypatch):
 
 
 def test_center_family_first_three_quantities_vanish_symbolically():
-    rep = report_for_field(e1_center(), 3)
+    rep = report_for_field(build("e1-center"), 3)
     assert not any(rep.quantities)
 
 
 def test_center_family_first_integral():
-    fld = e1_center()
+    fld = build("e1-center")
     one = ParamExpr.one(("d",))
     H = StatePoly({(2, 0, 0): one, (0, 2, 0): one})
     assert verify_first_integral(fld, H) is True
 
 
 def test_generic_normal_form_breaks_first_integral():
-    fld = e1_normal({"c": F(1), "d": F(1), "k": F(1)})
+    fld = build("e1-normal", {"c": F(1), "d": F(1), "k": F(1)})
     H = StatePoly({(2, 0, 0): F(1), (0, 2, 0): F(1)})
     assert verify_first_integral(fld, H) is False
 
 
 def test_constant_candidate_rejected():
-    fld = e1_center()
+    fld = build("e1-center")
     with pytest.raises(NotAFirstIntegralCandidate):
         verify_first_integral(fld, StatePoly({(0, 0, 0): ParamExpr.const(("d",), 5)}))
 
@@ -184,7 +184,7 @@ def test_constant_candidate_rejected():
 def test_center_certificate_via_psi_series_normalization():
     from hopfcm.focusq import _psi_recursion
 
-    nf = to_normal_form(e1_center(), tuple(ParamExpr.zero(("d",)) for _ in range(3)))
+    nf = to_normal_form(build("e1-center"), tuple(ParamExpr.zero(("d",)) for _ in range(3)))
     _, coefficients = _psi_recursion(complexify(nf), 2)
     for (k1, k2, k3), coeff in coefficients.items():
         if k1 == k2 and k3 == 0 and k1 >= 2:
@@ -198,7 +198,7 @@ def test_complexified_center_coefficients():
     # the center family at d = 1, udot = v + vw, vdot = -u - uw,
     # wdot = -w + uv, read in the turned frame x = v + iu of its
     # orientation -1, gives X1 = i x z, X2 = -i y z, X3 = -(i/4)(x^2 - y^2)
-    nf = to_normal_form(e1_center({"d": 1}), (F(0),) * 3)
+    nf = to_normal_form(build("e1-center", {"d": 1}), (F(0),) * 3)
     assert nf.orientation == -1
     cs = complexify(nf)
     i_one = GaussExpr(F(0), F(1))
@@ -273,9 +273,9 @@ _IDENTITY = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
 @pytest.mark.parametrize(
     "build,matrix",
     [
-        (lambda: e1_normal({"c": F(1, 3), "d": F(2), "k": F(1)}), None),
-        (e1_center, None),
-        (lambda: jet_system(e1_normal(), {"k": 1, "c": 0, "d": 1}, ("k", "c", "d"), 2), None),
+        (lambda: build("e1-normal", {"c": F(1, 3), "d": F(2), "k": F(1)}), None),
+        (lambda: build("e1-center"), None),
+        (lambda: jet_system("e1-normal", {"k": 1, "c": 0, "d": 1}, ("k", "c", "d"), 2), None),
         (lambda: e4_normal({"c": 0.25, "h": 2.0}), _IDENTITY),
     ],
     ids=["e1-normal-bound", "e1-center-symbolic", "jet-degree-2", "e4-normal-float"],
@@ -304,7 +304,7 @@ def test_complexify_composes_two_polynomials(monkeypatch):
 
     monkeypatch.setattr(StatePoly, "compose", counted)
     # one field of each orientation: +1, then -1
-    for fld in (planar_field(F(1), F(-2), F(1, 3), F(2), F(0), F(1)), e1_center({"d": 1})):
+    for fld in (planar_field(F(1), F(-2), F(1, 3), F(2), F(0), F(1)), build("e1-center", {"d": 1})):
         nf = to_normal_form(fld, (F(0),) * 3)
         calls.clear()
         complexify(nf)
@@ -342,7 +342,7 @@ def _random_rational_points(count, seed, positive_d=False):
 
 
 def _computed_L1(c, d, k):
-    bound = e1_normal().substitute_params({"c": c, "d": d, "k": k})
+    bound = build("e1-normal", {"c": c, "d": d, "k": k})
     return report_for_field(bound, 1).quantities[0]
 
 
@@ -355,7 +355,7 @@ def test_first_quantity_clearing_identity_at_random_points():
 def test_all_free_quantities_match_the_bound_path(monkeypatch):
     # L1 and L2 with c, d, k free, against the fully bound Fraction path,
     # which makes no gcd call
-    fld = e1_normal()
+    fld = build("e1-normal")
     free = report_for_field(fld, 2).quantities
     assert not any(q.is_constant() for q in free)
 
@@ -365,7 +365,7 @@ def test_all_free_quantities_match_the_bound_path(monkeypatch):
     monkeypatch.setattr(paramfield, "poly_gcd", no_gcd)
     for (c, d, k) in _random_rational_points(6, seed=11):
         point = {"c": c, "d": d, "k": k}
-        bound = report_for_field(fld.substitute_params(point), 2).quantities
+        bound = report_for_field(build("e1-normal", point), 2).quantities
         assert [q.evaluate(point) for q in free] == bound
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hopfcm.errors import SchemaError
-from hopfcm.grammar import MAX_DEPTH, eval_exact, eval_float, parse_expression
+from hopfcm.grammar import MAX_DEPTH, eval_exact, evaluate, parse_expression
 from hopfcm.paramfield import ParamExpr
 
 
@@ -32,7 +32,7 @@ def test_sqrt_rejected_under_exact_backend():
 
 def test_sqrt_allowed_under_float_backend():
     node = parse_expression("sqrt(2)*sqrt(c)/h")
-    val = eval_float(node, {"c": 0.25, "h": 2.0})
+    val = evaluate(node, {"c": 0.25, "h": 2.0}, float)
     assert val == pytest.approx(2**0.5 * 0.5 / 2.0)
 
 
@@ -50,7 +50,7 @@ def test_negative_exponent_rejected():
 def test_float_division_by_zero():
     node = parse_expression("1/(c - c)")
     with pytest.raises(SchemaError):
-        eval_float(node, {"c": 3.0})
+        evaluate(node, {"c": 3.0}, float)
 
 
 def test_integer_literals_are_exact():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hopfcm.catalog import e1_normal, e1_shifted, e4m, e4_normal, khaled_original
+from hopfcm.catalog import build, e4m, e4_normal
 from hopfcm.errors import BadTransform, NotHopf, SingularTransform
 from hopfcm.focusq import complexify, focus_quantities
 from hopfcm.normalform import roundtrip_defect, to_normal_form
@@ -34,7 +34,7 @@ def _eigen_matrix():
 
 
 def test_already_normal_system_validates_with_identity():
-    nf = to_normal_form(e1_normal(), _zero3())
+    nf = to_normal_form(build("e1-normal"), _zero3())
     d, k = ParamExpr.var(P, "d"), ParamExpr.var(P, "k")
     assert nf.lam == -(d**2) / k
     assert nf.orientation == -1
@@ -45,30 +45,30 @@ def test_already_normal_system_validates_with_identity():
 def test_shifted_system_reduces_to_printed_normal_form():
     d, k = ParamExpr.var(P, "d"), ParamExpr.var(P, "k")
     nf = to_normal_form(
-        e1_shifted(), _zero3(), matrix=_eigen_matrix(), time_scale=k / d
+        build("e1-shifted"), _zero3(), matrix=_eigen_matrix(), time_scale=k / d
     )
-    ref = e1_normal()
+    ref = build("e1-normal")
     for got, want in zip(nf.field.components, ref.components):
         assert not got - want
-    assert roundtrip_defect(nf, e1_shifted()) == 0
+    assert roundtrip_defect(nf, build("e1-shifted")) == 0
 
 
 def test_clockwise_normal_form_keeps_its_frame():
-    nf = to_normal_form(e1_normal(), _zero3())
+    nf = to_normal_form(build("e1-normal"), _zero3())
     assert nf.orientation == -1
     # clockwise frame as reduced, u and v not swapped: udot = v + nonlinear
     lin = nf.field.jacobian_at(_zero3())
     assert lin[0][1] == 1 and lin[1][0] == -1
-    assert roundtrip_defect(nf, e1_normal()) == 0
+    assert roundtrip_defect(nf, build("e1-normal")) == 0
 
 
 def test_nonconstant_rotation_requires_explicit_time_scale():
     with pytest.raises(BadTransform):
-        to_normal_form(e1_shifted(), _zero3(), matrix=_eigen_matrix())
+        to_normal_form(build("e1-shifted"), _zero3(), matrix=_eigen_matrix())
 
 
 def test_zero_time_scale_rejected():
-    exact, numeric = e1_normal(), e4_normal({"c": 0.25, "h": 2.0})
+    exact, numeric = build("e1-normal"), e4_normal({"c": 0.25, "h": 2.0})
     for fld, point in ((exact, _zero3()), (numeric, (0.0, 0.0, 0.0))):
         with pytest.raises(SingularTransform):
             to_normal_form(fld, point, time_scale=point[0] * 0)
@@ -111,19 +111,19 @@ def test_float_prebuilt_normal_form_orientation():
 
 
 def test_not_an_equilibrium_rejected():
-    fld = khaled_original({"a": 1, "b": 0, "c": 1, "d": 1})
+    fld = build("khaled-original", {"a": 1, "b": 0, "c": 1, "d": 1})
     with pytest.raises(NotHopf):
         to_normal_form(fld, (F(1), F(1), F(1)))
 
 
 def test_non_hopf_equilibrium_rejected():
-    fld = khaled_original({"a": 2, "b": 0, "c": 1, "d": 1})
+    fld = build("khaled-original", {"a": 2, "b": 0, "c": 1, "d": 1})
     with pytest.raises(NotHopf):
         to_normal_form(fld, (F(0), F(0), F(1)))
 
 
 def test_bad_matrix_rejected():
-    fld = e1_normal({"c": 0, "d": 1, "k": 1})
+    fld = build("e1-normal", {"c": 0, "d": 1, "k": 1})
     bad = [
         [F(1), F(1), F(0)],
         [F(0), F(1), F(0)],
@@ -162,7 +162,7 @@ def _plane_vector(nf):
 
 @pytest.mark.parametrize(
     "fld",
-    [e4_normal({"c": 0.25, "h": 2.0}), e1_normal({"c": "1/10", "d": 1, "k": 1}).to_float()],
+    [e4_normal({"c": 0.25, "h": 2.0}), build("e1-normal", {"c": "1/10", "d": 1, "k": 1}).to_float()],
     ids=["e4-normal", "e1-normal"],
 )
 def test_float_eigenbasis_of_moved_fields(fld):

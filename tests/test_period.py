@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from hopfcm.catalog import e1_center, e1_normal, e4_normal, e5_normal
+from hopfcm.catalog import build, e4_normal, e5_normal
 from hopfcm.errors import FocusObstruction
 from hopfcm.focusq import report_for_field
 from hopfcm.normalform import to_normal_form
@@ -24,8 +24,8 @@ F = Fraction
 def _center_nf(dval=None):
     if dval is None:
         zero = ParamExpr.zero(("d",))
-        return to_normal_form(e1_center(), (zero, zero, zero))
-    return to_normal_form(e1_center({"d": dval}), (F(0),) * 3)
+        return to_normal_form(build("e1-center"), (zero, zero, zero))
+    return to_normal_form(build("e1-center", {"d": dval}), (F(0),) * 3)
 
 
 def test_radial_forcing_vanishes_on_conserved_family():
@@ -118,7 +118,7 @@ def test_odd_period_coefficients_vanish_through_order_five():
 
 
 def test_float_backend_matches_exact_constants():
-    fld = e1_center({"d": 1}).to_float()
+    fld = build("e1-center", {"d": 1}).to_float()
     nf = to_normal_form(fld, (0.0, 0.0, 0.0))
     pe = isochronicity_constants(nf, 2)
     assert isinstance(pe.constants[1], float)
@@ -171,7 +171,7 @@ def _table_at(table, rho, theta, omega):
     "nf",
     [
         to_normal_form(e4_normal({"c": 0.25, "h": 2.0}), (0.0, 0.0, 0.0)),
-        to_normal_form(e1_normal({"c": F(1, 3), "d": F(1, 2), "k": F(2)}), (F(0),) * 3),
+        to_normal_form(build("e1-normal", {"c": F(1, 3), "d": F(1, 2), "k": F(2)}), (F(0),) * 3),
     ],
     ids=["e4-normal", "e1-normal-bound"],
 )

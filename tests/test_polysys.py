@@ -6,12 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfcm.catalog import (
-    e1_normal,
-    e1_shifted,
-    equilibria_catalog,
-    khaled_original,
-)
+from hopfcm.catalog import build, equilibria_catalog
 from hopfcm.errors import SchemaError, SingularTransform
 from hopfcm.paramfield import ParamExpr
 from hopfcm.polysys import (
@@ -30,12 +25,12 @@ F = Fraction
 
 
 def test_khaled_vanishes_at_first_equilibrium():
-    fld = khaled_original({"a": 1, "b": 0, "c": 1, "d": 1})
+    fld = build("khaled-original", {"a": 1, "b": 0, "c": 1, "d": 1})
     assert fld.evaluate((F(0), F(0), F(1))) == (0, 0, 0)
 
 
 def test_khaled_hand_substitution():
-    fld = khaled_original({"a": 1, "b": 0, "c": 1, "d": 1})
+    fld = build("khaled-original", {"a": 1, "b": 0, "c": 1, "d": 1})
     assert fld.evaluate((F(1), F(1), F(1))) == (1, 0, 1)
 
 
@@ -45,7 +40,7 @@ def test_zero_field_evaluates_to_zero():
 
 
 def test_equilibrium_symbolic_over_parameters():
-    fld = khaled_original()
+    fld = build("khaled-original")
     P = fld.params
     zero = ParamExpr.zero(P)
     d = ParamExpr.var(P, "d")
@@ -57,7 +52,7 @@ def test_equilibrium_symbolic_over_parameters():
 
 
 def test_jacobian_entries_at_first_equilibrium():
-    fld = khaled_original()
+    fld = build("khaled-original")
     P = fld.params
     zero = ParamExpr.zero(P)
     a, d = ParamExpr.var(P, "a"), ParamExpr.var(P, "d")
@@ -80,7 +75,7 @@ def test_jacobian_of_linear_field_is_coefficient_matrix():
 
 
 def test_char_cubic_alpha_at_first_equilibrium():
-    fld = khaled_original()
+    fld = build("khaled-original")
     P = fld.params
     zero = ParamExpr.zero(P)
     a, c, d = (ParamExpr.var(P, n) for n in ("a", "c", "d"))
@@ -109,7 +104,7 @@ def test_char_cubic_annihilates_eigenvalues():
 
 
 def _e1_cubic(a, b, c, d):
-    fld = khaled_original({"a": a, "b": b, "c": c, "d": d})
+    fld = build("khaled-original", {"a": a, "b": b, "c": c, "d": d})
     inv_d = 1 / F(d)
     return char_cubic(fld.jacobian_at((F(0), F(0), inv_d)))
 
@@ -164,7 +159,7 @@ def test_catalog_equilibria_match_spec_point():
 
 def test_catalog_equilibria_are_roots():
     vals = {"a": 1.0, "b": 0.5, "c": 0.7, "d": 0.9}
-    fld = khaled_original().substitute_params(vals).to_float()
+    fld = build("khaled-original", vals).to_float()
     for lab, p in equilibria_catalog(vals):
         res = max(abs(v) for v in fld.evaluate(tuple(float(x) for x in p)))
         assert res < 1e-10, lab
@@ -186,7 +181,7 @@ def _eigen_matrix(P):
 
 
 def test_translation_of_equilibrium_gives_shifted_system():
-    fld = khaled_original()
+    fld = build("khaled-original")
     P4 = fld.params
     zero4 = ParamExpr.zero(P4)
     one4 = ParamExpr.one(P4)
@@ -204,11 +199,11 @@ def test_equilibrium_translation_reproduces_shifted_catalog_entry():
     P3 = ("c", "d", "k")
     c, d, k = (ParamExpr.var(P3, n) for n in P3)
     b_expr = (1 + c * d - c**2 * d**2 - k**2) / (d * (1 + c * d))
-    bound = khaled_original().substitute_params({"a": c, "b": b_expr})
+    bound = build("khaled-original", {"a": c, "b": b_expr})
     zero, one = ParamExpr.zero(P3), ParamExpr.one(P3)
     ident = [[one, zero, zero], [zero, one, zero], [zero, zero, one]]
     shifted = transform(bound, (zero, zero, 1 / d), ident, one)
-    for got, want in zip(shifted.components, e1_shifted().components):
+    for got, want in zip(shifted.components, build("e1-shifted").components):
         assert not got - want
 
 
@@ -216,14 +211,14 @@ def test_normal_form_transform_matches_catalog_exactly():
     P = ("c", "d", "k")
     zero = ParamExpr.zero(P)
     k, d = ParamExpr.var(P, "k"), ParamExpr.var(P, "d")
-    g = transform(e1_shifted(), (zero, zero, zero), _eigen_matrix(P), k / d)
-    ref = e1_normal()
+    g = transform(build("e1-shifted"), (zero, zero, zero), _eigen_matrix(P), k / d)
+    ref = build("e1-normal")
     for got, want in zip(g.components, ref.components):
         assert not got - want
 
 
 def test_identity_transform_is_identity():
-    fld = khaled_original()
+    fld = build("khaled-original")
     P = fld.params
     zero, one = ParamExpr.zero(P), ParamExpr.one(P)
     ident = [[one, zero, zero], [zero, one, zero], [zero, zero, one]]
@@ -233,7 +228,7 @@ def test_identity_transform_is_identity():
 
 
 def test_singular_matrix_rejected():
-    fld = khaled_original()
+    fld = build("khaled-original")
     P = fld.params
     zero, one = ParamExpr.zero(P), ParamExpr.one(P)
     bad = [[one, one, zero], [one, one, zero], [zero, zero, one]]
@@ -243,7 +238,7 @@ def test_singular_matrix_rejected():
 
 def test_transform_preserves_equilibria():
     vals = {"a": 1.0, "b": 0.5, "c": 0.7, "d": 0.9}
-    fld = khaled_original().substitute_params(vals).to_float()
+    fld = build("khaled-original", vals).to_float()
     m = [[1.0, 0.2, 0.0], [0.0, 1.0, -0.3], [0.1, 0.0, 1.0]]
     shift = (0.05, -0.1, 0.2)
     g = transform(fld, shift, m, 2.0)
@@ -287,14 +282,14 @@ def _khaled_doc(backend="exact", params=None):
 
 def test_parse_system_matches_builtin():
     fld = parse_system(_khaled_doc())
-    ref = khaled_original()
+    ref = build("khaled-original")
     # same parameter set up to ordering; compare after aligning rings
     assert set(fld.params) == set(ref.params)
     vals = {"a": F(2), "b": F(-1), "c": F(1, 3), "d": F(5)}
     pt = (F(1), F(2), F(3))
-    got = tuple(v.evaluate(vals) if hasattr(v, "evaluate") else v for v in fld.substitute_params(vals).evaluate(pt))
-    want = tuple(v for v in ref.substitute_params(vals).evaluate(pt))
-    assert got == want
+    got = parse_system(_khaled_doc(), vals).evaluate(pt)
+    assert got == build("khaled-original", vals).evaluate(pt)
+    assert got == tuple(v.evaluate(vals) for v in fld.evaluate(pt))
 
 
 def test_parse_system_empty_equations_rejected():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from hopfcm import simulate
-from hopfcm.catalog import e1_center, e1_normal, e4_normal
+from hopfcm.catalog import build, e4_normal
 from hopfcm.errors import HopfcmError, NoReturn, StiffnessFailure
 from hopfcm.focusq import report_for_field
 from hopfcm.polysys import StatePoly, VectorField3
@@ -29,7 +29,7 @@ from hopfcm.simulate import (
 
 @pytest.fixture(scope="module")
 def center_field():
-    return e1_center({"d": 1}).to_float()
+    return build("e1-center", {"d": 1}).to_float()
 
 
 def test_energy_conservation(center_field):
@@ -86,7 +86,7 @@ def test_period_measurement_matches_expansion(center_field):
 
 def test_period_fit_matches_quartic_constant_at_d2():
     # the quartic period constant is d^4/(8(d^4+4)) = 1/10 at d = 2
-    fld = e1_center({"d": 2}).to_float()
+    fld = build("e1-center", {"d": 2}).to_float()
     for rho0 in (0.05, 0.1):
         T = measure_period(fld, rho0)
         fit = (T / (2 * math.pi) - 1) / rho0**4
@@ -305,7 +305,7 @@ def test_first_return_goes_on_past_an_early_crossing():
 
 
 def test_sign_match_on_unstable_normal_family():
-    fld = e1_normal({"c": "1/10", "d": 1, "k": 1}).to_float()
+    fld = build("e1-normal", {"c": "1/10", "d": 1, "k": 1}).to_float()
     L1 = report_for_field(fld, 1).quantities[0]
     s = displacement(fld, 0.05)
     assert (s.dbar > 0) == (L1 > 0)
