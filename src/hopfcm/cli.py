@@ -10,6 +10,7 @@ cannot be written).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -345,7 +346,10 @@ def _cmd_verify(args):
     return 0 if result["passed"] else DOMAIN_EXIT
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and kept for the later
+    ones (parsing leaves no state in it)."""
     p = _Parser(prog="hopfcm", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -13,10 +13,10 @@ solved for its fixed point omega0 (secant iteration, which handles both
 signs of the transverse eigenvalue), then dbar(rho0) is the radial change of
 the first return from (rho0, 0, rho0*omega0).
 
-The kernel is generic over the number type: trajectories and section
-returns run it on floats, and ``measure_period`` on 31-digit
-``decimal.Decimal`` numbers (C libmpdec; at least the 103 bits of 30
-decimal digits).
+The kernel is compiled once per monomial shape of the field (``taylor_plan``)
+and is generic over the number type: trajectories and section returns run
+it on floats, and ``measure_period`` on 31-digit ``decimal.Decimal``
+numbers (C libmpdec; at least the 103 bits of 30 decimal digits).
 
 Every file the package writes goes through ``write_output``: the exports
 here, the ``verify`` artifacts and the CLI's ``--out`` reports.
@@ -25,6 +25,7 @@ here, the ``verify`` artifacts and the CLI's ``--out`` reports.
 from __future__ import annotations
 
 import decimal
+import functools
 import math
 import os
 import stat
@@ -38,9 +39,10 @@ from .polysys import VectorField3
 DEFAULT_TOL = 1e-10
 DOUBLE_EPS = 1e-16
 EXTENDED_DPS = 30
-# Field evaluations (steps x order) one run may make: about 2 s of Taylor
-# steps on a 3D quadratic field, a hundred times the longest run of the
-# README and the verification claims (under 10^4).
+# Field evaluations (steps x order) one run may make: about 4 s of Taylor
+# steps on a 3D quadratic field (e1-center, shared 2-vCPU x86-64 host), a
+# hundred times the longest run of the README and the verification claims
+# (under 10^4).
 MAX_RHS_EVALS = 1_000_000
 OMEGA_TOL = 1e-10
 # The period fit settles before it counts: on e1-center at d = 1, the field
@@ -104,8 +106,8 @@ def integrate(
 
     t0, t1 = (float(t) for t in t_span)
     ts, xs = [t0], [x0]
-    plan = taylor_plan(fld.monomials, float)
-    for t, x, _, _ in _taylor_steps(plan, t0, x0, t1, tol, DOUBLE_EPS):
+    kernel = taylor_plan(fld.monomials, float)
+    for t, x, _, _ in _taylor_steps(kernel, t0, x0, t1, tol, DOUBLE_EPS):
         ts.append(t)
         xs.append(x)
         if stop_radius is not None and math.hypot(*x) > stop_radius:
@@ -128,7 +130,7 @@ def _order(tol):
     return math.ceil(-math.log(tol) / 2) + 1
 
 
-def _taylor_steps(plan, t, x, t_end, tol, eps):
+def _taylor_steps(kernel, t, x, t_end, tol, eps):
     """Taylor steps from (t, x) to t_end, forward or backward in time.
 
     Yields, per step, the state (t, x) at its end, its signed length h and
@@ -150,7 +152,7 @@ def _taylor_steps(plan, t, x, t_end, tol, eps):
                 f"integration stopped after {MAX_RHS_EVALS} field evaluations, "
                 f"at t = {float(t):.6g} on the way to {float(t_end):.6g}"
             )
-        coeffs = taylor_coefficients(plan, x, order)
+        coeffs = kernel(x, order)
         h = num(_taylor_step(coeffs))
         if not h > eps * max(1, abs(t)):
             raise StiffnessFailure(f"Taylor step collapsed at t = {float(t):.6g}")
@@ -165,14 +167,14 @@ def _taylor_steps(plan, t, x, t_end, tol, eps):
         yield t, x, h, coeffs
 
 
-def _section_crossings(plan, x, t_end, direction, eps):
+def _section_crossings(kernel, x, t_end, direction, eps):
     """Crossings of the section {v = 0} in the flow ``direction`` (the sign
     of v' there) of the orbit from (0, x) until t_end, as (t, u, w).
 
     The start itself is not a crossing, even when it lies on the section.
     """
     t0 = x[0] * 0
-    for t, x1, h, (u, v, w) in _taylor_steps(plan, t0, x, t_end, eps, eps):
+    for t, x1, h, (u, v, w) in _taylor_steps(kernel, t0, x, t_end, eps, eps):
         if direction * v[0] < 0 <= direction * x1[1]:
             s = _step_root(v, h, x1[1], eps)
             yield t0 + s, _horner(u, s), _horner(w, s)
@@ -191,10 +193,10 @@ def first_return(fld, rho0, omega0):
     A crossing before t = 0.5 or with u <= 0 is not a return: the orbit is
     followed on to a return or to t = ``RETURN_HORIZON``.
     """
-    plan = taylor_plan(fld.monomials, float)
+    kernel = taylor_plan(fld.monomials, float)
     x = [float(rho0), 0.0, float(rho0 * omega0)]
     direction = _flow_direction(fld, rho0)
-    for t, u, w in _section_crossings(plan, x, RETURN_HORIZON, direction, DOUBLE_EPS):
+    for t, u, w in _section_crossings(kernel, x, RETURN_HORIZON, direction, DOUBLE_EPS):
         if t > 0.5 and u > 0:
             return t, u, w / u
     raise NoReturn(f"no section return within t = {RETURN_HORIZON}")
@@ -214,16 +216,16 @@ def measure_period(fld: VectorField3, rho0: float) -> float:
     with decimal.localcontext() as ctx:
         ctx.prec = EXTENDED_DPS + 1
         num = decimal.Decimal
-        plan = taylor_plan(fld.monomials, num)
+        kernel = taylor_plan(fld.monomials, num)
         eps = num(10) ** -EXTENDED_DPS
-        return float(_measure_period(fld, plan, rho0, SETTLE_TIME, PERIOD_TURNS, num, eps))
+        return float(_measure_period(fld, kernel, rho0, SETTLE_TIME, PERIOD_TURNS, num, eps))
 
 
-def _measure_period(fld, plan, rho0, settle_time, turns, num, eps):
+def _measure_period(fld, kernel, rho0, settle_time, turns, num, eps):
     end = settle_time + 2.2 * math.pi * (turns + 2)
     x = [num(rho0), num(0), num(0)]
     crossings = []
-    for t, u, _ in _section_crossings(plan, x, end, _flow_direction(fld, rho0), eps):
+    for t, u, _ in _section_crossings(kernel, x, end, _flow_direction(fld, rho0), eps):
         if t > settle_time and u > 0:
             crossings.append(t)
             if len(crossings) > turns:
@@ -235,18 +237,19 @@ def _measure_period(fld, plan, rho0, settle_time, turns, num, eps):
 # Taylor kernel for polynomial fields, generic over the number type
 
 
-def _dot(a, b):
-    return sum(map(mul, a, b))
-
-
 def taylor_plan(monomials, num):
-    """Code list of a polynomial field for ``taylor_coefficients``.
+    """Compiled Taylor kernel of a polynomial field: ``kernel(x, order)``
+    returns the Taylor coefficients 0..order of the flow through x, per
+    component.
 
     ``monomials`` is ``VectorField3.monomials``.  Series 0, 1, 2 are u, v, w;
     every monomial of degree >= 2 is one more series, the product of a lower
-    monomial and one state variable, listed after its factors.  Returns the
-    products as (factor series, variable) pairs, per component its constant
-    term and its (coefficient, series) terms, all converted by ``num``.
+    monomial and one state variable, listed after its factors.  Order n of
+    every product is a Cauchy product of known orders 0..n; then
+    x_{n+1} = f_n / (n + 1) (Moore 1966; Jorba & Zou 2005).  The code
+    depends only on the field's shape (the products and the series of each
+    component's terms), so it is generated once per shape; the constants and
+    coefficients, converted by ``num``, are the arguments of its factory.
     """
     index = {(1, 0, 0): 0, (0, 1, 0): 1, (0, 0, 1): 2}
     products = []
@@ -259,34 +262,65 @@ def taylor_plan(monomials, num):
             index[e] = 2 + len(products)
         return index[e]
 
-    components = []
+    consts, coefficients, components = [], [], []
     for comp in monomials:
         const, terms = num(0), []
         for c, e in comp:
             if any(e):
-                terms.append((num(c), series(e)))
+                coefficients.append(num(c))
+                terms.append(series(e))
             else:
                 const += num(c)
-        components.append((const, terms))
-    return products, components
+        consts.append(const)
+        components.append(tuple(terms))
+    return _kernel_factory(tuple(products), tuple(components))(*consts, *coefficients)
 
 
-def taylor_coefficients(plan, x, order):
-    """Taylor coefficients 0..order of the flow through x, per component.
+def _kernel_source(products, components):
+    """Source of the kernel factory for one shape: ``products`` as
+    (factor series, variable) pairs, ``components`` as the series of each
+    component's terms.  It names series k ``sk``, the constant of component
+    i ``ki`` and the j-th coefficient ``cj``, and holds no other values than
+    these integer indices.
 
-    Order n of every product is a Cauchy product of known orders 0..n;
-    then x_{n+1} = f_n / (n + 1) (Moore 1966; Jorba & Zou 2005).
+    Each product of order n is ``sum(map(mul, left, reversed(variable)))``,
+    and each component adds its terms in order to the constant at n = 0 and
+    to ``x[0] * 0`` after, as one expression.
     """
-    products, components = plan
-    zero = x[0] * 0
-    series = [[xi] for xi in x] + [[] for _ in products]
-    for n in range(order):
-        for k, (left, axis) in enumerate(products, 3):
-            series[k].append(_dot(series[left], reversed(series[axis])))
-        for i, (const, terms) in enumerate(components):
-            f = sum([c * series[k][n] for c, k in terms], const if n == 0 else zero)
-            series[i].append(f / (n + 1))
-    return series[:3]
+    n_terms = sum(map(len, components))
+    params = ["k0", "k1", "k2"] + [f"c{j}" for j in range(n_terms)]
+    lines = [
+        f"def factory({', '.join(params)}):",
+        "    def kernel(x, order):",
+        "        zero = x[0] * 0",
+        "        s0, s1, s2 = [x[0]], [x[1]], [x[2]]",
+        *(f"        s{k} = []" for k in range(3, 3 + len(products))),
+        "        a0, a1, a2 = k0, k1, k2",
+        "        for n in range(order):",
+    ]
+    for k, (left, axis) in enumerate(products, 3):
+        lines.append(f"            s{k}.append(sum(map(mul, s{left}, reversed(s{axis}))))")
+    lines.append("            m = n + 1")
+    j = 0
+    for i, terms in enumerate(components):
+        addends = [f"a{i}"] + [f"c{j + t} * s{k}[n]" for t, k in enumerate(terms)]
+        j += len(terms)
+        lines.append(f"            s{i}.append(({' + '.join(addends)}) / m)")
+    lines += [
+        "            a0 = a1 = a2 = zero",
+        "        return [s0, s1, s2]",
+        "    return kernel",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+@functools.cache
+def _kernel_factory(products, components):
+    """The kernel factory of one shape (see ``_kernel_source``), compiled on
+    first use."""
+    namespace = {"mul": mul}
+    exec(_kernel_source(products, components), namespace)
+    return namespace["factory"]
 
 
 def _taylor_step(coeffs):

@@ -4,6 +4,8 @@ import json
 import os
 import signal
 import stat
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -509,7 +511,7 @@ def test_a_radical_family_point_without_float_coefficients_is_a_region_error(cap
 
 
 def test_huge_finite_span_stops_at_the_work_ceiling(capsys, tmp_path, monkeypatch):
-    # about 2 s: the ceiling is 10^6 field evaluations
+    # about 4 s: the ceiling is 10^6 field evaluations
     monkeypatch.chdir(tmp_path)
 
     def hang(signum, frame):
@@ -654,3 +656,33 @@ def test_conservation_artifacts_are_the_same_on_a_rerun(tmp_path, capsys):
     assert len(first) == 10
     assert run_cli(capsys, *argv)[0] == 0
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == first
+
+
+def test_usage_errors_leave_the_kept_parser_as_a_fresh_one(tmp_path, capsys):
+    # each command's first call in a fresh interpreter against the same
+    # commands in this process, after usage errors of the parser and of a
+    # subcommand's parser
+    csv = str(tmp_path / "t.csv")
+    runs = [
+        ["simulate", "--system", "e1-center", "--params", "d=1", "--x0", "0.5,-0.75,0.1",
+         "--tmax", "10", "--out", csv],
+        ["focus", "--system", "e4-normal", "--params", "c=1/4,h=2", "--order", "2"],
+        ["verify", "--claim", "teo1-center"],
+    ]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    first = []
+    for argv in runs:
+        done = subprocess.run([sys.executable, "-m", "hopfcm.cli", *argv], env=env,
+                              capture_output=True, text=True)
+        first.append((done.returncode, done.stdout, open(csv, "rb").read()))
+    for bad in (["definitely-not-a-command"], ["focus", "--system", "e1-center"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 1
+    again = []
+    for argv in runs:
+        code, out, _ = run_cli(capsys, *argv)
+        again.append((code, out, open(csv, "rb").read()))
+    assert again == first
+    assert [code for code, _, _ in first] == [0, 0, 0]
+    assert build_parser() is build_parser()

@@ -1,18 +1,20 @@
 """Numerical backend: integration accuracy, sections, displacement, export."""
 
+import contextlib
 import decimal
 import json
 import math
 import os
+from operator import mul
 
 import numpy as np
 import pytest
 
 from hopfcm import simulate
-from hopfcm.catalog import build, e4_normal
+from hopfcm.catalog import build, e4_normal, e5_normal
 from hopfcm.errors import HopfcmError, NoReturn, StiffnessFailure
 from hopfcm.focusq import report_for_field
-from hopfcm.polysys import StatePoly, VectorField3
+from hopfcm.polysys import StatePoly, VectorField3, parse_system
 from hopfcm.simulate import (
     Trajectory,
     displacement,
@@ -22,7 +24,6 @@ from hopfcm.simulate import (
     first_return,
     integrate,
     measure_period,
-    taylor_coefficients,
     taylor_plan,
 )
 
@@ -117,12 +118,17 @@ def test_focus_displacement_far_from_the_crosscheck_point(c, h, monkeypatch):
     L1 = report_for_field(fld, 1).quantities[0]
     evals = 0
 
-    def counted(plan, x, order):
-        nonlocal evals
-        evals += order
-        return taylor_coefficients(plan, x, order)
+    def counted_plan(monomials, num):
+        kernel = taylor_plan(monomials, num)
 
-    monkeypatch.setattr(simulate, "taylor_coefficients", counted)
+        def counted(x, order):
+            nonlocal evals
+            evals += order
+            return kernel(x, order)
+
+        return counted
+
+    monkeypatch.setattr(simulate, "taylor_plan", counted_plan)
     s = displacement(fld, 0.05)
     assert s.omega_residual < 1e-10
     assert abs(s.dbar / 0.05**3 - math.pi * L1) < 0.1 * abs(math.pi * L1)
@@ -172,7 +178,7 @@ def test_stop_radius_ends_at_the_first_step_outside(t_end):
 @pytest.mark.parametrize("t_end", [50.0, -50.0])
 def test_max_points_keeps_the_indices_of_numpy_linspace(t_end):
     # a rotation: about 70 step ends either way
-    fld = VectorField3((StatePoly({(0, 1, 0): -1.0}), StatePoly({(1, 0, 0): 1.0}), StatePoly.zero()))
+    fld = _plane_rotation_field()
     full = integrate(fld, (1.0, 0.0, 1.0), (0.0, t_end))
     n = len(full.t)
     assert n > 50
@@ -214,30 +220,33 @@ def _rotation_series(n, factorial):
 
 def test_taylor_kernel_matches_the_rotation_series_in_floats():
     fld = _rotation_field()
-    got = taylor_coefficients(taylor_plan(fld.monomials, float), [1.0, 0.0, 0.0], 20)
+    got = taylor_plan(fld.monomials, float)([1.0, 0.0, 0.0], 20)
     for series, want in zip(got, _rotation_series(20, math.factorial)):
         assert len(series) == 21
         assert max(abs(a - b) for a, b in zip(series, want)) < 1e-15
 
 
-def _mpf_kernel():
+def _mpf_numbers():
     import mpmath as mp
 
-    return mp.workdps(30), mp.mpf, mp.fdot
+    return mp.workdps(30), mp.mpf
 
 
-def _decimal_kernel():
-    return decimal.localcontext(decimal.Context(prec=31)), decimal.Decimal, simulate._dot
+def _decimal_numbers():
+    return decimal.localcontext(decimal.Context(prec=31)), decimal.Decimal
 
 
-@pytest.mark.parametrize("kernel", [_mpf_kernel, _decimal_kernel], ids=["mpf", "decimal"])
-def test_taylor_kernel_matches_the_rotation_series_in_extended_precision(kernel, monkeypatch):
-    context, num, dot = kernel()
-    monkeypatch.setattr(simulate, "_dot", dot)
+def _float_numbers():
+    return contextlib.nullcontext(), float
+
+
+@pytest.mark.parametrize("numbers", [_mpf_numbers, _decimal_numbers], ids=["mpf", "decimal"])
+def test_taylor_kernel_matches_the_rotation_series_in_extended_precision(numbers):
+    context, num = numbers()
     fld = _rotation_field()
     with context:
         x0 = [num(1), num(0), num(0)]
-        got = taylor_coefficients(taylor_plan(fld.monomials, num), x0, 36)
+        got = taylor_plan(fld.monomials, num)(x0, 36)
         want = _rotation_series(36, lambda n: num(math.factorial(n)))
         for series in got:
             assert all(type(c) is type(x0[0]) for c in series)
@@ -245,18 +254,112 @@ def test_taylor_kernel_matches_the_rotation_series_in_extended_precision(kernel,
             assert max(abs(a - b) for a, b in zip(series, ref)) < num(10) ** -28
 
 
-def test_extended_period_matches_the_kernel_on_mpf(center_field, monkeypatch):
-    # the mpf run under mp.workdps(30) with mp.fdot is the reference the
-    # decimal kernel replaced
+def _generic_plan(monomials, num):
+    # the interpreted Taylor kernel the compiled one replaced, kept as its
+    # oracle: the same code list, walked by a generic loop
+    index = {(1, 0, 0): 0, (0, 1, 0): 1, (0, 0, 1): 2}
+    products = []
+
+    def series(e):
+        if e not in index:
+            axis = next(a for a in range(3) if e[a])
+            lower = tuple(p - (a == axis) for a, p in enumerate(e))
+            products.append((series(lower), axis))
+            index[e] = 2 + len(products)
+        return index[e]
+
+    components = []
+    for comp in monomials:
+        const, terms = num(0), []
+        for c, e in comp:
+            if any(e):
+                terms.append((num(c), series(e)))
+            else:
+                const += num(c)
+        components.append((const, terms))
+    return products, components
+
+
+def _generic_coefficients(plan, x, order):
+    products, components = plan
+    zero = x[0] * 0
+    series = [[xi] for xi in x] + [[] for _ in products]
+    for n in range(order):
+        for k, (left, axis) in enumerate(products, 3):
+            series[k].append(sum(map(mul, series[left], reversed(series[axis]))))
+        for i, (const, terms) in enumerate(components):
+            f = sum([c * series[k][n] for c, k in terms], const if n == 0 else zero)
+            series[i].append(f / (n + 1))
+    return series[:3]
+
+
+def _cubic_document_field():
+    # a constant term, and cubic monomials that are products of products
+    term = lambda e, c: {"exp": e, "coeff": c}
+    return parse_system({
+        "backend": "float",
+        "params": {},
+        "state_vars": ["x", "y", "z"],
+        "equations": [
+            [term([0, 1, 0], "1"), term([2, 0, 1], "1/3"), term([0, 0, 0], "1/7")],
+            [term([1, 0, 0], "-1"), term([1, 2, 0], "-2/3"), term([0, 0, 3], "1/5")],
+            [term([0, 0, 1], "-1/2"), term([1, 1, 1], "3/11"), term([0, 3, 0], "-1/9")],
+        ],
+    })
+
+
+def _plane_rotation_field():
+    # w' = 0: its coefficients after order 0 are the start x[0] * 0 alone
+    return VectorField3((StatePoly({(0, 1, 0): -1.0}), StatePoly({(1, 0, 0): 1.0}),
+                         StatePoly.zero()))
+
+
+ORACLE_FIELDS = {
+    "e1-center": lambda: build("e1-center", {"d": 1}).to_float(),
+    "e4-normal": lambda: e4_normal({"c": 0.25, "h": 2.0}),
+    "e5-normal": lambda: e5_normal({"c": -0.25, "h": 2.0}),
+    "rotation": _rotation_field,
+    "plane-rotation": _plane_rotation_field,
+    "cubic-document": _cubic_document_field,
+}
+
+
+@pytest.mark.parametrize("numbers", [_float_numbers, _decimal_numbers, _mpf_numbers],
+                         ids=["float", "decimal", "mpf"])
+@pytest.mark.parametrize("name", sorted(ORACLE_FIELDS))
+def test_compiled_kernel_matches_the_generic_loop(name, numbers):
+    fld = ORACLE_FIELDS[name]()
+    context, num = numbers()
+    with context:
+        kernel = taylor_plan(fld.monomials, num)
+        plan = _generic_plan(fld.monomials, num)
+        # a negative first coordinate makes the zero start x[0] * 0 a -0.0
+        for x0 in ([0.1, 0.0, 0.0], [-0.125, 0.0625, -0.03], [0.3, -0.2, 0.1]):
+            x = [num(v) for v in x0]
+            got, want = kernel(x, 24), _generic_coefficients(plan, x, 24)
+            assert got == want
+            assert repr(got) == repr(want)
+
+
+def test_a_kernel_is_compiled_once_per_shape():
+    # e1-center has the same monomials at every d != 0
+    taylor_plan(build("e1-center", {"d": 1}).to_float().monomials, float)
+    compiled = simulate._kernel_factory.cache_info().misses
+    taylor_plan(build("e1-center", {"d": 3}).to_float().monomials, float)
+    assert simulate._kernel_factory.cache_info().misses == compiled
+
+
+def test_extended_period_matches_the_kernel_on_mpf(center_field):
+    # the same kernel on mpf under mp.workdps(30), the reference the decimal
+    # run replaced
     import mpmath as mp
 
     rho0 = 0.1
     got = measure_period(center_field, rho0)
-    monkeypatch.setattr(simulate, "_dot", mp.fdot)
     with mp.workdps(30):
-        plan = taylor_plan(center_field.monomials, mp.mpf)
+        kernel = taylor_plan(center_field.monomials, mp.mpf)
         want = float(simulate._measure_period(
-            center_field, plan, rho0, simulate.SETTLE_TIME, simulate.PERIOD_TURNS,
+            center_field, kernel, rho0, simulate.SETTLE_TIME, simulate.PERIOD_TURNS,
             mp.mpf, mp.mpf(10) ** -30,
         ))
     assert abs(got - want) <= 1e-15 * want

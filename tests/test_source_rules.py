@@ -10,6 +10,8 @@ import types
 from pathlib import Path
 
 import hopfcm
+from hopfcm import simulate
+from hopfcm.catalog import build, e4_normal, e5_normal
 
 ENV_NAMES = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
 
@@ -400,3 +402,62 @@ def test_the_gcd_kernel_builds_no_rationals():
     found, calls = _rational_constructions(path, INTEGER_KERNEL)
     assert found == INTEGER_KERNEL
     assert calls == []
+
+
+# the one place the library runs generated code: the factory of the Taylor
+# kernel for one field shape
+CODE_RUNNERS = {"exec", "eval", "compile"}
+KERNEL_FACTORY = ("simulate.py", "_kernel_factory")
+
+
+def _code_runs(path):
+    """(function, line) of each call of ``exec``, ``eval`` or ``compile``,
+    by name or as an attribute of ``builtins``."""
+
+    def runs_code(func):
+        if isinstance(func, ast.Name):
+            return func.id in CODE_RUNNERS
+        return (isinstance(func, ast.Attribute) and func.attr in CODE_RUNNERS
+                and isinstance(func.value, ast.Name) and func.value.id == "builtins")
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) and runs_code(node.func):
+            yield function, node.lineno
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, function)
+
+    yield from visit(ast.parse(path.read_text(), str(path)), None)
+
+
+def test_generated_code_runs_only_in_the_kernel_factory():
+    modules = sorted(Path(hopfcm.__file__).parent.glob("*.py"))
+    assert modules
+    runs = [(path.name, function) for path in modules for function, _ in _code_runs(path)]
+    assert runs and set(runs) == {KERNEL_FACTORY}
+
+
+def test_generated_kernel_source_holds_no_numbers_or_text(monkeypatch):
+    """Coefficients and constants are arguments of the kernel factory, so
+    the source holds integer indices and fixed names only."""
+    shapes = []
+    factory = simulate._kernel_factory
+
+    def record(products, components):
+        shapes.append((products, components))
+        return factory(products, components)
+
+    monkeypatch.setattr(simulate, "_kernel_factory", record)
+    fields = [build("e1-center", {"d": 1}).to_float(), e4_normal({"c": 0.25, "h": 2.0}),
+              e5_normal({"c": -0.25, "h": 2.0})]
+    for fld in fields:
+        simulate.taylor_plan(fld.monomials, float)
+    assert len(shapes) == 3
+    for shape in shapes:
+        tree = ast.parse(simulate._kernel_source(*shape))
+        literals = [
+            node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and type(node.value) is not int
+        ]
+        assert literals == []
