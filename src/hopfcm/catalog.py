@@ -32,7 +32,15 @@ import math
 from fractions import Fraction
 
 from .errors import RegionUndefined, SchemaError, SingularTransform
-from .polysys import StatePoly, VectorField3, bind, parse_system, refuse_jets, transform
+from .polysys import (
+    StatePoly,
+    VectorField3,
+    bind,
+    parse_system,
+    refuse_jets,
+    refuse_unknown,
+    transform,
+)
 
 PERTURBATION_PARAMS = tuple(
     f"{letter}{j}{k}{l}"
@@ -330,6 +338,7 @@ def build(name, values=None):
     values = values or {}
     if meta["backend"] == "float":
         refuse_jets(values)
+        refuse_unknown(meta["params"], values)
         missing = set(meta["params"]) - set(values)
         if missing:
             raise SchemaError(f"{name} requires values for {sorted(missing)}")

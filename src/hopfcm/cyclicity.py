@@ -129,17 +129,13 @@ def jet_focus_report(system, point, small, degree, n):
 
 
 def jacobian_rank(quantities, params) -> JacobianReport:
-    """Exact rank of the linear parts of the jet quantities in ``params``;
-    a quantity that is not a jet (no parameter is small) has a zero row."""
+    """Exact rank of the linear parts of the jet quantities in ``params``."""
     rows = []
     params = tuple(params)
     for q in quantities:
-        if isinstance(q, Jet):
-            grad = q.linear_coefficients()
-            names = q.ctx.names
-            rows.append([grad[names.index(p)] if p in names else Fraction(0) for p in params])
-        else:
-            rows.append([Fraction(0)] * len(params))
+        grad = q.linear_coefficients()
+        names = q.ctx.names
+        rows.append([grad[names.index(p)] if p in names else Fraction(0) for p in params])
     rank, pivot_cols = exact_rank(rows)
     return JacobianReport(rows, rank, tuple(params[c] for c in pivot_cols))
 
@@ -238,7 +234,7 @@ def cyclicity_bound(
     to order n; raises BadPivots naming the first that does not (the point
     is a weak focus of that order) and the order that stops before it."""
     for j, q in enumerate(quantities, 1):
-        value = q.constant_part() if isinstance(q, Jet) else q
+        value = q.constant_part()
         if value:
             hint = f"use order {j - 1}" if j > 1 else "expand at a center"
             raise BadPivots(

@@ -8,9 +8,11 @@ the rationals of ``fractions.Fraction``:
   integer-primitive with a positive leading coefficient (the content/primitive
   part split of Geddes, Czapor & Labahn, 1992, ch. 2).  Products need no gcd
   (Gauss's lemma); a sum takes one integer gcd pass.
-* ``ParamExpr``         -- the fraction field of ``ParamPoly``, kept in a
-  canonical form (gcd-cancelled, denominator of content 1) so structural
-  equality is field equality.
+* ``ParamExpr``         -- the non-constant elements of the fraction field of
+  ``ParamPoly``, kept in a canonical form (gcd-cancelled, denominator of
+  content 1) so structural equality is field equality.  A constant is a
+  ``Fraction``, which its arithmetic returns whenever the value is
+  constant, so a ParamExpr is never zero.
 * ``poly_gcd``          -- the gcd behind that canonical form: Char, Geddes &
   Gonnet's heuristic GCDHEU.  It runs on the operands' integer parts as they
   are stored; one variable at a time is evaluated at an integer xi above
@@ -38,7 +40,7 @@ so the generic algorithms never ask a value for its type:
 
 * a scalar is zero exactly when it is falsy;
 * identities come from a sample value ``x`` of the wanted type, as ``x * 0``
-  and ``x ** 0``;
+  and ``x ** 0``; for a ``ParamExpr`` they are the ``Fraction``s 0 and 1;
 * a pole is what division raises: ``ZeroDivisionError`` for ``Fraction`` and
   ``float``, ``DivisionByZero`` for ``ParamExpr`` and for a ``Jet`` with a
   zero constant part.
@@ -184,11 +186,6 @@ class ParamPoly:
     def is_constant(self):
         prim = self.prim
         return not prim or (len(prim) == 1 and not any(next(iter(prim))))
-
-    def constant_value(self):
-        if not self.is_constant():
-            raise ValueError("not a constant polynomial")
-        return self.content
 
     def degree_in(self, i):
         if not self.prim:
@@ -606,121 +603,79 @@ def _unit_den(num: ParamPoly, den: ParamPoly):
 
 
 class ParamExpr:
-    """Element of the fraction field Q(params), canonical after normalization.
+    """Element of the fraction field Q(params) that is not a constant.
 
     Canonical form: gcd(num, den) = 1 and den of content 1 (its integer part
     primitive with a positive leading coefficient under graded lex), so
-    equal field elements have identical representations.
+    equal field elements have identical representations.  A constant has
+    that form already as a ``Fraction``, which every operation returns when
+    its value is constant (``c - c``, ``x / x``, ``x ** 0``, ``x * 0``); so
+    a ParamExpr is never zero.
     """
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den")
 
-    def __init__(self, num: ParamPoly, den: ParamPoly, _normalized=False):
+    def __new__(cls, num: ParamPoly, den: ParamPoly):
+        """num/den in canonical form: a ``Fraction`` when it is constant."""
         if not den:
             raise DivisionByZero("zero denominator polynomial")
-        if not _normalized:
-            num, den = self._normalize(num, den)
-        self.num = num
-        self.den = den
-        self._hash = None
-
-    @staticmethod
-    def _normalize(num, den):
-        if not num:
-            return num, ParamPoly.const(num.params, 1)
         _, num, den = poly_gcd(num, den)
-        return _unit_den(num, den)
+        return _expr(*_unit_den(num, den))
 
-    @classmethod
-    def _coprime(cls, num, den):
-        """The canonical element num/den of a coprime pair."""
-        return cls(*_unit_den(num, den), _normalized=True)
-
-    # -- constructors ---------------------------------------------------------
-
-    @classmethod
-    def const(cls, params, value):
-        return cls(
-            ParamPoly.const(params, value),
-            ParamPoly.const(params, 1),
-            _normalized=True,
-        )
+    def __reduce__(self):
+        # copies and pickles rebuild the canonical pair without a gcd
+        return _expr, (self.num, self.den)
 
     @classmethod
     def var(cls, params, name):
-        return cls(
-            ParamPoly.var(params, name),
-            ParamPoly.const(params, 1),
-            _normalized=True,
-        )
-
-    @classmethod
-    def zero(cls, params):
-        return cls.const(params, 0)
-
-    @classmethod
-    def one(cls, params):
-        return cls.const(params, 1)
-
-    # -- queries ---------------------------------------------------------------
+        return _expr(ParamPoly.var(params, name), ParamPoly.const(params, 1))
 
     @property
     def params(self):
         return self.num.params
 
-    def __bool__(self):
-        return bool(self.num)
-
-    def is_constant(self):
-        return self.num.is_constant() and self.den.is_constant()
-
-    def constant_value(self):
-        return self.num.constant_value() / self.den.constant_value()
-
     # -- arithmetic --------------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, ParamExpr):
-            if other.params != self.params:
-                raise ValueError("parameter rings differ")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return ParamExpr.const(self.params, other)
-        return None
+    def _same_ring(self, other):
+        if other.params != self.params:
+            raise ValueError("parameter rings differ")
 
     # Henrici's scheme (Knuth, TAOCP 2, 4.5.1): both operands are coprime
     # pairs, so only a factor shared by the pieces named below can cancel.
 
     def _scaled(self, q):
         """self * q for a rational q; the denominator is unchanged."""
-        if q == 0:
-            return ParamExpr.zero(self.params)
-        return ParamExpr(self.num * q, self.den, _normalized=True)
+        if not q:
+            return _ZERO
+        return _expr(self.num * q, self.den)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        a, b = self.num, self.den
+        if isinstance(other, (int, Fraction)):
+            # gcd(a + q*b, b) = gcd(a, b) = 1
+            return _expr(a + b * other, b)
+        if not isinstance(other, ParamExpr):
             return NotImplemented
-        a, b, c, d = self.num, self.den, other.num, other.den
+        self._same_ring(other)
+        c, d = other.num, other.den
         if b.is_constant():
             a, b, c, d = c, d, a, b
-        # gcd(a + c*b, b) = gcd(a, b) = 1 when d = 1 (zero included)
+        # gcd(a + c*b, b) = gcd(a, b) = 1 when d = 1
         if d.is_constant():
-            return ParamExpr(a + c * b, b, _normalized=True)
+            return _expr(a + c * b, b)
         # a/b + c/d = t / (b' d' g) with b = g b', d = g d', t = a d' + c b';
         # t is prime to b' and d', so only gcd(t, g) cancels
         g, b, d = poly_gcd(b, d)
         _, t, g = poly_gcd(a * d + c * b, g)
-        return ParamExpr._coprime(t, b * d * g)
+        return _expr(t, b * d * g)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ParamExpr(-self.num, self.den, _normalized=True)
+        return _expr(-self.num, self.den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, (int, Fraction, ParamExpr)):
             return NotImplemented
         return self + (-other)
 
@@ -728,62 +683,55 @@ class ParamExpr:
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(other)
+        if not isinstance(other, ParamExpr):
             return NotImplemented
-        if other.is_constant():
-            return self._scaled(other.constant_value())
-        if self.is_constant():
-            return other._scaled(self.constant_value())
+        self._same_ring(other)
         # (a/b)(c/d): only gcd(a, d) and gcd(c, b) can cancel
         _, a, d = poly_gcd(self.num, other.den)
         _, c, b = poly_gcd(other.num, self.den)
-        return ParamExpr._coprime(a * c, b * d)
+        return _expr(a * c, b * d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                raise DivisionByZero("division by zero field element")
+            return self._scaled(_ONE / other)
+        if not isinstance(other, ParamExpr):
             return NotImplemented
-        if not other:
-            raise DivisionByZero("division by zero field element")
-        if other.is_constant():
-            return self._scaled(1 / other.constant_value())
-        if not self:
-            return self
+        self._same_ring(other)
         # (a/b)/(c/d): only gcd(a, c) and gcd(d, b) can cancel
         _, a, c = poly_gcd(self.num, other.num)
         _, d, b = poly_gcd(other.den, self.den)
-        return ParamExpr._coprime(a * d, b * c)
+        return _expr(*_unit_den(a * d, b * c))
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return other / self
+        return self ** -1 * other
 
     def __pow__(self, n):
         if not isinstance(n, int):
             raise ValueError("exponents must be integers")
+        # powers of a coprime pair stay coprime, and a power of a primitive
+        # polynomial with a positive lead stays so (Gauss's lemma)
+        num, den = self.num ** abs(n), self.den ** abs(n)
         if n < 0:
-            return ParamExpr.one(self.params) / self ** (-n)
-        # powers of a coprime pair stay coprime, and den**n stays primitive
-        # with a positive lead (Gauss's lemma)
-        return ParamExpr(self.num**n, self.den**n, _normalized=True)
+            num, den = _unit_den(den, num)
+        return _expr(num, den)
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        # a number is never equal: a ParamExpr is not constant
+        if not isinstance(other, ParamExpr):
             return NotImplemented
+        self._same_ring(other)
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        if self._hash is None:
-            # a denominator 1 makes it equal to its numerator, and so a
-            # constant to its Fraction; it hashes like them
-            self._hash = hash(self.num) if self.den.is_constant() else hash((self.num, self.den))
-        return self._hash
+        return hash((self.num, self.den))
 
     # -- evaluation ------------------------------------------------------------------
 
@@ -803,6 +751,17 @@ class ParamExpr:
         return f"({self.num})/({self.den})"
 
     __repr__ = __str__
+
+
+def _expr(num, den):
+    """num/den for a coprime pair with den of content 1: the Fraction
+    ``num.content`` (zero included) when both are constant, else the
+    ParamExpr.  Every ParamExpr is made here."""
+    if num.is_constant() and den.is_constant():
+        return num.content
+    expr = object.__new__(ParamExpr)
+    expr.num, expr.den = num, den
+    return expr
 
 
 # ---------------------------------------------------------------------------

@@ -173,13 +173,11 @@ class VectorField3:
     @cached_property
     def zero(self):
         """The zero of the coefficients' number type: 0.0 when any
-        coefficient is a float, else the zero ``ParamExpr`` of ``params``
-        when parameters are free, else ``Fraction(0)``.  Built on first use
-        and kept: components are not modified after construction."""
+        coefficient is a float, else ``Fraction(0)``, the zero of ``ParamExpr``
+        and ``Jet`` arithmetic too.  Built on first use and kept: components
+        are not modified after construction."""
         if any(isinstance(c, float) for comp in self.components for c in comp.terms.values()):
             return 0.0
-        if self.params:
-            return ParamExpr.zero(self.params)
         return Fraction(0)
 
     @cached_property
@@ -266,9 +264,8 @@ def char_cubic(m) -> CharCubic:
 
 def known_value(x):
     """The Fraction or float value of a scalar that depends on no free
-    parameter (a constant ParamExpr or Jet included), else None."""
-    if isinstance(x, ParamExpr):
-        return x.constant_value() if x.is_constant() else None
+    parameter (a constant Jet included), else None: a ParamExpr is never
+    constant."""
     if isinstance(x, Jet):
         return x.constant_part() if x == x.constant_part() else None
     return x if isinstance(x, (int, Fraction, float)) else None
@@ -388,9 +385,7 @@ def bind(params, values, rows) -> VectorField3:
     """
     if callable(values):
         values = values(params)
-    unknown = set(values) - set(params)
-    if unknown:
-        raise SchemaError(f"unknown parameter(s) {sorted(unknown)}")
+    refuse_unknown(params, values)
     free = tuple(p for p in params if p not in values)
     if free and any(isinstance(v, Jet) for v in values.values()):
         raise SchemaError(f"parameter(s) {list(free)} have no value")
@@ -409,6 +404,13 @@ def bind(params, values, rows) -> VectorField3:
         for row in coefficient_rows
     )
     return VectorField3(comps, params=ring)
+
+
+def refuse_unknown(params, values):
+    """Raise SchemaError on a name of ``values`` not in ``params``."""
+    unknown = set(values) - set(params)
+    if unknown:
+        raise SchemaError(f"unknown parameter(s) {sorted(unknown)}")
 
 
 def refuse_jets(values):
@@ -458,8 +460,7 @@ def parse_system(document, values=None) -> VectorField3:
         raise SchemaError("empty equations array")
     if backend == "float":
         refuse_jets(values)
-        if values:
-            raise SchemaError(f"unknown parameter(s) {sorted(values)}")
+        refuse_unknown((), values)
         missing = [k for k, v in params_doc.items() if v is None]
         if missing:
             raise SchemaError(f"float backend requires values for {missing}")

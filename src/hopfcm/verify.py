@@ -100,8 +100,7 @@ def claim_teo1_hopf():
 def claim_teo1_center():
     """First integral u^2 + v^2 and vanishing L_1..L_3 in symbolic d."""
     fld = catalog.build("e1-center")
-    one = ParamExpr.one(("d",))
-    H = StatePoly({(2, 0, 0): one, (0, 2, 0): one})
+    H = StatePoly({(2, 0, 0): F(1), (0, 2, 0): F(1)})
     integral_ok = verify_first_integral(fld, H)
     report = report_for_field(fld, 3)
     return {
@@ -198,8 +197,7 @@ def claim_teo1_isochronous():
     quartic coefficient comes out +1/40 at d = 1; the numeric fit agrees
     with that sign, so magnitudes carry the certification.
     """
-    zero3 = tuple(ParamExpr.zero(("d",)) for _ in range(3))
-    nf = to_normal_form(catalog.build("e1-center"), zero3)
+    nf = to_normal_form(catalog.build("e1-center"), (F(0),) * 3)
     pe = isochronicity_constants(nf, 2)
     d = ParamExpr.var(("d",), "d")
     t2_ok = not pe.constants[0]

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopfcm import paramfield
 from hopfcm.catalog import BUILTIN_SYSTEMS, build
 from hopfcm.cli import main
 from hopfcm.cyclicity import jet_system
@@ -234,13 +235,15 @@ def test_bound_runs_construct_no_parameter_expression(monkeypatch, capsys):
     """The bound paths above, and CLI commands at bound points, build each
     field directly in Fractions: not one ParamExpr is constructed."""
     built = []
-    init = ParamExpr.__init__
+    make = paramfield._expr
 
-    def counted(self, num, den, _normalized=False):
-        built.append(num.params)
-        init(self, num, den, _normalized)
+    def counted(num, den):
+        value = make(num, den)
+        if isinstance(value, ParamExpr):
+            built.append(num.params)
+        return value
 
-    monkeypatch.setattr(ParamExpr, "__init__", counted)
+    monkeypatch.setattr(paramfield, "_expr", counted)
     for path in BOUND_PATHS.values():
         path()
     runs = [

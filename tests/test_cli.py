@@ -597,6 +597,19 @@ def test_file_system_rejects_params_it_cannot_bind(tmp_path, capsys, backend, d,
     }
 
 
+@pytest.mark.parametrize(
+    "system,params",
+    [("e4-normal", "c=1/4,h=2,zz=5"), ("e1-center", "d=1,zz=5")],
+    ids=["float-builtin", "exact-builtin"],
+)
+def test_builtin_system_rejects_an_unknown_parameter(capsys, system, params):
+    code, out, err = run_cli(
+        capsys, "focus", "--system", system, "--order", "1", "--params", params
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "SchemaError", "message": "unknown parameter(s) ['zz']"}
+
+
 def test_plot_script_goes_beside_an_output_in_a_dotted_directory(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "my.dir").mkdir()

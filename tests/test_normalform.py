@@ -17,14 +17,13 @@ F = Fraction
 P = ("c", "d", "k")
 
 
-def _zero3(params=P):
-    z = ParamExpr.zero(params)
-    return (z, z, z)
+def _zero3():
+    return (F(0),) * 3
 
 
 def _eigen_matrix():
     c, d, k = (ParamExpr.var(P, n) for n in P)
-    zero, one = ParamExpr.zero(P), ParamExpr.one(P)
+    zero, one = F(0), F(1)
     den = c**2 * d**2 + k**2
     return [
         [k * (c * d + 1) / den, c * d * (c * d + 1) / den, zero],

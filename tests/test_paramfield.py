@@ -1,6 +1,9 @@
 """Exact-field foundation: canonical forms, evaluation, jets, Gaussians."""
 
+import copy
+import dataclasses
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -21,7 +24,7 @@ from hopfcm.paramfield import (
     poly_gcd,
     real_part,
 )
-from hopfcm.polysys import StatePoly
+from hopfcm.polysys import CharCubic, StatePoly
 
 P = ("c", "d", "k")
 
@@ -47,7 +50,7 @@ def test_normalize_leaves_coprime_pair():
 
 def test_normalize_sign_convention():
     _, _, k = _vars()
-    e = (2 * k) / ParamExpr.const(P, -2)
+    e = (2 * k) / Fraction(-2)
     assert e == -k
     # denominator leading coefficient positive after normalization
     f = k / (1 - k)
@@ -99,11 +102,17 @@ _coeffs = st.fractions(
 )
 
 
+def _at(x, point):
+    """The value of a ParamExpr or a Fraction at a point."""
+    return x.evaluate(point) if isinstance(x, ParamExpr) else x
+
+
 @st.composite
 def exprs(draw):
+    """A rational function of (c, d, k): a Fraction when it is constant."""
     c, d, k = _vars()
-    gens = [c, d, k, ParamExpr.one(P)]
-    acc = ParamExpr.const(P, draw(_coeffs))
+    gens = [c, d, k, Fraction(1)]
+    acc = draw(_coeffs)
     for _ in range(draw(st.integers(0, 2))):
         acc = acc * draw(st.sampled_from(gens)) + draw(_coeffs)
     denom = draw(st.sampled_from([None, 1 + c * d, k + 2, d**2 + 1]))
@@ -128,9 +137,9 @@ def test_field_axioms_hold_exactly(a, b, c):
 def test_evaluate_commutes_with_arithmetic(a, b, pc, pd, pk):
     point = {"c": Fraction(pc), "d": Fraction(pd), "k": Fraction(pk)}
     try:
-        va, vb = a.evaluate(point), b.evaluate(point)
-        vsum = (a + b).evaluate(point)
-        vprod = (a * b).evaluate(point)
+        va, vb = _at(a, point), _at(b, point)
+        vsum = _at(a + b, point)
+        vprod = _at(a * b, point)
     except PoleAtPoint:
         return
     assert vsum == va + vb
@@ -173,12 +182,21 @@ def _poly_from_sympy(x):
     return ParamPoly(P, {e: Fraction(int(q.p), int(q.q)) for e, q in terms})
 
 
+def _pair(e):
+    """(num, den) of a ParamExpr, or of a Fraction over 1."""
+    if isinstance(e, ParamExpr):
+        return e.num, e.den
+    return ParamPoly.const(P, e), ParamPoly.const(P, 1)
+
+
 def _to_sympy(e):
-    return _poly_to_sympy(e.num) / _poly_to_sympy(e.den)
+    num, den = _pair(e)
+    return _poly_to_sympy(num) / _poly_to_sympy(den)
 
 
 def _from_sympy(expr):
-    """sympy rational function -> ParamExpr through the normalizing constructor."""
+    """sympy rational function -> ParamExpr (a Fraction when constant)
+    through the normalizing constructor."""
     num, den = sympy.fraction(sympy.cancel(expr))
     return ParamExpr(_poly_from_sympy(num), _poly_from_sympy(den))
 
@@ -189,7 +207,7 @@ _operands = st.one_of(exprs(), shared_factor_exprs())
 @settings(max_examples=60, deadline=None)
 @given(_operands, _operands, st.integers(0, 3))
 def test_arithmetic_matches_full_normalization_and_sympy(x, y, n):
-    a, b, c, d = x.num, x.den, y.num, y.den
+    (a, b), (c, d) = _pair(x), _pair(y)
     sx, sy = _to_sympy(x), _to_sympy(y)
     cases = [
         (x + y, a * d + c * b, b * d, sx + sy),
@@ -204,7 +222,7 @@ def test_arithmetic_matches_full_normalization_and_sympy(x, y, n):
         cases.append((y / x, c * b, d * a, sy / sx))
     for got, num, den, oracle in cases:
         full = ParamExpr(num, den)
-        assert (got.num, got.den) == (full.num, full.den)
+        assert type(got) is type(full) and got == full
         assert str(got) == str(_from_sympy(oracle))
 
 
@@ -236,6 +254,49 @@ def test_constant_operands_make_no_gcd_call(monkeypatch):
         assert str(g) == str(f) and g == f
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    _operands.filter(lambda e: isinstance(e, ParamExpr)),
+    st.one_of(_operands, _coeffs, st.integers(-3, 3)),
+    st.booleans(),
+    st.integers(-3, 3),
+)
+def test_a_result_is_a_fraction_exactly_when_it_is_constant(x, y, swap, n):
+    """Arithmetic that mixes ParamExprs with ints and Fractions, in both
+    operand orders: a constant value comes back as a Fraction, anything
+    else as a nonzero ParamExpr, each equal to sympy's value."""
+    sx, sy = _to_sympy(x), _to_sympy(y)
+    cases = [
+        (x - x, sx - sx), (x / x, sx / sx), (x * 0, sx * 0), (0 * x, 0 * sx),
+        (x**0, sx**0), (x**n, sx**n),
+    ]
+    if swap:
+        x, y, sx, sy = y, x, sy, sx
+    cases += [(x + y, sx + sy), (x - y, sx - sy), (x * y, sx * sy)]
+    if y:
+        cases.append((x / y, sx / sy))
+    for got, oracle in cases:
+        oracle = sympy.cancel(oracle)
+        if oracle.free_symbols:
+            assert type(got) is ParamExpr and got
+            assert str(got) == str(_from_sympy(oracle))
+        else:
+            assert type(got) is Fraction
+            assert got == Fraction(int(oracle.p), int(oracle.q))
+
+
+def test_a_param_expr_survives_copies_and_pickles():
+    # dataclasses.asdict deep-copies the report fields that the CLI prints
+    c, d, k = _vars()
+    values = [c, (c**2 * d - 1) / (3 * k + 6), GaussExpr(k, c / d)]
+    for x in values:
+        for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert type(twin) is type(x) and twin == x
+            assert str(twin) == str(x) and hash(twin) == hash(x)
+    fields = dataclasses.asdict(CharCubic(*values))
+    assert list(fields.values()) == values
+
+
 # --- gcd machinery ------------------------------------------------------------------
 
 
@@ -252,7 +313,7 @@ def test_poly_gcd_coprime_is_one():
     c, d, k = _vars()
     a, b = (c * d + 1).num, (k**2 + c).num
     g, qa, qb = poly_gcd(a, b)
-    assert g.is_constant() and g.constant_value() == 1
+    assert g == 1
     assert qa is a and qb is b
 
 
@@ -431,7 +492,16 @@ def test_the_polynomial_form_is_canonical(ta, tb, n):
             product[e] = product.get(e, 0) + c1 * c2
     assert (a * b).terms == {e: c for e, c in product.items() if c}
     if a.is_constant():
-        assert a.constant_value() == ta.get((0, 0, 0), 0)
+        assert a.content == ta.get((0, 0, 0), 0)
+
+
+def test_a_number_minus_a_polynomial_is_its_negated_difference():
+    c, d, _ = (x.num for x in _vars())
+    p = c * d - 2 * c + Fraction(1, 3)
+    for q in (0, 4, Fraction(-7, 3)):
+        got = q - p
+        _assert_canonical(got)
+        assert got == ParamPoly.const(P, q) - p and got + p == q
 
 
 def test_exact_div_rejects_an_inexact_quotient():
@@ -474,6 +544,19 @@ def test_gauss_expr_answers_like_complex():
     z, w = complex(0.5, -3), GaussExpr(Fraction(1, 2), Fraction(-3))
     assert (w.real, w.imag) == (z.real, z.imag)
     assert (w.conjugate().real, w.conjugate().imag) == (z.conjugate().real, z.conjugate().imag)
+    y, v = complex(2, 0.25), GaussExpr(Fraction(2), Fraction(1, 4))
+    for q in (3, Fraction(-5, 4)):
+        for got, want in ((w - v, z - y), (q - w, q - z), (q / w, q / z)):
+            assert type(got) is GaussExpr
+            assert complex(float(got.real), float(got.imag)) == pytest.approx(want, rel=1e-15)
+
+
+def test_gauss_subtraction_and_reflected_division_invert_their_operations():
+    c, d, k = _vars()
+    a, b = GaussExpr(c / (1 + d), d - 1), GaussExpr(k, (c + 1) / (k + 2))
+    for q in (3, Fraction(-2, 5)):
+        assert (a - b) + b == a and (q - a) + a == q
+        assert (q / a) * a == q
 
 
 def test_real_part_tolerates_float_noise_only():
@@ -488,8 +571,7 @@ def test_real_part_tolerates_float_noise_only():
 
 
 def test_gauss_division():
-    one = ParamExpr.one(P)
-    zero = ParamExpr.zero(P)
+    one, zero = Fraction(1), Fraction(0)
     i = GaussExpr(zero, one)
     assert i * i == GaussExpr(-one, zero)
     z = GaussExpr(ParamExpr.var(P, "c"), one)
@@ -552,7 +634,10 @@ def scalars(draw):
 def test_every_scalar_meets_the_protocol(x):
     assert bool(x) == (x != 0)
     zero, one = x * 0, x ** 0
-    assert type(zero) is type(x) and type(one) is type(x)
+    # the identities of a ParamExpr are constants, so Fractions
+    kind = Fraction if isinstance(x, ParamExpr) else type(x)
+    assert type(zero) is kind and type(one) is kind
+    assert zero == 0 and one == 1
     assert x + zero == x and zero + x == x
     assert x * one == x and one * x == x
 
@@ -579,7 +664,8 @@ def test_a_polynomial_is_falsy_exactly_when_zero():
 def test_evaluate_at_a_pole_raises_pole_at_point(e, name, values, kind):
     point = {p: Fraction(v) for p, v in zip(P, values)}
     pole = e / (ParamExpr.var(P, name) - point[name])
-    assume(not pole.den.evaluate(point))  # e may cancel the factor
+    # e may be zero or cancel the factor
+    assume(isinstance(pole, ParamExpr) and not pole.den.evaluate(point))
     if kind == "float":
         point = {p: float(v) for p, v in point.items()}
     elif kind == "jet":
@@ -773,17 +859,18 @@ def test_constant_jet_hashes_like_its_fraction():
 
 @pytest.mark.parametrize("value", [Fraction(3), Fraction(-1, 3), Fraction(0)])
 def test_equal_scalars_of_every_type_hash_equal(value):
-    # a constant of each scalar type equals its Fraction, so it hashes like it
+    # a constant of each scalar type equals its Fraction, so it hashes like it;
+    # ParamExpr arithmetic gives a constant as the Fraction itself
+    c = ParamExpr.var(P, "c")
     constants = [
         ParamPoly.const(P, value),
-        ParamExpr.const(P, value),
+        (c + value) - c,
         JetContext(_SMALL, 2).const(value),
         GaussExpr(value, Fraction(0)),
-        GaussExpr(ParamExpr.const(P, value), ParamExpr.zero(P)),
+        GaussExpr(c * 0 + value, c - c),
     ]
     for x in constants:
         assert x == value and hash(x) == hash(value) and len({x, value}) == 1
     # as for complex, a Gaussian with no imaginary part hashes like its real part
-    c = ParamExpr.var(P, "c")
     assert len({GaussExpr(c, c * 0), c}) == 1
     assert GaussExpr(value, Fraction(1)) != value

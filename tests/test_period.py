@@ -22,10 +22,8 @@ F = Fraction
 
 
 def _center_nf(dval=None):
-    if dval is None:
-        zero = ParamExpr.zero(("d",))
-        return to_normal_form(build("e1-center"), (zero, zero, zero))
-    return to_normal_form(build("e1-center", {"d": dval}), (F(0),) * 3)
+    fld = build("e1-center") if dval is None else build("e1-center", {"d": dval})
+    return to_normal_form(fld, (F(0),) * 3)
 
 
 def test_radial_forcing_vanishes_on_conserved_family():

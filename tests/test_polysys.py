@@ -29,6 +29,19 @@ def test_khaled_vanishes_at_first_equilibrium():
     assert fld.evaluate((F(0), F(0), F(1))) == (0, 0, 0)
 
 
+def test_a_zeroth_power_and_a_zero_are_numbers_of_the_coefficients():
+    d = ParamExpr.var(("d",), "d")
+    for coeff, one in ((d, F(1)), (F(2, 3), F(1)), (0.5, 1.0)):
+        power = StatePoly({(1, 0, 2): coeff, (0, 1, 0): F(1)}) ** 0
+        assert power.terms == {(0, 0, 0): one}
+        assert type(power.terms[(0, 0, 0)]) is type(one)
+    with pytest.raises(ValueError):
+        StatePoly.zero() ** 0
+    # free parameters or none, the zero of an exact field is Fraction(0)
+    for fld in (build("e1-center"), build("e1-center", {"d": 1})):
+        assert type(fld.zero) is Fraction and fld.zero == 0
+
+
 def test_khaled_hand_substitution():
     fld = build("khaled-original", {"a": 1, "b": 0, "c": 1, "d": 1})
     assert fld.evaluate((F(1), F(1), F(1))) == (1, 0, 1)
@@ -42,7 +55,7 @@ def test_zero_field_evaluates_to_zero():
 def test_equilibrium_symbolic_over_parameters():
     fld = build("khaled-original")
     P = fld.params
-    zero = ParamExpr.zero(P)
+    zero = F(0)
     d = ParamExpr.var(P, "d")
     res = fld.evaluate((zero, zero, 1 / d))
     assert not any(res)
@@ -54,7 +67,7 @@ def test_equilibrium_symbolic_over_parameters():
 def test_jacobian_entries_at_first_equilibrium():
     fld = build("khaled-original")
     P = fld.params
-    zero = ParamExpr.zero(P)
+    zero = F(0)
     a, d = ParamExpr.var(P, "a"), ParamExpr.var(P, "d")
     jac = fld.jacobian_at((zero, zero, 1 / d))
     assert jac[0][1] == a + 1 / d
@@ -77,7 +90,7 @@ def test_jacobian_of_linear_field_is_coefficient_matrix():
 def test_char_cubic_alpha_at_first_equilibrium():
     fld = build("khaled-original")
     P = fld.params
-    zero = ParamExpr.zero(P)
+    zero = F(0)
     a, c, d = (ParamExpr.var(P, n) for n in ("a", "c", "d"))
     cc = char_cubic(fld.jacobian_at((zero, zero, 1 / d)))
     assert cc.alpha == a - c + d
@@ -171,7 +184,7 @@ def test_catalog_equilibria_are_roots():
 
 def _eigen_matrix(P):
     c, d, k = (ParamExpr.var(P, n) for n in ("c", "d", "k"))
-    zero, one = ParamExpr.zero(P), ParamExpr.one(P)
+    zero, one = F(0), F(1)
     den = c**2 * d**2 + k**2
     return [
         [k * (c * d + 1) / den, c * d * (c * d + 1) / den, zero],
@@ -183,8 +196,7 @@ def _eigen_matrix(P):
 def test_translation_of_equilibrium_gives_shifted_system():
     fld = build("khaled-original")
     P4 = fld.params
-    zero4 = ParamExpr.zero(P4)
-    one4 = ParamExpr.one(P4)
+    zero4, one4 = F(0), F(1)
     d4 = ParamExpr.var(P4, "d")
     ident = [[one4, zero4, zero4], [zero4, one4, zero4], [zero4, zero4, one4]]
     shifted = transform(fld, (zero4, zero4, 1 / d4), ident, one4)
@@ -200,7 +212,7 @@ def test_equilibrium_translation_reproduces_shifted_catalog_entry():
     c, d, k = (ParamExpr.var(P3, n) for n in P3)
     b_expr = (1 + c * d - c**2 * d**2 - k**2) / (d * (1 + c * d))
     bound = build("khaled-original", {"a": c, "b": b_expr})
-    zero, one = ParamExpr.zero(P3), ParamExpr.one(P3)
+    zero, one = F(0), F(1)
     ident = [[one, zero, zero], [zero, one, zero], [zero, zero, one]]
     shifted = transform(bound, (zero, zero, 1 / d), ident, one)
     for got, want in zip(shifted.components, build("e1-shifted").components):
@@ -209,7 +221,7 @@ def test_equilibrium_translation_reproduces_shifted_catalog_entry():
 
 def test_normal_form_transform_matches_catalog_exactly():
     P = ("c", "d", "k")
-    zero = ParamExpr.zero(P)
+    zero = F(0)
     k, d = ParamExpr.var(P, "k"), ParamExpr.var(P, "d")
     g = transform(build("e1-shifted"), (zero, zero, zero), _eigen_matrix(P), k / d)
     ref = build("e1-normal")
@@ -219,8 +231,7 @@ def test_normal_form_transform_matches_catalog_exactly():
 
 def test_identity_transform_is_identity():
     fld = build("khaled-original")
-    P = fld.params
-    zero, one = ParamExpr.zero(P), ParamExpr.one(P)
+    zero, one = F(0), F(1)
     ident = [[one, zero, zero], [zero, one, zero], [zero, zero, one]]
     g = transform(fld, (zero, zero, zero), ident, one)
     for got, want in zip(g.components, fld.components):
@@ -229,8 +240,7 @@ def test_identity_transform_is_identity():
 
 def test_singular_matrix_rejected():
     fld = build("khaled-original")
-    P = fld.params
-    zero, one = ParamExpr.zero(P), ParamExpr.one(P)
+    zero, one = F(0), F(1)
     bad = [[one, one, zero], [one, one, zero], [zero, zero, one]]
     with pytest.raises(SingularTransform):
         transform(fld, (zero, zero, zero), bad, one)

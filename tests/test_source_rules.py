@@ -10,7 +10,7 @@ import types
 from pathlib import Path
 
 import hopfcm
-from hopfcm import simulate
+from hopfcm import paramfield, simulate
 from hopfcm.catalog import build, e4_normal, e5_normal
 
 ENV_NAMES = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
@@ -173,6 +173,29 @@ def test_no_class_defines_an_is_zero_method():
         for item in node.body
         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and item.name == "is_zero"
     ]
+    assert offenders == []
+
+
+def test_a_rational_constant_has_one_representation():
+    """A constant is a Fraction, so ParamExpr keeps no constant API of its
+    own."""
+    path = Path(paramfield.__file__)
+    (cls,) = [
+        node
+        for node in ast.parse(path.read_text(), str(path)).body
+        if isinstance(node, ast.ClassDef) and node.name == "ParamExpr"
+    ]
+    removed = {"const", "zero", "one", "is_constant", "constant_value"}
+    defined = [
+        (item.lineno, name)
+        for item in cls.body
+        for name in (
+            [item.name] if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            else [t.id for t in getattr(item, "targets", ()) if isinstance(t, ast.Name)]
+        )
+    ]
+    offenders = [f"{path.name}:{line} ParamExpr.{name}" for line, name in defined if name in removed]
+    assert "__add__" in {name for _, name in defined}
     assert offenders == []
 
 
