@@ -40,7 +40,7 @@ from .errors import (
     NotRealSystem,
 )
 from .normalform import NormalForm3, to_normal_form
-from .paramfield import FLOAT_TOL, gauss, real_part
+from .paramfield import FLOAT_TOL, dot, gauss, real_part
 from .polysys import StatePoly, VectorField3
 
 
@@ -121,7 +121,8 @@ def _psi_recursion(cs: ComplexSystem, n: int):
     d_{k1,k2,k3} with k1 != k2 is stored with its mirror d_{k2,k1,k3} =
     conj(d_{k1,k2,k3}).  That halves the work and relies on
     b_jkl = conj(a_kjl) and c_jkl = conj(c_kjl), which ``complexify``
-    guarantees.
+    guarantees.  Each target's products go to ``dot`` as one sum, which
+    the scalar type decides how to add.
     """
     if n < 1:
         raise HopfcmError(f"the focus recursion needs n >= 1, got {n}")
@@ -144,7 +145,7 @@ def _psi_recursion(cs: ComplexSystem, n: int):
             for k2 in range(min(m - k1, k1), -1, -1):
                 k3 = m - k1 - k2
                 target = (k1, k2, k3)
-                S = None
+                terms = []
                 for coeffs, axis in comps:
                     for (j, k, l), coeff in coeffs.items():
                         kap = [k1 - j, k2 - k, k3 - l]
@@ -153,14 +154,11 @@ def _psi_recursion(cs: ComplexSystem, n: int):
                         if factor <= 0 or kap[0] < 0 or kap[1] < 0 or kap[2] < 0:
                             continue
                         dk = d.get((kap[0], kap[1], kap[2]))
-                        if dk is None:
-                            continue
-                        term = coeff * dk
-                        if factor != 1:
-                            term = term * factor
-                        S = term if S is None else S + term
-                if S is None:
+                        if dk is not None:
+                            terms.append((coeff, dk, factor))
+                if not terms:
                     continue
+                S = dot(terms)
                 if k1 == k2 and k3 == 0:
                     layer[target] = S  # obstruction; d stays zero
                 elif S:

@@ -31,7 +31,12 @@ the rationals of ``fractions.Fraction``:
   float backend's complex type; ``gauss(real, imag)`` builds whichever of
   the two the parts call for, and ``real_part`` takes a real part back.
 * ``Jet``               -- truncated polynomials in designated small parameters,
-  used to expand focus quantities around a point of the center variety.
+  used to expand focus quantities around a point of the center variety:
+  integer numerators over one denominator, reduced by one gcd per result.
+  ``dot`` sums weighted products; over ``GaussExpr``s of jets it adds every
+  product of a part into one numerator dict over the lcm of their
+  denominators and reduces once, and every other type adds its products
+  left to right as a plain loop would.
 
 All values are immutable after construction; operations are pure functions.
 
@@ -53,7 +58,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from operator import add
 
 from .errors import DivisionByZero, PoleAtPoint, TruncationTooLow
@@ -831,10 +836,10 @@ class GaussExpr:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        norm = other.real * other.real + other.imag * other.imag
+        inv = (other.real * other.real + other.imag * other.imag) ** -1
         return GaussExpr(
-            (self.real * other.real + self.imag * other.imag) / norm,
-            (self.imag * other.real - self.real * other.imag) / norm,
+            (self.real * other.real + self.imag * other.imag) * inv,
+            (self.imag * other.real - self.real * other.imag) * inv,
         )
 
     def __rtruediv__(self, other):
@@ -885,6 +890,40 @@ def real_part(z, what, error):
     if nonreal:
         raise error(f"{what} has imaginary part {z.imag}")
     return z.real
+
+
+def dot(terms):
+    """sum(w * x * y for x, y, w in terms), for a nonempty list of triples
+    with positive int weights w.
+
+    When every x and y is a ``GaussExpr`` over ``Jet``s, each part of the
+    sum is built in one numerator dict and reduced once (``_jet_dot``).
+    Every other type takes the steps of the plain loop in its order:
+    ``x * y``, then ``* w`` for w != 1, then ``+`` from the left, so float
+    sums round as that loop does.
+    """
+    if all(
+        isinstance(x, GaussExpr) and isinstance(y, GaussExpr)
+        and isinstance(x.real, Jet) and isinstance(x.imag, Jet)
+        and isinstance(y.real, Jet) and isinstance(y.imag, Jet)
+        for x, y, _ in terms
+    ):
+        # one list per half: a single list of all the pairs, grown item by
+        # item, left the heap fragmented and raised the peak memory of
+        # repeated runs
+        ctx = terms[0][0].real.ctx
+        real = _jet_dot(ctx, [(x.real, y.real, w) for x, y, w in terms],
+                        [(x.imag, y.imag, -w) for x, y, w in terms])
+        imag = _jet_dot(ctx, [(x.real, y.imag, w) for x, y, w in terms],
+                        [(x.imag, y.real, w) for x, y, w in terms])
+        return GaussExpr(real, imag)
+    acc = None
+    for x, y, w in terms:
+        term = x * y
+        if w != 1:
+            term = term * w
+        acc = term if acc is None else acc + term
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -962,6 +1001,42 @@ class JetContext:
         return Jet(self, {1 + i: 1})
 
 
+def _add_product(ctx, out, a, b, scale):
+    """out[k] += scale * (a * b)[k] for the truncated product of the
+    numerator dicts a and b, both nonempty."""
+    if len(a) > len(b):
+        a, b = b, a
+    # fits[d]: b's terms of degree <= d, those of index < widths[d]
+    items = sorted(b.items())
+    fits = [items[: bisect_left(items, (w,))] for w in ctx.widths]
+    cap, degs, table = ctx.degree, ctx.degrees, ctx.product_table()
+    get = out.get
+    for i, x in a.items():
+        row = table[i]
+        x *= scale
+        for j, y in fits[cap - degs[i]]:
+            k = row[j]
+            out[k] = get(k, 0) + x * y
+
+
+def _jet_dot(ctx, *groups):
+    """sum(s * p * q) over the (p, q, s) triples of the groups, as one Jet,
+    for Jets p, q of ``ctx`` and integers s: every product is added into
+    one numerator dict over the lcm of the pair denominators, and the sum
+    is reduced once."""
+    den = 1
+    for p, q, _ in chain.from_iterable(groups):
+        for jet in (p, q):
+            if jet.ctx is not ctx and jet.ctx != ctx:
+                raise ValueError("jet contexts differ")
+        den = math.lcm(den, p.den * q.den)
+    out = {}
+    for p, q, s in chain.from_iterable(groups):
+        if p.nums and q.nums:
+            _add_product(ctx, out, p.nums, q.nums, s * (den // (p.den * q.den)))
+    return Jet(ctx, out, den)
+
+
 class Jet:
     """Truncated polynomial in the small parameters of a JetContext.
 
@@ -1026,21 +1101,24 @@ class Jet:
             return self.ctx.const(other)
         return None
 
+    def _plus(self, other, sign):
+        """self + sign * other, in a copy of self's dict."""
+        # over lcm(self.den, other.den) = self.den * s = other.den * t
+        g = math.gcd(self.den, other.den)
+        s, t = other.den // g, sign * (self.den // g)
+        nums = dict(self.nums) if s == 1 else {k: n * s for k, n in self.nums.items()}
+        get = nums.get
+        for k, n in other.nums.items():
+            nums[k] = get(k, 0) + n * t
+        return Jet(self.ctx, nums, self.den * s)
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self, other
-        if len(a.nums) < len(b.nums):
-            a, b = b, a
-        # over lcm(a.den, b.den) = a.den * s = b.den * t
-        g = math.gcd(a.den, b.den)
-        s, t = b.den // g, a.den // g
-        nums = dict(a.nums) if s == 1 else {k: n * s for k, n in a.nums.items()}
-        get = nums.get
-        for k, n in b.nums.items():
-            nums[k] = get(k, 0) + n * t
-        return Jet(self.ctx, nums, a.den * s)
+        if len(self.nums) < len(other.nums):
+            return other._plus(self, 1)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -1051,7 +1129,7 @@ class Jet:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -1064,20 +1142,9 @@ class Jet:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.nums, other.nums
-        if len(a) > len(b):
-            a, b = b, a
-        # fits[d]: b's terms of degree <= d, those of index < widths[d]
-        items = sorted(b.items())
-        fits = [items[: bisect_left(items, (w,))] for w in ctx.widths]
-        cap, degs, table = ctx.degree, ctx.degrees, ctx.product_table()
         out = {}
-        get = out.get
-        for i, x in a.items():
-            row = table[i]
-            for j, y in fits[cap - degs[i]]:
-                k = row[j]
-                out[k] = get(k, 0) + x * y
+        if self.nums and other.nums:
+            _add_product(ctx, out, self.nums, other.nums, 1)
         return Jet(ctx, out, self.den * other.den)
 
     __rmul__ = __mul__
@@ -1107,12 +1174,13 @@ class Jet:
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return other * self.inverse()
+        return self.inverse() * other
 
     def __pow__(self, n):
+        if isinstance(n, int) and n < 0:
+            return binary_power(self.inverse(), -n, self.ctx.one)
         return binary_power(self, n, self.ctx.one)
 
     def __eq__(self, other):

@@ -20,6 +20,7 @@ from hopfcm.paramfield import (
     JetContext,
     ParamExpr,
     ParamPoly,
+    dot,
     gauss,
     poly_gcd,
     real_part,
@@ -729,6 +730,7 @@ def test_jet_inverse_and_division():
     e = ctx.eps("e")
     j = 2 + e
     assert j * j.inverse() == ctx.one()
+    assert j ** -1 == j.inverse() and j ** -2 == (j * j).inverse()
     with pytest.raises(DivisionByZero):
         e.inverse()
 
@@ -847,6 +849,85 @@ def test_jet_evaluate_agrees_with_poly_evaluate(coeffs, point):
     assert type(got) is Fraction
     assert got == ParamPoly(_SMALL, _dense(jet)).evaluate(values)
     assert jet.evaluate({n: ctx.eps(n) for n in _SMALL}) == jet
+
+
+def _loop_sum(terms):
+    """sum(w * x * y) by the plain loop that ``dot`` replaces."""
+    acc = None
+    for x, y, w in terms:
+        term = x * y
+        if w != 1:
+            term = term * w
+        acc = term if acc is None else acc + term
+    return acc
+
+
+@st.composite
+def jet_dot_terms(draw):
+    """(x, y, w) triples of Jets or of GaussExprs over Jets, in a context of
+    degree 0-3 with 1-4 names: zero, constant and general jets over mixed
+    denominators, weights 1-4."""
+    ctx = JetContext(tuple(f"e{i}" for i in range(draw(st.integers(1, 4)))),
+                     draw(st.integers(0, 3)))
+    size = len(ctx.monomials)
+
+    def jet():
+        kind = draw(st.sampled_from(["zero", "constant", "general"]))
+        if kind == "zero":
+            return ctx.zero()
+        keys = [0] if kind == "constant" else draw(
+            st.lists(st.integers(0, size - 1), min_size=1, max_size=6, unique=True))
+        nums = {k: draw(st.integers(-20, 20)) for k in keys}
+        return Jet(ctx, nums, draw(st.integers(1, 12)))
+
+    gaussian = draw(st.booleans())
+    terms = []
+    for _ in range(draw(st.integers(1, 6))):
+        x, y = (GaussExpr(jet(), jet()), GaussExpr(jet(), jet())) if gaussian else (jet(), jet())
+        terms.append((x, y, draw(st.integers(1, 4))))
+    return terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(jet_dot_terms())
+def test_a_fused_jet_sum_equals_the_left_to_right_sum(terms):
+    got, want = dot(terms), _loop_sum(terms)
+    assert type(got) is type(want) and got == want
+    parts = [(got.real, want.real), (got.imag, want.imag)] if isinstance(got, GaussExpr) else [(got, want)]
+    for g, w in parts:
+        assert g.nums == w.nums and g.den == w.den
+        assert _is_canonical(g)
+
+
+def test_a_fused_jet_sum_refuses_jets_of_another_context():
+    ctx, other = JetContext(("u",), 2), JetContext(("v",), 2)
+    z, w = GaussExpr(ctx.eps("u"), ctx.one()), GaussExpr(other.eps("v"), other.one())
+    with pytest.raises(ValueError):
+        dot([(z, z, 1), (z, w, 2)])
+
+
+@pytest.mark.parametrize("terms", [
+    # one term of -0.0: the sum starts from that term, not from a zero
+    [(complex(0.0, 0.0), complex(-0.0, 0.0), 1)],
+    [(complex(0.0, 0.0), complex(-0.0, 0.0), 3), (complex(-0.0, 1.0), complex(0.0, -0.0), 1)],
+    # left to right, 1e16 + 1 - 1e16 is 0.0 (a compensated sum gives 1.0)
+    [(complex(1e16, 0.5), 1 + 0j, 1), (1 + 0j, 1 + 0j, 1), (complex(-1e16, 0.25), 1 + 0j, 1)],
+    [(GaussExpr(Fraction(1, 3), Fraction(-2)), GaussExpr(Fraction(5, 7), Fraction(0)), 2),
+     (GaussExpr(Fraction(0), Fraction(1, 2)), GaussExpr(Fraction(-3), Fraction(1, 6)), 1),
+     (GaussExpr(Fraction(-1, 3), Fraction(2)), GaussExpr(Fraction(5, 7), Fraction(0)), 2)],
+], ids=["complex-negative-zero", "complex-weighted", "complex-rounding", "gauss-fraction"])
+def test_dot_on_other_types_is_the_plain_loop(terms):
+    got, want = dot(terms), _loop_sum(terms)
+    assert type(got) is type(want) and got == want and repr(got) == repr(want)
+    if isinstance(got, complex):
+        assert repr(got.real) == repr(want.real) and repr(got.imag) == repr(want.imag)
+    assert repr(dot(terms[:1])) == repr(_loop_sum(terms[:1]))
+
+
+def test_dot_keeps_a_negative_zero_and_rounds_left_to_right():
+    assert repr(dot([(complex(0.0, 0.0), complex(-0.0, 0.0), 1)])) == "(-0+0j)"
+    terms = [(complex(1e16, 0.0), 1 + 0j, 1), (1 + 0j, 1 + 0j, 1), (complex(-1e16, 0.0), 1 + 0j, 1)]
+    assert dot(terms).real == 0.0
 
 
 def test_constant_jet_hashes_like_its_fraction():

@@ -288,7 +288,11 @@ def _generic_coefficients(plan, x, order):
         for k, (left, axis) in enumerate(products, 3):
             series[k].append(sum(map(mul, series[left], reversed(series[axis]))))
         for i, (const, terms) in enumerate(components):
-            f = sum([c * series[k][n] for c, k in terms], const if n == 0 else zero)
+            # left to right with +, as the kernel adds; the builtin sum
+            # compensates float rounding from Python 3.12 on
+            f = const if n == 0 else zero
+            for c, k in terms:
+                f = f + c * series[k][n]
             series[i].append(f / (n + 1))
     return series[:3]
 

@@ -299,6 +299,27 @@ def _set_by_calls(name, positional, defaulted, calls):
     return set_here
 
 
+def test_the_focus_recursion_names_no_number_type():
+    """The Psi recursion is generic over the coefficient scalar: the sums it
+    needs go through ``paramfield.dot``, which alone picks a fused path for
+    jets, so ``focusq`` names neither ``Jet`` nor ``GaussExpr``."""
+    import hopfcm.focusq
+
+    path = Path(hopfcm.focusq.__file__)
+    offenders = [
+        f"{path.name}:{node.lineno} {name}"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        for name in (
+            [node.id] if isinstance(node, ast.Name)
+            else [node.attr] if isinstance(node, ast.Attribute)
+            else [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+            else []
+        )
+        if name in {"Jet", "GaussExpr"}
+    ]
+    assert offenders == []
+
+
 def test_every_defaulted_parameter_is_set_by_the_program():
     """A parameter with a default that no call of the program sets has one
     value in use, and that value belongs in a constant.  Name-based, like
