@@ -40,7 +40,7 @@ from .errors import (
     NotRealSystem,
 )
 from .normalform import NormalForm3, to_normal_form
-from .paramfield import FLOAT_TOL, dot, gauss, real_part
+from .paramfield import dot, gauss, negligible, real_part
 from .polysys import StatePoly, VectorField3
 
 
@@ -211,17 +211,14 @@ def identity_defect(cs: ComplexSystem, n: int):
 
 
 def verify_first_integral(fld: VectorField3, H: StatePoly) -> bool:
-    """True iff the derivative of H along the field is the zero polynomial."""
+    """True iff the derivative of H along the field is the zero polynomial,
+    each coefficient tested by ``negligible``."""
     if H.total_degree() <= 0:
         raise NotAFirstIntegralCandidate("candidate is constant")
-    acc = None
-    for axis in range(3):
-        part = fld.components[axis] * H.diff(axis)
-        acc = part if acc is None else acc + part
-    if acc is None:
-        return True
-    # exact survivors are nonzero (StatePoly drops zeros); floats get FLOAT_TOL
-    return all(isinstance(c, float) and abs(c) <= FLOAT_TOL for c in acc.terms.values())
+    acc = fld.components[0] * H.diff(0)
+    for axis in (1, 2):
+        acc = acc + fld.components[axis] * H.diff(axis)
+    return all(map(negligible, acc.terms.values()))
 
 
 def report_for_field(fld: VectorField3, n: int) -> FocusReport:

@@ -13,11 +13,12 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .errors import BadTransform, NotHopf, SingularTransform
-from .paramfield import FLOAT_TOL
+from .errors import BadTransform, NotHopf
+from .paramfield import FLOAT_TOL, negligible
 from .polysys import (
     StatePoly,
     VectorField3,
+    _mat_inv3,
     char_cubic,
     hopf_test,
     known_value,
@@ -53,20 +54,14 @@ def _nonlinear_part(poly: StatePoly) -> StatePoly:
     return StatePoly({e: c for e, c in poly.terms.items() if sum(e) >= 2})
 
 
-def _is_const(x, value, tol):
-    if isinstance(x, float):
-        return abs(x - value) <= tol
-    return not (x - value)
-
-
-def _classify_linear(mat, tol):
+def _classify_linear(mat):
     """Check rotation + axis block shape; return (s, lam) where the (u, v)
     block is ((0, s), (-s, 0)) and lam is the axis entry."""
     for (i, j) in ((0, 2), (1, 2), (2, 0), (2, 1), (0, 0), (1, 1)):
-        if not _is_const(mat[i][j], 0, tol):
+        if not negligible(mat[i][j]):
             raise BadTransform(f"linear part entry {(i, j)} does not vanish")
     a01, a10, lam = mat[0][1], mat[1][0], mat[2][2]
-    if not _is_const(a01 + a10, 0, tol):
+    if not negligible(a01 + a10):
         raise BadTransform("rotation block is not antisymmetric")
     if not a01:
         raise BadTransform("rotation block vanishes")
@@ -80,19 +75,22 @@ def to_normal_form(
     time_scale=None,
 ) -> NormalForm3:
     """Translate the equilibrium to the origin, apply the linear change of
-    coordinates and a time rescaling, and validate the resulting shape.
+    coordinates and a time rescaling in one ``transform``, and validate the
+    resulting shape; every zero test is ``negligible``.
 
     Exact coefficients: ``matrix`` entries must lie in the parameter field,
     and the rescaled rotation entries must be exactly +/-1.  When
-    ``time_scale`` is omitted it is |s| for the rotation entry s, which must
-    then be a known constant; time is never reversed.  Float coefficients
-    (see ``VectorField3.zero``) with no matrix: the eigenbasis comes from
-    the spectrum that the Hopf test found.
+    ``time_scale`` is omitted it is |s| for the rotation entry
+    s = (M^-1 J M)[0][1] of the matrix M and the Jacobian J at the
+    equilibrium, which must then be a known constant; time is never
+    reversed, and it is left unscaled when s is zero, so that the shape
+    test names the first entry that fails.  Float coefficients (see
+    ``VectorField3.zero``) with no matrix: the eigenbasis comes from the
+    spectrum that the Hopf test found.
     """
     res = fld.evaluate(equilibrium)
-    for v in res:
-        if not _is_const(v, 0, FLOAT_TOL):
-            raise NotHopf(f"point {equilibrium!r} is not an equilibrium: {res!r}")
+    if not all(map(negligible, res)):
+        raise NotHopf(f"point {equilibrium!r} is not an equilibrium: {res!r}")
     jac = fld.jacobian_at(equilibrium)
     report = hopf_test(char_cubic(jac))
     if report.is_hopf is False:
@@ -105,38 +103,29 @@ def to_normal_form(
         else:
             one, zero = fld.zero ** 0, fld.zero
             matrix = [[one, zero, zero], [zero, one, zero], [zero, zero, one]]
-
-    one = matrix[0][0] ** 0
-    zero = one * 0
     shift = tuple(equilibrium)
-    moved = transform(fld, shift, matrix, one)
-    lin = moved.jacobian_at((zero, zero, zero))
-    s, _ = _classify_linear(lin, FLOAT_TOL * 10)
 
     if time_scale is None:
-        # rescale by |s|, which must be a known constant; time never reverses
-        value = known_value(s)
+        row = _mat_inv3(matrix)[0]
+        col = [j[0] * matrix[0][1] + j[1] * matrix[1][1] + j[2] * matrix[2][1] for j in jac]
+        value = known_value(row[0] * col[0] + row[1] * col[1] + row[2] * col[2])
         if value is None:
             raise BadTransform(
                 "rotation entry is not constant; pass time_scale explicitly"
             )
-        time_scale = abs(value)
+        time_scale = abs(value) or value ** 0
 
-    if not time_scale:
-        raise SingularTransform("time_scale must be nonzero")
-    inv_scale = 1 / time_scale
-    final = replace(moved, components=tuple(c.scale(inv_scale) for c in moved.components))
+    final = transform(fld, shift, matrix, time_scale)
     if floating:
         # the equilibrium test vouched for the constant terms
         final = replace(final, components=tuple(
             StatePoly({e: v for e, v in c.chop(FLOAT_TOL * 1e-3).terms.items() if any(e)})
             for c in final.components
         ))
-    lin = final.jacobian_at((zero, zero, zero))
-    s, lam = _classify_linear(lin, FLOAT_TOL)
-    if _is_const(s, 1, FLOAT_TOL):
+    s, lam = _classify_linear(final.jacobian_at((fld.zero,) * 3))
+    if negligible(s - 1):
         orientation = -1  # udot = +v: clockwise frame
-    elif _is_const(s, -1, FLOAT_TOL):
+    elif negligible(s + 1):
         orientation = 1
     else:
         raise BadTransform(f"rotation entry {s!r} did not rescale to +/-1")

@@ -44,6 +44,10 @@ Every scalar type here (with ``Fraction`` and ``float``) meets one protocol,
 so the generic algorithms never ask a value for its type:
 
 * a scalar is zero exactly when it is falsy;
+* whether a computed value counts as zero is ``negligible``'s one decision:
+  exactly when falsy for an exact scalar, and within ``FLOAT_TOL``
+  relative to a scale for a float or complex one, whose rounding leaves
+  no exact zero;
 * identities come from a sample value ``x`` of the wanted type, as ``x * 0``
   and ``x ** 0``; for a ``ParamExpr`` they are the ``Fraction``s 0 and 1;
 * a pole is what division raises: ``ZeroDivisionError`` for ``Fraction`` and
@@ -867,9 +871,17 @@ class GaussExpr:
     __repr__ = __str__
 
 
-# the float backend's test for zero: in ``real_part`` below, in the
-# normal form's equilibrium, shape and Hopf tests, and for first integrals
+# the float backend's tolerance for zero, applied through ``negligible``
 FLOAT_TOL = 1e-9
+
+
+def negligible(x, *scale):
+    """Whether the scalar x counts as zero: exactly when it is falsy for an
+    exact scalar; for a float or complex one, when |x| <= FLOAT_TOL *
+    max(1, |s| for s in ``scale``)."""
+    if isinstance(x, (float, complex)):
+        return abs(x) <= FLOAT_TOL * max([1.0, *map(abs, scale)])
+    return not x
 
 
 def gauss(real, imag):
@@ -881,13 +893,9 @@ def gauss(real, imag):
 
 
 def real_part(z, what, error):
-    """Re z; raises ``error`` unless Im z is zero: exactly for a
-    ``GaussExpr``, relative to ``FLOAT_TOL`` for a ``complex``."""
-    if isinstance(z, complex):
-        nonreal = abs(z.imag) > FLOAT_TOL * max(1.0, abs(z))
-    else:
-        nonreal = bool(z.imag)
-    if nonreal:
+    """Re z; raises ``error`` unless Im z is ``negligible`` relative to |z|
+    (exactly zero for a ``GaussExpr``)."""
+    if not negligible(z.imag, z):
         raise error(f"{what} has imaginary part {z.imag}")
     return z.real
 

@@ -21,7 +21,7 @@ from typing import Optional
 
 from .errors import DivisionByZero, HopfcmError, PoleAtPoint, SchemaError, SingularTransform
 from . import grammar
-from .paramfield import FLOAT_TOL, Jet, ParamExpr, binary_power
+from .paramfield import Jet, ParamExpr, binary_power, negligible
 
 
 class StatePoly:
@@ -248,18 +248,13 @@ class HopfReport:
 
 
 def char_cubic(m) -> CharCubic:
-    """alpha = -trace, beta = sum of principal 2x2 minors, gamma = -det."""
-    a = m
-    alpha = -(a[0][0] + a[1][1] + a[2][2])
-    beta = (
-        a[0][0] * a[1][1]
-        - a[0][1] * a[1][0]
-        + a[0][0] * a[2][2]
-        - a[0][2] * a[2][0]
-        + a[1][1] * a[2][2]
-        - a[1][2] * a[2][1]
-    )
-    return CharCubic(alpha, beta, -_mat_det3(a))
+    """alpha = -trace, beta = sum of principal 2x2 minors (the diagonal
+    cofactors), gamma = -det, expanded along row 0."""
+    c00 = _cofactor(m, 0, 0)
+    alpha = -(m[0][0] + m[1][1] + m[2][2])
+    beta = _cofactor(m, 2, 2) + _cofactor(m, 1, 1) + c00
+    det = m[0][0] * c00 + m[0][1] * _cofactor(m, 0, 1) + m[0][2] * _cofactor(m, 0, 2)
+    return CharCubic(alpha, beta, -det)
 
 
 def known_value(x):
@@ -275,25 +270,22 @@ def hopf_test(cubic: CharCubic) -> HopfReport:
     """Purely imaginary pair plus nonzero real eigenvalue.
 
     Requires gamma - alpha*beta = 0, beta > 0 and alpha != 0; then the
-    spectrum is +/- sqrt(beta) i together with -alpha.  Exact residuals are
-    tested exactly; float residuals against ``FLOAT_TOL`` relative to the
-    cubic's coefficient scale.
+    spectrum is +/- sqrt(beta) i together with -alpha.  Zero means
+    ``negligible``: exactly for exact values, and for floats the residual
+    relative to max(1, |gamma|, |alpha*beta|), beta and alpha absolutely.
+    ``is_hopf`` is None when a free parameter leaves a condition undecided.
     """
     alpha, beta, gamma = cubic.alpha, cubic.beta, cubic.gamma
-    residual = gamma - alpha * beta
+    alpha_beta = alpha * beta
+    residual = gamma - alpha_beta
     conditions = {"gamma_minus_alpha_beta": residual, "beta": beta, "alpha": alpha}
-    if isinstance(residual, float):
-        scale = max(1.0, abs(gamma), abs(alpha * beta))
-        tol = FLOAT_TOL
-        ok = abs(residual) <= tol * scale and beta > tol and abs(alpha) > tol
-        return HopfReport(ok, beta, -alpha, conditions)
     res, b, a = known_value(residual), known_value(beta), known_value(alpha)
-    if res:
+    if res is not None and not negligible(res, gamma, alpha_beta):
         ok = False  # residual provably nonzero
     elif res is None or b is None or a is None:
         ok = None
     else:
-        ok = b > 0 and a != 0
+        ok = b > 0 and not negligible(b) and not negligible(a)
     return HopfReport(ok, beta, -alpha, conditions)
 
 
@@ -301,37 +293,23 @@ def hopf_test(cubic: CharCubic) -> HopfReport:
 # coordinate changes
 
 
-def _mat_det3(m):
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
+def _cofactor(m, i, j):
+    """The signed cofactor of entry (i, j) of a 3x3 matrix: with the other
+    rows and columns taken cyclically, the sign comes out of the order."""
+    r, s = (i + 1) % 3, (i + 2) % 3
+    p, q = (j + 1) % 3, (j + 2) % 3
+    return m[r][p] * m[s][q] - m[r][q] * m[s][p]
 
 
 def _mat_inv3(m):
-    det = _mat_det3(m)
+    """The inverse as the transposed cofactors over the determinant, which
+    is expanded along row 0."""
+    cof = [[_cofactor(m, i, j) for j in range(3)] for i in range(3)]
+    det = m[0][0] * cof[0][0] + m[0][1] * cof[0][1] + m[0][2] * cof[0][2]
     if not det:
         raise SingularTransform("transform matrix is singular")
     if isinstance(det, (float, complex)) and abs(det) < 1e-300:
         raise SingularTransform("transform matrix is numerically singular")
-    cof = [
-        [
-            m[1][1] * m[2][2] - m[1][2] * m[2][1],
-            -(m[1][0] * m[2][2] - m[1][2] * m[2][0]),
-            m[1][0] * m[2][1] - m[1][1] * m[2][0],
-        ],
-        [
-            -(m[0][1] * m[2][2] - m[0][2] * m[2][1]),
-            m[0][0] * m[2][2] - m[0][2] * m[2][0],
-            -(m[0][0] * m[2][1] - m[0][1] * m[2][0]),
-        ],
-        [
-            m[0][1] * m[1][2] - m[0][2] * m[1][1],
-            -(m[0][0] * m[1][2] - m[0][2] * m[1][0]),
-            m[0][0] * m[1][1] - m[0][1] * m[1][0],
-        ],
-    ]
     return [[cof[j][i] / det for j in range(3)] for i in range(3)]
 
 
@@ -339,9 +317,9 @@ def transform(fld: VectorField3, shift, linear, time_scale) -> VectorField3:
     """Express the dynamics in new coordinates u with x = shift + linear @ u,
     after the time rescaling tau = time_scale * t (the field divides by it).
     """
+    inv = _mat_inv3(linear)
     if not time_scale:
         raise SingularTransform("time_scale must be nonzero")
-    inv = _mat_inv3(linear)
     subs = []
     for i in range(3):
         terms = {}

@@ -245,6 +245,31 @@ def test_normalize_rejects_a_malformed_matrix(tmp_path, capsys, system, matrix, 
     assert report["error"] == error and message in report["message"]
 
 
+@pytest.mark.parametrize(
+    "transform,error,message",
+    [
+        ({"matrix": [[1, 0, 0], [0, 0, 1], [0, 1, 0]]},
+         "BadTransform", "linear part entry (0, 2) does not vanish"),
+        ({"matrix": [[2, 0, 0], [0, 1, 0], [0, 0, 1]], "time_scale": 1},
+         "BadTransform", "rotation block is not antisymmetric"),
+        ({"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "time_scale": 3},
+         "BadTransform", "rotation entry Fraction(1, 3) did not rescale to +/-1"),
+        ({"matrix": [[1, 0, 0], [1, 0, 0], [0, 0, 1]]},
+         "SingularTransform", "transform matrix is singular"),
+    ],
+    ids=["axis-coupled", "not-antisymmetric", "not-unit-rotation", "singular"],
+)
+def test_normalize_names_what_a_transform_breaks(tmp_path, capsys, transform, error, message):
+    path = tmp_path / "transform.json"
+    path.write_text(json.dumps(transform))
+    code, out, err = run_cli(
+        capsys, "normalize", "--system", "e1-normal", "--params", "c=0,d=1,k=1",
+        "--transform", str(path),
+    )
+    assert (code, out) == (2, "")
+    assert err == json.dumps({"error": error, "message": message}) + "\n"
+
+
 RANK_CONFIG = {
     "system": "e1-normal", "point": {"k": 1, "c": 0, "d": 1}, "small": ["k", "c", "d"],
     "order": 3,

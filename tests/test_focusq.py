@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfcm import paramfield
-from hopfcm.catalog import build, e4_normal, e5_normal
+from hopfcm import focusq, paramfield
+from hopfcm.catalog import PERTURBATION_PARAMS, build, e4_normal, e4m, e5_normal, e5m
 from hopfcm.cyclicity import jet_focus_report, jet_system
 from hopfcm.errors import (
     DegenerateLambda,
@@ -95,8 +95,6 @@ def test_identity_defect_vanishes(build, n):
 def _assert_defect_caught(build, n, monomial, monkeypatch):
     """Adding d_110 to the Psi coefficient at ``monomial`` must leave a
     defect in the identity."""
-    import hopfcm.focusq as focusq
-
     cs = build()
     recursion = focusq._psi_recursion
 
@@ -154,6 +152,31 @@ def test_the_recursion_computes_only_half_the_psi_coefficients(monkeypatch):
     rep = jet_focus_report("e1-normal", {"k": 1, "c": 0, "d": 1}, ("k", "c", "d"), 2, 5)
     assert [str(q) for q in rep.quantities] == JET_L1_TO_L5
     assert count[0] <= 3000
+
+
+def test_jet_quantities_take_the_fused_sums(monkeypatch):
+    """The transverse eigenvalue of a jet normal form is a Jet, so the
+    recursion's identities are jets and every one of its sums is fused:
+    each ``dot`` call reaches ``_jet_dot`` once per part (87 calls, 174)."""
+    fld = jet_system("e1-center-perturbed", {}, PERTURBATION_PARAMS, 2)
+    nf = to_normal_form(fld, (fld.zero,) * 3)
+    assert isinstance(nf.lam, paramfield.Jet)
+    calls = {"dot": 0, "_jet_dot": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(focusq, "dot")
+    counted(paramfield, "_jet_dot")
+    focus_quantities(complexify(nf), 3)
+    assert calls["dot"] > 0
+    assert calls["_jet_dot"] == 2 * calls["dot"]
 
 
 # --- center family ------------------------------------------------------------
@@ -413,6 +436,20 @@ def test_e5_first_quantity_matches_printed_closed_form(c, h):
     scaled = L1 * _clearing_e45(c, h)
     printed = _printed_L1_e5(c, h)
     assert abs(scaled - printed) <= 1e-6 * abs(printed)
+
+
+@pytest.mark.parametrize("c,h", [(0.25, 2.0), (1.0, 2.0), (3.0, 5.0),
+                                 (-0.25, 2.0), (-1.0, 2.0), (-3.0, 5.0)])
+def test_the_translated_family_reduces_to_its_normal_form_up_to_scale(c, h):
+    """``e4m``/``e5m`` through the float eigenbasis and ``e4-normal``/
+    ``e5-normal`` scale the rotation plane differently, so their L_k differ
+    by one positive factor r^k (r = 1 to rounding at h = 2, 0.2707 at
+    h = 5): L1 keeps its sign and L2 / L1^2 its value."""
+    translated, normal = (e4m, e4_normal) if c > 0 else (e5m, e5_normal)
+    L = report_for_field(translated({"c": c, "h": h}), 2).quantities
+    N = report_for_field(normal({"c": c, "h": h}), 2).quantities
+    assert (L[0] > 0) == (N[0] > 0)
+    assert L[1] / L[0] ** 2 == pytest.approx(N[1] / N[0] ** 2, rel=1e-12)
 
 
 def test_exact_e4_value_matches_float_backend():

@@ -132,6 +132,12 @@ def test_bad_matrix_rejected():
         to_normal_form(fld, (F(0), F(0), F(0)), matrix=bad, time_scale=F(1))
 
 
+def test_numerically_singular_float_matrix_rejected():
+    tiny = [[1e-150, 0.0, 0.0], [0.0, 1e-160, 0.0], [0.0, 0.0, 1.0]]
+    with pytest.raises(SingularTransform, match="transform matrix is numerically singular"):
+        to_normal_form(e4_normal({"c": 0.25, "h": 2.0}), (0.0,) * 3, matrix=tiny)
+
+
 def test_degenerate_transverse_eigenvalue_rejected():
     comps = (
         StatePoly({(0, 1, 0): F(-1), (2, 0, 0): F(1)}),

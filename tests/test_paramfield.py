@@ -22,6 +22,7 @@ from hopfcm.paramfield import (
     ParamPoly,
     dot,
     gauss,
+    negligible,
     poly_gcd,
     real_part,
 )
@@ -569,6 +570,19 @@ def test_real_part_tolerates_float_noise_only():
     for imag in (Fraction(1, 10**12), c - c + Fraction(1, 10**12), c):
         with pytest.raises(NotRealSystem):
             real_part(GaussExpr(Fraction(2) + 0 * imag, imag), "L", NotRealSystem)
+
+
+def test_negligible_is_exact_for_exact_scalars_and_relative_for_floats():
+    c = ParamExpr.var(P, "c")
+    ctx = JetContext(("e",), 1)
+    assert negligible(Fraction(0)) and negligible(ctx.zero())
+    for x in (Fraction(1, 10**12), c, ctx.eps("e") * Fraction(1, 10**12)):
+        assert not negligible(x, 10**15)
+    assert negligible(1e-9) and negligible(complex(0, -1e-9))
+    assert not negligible(2e-9) and not negligible(complex(2e-9, 0))
+    # the tolerance scales with the largest |s|, never below FLOAT_TOL itself
+    assert negligible(1e-7, 0.5, -1e3) and not negligible(1e-5, 1e3)
+    assert not negligible(2e-9, 0.5, 1e-3)
 
 
 def test_gauss_division():

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +11,8 @@ from hopfcm.catalog import build, equilibria_catalog
 from hopfcm.errors import SchemaError, SingularTransform
 from hopfcm.paramfield import ParamExpr
 from hopfcm.polysys import (
+    _mat_inv3,
+    CharCubic,
     StatePoly,
     VectorField3,
     char_cubic,
@@ -139,6 +142,33 @@ def test_not_hopf_when_trace_condition_fails():
 def test_not_hopf_when_beta_zero():
     cc = char_cubic([[F(0), F(0), F(0)], [F(0), F(0), F(0)], [F(0), F(0), F(-1)]])
     assert hopf_test(cc).is_hopf is False
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4), min_size=9, max_size=9))
+def test_cofactors_give_the_characteristic_cubic_and_inverse_of_sympy(entries):
+    m = [entries[0:3], entries[3:6], entries[6:9]]
+    sm = sympy.Matrix(3, 3, [sympy.Rational(x.numerator, x.denominator) for x in entries])
+    cubic = char_cubic(m)
+    assert [cubic.alpha, cubic.beta, cubic.gamma] == [F(str(x)) for x in sm.charpoly().all_coeffs()[1:]]
+    if sm.det() == 0:
+        with pytest.raises(SingularTransform, match="transform matrix is singular"):
+            _mat_inv3(m)
+    else:
+        inv = sm.inv()
+        assert _mat_inv3(m) == [[F(str(inv[i, j])) for j in range(3)] for i in range(3)]
+
+
+def test_float_hopf_test_tolerances():
+    """The residual counts as zero relative to max(1, |gamma|, |alpha beta|),
+    beta and alpha absolutely, all against FLOAT_TOL = 1e-9."""
+    assert hopf_test(CharCubic(2.0, 1e6, 2e6 + 1e-4)).is_hopf is True
+    assert hopf_test(CharCubic(2.0, 1e6, 2e6 + 1e-2)).is_hopf is False
+    assert hopf_test(CharCubic(1.0, 1.0, 1.0 + 1e-10)).is_hopf is True
+    assert hopf_test(CharCubic(1.0, 1.0, 1.0 + 1e-8)).is_hopf is False
+    assert hopf_test(CharCubic(1.0, 1e-10, 1e-10)).is_hopf is False
+    assert hopf_test(CharCubic(1e-10, 1.0, 1e-10)).is_hopf is False
+    assert hopf_test(CharCubic(1.0, -1.0, -1.0)).is_hopf is False
 
 
 @settings(max_examples=60, deadline=None)

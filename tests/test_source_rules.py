@@ -320,6 +320,42 @@ def test_the_focus_recursion_names_no_number_type():
     assert offenders == []
 
 
+def test_only_negligible_decides_when_a_float_is_zero():
+    """``paramfield.negligible`` alone decides when a computed value counts
+    as zero, so ``FLOAT_TOL`` is named only in ``paramfield`` (its
+    definition and ``negligible``) and, imported for it, in the normal
+    form's chop of float coefficients, which is a cut-off, not a test."""
+    allowed = {
+        ("paramfield.py", "<module>"),
+        ("paramfield.py", "negligible"),
+        ("normalform.py", "import"),
+        ("normalform.py", "to_normal_form.chop"),
+    }
+    offenders = []
+
+    def visit(path, node, place):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            place = node.name
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "chop":
+            place = f"{place}.chop"
+        names = (
+            [node.id] if isinstance(node, ast.Name)
+            else [node.attr] if isinstance(node, ast.Attribute)
+            else [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+            else []
+        )
+        if "FLOAT_TOL" in names:
+            where = "import" if isinstance(node, ast.ImportFrom) else place
+            if (path.name, where) not in allowed:
+                offenders.append(f"{path.name}:{node.lineno} in {where}")
+        for child in ast.iter_child_nodes(node):
+            visit(path, child, place)
+
+    for path in sorted(Path(hopfcm.__file__).parent.glob("*.py")):
+        visit(path, ast.parse(path.read_text(), str(path)), "<module>")
+    assert offenders == []
+
+
 def test_every_defaulted_parameter_is_set_by_the_program():
     """A parameter with a default that no call of the program sets has one
     value in use, and that value belongs in a constant.  Name-based, like
