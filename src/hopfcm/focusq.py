@@ -121,8 +121,10 @@ def _psi_recursion(cs: ComplexSystem, n: int):
     d_{k1,k2,k3} with k1 != k2 is stored with its mirror d_{k2,k1,k3} =
     conj(d_{k1,k2,k3}).  That halves the work and relies on
     b_jkl = conj(a_kjl) and c_jkl = conj(c_kjl), which ``complexify``
-    guarantees.  Each target's products go to ``dot`` as one sum, which
-    the scalar type decides how to add.
+    guarantees.  Each target's products go to ``dot`` as one sum: over
+    jets and over rational functions it reduces each part once, or once per
+    shared denominator, so the identities' type (a jet or a Fraction) does
+    not change which path a sum takes.
     """
     if n < 1:
         raise HopfcmError(f"the focus recursion needs n >= 1, got {n}")

@@ -33,10 +33,12 @@ the rationals of ``fractions.Fraction``:
 * ``Jet``               -- truncated polynomials in designated small parameters,
   used to expand focus quantities around a point of the center variety:
   integer numerators over one denominator, reduced by one gcd per result.
-  ``dot`` sums weighted products; over ``GaussExpr``s of jets it adds every
-  product of a part into one numerator dict over the lcm of their
-  denominators and reduces once, and every other type adds its products
-  left to right as a plain loop would.
+* ``dot``               -- sums of weighted products, part by part for
+  ``GaussExpr``s.  Over jets, or over rationals alone, every product of a
+  part is added on integers over the lcm of their denominators and the sum
+  reduced once.  Over rational functions the products that share an
+  uncancelled denominator add their numerators and are reduced once.
+  Floats add their products left to right as a plain loop would.
 
 All values are immutable after construction; operations are pure functions.
 
@@ -509,6 +511,10 @@ def poly_gcd(a: ParamPoly, b: ParamPoly):
         g = a.primitive()
     elif a.is_constant() or b.is_constant():
         return ParamPoly.const(a.params, 1), a, b
+    elif a.prim == b.prim:
+        # equal integer parts: the gcd is that part, the cofactors the contents
+        params = a.params
+        return a.primitive(), ParamPoly.const(params, a.content), ParamPoly.const(params, b.content)
     else:
         heu = _heu_gcd(a.prim, b.prim)
         if heu is None:
@@ -902,29 +908,25 @@ def real_part(z, what, error):
 
 def dot(terms):
     """sum(w * x * y for x, y, w in terms), for a nonempty list of triples
-    with positive int weights w.
+    with int weights w.
 
-    When every x and y is a ``GaussExpr`` over ``Jet``s, each part of the
-    sum is built in one numerator dict and reduced once (``_jet_dot``).
-    Every other type takes the steps of the plain loop in its order:
-    ``x * y``, then ``* w`` for w != 1, then ``+`` from the left, so float
-    sums round as that loop does.
+    Exact sums are fused part by part (real and imaginary for
+    ``GaussExpr``s).  Over ``Jet``s, with rationals taken as constant jets,
+    each part is built in one numerator dict and reduced once
+    (``_jet_dot``); so is a sum of ``Fraction``s (``_fraction_dot``).  Over
+    ``ParamExpr``s and rationals, the products that share an uncancelled
+    denominator add their numerators and are reduced once
+    (``_rational_dot``).  Floats, complex numbers, ints alone and a single
+    real product take the steps of the plain loop in its order: ``x * y``,
+    then ``* w`` for w != 1, then ``+`` from the left, so float sums round
+    as that loop does.  Exact sums come out the same either way, since
+    their form is canonical.
     """
-    if all(
-        isinstance(x, GaussExpr) and isinstance(y, GaussExpr)
-        and isinstance(x.real, Jet) and isinstance(x.imag, Jet)
-        and isinstance(y.real, Jet) and isinstance(y.imag, Jet)
-        for x, y, _ in terms
-    ):
-        # one list per half: a single list of all the pairs, grown item by
-        # item, left the heap fragmented and raised the peak memory of
-        # repeated runs
-        ctx = terms[0][0].real.ctx
-        real = _jet_dot(ctx, [(x.real, y.real, w) for x, y, w in terms],
-                        [(x.imag, y.imag, -w) for x, y, w in terms])
-        imag = _jet_dot(ctx, [(x.real, y.imag, w) for x, y, w in terms],
-                        [(x.imag, y.real, w) for x, y, w in terms])
-        return GaussExpr(real, imag)
+    x = terms[0][0]
+    if not isinstance(x, (float, complex)) and (len(terms) > 1 or isinstance(x, GaussExpr)):
+        fused = _fused_dot(terms)
+        if fused is not None:
+            return fused
     acc = None
     for x, y, w in terms:
         term = x * y
@@ -932,6 +934,99 @@ def dot(terms):
             term = term * w
         acc = term if acc is None else acc + term
     return acc
+
+
+def _fused_dot(terms):
+    """``dot`` part by part over jets, rational functions or Fractions,
+    with rationals among the first two; None for any other scalar type."""
+    real, imag, parts, gaussian = [], [], [], False
+    for x, y, w in terms:
+        xg, yg = isinstance(x, GaussExpr), isinstance(y, GaussExpr)
+        xr, xi = (x.real, x.imag) if xg else (x, 0)
+        yr, yi = (y.real, y.imag) if yg else (y, 0)
+        parts += (xr, xi) if xg else (xr,)
+        parts += (yr, yi) if yg else (yr,)
+        gaussian = gaussian or xg or yg
+        # (xr + i xi)(yr + i yi); a real factor adds no xi products
+        real.append((xr, yr, w))
+        if xg and yg:
+            real.append((xi, yi, -w))
+        if yg:
+            imag.append((xr, yi, w))
+        if xg:
+            imag.append((xi, yr, w))
+    kinds, rationals = set(map(type, parts)), {int, Fraction}
+    halves = (real, imag) if gaussian else (real,)
+    if Fraction in kinds and kinds <= rationals:
+        sums = [_fraction_dot(half) for half in halves]
+    elif Jet in kinds and kinds <= {Jet, *rationals}:
+        ctx = next(v.ctx for v in parts if type(v) is Jet)
+        if kinds != {Jet}:
+            def jet(v):
+                return v if type(v) is Jet else ctx.const(v)
+
+            halves = [[(jet(x), jet(y), w) for x, y, w in half] for half in halves]
+        sums = [_jet_dot(ctx, half) for half in halves]
+    elif ParamExpr in kinds and kinds <= {ParamExpr, *rationals}:
+        sums = [_rational_dot(half) for half in halves]
+    else:
+        return None
+    return GaussExpr(*sums) if gaussian else sums[0]
+
+
+def _fraction_dot(terms):
+    """sum(w * x * y) over (x, y, w) triples of rationals: the numerators
+    added on integers over the lcm of the product denominators, and one
+    ``Fraction`` reduction."""
+    num, den = 0, 1
+    for x, y, w in terms:
+        d = x.denominator * y.denominator
+        n = x.numerator * y.numerator * w
+        if d == den:
+            num += n
+        else:
+            g = math.gcd(den, d)
+            num = num * (d // g) + n * (den // g)
+            den *= d // g
+    return Fraction(num, den)
+
+
+def _den(x):
+    """The denominator polynomial of a ParamExpr or rational x; None for 1."""
+    if isinstance(x, ParamExpr) and not x.den.is_constant():
+        return x.den
+    return None
+
+
+def _num(x):
+    return x.num if isinstance(x, ParamExpr) else x
+
+
+def _rational_dot(terms):
+    """sum(w * x * y) over (x, y, w) triples of ParamExprs and rationals.
+
+    Each product is keyed by its uncancelled denominator b d (x = a/b,
+    y = c/d).  Two or more products of one key sum their numerators a c w
+    with no gcd, and the sum is reduced once.  A product alone is the
+    cancelled x * y * w, whose gcds are of the smaller pieces, and so are
+    the products over the denominator 1.  The values of the keys are then
+    added; a product with a zero factor is left out.
+    """
+    groups = {}
+    for x, y, w in terms:
+        if x and y:
+            b, d = _den(x), _den(y)
+            den = b if d is None else d if b is None else b * d
+            groups.setdefault(den, []).append((x, y, w))
+    acc = None
+    for den, group in groups.items():
+        if den is None or len(group) == 1:
+            value = sum(x * y * w for x, y, w in group)
+        else:
+            num = sum(_num(x) * _num(y) * w for x, y, w in group)
+            value = ParamExpr(num, den)
+        acc = value if acc is None else acc + value
+    return _ZERO if acc is None else acc
 
 
 # ---------------------------------------------------------------------------

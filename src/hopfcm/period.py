@@ -31,7 +31,8 @@ and then u_n.  A nonzero mean in a radial equation is an obstruction: the
 first return moves rho at that order and the point is a focus, not a
 center.  On centers the inverse angular speed 1 + sum Psi_k(theta) rho0^k
 of the last evaluation integrates to the period
-T(rho0) = 2 pi (1 + sum T_2k rho0^{2k}).
+T(rho0) = 2 pi (1 + sum_k T_k rho0^k), odd k included: off a symmetric
+family the odd coefficients after the first nonzero one need not vanish.
 
 Everything is exact over the Gaussian extension of the coefficient field;
 the float backend runs the same code on machine complex numbers.
@@ -137,7 +138,8 @@ class PolarReduction:
 
 @dataclass
 class PeriodExpansion:
-    """Even-order period coefficients T_2k plus the odd-order residuals."""
+    """The period coefficients: the even-order T_2k as ``constants`` and
+    the odd-order T_2k-1 as ``odd_residuals``."""
 
     constants: list
     odd_residuals: list
@@ -242,10 +244,11 @@ def _fourier_periodic_solution(g: StatePoly, lam):
 
 
 def isochronicity_constants(nf: NormalForm3, m: int) -> PeriodExpansion:
-    """T_2, T_4, ..., T_2m with the odd-order residuals alongside.
+    """T_2, T_4, ..., T_2m with the odd-order T_1, T_3, ..., T_2m-1
+    alongside.
 
     The period is reported in the positive minimal period convention:
-    T(rho0) = 2 pi (1 + sum T_2k rho0^{2k}).
+    T(rho0) = 2 pi (1 + sum_k T_k rho0^k) over k = 1..2m, odd k included.
     """
     zero = nf.lam ** 0 * 0
     inv_theta = periodic_solution_series(nf, 2 * m)["inv_theta"]

@@ -21,7 +21,7 @@ from typing import Optional
 
 from .errors import DivisionByZero, HopfcmError, PoleAtPoint, SchemaError, SingularTransform
 from . import grammar
-from .paramfield import Jet, ParamExpr, binary_power, negligible
+from .paramfield import Jet, ParamExpr, binary_power, dot, negligible
 
 
 class StatePoly:
@@ -71,15 +71,16 @@ class StatePoly:
     def __mul__(self, other):
         if not isinstance(other, StatePoly):
             return NotImplemented
+        # each monomial's products are summed by ``dot`` as one list
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(map(add, e1, e2))
                 if e in out:
-                    out[e] = out[e] + c1 * c2
+                    out[e].append((c1, c2, 1))
                 else:
-                    out[e] = c1 * c2
-        return StatePoly(out)
+                    out[e] = [(c1, c2, 1)]
+        return StatePoly({e: dot(terms) for e, terms in out.items()})
 
     def scale(self, factor):
         return StatePoly({e: c * factor for e, c in self.terms.items()})

@@ -929,7 +929,9 @@ def test_a_fused_jet_sum_refuses_jets_of_another_context():
     [(GaussExpr(Fraction(1, 3), Fraction(-2)), GaussExpr(Fraction(5, 7), Fraction(0)), 2),
      (GaussExpr(Fraction(0), Fraction(1, 2)), GaussExpr(Fraction(-3), Fraction(1, 6)), 1),
      (GaussExpr(Fraction(-1, 3), Fraction(2)), GaussExpr(Fraction(5, 7), Fraction(0)), 2)],
-], ids=["complex-negative-zero", "complex-weighted", "complex-rounding", "gauss-fraction"])
+    # ints alone stay ints, as the plain loop leaves them
+    [(2, 3, 1), (-1, 5, 2)],
+], ids=["complex-negative-zero", "complex-weighted", "complex-rounding", "gauss-fraction", "ints"])
 def test_dot_on_other_types_is_the_plain_loop(terms):
     got, want = dot(terms), _loop_sum(terms)
     assert type(got) is type(want) and got == want and repr(got) == repr(want)
@@ -942,6 +944,113 @@ def test_dot_keeps_a_negative_zero_and_rounds_left_to_right():
     assert repr(dot([(complex(0.0, 0.0), complex(-0.0, 0.0), 1)])) == "(-0+0j)"
     terms = [(complex(1e16, 0.0), 1 + 0j, 1), (1 + 0j, 1 + 0j, 1), (complex(-1e16, 0.0), 1 + 0j, 1)]
     assert dot(terms).real == 0.0
+
+
+def test_a_gauss_mix_of_fractions_and_jets_takes_the_fused_jet_sum(monkeypatch):
+    """Rational parts among jets are constant jets of the fused sum, so the
+    sum no longer depends on whether an identity was built as a Fraction."""
+    ctx = JetContext(_SMALL, 2)
+    u, v = ctx.eps("u"), ctx.eps("v")
+    terms = [
+        (GaussExpr(Fraction(1, 2), u * 3 + 1), GaussExpr(v, Fraction(-2, 3)), 2),
+        (GaussExpr(u * v, Fraction(0)), GaussExpr(Fraction(5), v - 1), 1),
+        (GaussExpr(Fraction(1, 3), Fraction(1, 7)), GaussExpr(u, Fraction(2)), 3),
+    ]
+    calls = []
+    jet_dot = paramfield._jet_dot
+
+    def counted(*args):
+        calls.append(args)
+        return jet_dot(*args)
+
+    monkeypatch.setattr(paramfield, "_jet_dot", counted)
+    got = dot(terms)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    want = _loop_sum(terms)
+    assert got == want
+    assert type(got.real) is Jet and type(got.imag) is Jet
+
+
+def test_poly_gcd_of_equal_integer_parts_makes_no_heuristic_call(monkeypatch):
+    c, d, k = _vars()
+    prim = (c**2 * d**2 + k**2) * (1 + c * d)
+    a, b = (prim * Fraction(-3, 4)).num, (prim * 6).num
+    calls = []
+    heu = paramfield._heu_gcd
+
+    def counted(f, g):
+        calls.append((f, g))
+        return heu(f, g)
+
+    monkeypatch.setattr(paramfield, "_heu_gcd", counted)
+    g, qa, qb = poly_gcd(a, b)
+    assert calls == []
+    monkeypatch.undo()
+    # the full gcd's triple: the PRS gcd and the exact quotients
+    full = paramfield._prs_gcd(a, b)
+    assert (g, qa, qb) == (full, paramfield.exact_div(a, full), paramfield.exact_div(b, full))
+    assert (qa.content, qb.content) == (Fraction(-3, 4), 6) and g.content == 1
+
+
+# The denominator atoms of the all-free normal form of e1-normal and of its
+# Psi recursion, as polynomials in (c, d, k).
+def _atoms():
+    c, d, k = _vars()
+    return [k, d, c * d + 1, c**2 * d**2 + k**2, d**4 + 4 * k**2]
+
+
+@st.composite
+def rational_dot_terms(draw):
+    """(x, y, w) triples of ParamExprs over the atoms mixed with Fractions,
+    real or Gaussian, weights 1-4: denominators drawn from a small pool so
+    that products share them, and, when drawn, a last term that cancels
+    the sum to a Fraction (0 included)."""
+    c, d, k = _vars()
+    atoms = _atoms()
+    shared = [atoms[2], atoms[0] * atoms[3]]
+    dens = [Fraction(1), atoms[0], atoms[1] * atoms[4], atoms[2] ** 2] + shared * 3
+    monos = [Fraction(1), c, d, k, c * d, d**2, k**2, c * k]
+
+    def real():
+        if draw(st.integers(0, 4)) == 0:
+            return draw(_coeffs)
+        num = sum(draw(st.integers(-3, 3)) * m for m in draw(
+            st.lists(st.sampled_from(monos), min_size=1, max_size=3)))
+        # a factor of the numerator may cancel against the denominator
+        num = num * draw(st.sampled_from([Fraction(1), Fraction(1), atoms[2], atoms[0]]))
+        return num / draw(st.sampled_from(dens))
+
+    gaussian = draw(st.booleans())
+
+    def scalar():
+        return GaussExpr(real(), real()) if gaussian else real()
+
+    terms = [(scalar(), scalar(), draw(st.integers(1, 4)))
+             for _ in range(draw(st.integers(2, 6)))]
+    if draw(st.booleans()):
+        q = draw(st.sampled_from([Fraction(0), Fraction(0), Fraction(-5, 3), Fraction(2)]))
+        terms.append((q - _loop_sum(terms), Fraction(1), 1))
+    return terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_dot_terms())
+def test_a_fused_rational_sum_equals_the_left_to_right_sum(terms):
+    got, want = dot(terms), _loop_sum(terms)
+    assert type(got) is type(want) and got == want and str(got) == str(want)
+    if isinstance(got, GaussExpr):
+        assert type(got.real) is type(want.real) and type(got.imag) is type(want.imag)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_coeffs, _coeffs, st.integers(1, 4)), min_size=1, max_size=6),
+       st.booleans())
+def test_a_fused_fraction_sum_equals_the_left_to_right_sum(triples, gaussian):
+    if gaussian:
+        triples = [(GaussExpr(x, y), GaussExpr(y, x), w) for x, y, w in triples]
+    got, want = dot(triples), _loop_sum(triples)
+    assert type(got) is type(want) and got == want and repr(got) == repr(want)
 
 
 def test_constant_jet_hashes_like_its_fraction():

@@ -223,3 +223,33 @@ def test_radial_term_turns_the_richer_center_into_a_focus():
         isochronicity_constants(_richer_center({(2, 0, 0): F(1, 3)}), 3)
     assert exc.value.order == 3
     assert exc.value.value == F(1, 8)
+
+
+# --- Loud's quadratic isochrones ----------------------------------------------------------
+
+
+def _loud(D, F_):
+    """x' = -y + xy, y' = x + D x^2 + F y^2, w' = -w: Loud's quadratic
+    centers (Loud 1964; Chavarriga & Sabatini, "A survey of isochronous
+    centers", 1999) with a decoupled transverse direction."""
+    comps = (
+        StatePoly({(0, 1, 0): F(-1), (1, 1, 0): F(1)}),
+        StatePoly({(1, 0, 0): F(1), (2, 0, 0): F(D), (0, 2, 0): F(F_)}),
+        StatePoly({(0, 0, 1): F(-1)}),
+    )
+    return to_normal_form(VectorField3(comps), (F(0),) * 3)
+
+
+@pytest.mark.parametrize("D, F_", [(0, 1), (F(-1, 2), 2), (0, F(1, 4)), (F(-1, 2), F(1, 2))])
+def test_loud_isochrones_have_every_period_coefficient_zero(D, F_):
+    # the independent oracle of the period series: T_1..T_8 all vanish
+    exp = isochronicity_constants(_loud(D, F_), 4)
+    assert exp.constants == [0] * 4 and exp.odd_residuals == [0] * 4
+    assert exp.is_isochronous()
+
+
+def test_loud_control_center_is_not_isochronous():
+    # (D, F) = (1, 1) is a center outside Loud's list: T_1..T_4 in order
+    exp = isochronicity_constants(_loud(1, 1), 2)
+    series = [exp.odd_residuals[0], exp.constants[0], exp.odd_residuals[1], exp.constants[1]]
+    assert series == [0, F(19, 24), F(19, 9), F(17209, 2304)]
