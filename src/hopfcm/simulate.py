@@ -13,10 +13,12 @@ solved for its fixed point omega0 (secant iteration, which handles both
 signs of the transverse eigenvalue), then dbar(rho0) is the radial change of
 the first return from (rho0, 0, rho0*omega0).
 
-The kernel is compiled once per monomial shape of the field (``taylor_plan``)
-and is generic over the number type: trajectories and section returns run
-it on floats, and ``measure_period`` on 31-digit ``decimal.Decimal``
-numbers (C libmpdec; at least the 103 bits of 30 decimal digits).
+The kernel is straight-line arithmetic generated per monomial shape of the
+field and per order, compiled in blocks of orders on first use
+(``taylor_plan``), and is generic over the number type: trajectories and
+section returns run it on floats, and ``measure_period`` on 31-digit
+``decimal.Decimal`` numbers (C libmpdec; at least the 103 bits of 30
+decimal digits).
 
 Every file the package writes goes through ``write_output``: the exports
 here, the ``verify`` artifacts and the CLI's ``--out`` reports.
@@ -30,7 +32,6 @@ import math
 import os
 import stat
 from dataclasses import dataclass
-from operator import mul
 from typing import Optional
 
 from .errors import HopfcmError, NoReturn, StiffnessFailure, WorkCeiling
@@ -39,7 +40,7 @@ from .polysys import VectorField3
 DEFAULT_TOL = 1e-10
 DOUBLE_EPS = 1e-16
 EXTENDED_DPS = 30
-# Field evaluations (steps x order) one run may make: about 4 s of Taylor
+# Field evaluations (steps x order) one run may make: about 2 s of Taylor
 # steps on a 3D quadratic field (e1-center, shared 2-vCPU x86-64 host), a
 # hundred times the longest run of the README and the verification claims
 # (under 10^4).
@@ -236,6 +237,12 @@ def _measure_period(fld, kernel, rho0, settle_time, turns, num, eps):
 # ---------------------------------------------------------------------------
 # Taylor kernel for polynomial fields, generic over the number type
 
+# Multiplications (Cauchy-product and component terms) per compiled block of
+# orders.  Compile memory grows with the source: the 36 orders of a 31-digit
+# period fit on e1-center peak at 3.1 MB (tracemalloc) as one function and
+# at 0.5 MB in blocks of this size, the retained code included.
+BLOCK_TERMS = 256
+
 
 def taylor_plan(monomials, num):
     """Compiled Taylor kernel of a polynomial field: ``kernel(x, order)``
@@ -248,8 +255,10 @@ def taylor_plan(monomials, num):
     every product is a Cauchy product of known orders 0..n; then
     x_{n+1} = f_n / (n + 1) (Moore 1966; Jorba & Zou 2005).  The code
     depends only on the field's shape (the products and the series of each
-    component's terms), so it is generated once per shape; the constants and
-    coefficients, converted by ``num``, are the arguments of its factory.
+    component's terms) and the order, so it is generated per shape and
+    order, in blocks of orders (``_order_blocks``) compiled on the first
+    call that needs them; the constants and coefficients, converted by
+    ``num``, are the arguments of each block's factory.
     """
     index = {(1, 0, 0): 0, (0, 1, 0): 1, (0, 0, 1): 2}
     products = []
@@ -273,63 +282,117 @@ def taylor_plan(monomials, num):
                 const += num(c)
         consts.append(const)
         components.append(tuple(terms))
-    return _kernel_factory(tuple(products), tuple(components))(*consts, *coefficients)
+    shape = (tuple(products), tuple(components))
+    args = (*consts, *coefficients)
+    compiled = {}
+
+    def kernel(x, order):
+        blocks = compiled.get(order)
+        if blocks is None:
+            blocks = compiled[order] = [
+                _kernel_factory(*shape, first, stop)(*args)
+                for first, stop in _order_blocks(*shape, order)
+            ]
+        series = x
+        for block in blocks:
+            series = block(series)
+        return series[:3]
+
+    return kernel
 
 
-def _kernel_source(products, components):
-    """Source of the kernel factory for one shape: ``products`` as
-    (factor series, variable) pairs, ``components`` as the series of each
-    component's terms.  It names series k ``sk``, the constant of component
-    i ``ki`` and the j-th coefficient ``cj``, and holds no other values than
-    these integer indices.
+def _order_blocks(products, components, order):
+    """Orders 0..order-1 as (first, stop) ranges of at most ``BLOCK_TERMS``
+    multiplications each (one order may exceed it alone), split from order
+    0 on, so every order shares the blocks below its last.  Order 0 is one
+    empty block, which only puts x into series lists."""
+    terms = sum(map(len, components))
+    blocks, first, size = [], 0, 0
+    for n in range(order):
+        cost = len(products) * (n + 1) + terms
+        if size and size + cost > BLOCK_TERMS:
+            blocks.append((first, n))
+            first, size = n, 0
+        size += cost
+    blocks.append((first, order))
+    return blocks
 
-    Each product of order n is ``sum(map(mul, left, reversed(variable)))``,
-    and each component adds its terms in order to the constant at n = 0 and
-    to ``x[0] * 0`` after, as one expression.
+
+def _kernel_source(products, components, first, stop):
+    """Source of the factory of one block of the kernel: orders first..stop-1
+    of one shape, ``products`` as (factor series, variable) pairs and
+    ``components`` as the series of each component's terms.  It names
+    order n of series k ``sk_n``, the constant of component i ``ki`` and the
+    j-th coefficient ``cj``, and holds no other values than these integer
+    indices.
+
+    The block is straight-line arithmetic on locals.  The first block takes
+    x and returns the series lists; a later one takes those lists, unpacks
+    the known orders it reads and extends them.  Order n of a product is
+    ``0 + left_0 * variable_n + ... + left_n * variable_0``, the left fold
+    of the builtin ``sum`` on Python 3.11; each component adds its terms in
+    order to the constant at n = 0 and to ``x[0] * 0`` after, and divides
+    by n + 1.
     """
+
+    def names(k, orders):
+        return ", ".join(f"s{k}_{n}" for n in orders)
+
     n_terms = sum(map(len, components))
     params = ["k0", "k1", "k2"] + [f"c{j}" for j in range(n_terms)]
-    lines = [
-        f"def factory({', '.join(params)}):",
-        "    def kernel(x, order):",
-        "        zero = x[0] * 0",
-        "        s0, s1, s2 = [x[0]], [x[1]], [x[2]]",
-        *(f"        s{k} = []" for k in range(3, 3 + len(products))),
-        "        a0, a1, a2 = k0, k1, k2",
-        "        for n in range(order):",
-    ]
-    for k, (left, axis) in enumerate(products, 3):
-        lines.append(f"            s{k}.append(sum(map(mul, s{left}, reversed(s{axis}))))")
-    lines.append("            m = n + 1")
-    j = 0
-    for i, terms in enumerate(components):
-        addends = [f"a{i}"] + [f"c{j + t} * s{k}[n]" for t, k in enumerate(terms)]
-        j += len(terms)
-        lines.append(f"            s{i}.append(({' + '.join(addends)}) / m)")
-    lines += [
-        "            a0 = a1 = a2 = zero",
-        "        return [s0, s1, s2]",
-        "    return kernel",
-    ]
+    width = 3 + len(products)
+    read = {0, 1, 2} | {left for left, _ in products}
+    lines = [f"def factory({', '.join(params)}):", "    def block(series):"]
+    if first == 0:
+        lines.append("        s0_0, s1_0, s2_0 = series[0], series[1], series[2]")
+    else:
+        lines.append(f"        {', '.join(f's{k}' for k in range(width))} = series")
+        for k in sorted(read):
+            lines.append(f"        {names(k, range(first + 1 if k < 3 else first))}, = s{k}")
+    if stop > 1:
+        lines.append("        zero = s0_0 * 0")
+    for n in range(first, stop):
+        for k, (left, axis) in enumerate(products, 3):
+            addends = ["0"] + [f"s{left}_{j} * s{axis}_{n - j}" for j in range(n + 1)]
+            lines.append(f"        s{k}_{n} = {' + '.join(addends)}")
+        j = 0
+        for i, terms in enumerate(components):
+            addends = [f"k{i}" if n == 0 else "zero"]
+            addends += [f"c{j + t} * s{k}_{n}" for t, k in enumerate(terms)]
+            j += len(terms)
+            lines.append(f"        s{i}_{n + 1} = ({' + '.join(addends)}) / {n + 1}")
+    if first == 0:
+        lists = [f"[{names(k, range(stop + 1))}]" for k in range(3)]
+        lists += [f"[{names(k, range(stop))}]" for k in range(3, width)]
+        lines.append(f"        return [{', '.join(lists)}]")
+    else:
+        for k in range(width):
+            orders = range(first + 1, stop + 1) if k < 3 else range(first, stop)
+            lines.append(f"        s{k} += {names(k, orders)},")
+        lines.append("        return series")
+    lines.append("    return block")
     return "\n".join(lines) + "\n"
 
 
 @functools.cache
-def _kernel_factory(products, components):
-    """The kernel factory of one shape (see ``_kernel_source``), compiled on
+def _kernel_factory(products, components, first, stop):
+    """The factory of one kernel block (see ``_kernel_source``), compiled on
     first use."""
-    namespace = {"mul": mul}
-    exec(_kernel_source(products, components), namespace)
+    namespace = {}
+    exec(_kernel_source(products, components, first, stop), namespace)
     return namespace["factory"]
 
 
 def _taylor_step(coeffs):
-    """Jorba-Zou step rho / e^2, rho from the last two coefficients."""
+    """Jorba-Zou step rho / e^2, rho from the last two coefficients.
+
+    Each norm is taken in the coefficients' type and converted once; float
+    conversion is monotone, so it equals the largest converted one."""
     order = len(coeffs[0]) - 1
-    scale = max(1.0, max(float(abs(c[0])) for c in coeffs))
+    scale = max(1.0, float(max(abs(c[0]) for c in coeffs)))
     rho = math.inf
     for j in (order - 1, order):
-        size = max(float(abs(c[j])) for c in coeffs)
+        size = float(max(abs(c[j]) for c in coeffs))
         if size > 0:
             rho = min(rho, (scale / size) ** (1.0 / j))
     return rho / math.e**2

@@ -536,7 +536,7 @@ def test_a_radical_family_point_without_float_coefficients_is_a_region_error(cap
 
 
 def test_huge_finite_span_stops_at_the_work_ceiling(capsys, tmp_path, monkeypatch):
-    # about 4 s: the ceiling is 10^6 field evaluations
+    # about 2 s: the ceiling is 10^6 field evaluations
     monkeypatch.chdir(tmp_path)
 
     def hang(signum, frame):

@@ -2,10 +2,11 @@
 
 import contextlib
 import decimal
+import functools
 import json
 import math
 import os
-from operator import mul
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -285,11 +286,15 @@ def _generic_coefficients(plan, x, order):
     zero = x[0] * 0
     series = [[xi] for xi in x] + [[] for _ in products]
     for n in range(order):
+        # every sum runs left to right with +, as the kernel adds: a product
+        # from the int 0 (the builtin sum of Python 3.11, which compensates
+        # float rounding from 3.12 on), a component from its start
         for k, (left, axis) in enumerate(products, 3):
-            series[k].append(sum(map(mul, series[left], reversed(series[axis]))))
+            p = 0
+            for a, b in zip(series[left], reversed(series[axis])):
+                p = p + a * b
+            series[k].append(p)
         for i, (const, terms) in enumerate(components):
-            # left to right with +, as the kernel adds; the builtin sum
-            # compensates float rounding from Python 3.12 on
             f = const if n == 0 else zero
             for c, k in terms:
                 f = f + c * series[k][n]
@@ -337,20 +342,51 @@ def test_compiled_kernel_matches_the_generic_loop(name, numbers):
     with context:
         kernel = taylor_plan(fld.monomials, num)
         plan = _generic_plan(fld.monomials, num)
+        products, components = plan
+        shape = (tuple(products), tuple(tuple(k for _, k in terms) for _, terms in components))
+        # the kernel is compiled in blocks of orders: each side of the first
+        # boundary, and the orders of a trajectory, a section return and a
+        # 31-digit period fit
+        boundary = simulate._order_blocks(*shape, 36)[0][1]
+        orders = sorted({0, 1, 2, boundary, boundary + 1, 13, 20, 36})
         # a negative first coordinate makes the zero start x[0] * 0 a -0.0
         for x0 in ([0.1, 0.0, 0.0], [-0.125, 0.0625, -0.03], [0.3, -0.2, 0.1]):
             x = [num(v) for v in x0]
-            got, want = kernel(x, 24), _generic_coefficients(plan, x, 24)
-            assert got == want
-            assert repr(got) == repr(want)
+            # the generic loop computes each order from the lower ones alone
+            series = _generic_coefficients(plan, x, orders[-1])
+            for order in orders:
+                got, want = kernel(x, order), [s[:order + 1] for s in series]
+                assert got == want
+                assert repr(got) == repr(want)
 
 
 def test_a_kernel_is_compiled_once_per_shape():
     # e1-center has the same monomials at every d != 0
-    taylor_plan(build("e1-center", {"d": 1}).to_float().monomials, float)
+    x = [0.1, 0.0, 0.0]
+    taylor_plan(build("e1-center", {"d": 1}).to_float().monomials, float)(x, 13)
     compiled = simulate._kernel_factory.cache_info().misses
-    taylor_plan(build("e1-center", {"d": 3}).to_float().monomials, float)
+    taylor_plan(build("e1-center", {"d": 3}).to_float().monomials, float)(x, 13)
     assert simulate._kernel_factory.cache_info().misses == compiled
+
+
+def test_compiling_a_period_fit_kernel_stays_small(monkeypatch):
+    # the widest shape of the tests (nine products), at the order of a
+    # 31-digit period fit: all 36 orders compiled as one function peak at
+    # 7.3 MB, in blocks at 0.9 MB, a fresh cache of blocks compiling each
+    fld = _cubic_document_field()
+    monkeypatch.setattr(simulate, "_kernel_factory",
+                        functools.cache(simulate._kernel_factory.__wrapped__))
+    with decimal.localcontext(decimal.Context(prec=31)):
+        kernel = taylor_plan(fld.monomials, decimal.Decimal)
+        x = [decimal.Decimal(v) for v in ("0.1", "-0.05", "0.02")]
+        tracemalloc.start()
+        try:
+            kernel(x, 36)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert simulate._kernel_factory.cache_info().misses > 1
+    assert peak < 1_000_000
 
 
 def test_extended_period_matches_the_kernel_on_mpf(center_field):

@@ -521,21 +521,24 @@ def test_generated_code_runs_only_in_the_kernel_factory():
 def test_generated_kernel_source_holds_no_numbers_or_text(monkeypatch):
     """Coefficients and constants are arguments of the kernel factory, so
     the source holds integer indices and fixed names only."""
-    shapes = []
+    blocks = []
     factory = simulate._kernel_factory
 
-    def record(products, components):
-        shapes.append((products, components))
-        return factory(products, components)
+    def record(*args):
+        blocks.append(args)
+        return factory(*args)
 
     monkeypatch.setattr(simulate, "_kernel_factory", record)
     fields = [build("e1-center", {"d": 1}).to_float(), e4_normal({"c": 0.25, "h": 2.0}),
               e5_normal({"c": -0.25, "h": 2.0})]
     for fld in fields:
-        simulate.taylor_plan(fld.monomials, float)
-    assert len(shapes) == 3
-    for shape in shapes:
-        tree = ast.parse(simulate._kernel_source(*shape))
+        # order 36 compiles every block of a 31-digit period fit
+        start = len(blocks)
+        simulate.taylor_plan(fld.monomials, float)([0.1, 0.0, 0.0], 36)
+        orders = [n for args in blocks[start:] for n in range(*args[2:])]
+        assert orders == list(range(36))
+    for args in blocks:
+        tree = ast.parse(simulate._kernel_source(*args))
         literals = [
             node.value for node in ast.walk(tree)
             if isinstance(node, ast.Constant) and type(node.value) is not int
