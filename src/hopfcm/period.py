@@ -24,15 +24,26 @@ rho = sum u_i(theta) rho0^{i+1}, omega = sum v_i(theta) rho0^i with u_0 = 1,
 u_i(0) = 0, and each v_i the unique 2pi-periodic solution of its linear
 equation (Fourier division by in - lam; e^{2 pi lam} != 1 makes endpoint
 periodicity equivalent to full periodicity, which realizes the transverse
-root path implicitly).  Radial terms carry rho^2 or more, so u_0..u_{n-1}
-and v_1..v_{n-1} fix the transverse equation at order n and the radial one
-at order n + 1: one evaluation of the tables, truncated at n + 1, gives v_n
-and then u_n.  A nonzero mean in a radial equation is an obstruction: the
-first return moves rho at that order and the point is a focus, not a
-center.  On centers the inverse angular speed 1 + sum Psi_k(theta) rho0^k
-of the last evaluation integrates to the period
+root path implicitly).  A nonzero mean in a radial equation is an
+obstruction: the first return moves rho at that order and the point is a
+focus, not a center.  On centers the inverse angular speed
+1/(1 + B) = 1 + sum Psi_k(theta) rho0^k integrates to the period
 T(rho0) = 2 pi (1 + sum_k T_k rho0^k), odd k included: off a symmetric
 family the odd coefficients after the first nonzero one need not vanish.
+
+Every series is online (van der Hoeven's relaxed series): rho, omega,
+each product rho^m omega^q, the three tables, the inverse angular speed
+with Psi_k = -sum_{j>=1} B_j Psi_{k-j}, and the two right-hand sides keep
+each coefficient from its first request on, so nothing is recomputed.
+That holds because a coefficient is requested only once it is final.  The
+field is at least quadratic, so every table key has m >= 1 (m + q >= 2
+when q >= 1), and every radial key has m >= 2.  At step n, with
+u_0..u_{n-1} and v_1..v_{n-1} known, coefficient k <= n of rho^m omega^q
+reads at most rho_n = u_{n-1} and omega_{n-1} = v_{n-1}, so B_k and Psi_k
+are final for k <= n.  Coefficient n of the transverse side is then final
+but for lam v_n, the left side's own term (lam omega enters it as
+lam sum_{i>=1} Psi_i v_{n-i}), and gives v_n.  Coefficient n + 1 of the
+radial side reads omega at most to v_n and Psi to n - 1, and gives u_n.
 
 Everything is exact over the Gaussian extension of the coefficient field;
 the float backend runs the same code on machine complex numbers.
@@ -40,6 +51,7 @@ the float backend runs the same code on machine complex numbers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -70,56 +82,38 @@ def _integrate_from_zero(t, one):
     return StatePoly(out)
 
 
-class RhoSeries:
-    """Truncated power series in rho0 with Fourier polynomial coefficients."""
+class _Series:
+    """A power series in rho0 with Fourier polynomial coefficients, computed
+    online: coefficient k is ``rule(k)`` on its first request, after every
+    coefficient below it, and is kept.  So a rule must read only
+    coefficients that are already final.  Coefficients below the valuation
+    ``val`` are zero and no product requests them; a zero series (an empty
+    table) has ``val`` infinite."""
 
-    __slots__ = ("coeffs", "order")
+    __slots__ = ("rule", "val", "coeffs")
 
-    def __init__(self, coeffs, order):
-        self.order = order
-        self.coeffs = list(coeffs[: order + 1])
-        while len(self.coeffs) <= order:
-            self.coeffs.append(StatePoly.zero())
+    def __init__(self, rule, val):
+        self.rule, self.val, self.coeffs = rule, val, []
 
-    def __add__(self, other):
-        return RhoSeries(
-            [a + b for a, b in zip(self.coeffs, other.coeffs)], self.order
-        )
+    def __getitem__(self, k):
+        while len(self.coeffs) <= k:
+            self.coeffs.append(self.rule(len(self.coeffs)))
+        return self.coeffs[k]
 
     def __mul__(self, other):
-        out = [StatePoly.zero() for _ in range(self.order + 1)]
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j > self.order:
-                    break
-                if not b:
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return RhoSeries(out, self.order)
-
-    def scale_trig(self, t: StatePoly):
-        return RhoSeries([c * t for c in self.coeffs], self.order)
-
-    def scale(self, s):
-        return RhoSeries([c.scale(s) for c in self.coeffs], self.order)
-
-    def inverse(self):
-        """Series inverse; the leading coefficient is the constant 1 (the
-        angular table, the only series inverted, starts at rho-power 1)."""
-        inv = [self.coeffs[0]] + [StatePoly.zero() for _ in range(self.order)]
-        for n in range(1, self.order + 1):
+        def rule(k):
             acc = StatePoly.zero()
-            for j in range(1, n + 1):
-                if not self.coeffs[j] or not inv[n - j]:
-                    continue
-                acc = acc + self.coeffs[j] * inv[n - j]
-            inv[n] = -acc
-        return RhoSeries(inv, self.order)
+            if k < self.val + other.val:
+                return acc
+            for i in range(self.val, k - other.val + 1):
+                a = self[i]
+                if a:
+                    b = other[k - i]
+                    if b:
+                        acc = acc + a * b
+            return acc
 
-    def at(self, k):
-        return self.coeffs[k] if k <= self.order else StatePoly.zero()
+        return _Series(rule, self.val + other.val)
 
 
 @dataclass
@@ -183,29 +177,10 @@ def polar_reduce(nf: NormalForm3) -> PolarReduction:
     ))
 
 
-def _evaluate(reduction, rho_s, omega_s, one_tp):
-    """The radial, angular and transverse tables on the (rho, omega) series,
-    sharing the powers of both."""
-    order = rho_s.order
-    rho_pows = [RhoSeries([one_tp], order)]
-    om_pows = [RhoSeries([one_tp], order)]
-    out = []
-    for table in (reduction.radial, reduction.angular, reduction.transverse):
-        acc = RhoSeries([], order)
-        for (m, q), t in table.items():
-            while len(rho_pows) <= m:
-                rho_pows.append(rho_pows[-1] * rho_s)
-            while len(om_pows) <= q:
-                om_pows.append(om_pows[-1] * omega_s)
-            term = rho_pows[m] * om_pows[q] if q else rho_pows[m]
-            acc = acc + term.scale_trig(t)
-        out.append(acc)
-    return out
-
-
 def periodic_solution_series(nf: NormalForm3, order: int):
     """Series coefficients u_0..u_{order-1} and v_1..v_order on the selected
-    path, with the inverse angular speed ``inv_theta`` through rho0^order.
+    path, with the inverse angular speed ``inv_theta``, an online series
+    whose coefficients through rho0^order are final.
 
     Raises FocusObstruction(order, value) when a radial forcing has a
     nonzero mean; at the first obstruction ``value`` equals the matching
@@ -220,16 +195,35 @@ def periodic_solution_series(nf: NormalForm3, order: int):
     lam_c = gauss(nf.lam, zero)
     u = [one_tp]  # u_0 = 1; the order-1 radial equation is u_0' = 0
     v = []
+    rho = _Series(lambda k: u[k - 1] if k else StatePoly.zero(), 1)
+    omega = _Series(lambda k: v[k - 1] if k else StatePoly.zero(), 1)
+
+    keys = {*reduction.radial, *reduction.angular, *reduction.transverse}
+    rho_pows, om_pows = [None, rho], [None, omega]  # every key has m >= 1
+    for m, q in keys:
+        while len(rho_pows) <= m:
+            rho_pows.append(rho_pows[-1] * rho)
+        while len(om_pows) <= q:
+            om_pows.append(om_pows[-1] * omega)
+    terms = {(m, q): rho_pows[m] * om_pows[q] if q else rho_pows[m] for m, q in keys}
+
+    def table_series(table):
+        pairs = [(terms[key], t) for key, t in table.items()]
+        val = min((term.val for term, _ in pairs), default=math.inf)
+        return _Series(lambda k: sum((s[k] * t for s, t in pairs), StatePoly.zero()), val)
+
+    tables = (reduction.radial, reduction.angular, reduction.transverse)
+    f_rho, b_theta, f_omega = map(table_series, tables)
+    inv_theta = _Series(lambda k: -b_inv[k] if k else one_tp, 0)
+    b_inv = b_theta * inv_theta
+    rhs_rho, rhs_omega = f_rho * inv_theta, f_omega * inv_theta
+    # lam inv_i omega_{n-i} for i >= 1; lam v_n itself is the left side's
+    drift = _Series(lambda k: inv_theta[k] if k else StatePoly.zero(), 1) * omega
     for n in range(1, order + 1):
-        top = min(n + 1, order)
-        rho_s = RhoSeries([StatePoly.zero()] + u, top)
-        omega_s = RhoSeries([StatePoly.zero()] + v, top)
-        f_rho, b_theta, f_omega = _evaluate(reduction, rho_s, omega_s, one_tp)
-        inv_theta = (RhoSeries([one_tp], top) + b_theta).inverse()
-        g = ((omega_s.scale(lam_c) + f_omega) * inv_theta).at(n)
+        g = rhs_omega[n] + drift[n].scale(lam_c)
         v.append(_fourier_periodic_solution(g, nf.lam))
         if n < order:
-            rhs = (f_rho * inv_theta).at(n + 1)
+            rhs = rhs_rho[n + 1]
             mean = _mean(rhs)
             if mean is not None:
                 raise FocusObstruction(n + 1, real_part(mean, "mean", ValueError) * 2)
@@ -254,6 +248,6 @@ def isochronicity_constants(nf: NormalForm3, m: int) -> PeriodExpansion:
     inv_theta = periodic_solution_series(nf, 2 * m)["inv_theta"]
     means = []
     for k in range(1, 2 * m + 1):
-        mean = _mean(inv_theta.at(k))
+        mean = _mean(inv_theta[k])
         means.append(zero if mean is None else real_part(mean, "mean", ValueError))
     return PeriodExpansion(means[1::2], means[0::2])

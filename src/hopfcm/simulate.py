@@ -90,13 +90,14 @@ def integrate(
     which keeps exponentially diverging directions from consuming the whole
     budget.  ``max_points`` keeps that many evenly spaced step ends, the
     first and the last among them.  Raises HopfcmError on a tolerance
-    outside (0, 1e-2], a start state or an end of ``t_span`` that is not
+    outside [DOUBLE_EPS, 1e-2] (a smaller one asks for more than double
+    precision holds), a start state or an end of ``t_span`` that is not
     finite or a ``max_points`` below 2, WorkCeiling once the run has made
     ``MAX_RHS_EVALS`` field evaluations (a finite but huge span would take
     as long), and StiffnessFailure when the solution blows up.
     """
-    if not 0 < tol <= 1e-2:
-        raise HopfcmError(f"tolerance must lie in (0, 1e-2], got {tol}")
+    if not DOUBLE_EPS <= tol <= 1e-2:
+        raise HopfcmError(f"tolerance must lie in [1e-16, 1e-2], got {tol}")
     if not all(math.isfinite(t) for t in t_span):
         raise HopfcmError(f"time span must be finite, got {tuple(t_span)}")
     if max_points is not None and max_points < 2:

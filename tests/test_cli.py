@@ -504,6 +504,7 @@ _E4_DISPLACEMENT = ("displacement", "--system", "e4-normal", "--params", "c=1/4,
         pytest.param(_E4_DISPLACEMENT + ("0.5",), id="rho0-above-range"),
         pytest.param(_E4_DISPLACEMENT + ("0",), id="rho0-zero"),
         pytest.param(_SIMULATE + ("0.1,0,0", "--tol", "0"), id="tol-zero"),
+        pytest.param(_SIMULATE + ("0.1,0,0", "--tol", "1e-300"), id="tol-below-precision"),
         pytest.param(_SIMULATE + ("0.1,0,0", "--tol", "0.5"), id="tol-above-range"),
         pytest.param(_SIMULATE + ("0.1,0,0", "--tmax", "nan"), id="tmax-nan"),
         pytest.param(_SIMULATE + ("0.1,0,0", "--tmax", "inf"), id="tmax-inf"),

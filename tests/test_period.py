@@ -253,3 +253,39 @@ def test_loud_control_center_is_not_isochronous():
     exp = isochronicity_constants(_loud(1, 1), 2)
     series = [exp.odd_residuals[0], exp.constants[0], exp.odd_residuals[1], exp.constants[1]]
     assert series == [0, F(19, 24), F(19, 9), F(17209, 2304)]
+
+
+# --- high orders, where a coefficient kept before it is final would show first ----------
+
+
+def test_bound_center_constants_through_order_sixteen_are_pinned():
+    exp = isochronicity_constants(_center_nf(1), 8)
+    assert [str(c) for c in exp.constants] == [
+        "0", "1/40", "0", "451/272000", "0", "4626297/34217600000",
+        "0", "41682266959/3443659264000000",
+    ]
+    assert [str(c) for c in exp.odd_residuals] == ["0"] * 8
+
+
+def test_symbolic_center_constants_through_order_eight_are_pinned():
+    exp = isochronicity_constants(_center_nf(), 4)
+    assert [str(c) for c in exp.constants] == [
+        "0",
+        "(1/8*d^4)/(d^4 + 4)",
+        "0",
+        "(3/128*d^16 + 5/8*d^12 + 23/8*d^8)/(d^16 + 28*d^12 + 240*d^8 + 832*d^4 + 1024)",
+    ]
+    assert [str(c) for c in exp.odd_residuals] == ["0"] * 4
+
+
+def test_a_coefficient_past_the_order_is_refused_not_kept():
+    # the angular table here is rho omega times a Fourier polynomial, so
+    # Psi_5 needs u_3 and v_4, which an order-3 series has not solved for:
+    # the request fails every time instead of keeping a provisional value
+    sol = periodic_solution_series(_center_nf(1), 3)
+    assert list(polar_reduce(_center_nf(1)).angular) == [(1, 1)]
+    inv = sol["inv_theta"]
+    assert inv[4] is inv[4]
+    for _ in range(2):
+        with pytest.raises(IndexError):
+            inv[5]

@@ -161,6 +161,13 @@ def test_integrate_rejects_a_start_state_that_is_not_finite(center_field, x0):
         integrate(center_field, x0, (0.0, 1.0))
 
 
+def test_integrate_tolerance_stops_at_double_precision(center_field):
+    traj = integrate(center_field, (0.3, 0.1, 0.05), (0.0, 1.0), simulate.DOUBLE_EPS)
+    assert traj.t[-1] == 1.0
+    with pytest.raises(HopfcmError, match=r"\[1e-16, 1e-2\]"):
+        integrate(center_field, (0.3, 0.1, 0.05), (0.0, 1.0), simulate.DOUBLE_EPS / 2)
+
+
 @pytest.mark.parametrize("t_end", [10.0, -10.0])
 def test_stop_radius_ends_at_the_first_step_outside(t_end):
     # u' = u, v' = -v: forward the orbit leaves radius 3 along u, backward
