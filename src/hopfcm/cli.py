@@ -165,18 +165,14 @@ def _cmd_normalize(args):
         ):
             raise SchemaError(f"matrix in {args.transform} must be a 3x3 list of lists")
         if isinstance(fld.zero, float):
-            matrix = [[float(_exact_number(str(v))) for v in row] for row in rows]
-            if doc.get("time_scale") is not None:
-                time_scale = float(_exact_number(str(doc["time_scale"])))
+            def entry(v):
+                return float(_exact_number(str(v)))
         else:
-            matrix = [
-                [eval_exact(parse_expression(str(v)), fld.params) for v in row]
-                for row in rows
-            ]
-            if doc.get("time_scale") is not None:
-                time_scale = eval_exact(
-                    parse_expression(str(doc["time_scale"])), fld.params
-                )
+            def entry(v):
+                return eval_exact(parse_expression(str(v)), fld.params)
+        matrix = [[entry(v) for v in row] for row in rows]
+        if doc.get("time_scale") is not None:
+            time_scale = entry(doc["time_scale"])
     point = _parse_point(args.point, fld, params)
     nf = to_normal_form(fld, point, matrix=matrix, time_scale=time_scale)
     _emit(

@@ -181,39 +181,29 @@ def reduce_quantities(quantities, pivots):
     return forms
 
 
-def evaluate_on_line(h_list, line):
-    """Each h_i becomes (coefficient, degree) of the free scalar on the line.
+def form_on_line(h: Jet, line):
+    """(value, degree, gradient) of a form h at the point of the line where
+    the free scalar is 1, from one evaluation at that point plus
+    first-order jets: the value is the constant part and the gradient the
+    linear part.  The degree is that of the monomials of h whose
+    parameters all lie on the line, None when it has none.
 
-    ``line`` maps parameter names to rational multiples of the free scalar;
-    unlisted parameters are zero.
+    ``line`` maps small-parameter names to rational multiples of the free
+    scalar; unlisted parameters are zero.  Raises ValueError for a name
+    that is not a small parameter, or when the degrees on the line differ.
     """
-    out = []
-    for h in h_list:
-        ctx = h.ctx
-        coeffs = {ctx.names.index(p): Fraction(v) for p, v in line.items()}
-        total = Fraction(0)
-        degree = None
-        for mono, c in h.terms.items():
-            deg = sum(e for _, e in mono)
-            prod = c
-            for i, e in mono:
-                prod = prod * coeffs.get(i, Fraction(0)) ** e
-            if prod:
-                if degree is None:
-                    degree = deg
-                elif degree != deg:
-                    raise ValueError("line evaluation mixes degrees")
-                total += prod
-        out.append((total, degree))
-    return out
-
-
-def gradient_on_line(h: Jet, line):
-    """Gradient of a jet form at a point of the line (free scalar set to 1):
-    the linear part of h evaluated at that point plus first-order jets."""
-    ctx = JetContext(h.ctx.names, 1)
-    at_point = {p: ctx.const(line.get(p, 0)) + ctx.eps(p) for p in ctx.names}
-    return (ctx.zero() + h.evaluate(at_point)).linear_coefficients()
+    names, monomials, degrees = h.ctx.names, h.ctx.monomials, h.ctx.degrees
+    unknown = sorted(set(line) - set(names))
+    if unknown:
+        raise ValueError(f"line parameter(s) {unknown} are not small parameters")
+    ctx = JetContext(names, 1)
+    # the zero form evaluates to a Fraction, which the sum makes a jet
+    jet = ctx.zero() + h.evaluate({p: ctx.const(line.get(p, 0)) + ctx.eps(p) for p in names})
+    found = {degrees[k] for k in h.nums if all(line.get(names[i]) for i, _ in monomials[k])}
+    if len(found) > 1:
+        raise ValueError("line evaluation mixes degrees")
+    degree = found.pop() if found else None
+    return jet.constant_part(), degree, jet.linear_coefficients()
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +236,12 @@ def cyclicity_bound(
     notes = []
     if line is not None:
         h_forms = reduce_quantities(quantities, pivots)
-        values = evaluate_on_line(h_forms, line)
-        if values:
-            *mid, last = values
+        on_line = [form_on_line(h, line) for h in h_forms]
+        values = [(value, degree) for value, degree, _ in on_line]
+        if on_line:
+            *mid, last = on_line
             if last[0] != 0 and all(v[0] == 0 for v in mid):
-                gradients = [gradient_on_line(h, line) for h in h_forms[:-1]]
+                gradients = [gradient for _, _, gradient in mid]
                 if exact_rank(gradients)[0] == len(gradients):
                     l = len(values)
                 else:

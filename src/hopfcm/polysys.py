@@ -304,13 +304,21 @@ def _cofactor(m, i, j):
 
 def _mat_inv3(m):
     """The inverse as the transposed cofactors over the determinant, which
-    is expanded along row 0."""
+    is expanded along row 0.  A float matrix is numerically singular when
+    |det| over the product of its row norms is ``negligible``: by
+    Hadamard's bound that ratio is 1 for orthogonal rows and 0 for
+    dependent ones, whatever their scale."""
     cof = [[_cofactor(m, i, j) for j in range(3)] for i in range(3)]
     det = m[0][0] * cof[0][0] + m[0][1] * cof[0][1] + m[0][2] * cof[0][2]
     if not det:
         raise SingularTransform("transform matrix is singular")
-    if isinstance(det, (float, complex)) and abs(det) < 1e-300:
-        raise SingularTransform("transform matrix is numerically singular")
+    if isinstance(det, (float, complex)):
+        # through logarithms, so that no product of norms under- or overflows
+        norms = [math.hypot(*map(abs, row)) for row in m]
+        if not all(norms) or negligible(
+            math.exp(math.log(abs(det)) - sum(map(math.log, norms)))
+        ):
+            raise SingularTransform("transform matrix is numerically singular")
     return [[cof[j][i] / det for j in range(3)] for i in range(3)]
 
 

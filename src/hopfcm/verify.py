@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import catalog, simulate
 from .cyclicity import (
     cyclicity_bound,
-    gradient_on_line,
+    form_on_line,
     jacobian_rank,
     jet_focus_report,
     reduce_quantities,
@@ -374,8 +374,8 @@ def claim_teo5_cyclicity():
     h4_zero = h4_value == 0
     h5_ok = h5_value < 0 and h5_degree == 2
     h5_exact = h5_value == H5_ON_ETA
-    h4 = reduce_quantities(quantities, TEO5_PIVOTS)[0]
-    transversal = any(g != 0 for g in gradient_on_line(h4, ETA_LINE))
+    _, _, h4_gradient = form_on_line(reduce_quantities(quantities, TEO5_PIVOTS)[0], ETA_LINE)
+    transversal = any(h4_gradient)
 
     passed = (
         jac_all.rank == 3

@@ -12,9 +12,8 @@ from hopfcm.catalog import PERTURBATION_PARAMS
 from hopfcm import cyclicity, verify
 from hopfcm.cyclicity import (
     cyclicity_bound,
-    evaluate_on_line,
     exact_rank,
-    gradient_on_line,
+    form_on_line,
     jacobian_rank,
     jet_focus_report,
     reduce_quantities,
@@ -285,24 +284,23 @@ def test_line_evaluation_scaling_and_zero_line(perturbed_jets):
     h_forms = reduce_quantities(perturbed_jets.quantities, ("a011", "a101", "b011"))
     line = {"b200": F(1), "c101": F(-252889, 66891)}
     double = {k: 2 * v for k, v in line.items()}
-    vals = evaluate_on_line(h_forms, line)
-    vals2 = evaluate_on_line(h_forms, double)
-    for (v, deg), (w, deg2) in zip(vals, vals2):
+    for h in h_forms:
+        v, deg, g1 = form_on_line(h, line)
+        w, deg2, g2 = form_on_line(h, double)
         assert deg2 == deg or (v == 0 and w == 0)
         if deg is not None:
             assert w == v * 4  # quadratic forms scale with the square
-    zeros = evaluate_on_line(h_forms, {})
-    assert all(v == 0 for v, _ in zeros)
+        assert g2 == [2 * x for x in g1]  # and their gradients linearly
+        assert form_on_line(h, {})[0] == 0
     # transversality verdict invariant under rescaling of the free parameter
-    g1 = gradient_on_line(h_forms[0], line)
-    g2 = gradient_on_line(h_forms[0], double)
+    g1, g2 = (form_on_line(h_forms[0], point)[2] for point in (line, double))
     assert (any(x != 0 for x in g1)) == (any(x != 0 for x in g2))
 
 
-def test_gradient_on_line_matches_the_polynomial_derivative(perturbed_jets):
-    """The jet gradient of the teo5 forms on the eta line equals the
-    sympy derivative of the polynomial at the line point, which shares no
-    code with jets."""
+def test_form_on_line_matches_the_polynomial_at_the_line_point(perturbed_jets):
+    """The value and the gradient of the teo5 forms at the eta line point
+    equal sympy's evaluation and derivative of the polynomial there, which
+    share no code with jets; both forms have degree 2 on the line."""
     h_forms = reduce_quantities(perturbed_jets.quantities, TEO5_PIVOTS)
     names = h_forms[0].ctx.names
     symbols = sympy.symbols(names)
@@ -312,10 +310,28 @@ def test_gradient_on_line_matches_the_polynomial_derivative(perturbed_jets):
             sympy.Rational(str(c)) * sympy.Mul(*(symbols[i] ** ex for i, ex in mono))
             for mono, c in h.terms.items()
         )
-        assert gradient_on_line(h, ETA_LINE) == [
-            F(str(sympy.diff(poly, s).subs(at))) for s in symbols
-        ]
-    assert any(gradient_on_line(h_forms[0], ETA_LINE))
+        value, degree, gradient = form_on_line(h, ETA_LINE)
+        assert value == F(str(poly.subs(at)))
+        assert degree == 2
+        assert gradient == [F(str(sympy.diff(poly, s).subs(at))) for s in symbols]
+    assert form_on_line(h_forms[0], ETA_LINE)[0] == 0
+    assert any(form_on_line(h_forms[0], ETA_LINE)[2])
+
+
+def test_form_with_no_monomial_on_the_line_has_no_degree():
+    """x y + z^2 has no monomial in x alone: on the line x = t (and with y
+    listed as 0) its value is 0, its degree None, and its gradient at
+    (1, 0, 0) is (y, x, 2 z) = (0, 1, 0)."""
+    ctx = JetContext(("x", "y", "z"), 2)
+    x, y, z = (ctx.eps(n) for n in ctx.names)
+    for line in ({"x": 1}, {"x": 1, "y": 0}):
+        assert form_on_line(x * y + z * z, line) == (0, None, [0, 1, 0])
+
+
+def test_line_name_outside_the_small_parameters_is_refused():
+    ctx = JetContext(("x", "y"), 2)
+    with pytest.raises(ValueError, match=r"\['w'\] are not small parameters"):
+        form_on_line(ctx.eps("x") * ctx.eps("y"), {"x": 1, "w": 1})
 
 
 def test_full_quadratic_perturbation_bound(perturbed_jets):

@@ -133,9 +133,10 @@ def test_bad_matrix_rejected():
 
 
 def test_numerically_singular_float_matrix_rejected():
-    tiny = [[1e-150, 0.0, 0.0], [0.0, 1e-160, 0.0], [0.0, 0.0, 1.0]]
+    # rows 0 and 1 are parallel to 1e-12: |det| over the row norms is 5e-13
+    nearly = [[1.0, 1.0, 0.0], [1.0, 1.0 + 1e-12, 0.0], [0.0, 0.0, 1.0]]
     with pytest.raises(SingularTransform, match="transform matrix is numerically singular"):
-        to_normal_form(e4_normal({"c": 0.25, "h": 2.0}), (0.0,) * 3, matrix=tiny)
+        to_normal_form(e4_normal({"c": 0.25, "h": 2.0}), (0.0,) * 3, matrix=nearly)
 
 
 def test_degenerate_transverse_eigenvalue_rejected():

@@ -75,23 +75,41 @@ def test_higher_radial_coefficients_vanish_at_zero_angle():
         assert at_zero is None or not at_zero.real and not at_zero.imag
 
 
-def test_transverse_coefficients_are_periodic_solutions():
-    # v' = lam v + g has a unique trig-polynomial solution; residual check
-    nf = _center_nf(1)
-    sol = periodic_solution_series(nf, 3)
-    lam = nf.lam
-    # derivative of a Fourier polynomial: multiply each harmonic by i n
-    def dtheta(tp):
-        out = {}
-        for (n,), c in tp.terms.items():
-            out[(n,)] = c * GaussExpr(F(0), F(n))
-        return StatePoly(out)
+def _dtheta(tp):
+    """The derivative of a Fourier polynomial: harmonic n times i n."""
+    return StatePoly({(n,): c * GaussExpr(F(0), F(n)) for (n,), c in tp.terms.items()})
 
-    # v_1 satisfies v' - lam v = g with g the first-order transverse forcing;
-    # instead of rebuilding g, verify v_1 has no resonant constant term
-    v1 = sol["v"][0]
-    assert (0,) not in v1.terms or not lam
-    assert set(dtheta(v1).terms) == set(v1.terms) - {(0,)}
+
+def _loud_control_with_forcing():
+    """Loud's (1, 1) control center with R = -w + x^2 + xy/2: the (u, v)
+    plane does not see w, so the field stays a center, and both the radial
+    coefficient u_1 and the transverse forcing are nonzero."""
+    comps = (
+        StatePoly({(0, 1, 0): F(-1), (1, 1, 0): F(1)}),
+        StatePoly({(1, 0, 0): F(1), (2, 0, 0): F(1), (0, 2, 0): F(1)}),
+        StatePoly({(0, 0, 1): F(-1), (2, 0, 0): F(1), (1, 1, 0): F(1, 2)}),
+    )
+    return to_normal_form(VectorField3(comps), (F(0),) * 3)
+
+
+def test_transverse_coefficients_are_periodic_solutions():
+    """(1 + B) omega' = lam omega + T, with B and T the angular and
+    transverse tables of ``polar_reduce`` keyed (rho-power, omega-power),
+    rho = sum u_i rho0^(i+1) and omega = sum v_i rho0^i, at orders 1 and 2:
+    v_1' - lam v_1 = T_10 and
+    v_2' + B_10 v_1' - lam v_2 = T_20 + T_11 v_1 + T_10 u_1.
+    On e1-center u_1 = 0; Loud's control makes every term nonzero."""
+    for nf in (_center_nf(1), _loud_control_with_forcing()):
+        red = polar_reduce(nf)
+        sol = periodic_solution_series(nf, 2)
+        lam = GaussExpr(nf.lam, F(0))
+        (_, u1), (v1, v2) = sol["u"], sol["v"]
+        t10, t20, t11 = (red.transverse.get(k, StatePoly.zero()) for k in ((1, 0), (2, 0), (1, 1)))
+        b10 = red.angular.get((1, 0), StatePoly.zero())
+        assert v1 and t10
+        assert _dtheta(v1) - v1.scale(lam) == t10
+        assert _dtheta(v2) + b10 * _dtheta(v1) - v2.scale(lam) == t20 + t11 * v1 + t10 * u1
+    assert u1 and b10 and t11
 
 
 def test_isochronicity_constants_symbolic():

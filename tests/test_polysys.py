@@ -159,6 +159,15 @@ def test_cofactors_give_the_characteristic_cubic_and_inverse_of_sympy(entries):
         assert _mat_inv3(m) == [[F(str(inv[i, j])) for j in range(3)] for i in range(3)]
 
 
+def test_float_inverse_is_judged_by_conditioning_not_scale():
+    """Orthogonal rows of any scale invert: diag(1e-150, 1e-160, 1) has a
+    subnormal determinant, and its inverse is diag(1e150, 1e160, 1)."""
+    inv = _mat_inv3([[1e-150, 0.0, 0.0], [0.0, 1e-160, 0.0], [0.0, 0.0, 1.0]])
+    for i, want in enumerate((1e150, 1e160, 1.0)):
+        assert inv[i][i] == pytest.approx(want, rel=1e-12)
+        assert all(inv[i][j] == 0.0 for j in range(3) if j != i)
+
+
 def test_float_hopf_test_tolerances():
     """The residual counts as zero relative to max(1, |gamma|, |alpha beta|),
     beta and alpha absolutely, all against FLOAT_TOL = 1e-9."""

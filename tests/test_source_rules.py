@@ -324,7 +324,9 @@ def test_only_negligible_decides_when_a_float_is_zero():
     """``paramfield.negligible`` alone decides when a computed value counts
     as zero, so ``FLOAT_TOL`` is named only in ``paramfield`` (its
     definition and ``negligible``) and, imported for it, in the normal
-    form's chop of float coefficients, which is a cut-off, not a test."""
+    form's chop of float coefficients, which is a cut-off, not a test.
+    Nor is any ``abs(...)`` compared with a number literal, a threshold of
+    its own beside ``negligible``."""
     allowed = {
         ("paramfield.py", "<module>"),
         ("paramfield.py", "negligible"),
@@ -348,8 +350,23 @@ def test_only_negligible_decides_when_a_float_is_zero():
             where = "import" if isinstance(node, ast.ImportFrom) else place
             if (path.name, where) not in allowed:
                 offenders.append(f"{path.name}:{node.lineno} in {where}")
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            for left, op, right in zip(operands, node.ops, operands[1:]):
+                if {kind(left), kind(right)} == {"abs", "number"}:
+                    compared = ast.Compare(left, [op], [right])
+                    offenders.append(f"{path.name}:{node.lineno} {ast.unparse(compared)}")
         for child in ast.iter_child_nodes(node):
             visit(path, child, place)
+
+    def kind(node):
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+            node = node.operand
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            return "number"
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "abs":
+            return "abs"
+        return None
 
     for path in sorted(Path(hopfcm.__file__).parent.glob("*.py")):
         visit(path, ast.parse(path.read_text(), str(path)), "<module>")
