@@ -32,11 +32,13 @@ import math
 from fractions import Fraction
 
 from .errors import RegionUndefined, SchemaError, SingularTransform
+from .paramfield import finite_float
 from .polysys import (
     StatePoly,
     VectorField3,
     bind,
     parse_system,
+    read_json,
     refuse_jets,
     refuse_unknown,
     transform,
@@ -122,23 +124,18 @@ def e1_center_perturbed(*coefficients):
 def _radical_field(values, s, name, build):
     """``build(c, h, s)`` at the (c, h) of ``values`` in the E4 (s = 1)
     or E5 (s = -1) family, whose c has sign s.  A point outside the region,
-    or one whose coefficients do not fit a float, is RegionUndefined."""
+    or one where a number does not fit a float, is RegionUndefined."""
     family, order = ("e4", ">") if s > 0 else ("e5", "<")
+    c, h = finite_float(values["c"], "parameter c"), finite_float(values["h"], "parameter h")
+    # h^2 > 2|c| is h^4 - 4c^2 > 0 without the fourth power
+    if not (s * c > 0 and h > 0 and h * h > 2 * s * c):
+        raise RegionUndefined(f"{family} family needs c {order} 0, h > 0, h^4 - 4c^2 > 0")
     try:
-        c, h = float(values["c"]), float(values["h"])
-        # h^2 > 2|c| is h^4 - 4c^2 > 0 without the fourth power
-        if not (s * c > 0 and h > 0 and h * h > 2 * s * c):
-            raise RegionUndefined(f"{family} family needs c {order} 0, h > 0, h^4 - 4c^2 > 0")
-        fld = build(c, h, s)
-    except (ArithmeticError, ValueError, SingularTransform):
+        return build(c, h, s).to_float()
+    except (ArithmeticError, ValueError, SingularTransform) as exc:
         # a power overflows, a divisor underflows to zero, or h^4 - 4c^2
         # rounds to zero or below at the edge of the region
-        fld = None
-    if fld is None or not all(
-        math.isfinite(x) for comp in fld.components for x in comp.terms.values()
-    ):
-        raise RegionUndefined(f"the {name} coefficients at this (c, h) do not fit a float")
-    return fld
+        raise RegionUndefined(f"the {name} coefficients at this (c, h) do not fit a float") from exc
 
 
 def _radical_translated(c, h, s):
@@ -209,24 +206,19 @@ def equilibria_catalog(values):
     Returns the (label, point) pairs of the real equilibria.  Radical points
     come out as floats; E1 stays rational when the inputs are rational.  The
     symmetric partner of each +/- pair maps through (x,y,z) -> (-x,-y,z).
-    Raises SchemaError when ``values`` lacks one of a, b, c, d.
+    Raises SchemaError when ``values`` lacks one of a, b, c, d, and
+    RegionUndefined when one of them does not fit a float.
     """
     missing = [p for p in "abcd" if p not in values]
     if missing:
         raise SchemaError(
             f"the equilibria E<k> of khaled-original need values for {missing}"
         )
-    a = float(values["a"])
-    b = float(values["b"])
-    c = float(values["c"])
-    d = float(values["d"])
+    a, b, c, d = (finite_float(values[p], f"parameter {p}") for p in "abcd")
     out = []
     delta = (a + b) ** 2 + 4 * a * c
-    if d != 0:
-        vd = values["d"]
-        one_over_d = (
-            Fraction(1) / Fraction(vd) if not isinstance(vd, float) else 1.0 / vd
-        )
+    if values["d"]:
+        one_over_d = Fraction(1) / values["d"]
         out.append(("E1", (0 * one_over_d, 0 * one_over_d, one_over_d)))
         if delta > 0 and a * c != 0:
             # z solves z^2 + (a-b) z - a(b+c) = 0; then y = a x / (a+z) and
@@ -351,5 +343,4 @@ def load(name_or_path, values=None):
     with ``values`` bound (see ``build`` and ``polysys.parse_system``)."""
     if name_or_path in BUILTIN_SYSTEMS:
         return build(name_or_path, values)
-    with open(name_or_path) as fh:
-        return parse_system(fh.read(), values)
+    return parse_system(read_json(name_or_path, (), "system document"), values)

@@ -15,7 +15,6 @@ import json
 import os
 import sys
 from dataclasses import asdict, is_dataclass
-from fractions import Fraction
 
 from . import catalog, simulate
 from .cyclicity import jet_focus_report
@@ -23,8 +22,9 @@ from .errors import FocusObstruction, HopfcmError, SchemaError
 from .focusq import report_for_field
 from .grammar import eval_exact, parse_expression
 from .normalform import to_normal_form
+from .paramfield import exact_number, finite_float
 from .period import isochronicity_constants
-from .polysys import char_cubic, hopf_test
+from .polysys import char_cubic, hopf_test, read_json
 from .verify import CLAIMS, TEO5_CONFIG, config_bound, teo4_config
 
 USAGE_EXIT = 1
@@ -60,32 +60,8 @@ def _emit(report, out=None):
         print(text)
 
 
-def _exact_number(text):
-    """Decimals and p/q parsed exactly; malformed text is a domain error."""
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise HopfcmError(f"bad number {text!r}: {exc}") from exc
-
-
-def _numbers(spec):
-    return [_exact_number(v) for v in spec.split(",")]
-
-
-def _read_json(path, required, what):
-    """The JSON object in ``path``; a SchemaError when it is not valid JSON,
-    not an object, or lacks a key in ``required``."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{what} {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{what} {path} is not a JSON object")
-    missing = [k for k in required if k not in doc]
-    if missing:
-        raise SchemaError(f"{what} {path} lacks {missing}")
-    return doc
+def _numbers(spec, what):
+    return [exact_number(v, what, HopfcmError) for v in spec.split(",")]
 
 
 def _parse_params(spec):
@@ -96,7 +72,7 @@ def _parse_params(spec):
         if "=" not in item:
             raise HopfcmError(f"bad parameter assignment {item!r}")
         k, v = item.split("=", 1)
-        out[k.strip()] = _exact_number(v)
+        out[k.strip()] = exact_number(v, f"parameter {k.strip()}", HopfcmError)
     return out
 
 
@@ -108,7 +84,7 @@ def _parse_point(spec, fld, params):
         if spec not in pts:
             raise HopfcmError(f"equilibrium {spec} does not exist at {params}")
         return pts[spec]
-    vals = _numbers(spec)
+    vals = _numbers(spec, "--point")
     if len(vals) != 3:
         raise HopfcmError("point must be E<k> or three comma-separated values")
     return tuple(vals)
@@ -156,7 +132,7 @@ def _cmd_normalize(args):
     matrix = None
     time_scale = None
     if args.transform:
-        doc = _read_json(args.transform, ("matrix",), "transform file")
+        doc = read_json(args.transform, ("matrix",), "transform file")
         rows = doc["matrix"]
         if not (
             isinstance(rows, list)
@@ -166,7 +142,8 @@ def _cmd_normalize(args):
             raise SchemaError(f"matrix in {args.transform} must be a 3x3 list of lists")
         if isinstance(fld.zero, float):
             def entry(v):
-                return float(_exact_number(str(v)))
+                number = exact_number(str(v), "transform entry", HopfcmError)
+                return finite_float(number, "transform entry")
         else:
             def entry(v):
                 return eval_exact(parse_expression(str(v)), fld.params)
@@ -252,19 +229,17 @@ _CYCLICITY_KEYS = {
 def _cyclicity_config(path):
     """The custom cyclicity config with its defaults filled in; a
     SchemaError names the first value of the wrong kind."""
-    cfg = _read_json(path, ("system", "small", "order"), "cyclicity config")
+    cfg = read_json(path, ("system", "small", "order"), "cyclicity config")
     if "line" in cfg and "pivots" not in cfg:
         raise SchemaError(f"cyclicity config {path} has a line but no pivots")
     cfg = {"point": {}, "pivots": [], "degree": 1, "trace": False, **cfg}
     for key, (ok, kind) in _CYCLICITY_KEYS.items():
         if key in cfg and not ok(cfg[key]):
             raise SchemaError(f"cyclicity config {path}: {key} must be {kind}")
-    try:
-        for key in ("point", "line"):
-            if key in cfg:
-                cfg[key] = {k: Fraction(str(v)) for k, v in cfg[key].items()}
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"cyclicity config {path}: bad number in {key}: {exc}") from exc
+    for key in ("point", "line"):
+        if key in cfg:
+            cfg[key] = {k: exact_number(str(v), f"cyclicity config {path}: {key} {k}", SchemaError)
+                        for k, v in cfg[key].items()}
     unknown = sorted({*cfg["pivots"], *cfg.get("line", ())} - set(cfg["small"]))
     if unknown:
         raise SchemaError(f"cyclicity config {path}: {unknown} are not small parameters")
@@ -277,7 +252,7 @@ def _cmd_cyclicity(args):
     if args.config is not None and args.mode != "custom":
         args.usage_error("--config needs --mode custom")
     if args.mode == "teo4":
-        cfg = teo4_config(_exact_number("1" if args.d0 is None else args.d0))
+        cfg = teo4_config(exact_number("1" if args.d0 is None else args.d0, "--d0", HopfcmError))
     elif args.mode == "teo5":
         cfg = TEO5_CONFIG
     elif args.config is None:
@@ -292,7 +267,7 @@ def _cmd_cyclicity(args):
 def _cmd_simulate(args):
     params = _parse_params(args.params)
     fld = catalog.load(args.system, params).to_float()
-    x0 = tuple(float(v) for v in _numbers(args.x0))
+    x0 = _numbers(args.x0, "--x0")
     if len(x0) != 3:
         raise HopfcmError("--x0 must be three comma-separated values")
     t_span = (0.0, -args.tmax) if args.backward else (0.0, args.tmax)
@@ -309,10 +284,8 @@ def _cmd_simulate(args):
 def _cmd_displacement(args):
     params = _parse_params(args.params)
     fld = catalog.load(args.system, params).to_float()
-    grid = [float(v) for v in _numbers(args.rho0_grid)]
-    samples = []
-    for rho0 in grid:
-        samples.append(simulate.displacement(fld, rho0))
+    grid = _numbers(args.rho0_grid, "--rho0-grid")
+    samples = [simulate.displacement(fld, rho0) for rho0 in grid]
     report = {
         "system": args.system,
         "samples": [

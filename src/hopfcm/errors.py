@@ -1,6 +1,11 @@
 """Exception types shared across the package."""
 
 
+def abridged(text):
+    """``text`` cut after 40 characters, so a message echoes no 400-digit number."""
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
+
+
 class HopfcmError(Exception):
     """Base class for all domain errors raised by this package."""
 
@@ -20,7 +25,7 @@ class SchemaError(HopfcmError):
 class RegionUndefined(HopfcmError):
     """A catalog family was built at parameters outside its domain (a radical
     of the closed-form equilibrium is not real, or a required coefficient is
-    zero)."""
+    zero), or a number does not fit a float."""
 
 
 class SingularTransform(HopfcmError):

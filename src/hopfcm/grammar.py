@@ -16,7 +16,7 @@ import operator
 import re
 from fractions import Fraction
 
-from .errors import SchemaError
+from .errors import RegionUndefined, SchemaError
 from .paramfield import ParamExpr
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(.))")
@@ -158,7 +158,8 @@ _OPERATORS = {
 def evaluate(node, scope, literal):
     """Evaluate an AST: ``scope`` maps each parameter name to its value and
     ``literal`` converts the Fraction of an integer literal.  ``sqrt`` takes
-    only a float argument, so it is refused in exact arithmetic."""
+    only a float argument, so it is refused in exact arithmetic; a float
+    power that overflows is RegionUndefined."""
     kind = node[0]
     if kind == "num":
         return literal(node[1])
@@ -167,7 +168,10 @@ def evaluate(node, scope, literal):
             raise SchemaError(f"unknown parameter {node[1]!r}")
         return scope[node[1]]
     if kind == "pow":
-        return evaluate(node[1], scope, literal) ** node[2]
+        try:
+            return evaluate(node[1], scope, literal) ** node[2]
+        except OverflowError as exc:
+            raise RegionUndefined("a coefficient does not fit a float") from exc
     if kind != "sqrt" and kind not in _OPERATORS:
         raise SchemaError(f"bad AST node {kind!r}")
     args = [evaluate(arg, scope, literal) for arg in node[1:]]

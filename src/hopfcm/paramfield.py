@@ -67,7 +67,7 @@ from heapq import heapify, heappop, heappush
 from itertools import chain, combinations_with_replacement
 from operator import add
 
-from .errors import DivisionByZero, PoleAtPoint, TruncationTooLow
+from .errors import DivisionByZero, PoleAtPoint, RegionUndefined, TruncationTooLow, abridged
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
@@ -904,6 +904,33 @@ def real_part(z, what, error):
     if not negligible(z.imag, z):
         raise error(f"{what} has imaginary part {z.imag}")
     return z.real
+
+
+def exact_number(value, what, error):
+    """The Fraction of a JSON integer or a text such as "1/10" or "0.1";
+    anything else, a JSON boolean or float included, raises ``error`` naming ``what``."""
+    if isinstance(value, float):
+        exact = f'"{Fraction(repr(value))}"' if math.isfinite(value) else "a string p/q"
+        raise error(f"{what} = {value!r} is a JSON float, which would bind its binary value; "
+                    f"write {abridged(exact)}")
+    if type(value) is int or isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise error(f"{what}: bad number {abridged(repr(value))}")
+
+
+def finite_float(x, what):
+    """The float of an exact or float ``x``; RegionUndefined naming ``what``
+    when it does not fit one: it overflows, or is a NaN or an infinity."""
+    try:
+        y = float(x)
+    except OverflowError:
+        y = math.inf
+    if not math.isfinite(y):
+        raise RegionUndefined(f"{what} = {abridged(str(x))} does not fit a float")
+    return y
 
 
 def dot(terms):

@@ -15,13 +15,13 @@ import json
 import math
 from dataclasses import KW_ONLY, dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from operator import add
 from typing import Optional
 
 from .errors import DivisionByZero, HopfcmError, PoleAtPoint, SchemaError, SingularTransform
 from . import grammar
-from .paramfield import Jet, ParamExpr, binary_power, dot, negligible
+from .paramfield import Jet, ParamExpr, binary_power, dot, exact_number, finite_float, negligible
 
 
 class StatePoly:
@@ -186,7 +186,7 @@ class VectorField3:
         """Per component, the (float coefficient, exponents) pairs of the
         Taylor kernel of ``simulate``; built on first use and kept."""
         return tuple(
-            tuple((float(c), e) for e, c in comp.terms.items())
+            tuple((finite_float(c, "a coefficient"), e) for e, c in comp.terms.items())
             for comp in self.components
         )
 
@@ -197,17 +197,17 @@ class VectorField3:
         ]
 
     def to_float(self):
-        """The float field of a bound field, every coefficient through ``float``.
+        """The float field of a bound field, every coefficient through ``finite_float``.
 
         Raises HopfcmError naming the free parameters; bind them first
-        (``bind``).
+        (``bind``).  A coefficient that does not fit a float is RegionUndefined.
         """
         if self.params:
             raise HopfcmError(
                 f"parameter(s) {list(self.params)} are free; a float field needs values"
             )
-        comps = tuple(c.map_coeffs(float) for c in self.components)
-        return VectorField3(comps)
+        to_float = partial(finite_float, what="a coefficient")
+        return VectorField3(tuple(c.map_coeffs(to_float) for c in self.components))
 
 
 @dataclass
@@ -237,7 +237,7 @@ class HopfReport:
     def omega(self):
         """sqrt(beta) when beta is a known positive constant, else None."""
         beta = known_value(self.omega_squared)
-        return float(beta) ** 0.5 if beta is not None and beta > 0 else None
+        return finite_float(beta, "omega^2") ** 0.5 if beta is not None and beta > 0 else None
 
     def eigenvalues(self):
         """+/- i omega and lambda3, which are the spectrum only at a Hopf
@@ -304,22 +304,22 @@ def _cofactor(m, i, j):
 
 def _mat_inv3(m):
     """The inverse as the transposed cofactors over the determinant, which
-    is expanded along row 0.  A float matrix is numerically singular when
-    |det| over the product of its row norms is ``negligible``: by
-    Hadamard's bound that ratio is 1 for orthogonal rows and 0 for
-    dependent ones, whatever their scale."""
+    is expanded along row 0.  A float M is inverted as (DM)^-1 D: D scales
+    each row by a power of two (at most 2^1021) to a largest entry in
+    [1/2, 1), exactly, so that det(DM) does not underflow.  M is numerically
+    singular when |det(DM)| over the product of DM's row norms is
+    ``negligible``: Hadamard's ratio, 1 for orthogonal rows, 0 for dependent."""
+    scales = (1, 1, 1)
+    if any(isinstance(x, float) for row in m for x in row):
+        scales = [math.ldexp(1.0, min(1021, -math.frexp(max(map(abs, row)))[1])) for row in m]
+        m = [[x * d for x in row] for row, d in zip(m, scales)]
     cof = [[_cofactor(m, i, j) for j in range(3)] for i in range(3)]
     det = m[0][0] * cof[0][0] + m[0][1] * cof[0][1] + m[0][2] * cof[0][2]
     if not det:
         raise SingularTransform("transform matrix is singular")
-    if isinstance(det, (float, complex)):
-        # through logarithms, so that no product of norms under- or overflows
-        norms = [math.hypot(*map(abs, row)) for row in m]
-        if not all(norms) or negligible(
-            math.exp(math.log(abs(det)) - sum(map(math.log, norms)))
-        ):
-            raise SingularTransform("transform matrix is numerically singular")
-    return [[cof[j][i] / det for j in range(3)] for i in range(3)]
+    if isinstance(det, float) and negligible(abs(det) / math.prod(math.hypot(*r) for r in m)):
+        raise SingularTransform("transform matrix is numerically singular")
+    return [[cof[j][i] / det * scales[j] for j in range(3)] for i in range(3)]
 
 
 def transform(fld: VectorField3, shift, linear, time_scale) -> VectorField3:
@@ -412,25 +412,35 @@ def refuse_jets(values):
 # system-definition documents
 
 
+def read_json(path, required, what):
+    """The JSON object in the file ``path`` (a ``what``); a SchemaError when
+    it is not valid JSON, not an object, or lacks a key in ``required``."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise SchemaError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{what} {path} is not a JSON object")
+    missing = [k for k in required if k not in doc]
+    if missing:
+        raise SchemaError(f"{what} {path} lacks {missing}")
+    return doc
+
+
 def parse_system(document, values=None) -> VectorField3:
-    """Build a field from a JSON document or dict (see the schema in README),
+    """Build a field from a system document's dict (see the schema in README),
     with the document's parameter values and ``values``, which binds only
     those it leaves null, bound through ``bind``.
 
     Schema: {"backend": "exact"|"float", "params": {name: value-or-null},
     "state_vars": [s1, s2, s3], "equations": [[{"exp": [i,j,k],
-    "coeff": "<grammar string>"}...] x3]}.  A coefficient is evaluated as
-    written, so one that divides by zero at the bound values is a
-    SchemaError, even where it cancels (0/0).
-    """
+    "coeff": "<grammar string>"}...] x3]}.  A value is an ``exact_number``,
+    or a JSON float for the float backend, which refuses a number that does
+    not fit a float (RegionUndefined).  A coefficient is evaluated as written,
+    so one that divides by zero at the bound values is a SchemaError, even
+    where it cancels (0/0)."""
     values = values or {}
-    if isinstance(document, str):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON: {exc}") from exc
-    if not isinstance(document, dict):
-        raise SchemaError("document must be a JSON object")
     backend = document.get("backend")
     if backend not in ("exact", "float"):
         raise SchemaError("backend must be 'exact' or 'float'")
@@ -448,20 +458,15 @@ def parse_system(document, values=None) -> VectorField3:
     if backend == "float":
         refuse_jets(values)
         refuse_unknown((), values)
-        missing = [k for k, v in params_doc.items() if v is None]
-        if missing:
-            raise SchemaError(f"float backend requires values for {missing}")
-        scope = {k: float(_parse_value(v)) for k, v in params_doc.items()}
-        rows = _rows(equations, lambda node: grammar.evaluate(node, scope, float))
-        return VectorField3(tuple(StatePoly(row) for row in rows))
-    for k, v in params_doc.items():
-        if isinstance(v, float):
-            exact = f'"{Fraction(repr(v))}"' if math.isfinite(v) else "a string p/q"
-            raise SchemaError(
-                f"exact-backend parameter {k} = {v!r} is a JSON float, which would "
-                f"bind its binary value; write {exact}"
-            )
-    fixed = {k: Fraction(_parse_value(v)) for k, v in params_doc.items() if v is not None}
+        scope = {}
+        for k, v in params_doc.items():
+            number = v if isinstance(v, float) else exact_number(v, f"parameter {k}", SchemaError)
+            scope[k] = finite_float(number, f"parameter {k}")
+        literal = partial(finite_float, what="a coefficient literal")
+        rows = _rows(equations, lambda node: grammar.evaluate(node, scope, literal))
+        return VectorField3(tuple(StatePoly(row) for row in rows)).to_float()
+    fixed = {k: exact_number(v, f"parameter {k}", SchemaError)
+             for k, v in params_doc.items() if v is not None}
     free = tuple(sorted(k for k, v in params_doc.items() if v is None))
 
     def rows(*free_values):
@@ -497,10 +502,3 @@ def _rows(equations, evaluate):
         rows.append(terms)
     return rows
 
-
-def _parse_value(v):
-    if isinstance(v, str):
-        return Fraction(v)
-    if isinstance(v, (int, float)):
-        return v
-    raise SchemaError(f"bad parameter value {v!r}")

@@ -34,7 +34,8 @@ import stat
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import HopfcmError, NoReturn, StiffnessFailure, WorkCeiling
+from .errors import HopfcmError, NoReturn, StiffnessFailure, WorkCeiling, abridged
+from .paramfield import finite_float
 from .polysys import VectorField3
 
 DEFAULT_TOL = 1e-10
@@ -91,10 +92,11 @@ def integrate(
     budget.  ``max_points`` keeps that many evenly spaced step ends, the
     first and the last among them.  Raises HopfcmError on a tolerance
     outside [DOUBLE_EPS, 1e-2] (a smaller one asks for more than double
-    precision holds), a start state or an end of ``t_span`` that is not
-    finite or a ``max_points`` below 2, WorkCeiling once the run has made
-    ``MAX_RHS_EVALS`` field evaluations (a finite but huge span would take
-    as long), and StiffnessFailure when the solution blows up.
+    precision holds), an end of ``t_span`` that is not finite or a
+    ``max_points`` below 2, RegionUndefined on a start state that does not
+    fit a float, WorkCeiling after ``MAX_RHS_EVALS`` field evaluations (a
+    finite but huge span would take as long), and StiffnessFailure when the
+    solution blows up.
     """
     if not DOUBLE_EPS <= tol <= 1e-2:
         raise HopfcmError(f"tolerance must lie in [1e-16, 1e-2], got {tol}")
@@ -102,9 +104,7 @@ def integrate(
         raise HopfcmError(f"time span must be finite, got {tuple(t_span)}")
     if max_points is not None and max_points < 2:
         raise HopfcmError(f"max_points must be at least 2, got {max_points}")
-    x0 = [float(v) for v in x0]
-    if not all(map(math.isfinite, x0)):
-        raise HopfcmError(f"start state must be finite, got {tuple(x0)}")
+    x0 = [finite_float(v, "start state") for v in x0]
 
     t0, t1 = (float(t) for t in t_span)
     ts, xs = [t0], [x0]
@@ -434,7 +434,7 @@ def _step_root(p, h, p_h, eps):
     return s
 
 
-def displacement(fld: VectorField3, rho0: float) -> DisplacementSample:
+def displacement(fld: VectorField3, rho0) -> DisplacementSample:
     """Reduced displacement dbar(rho0) on the transversely selected path.
 
     Solves the fixed-point condition for omega0 (the return in omega equals
@@ -442,7 +442,8 @@ def displacement(fld: VectorField3, rho0: float) -> DisplacementSample:
     return.  Works for either sign of the transverse eigenvalue.
     """
     if not 0 < rho0 <= 0.2:
-        raise HopfcmError(f"rho0 must lie in (0, 0.2], got {rho0}")
+        raise HopfcmError(f"rho0 must lie in (0, 0.2], got {abridged(str(rho0))}")
+    rho0 = finite_float(rho0, "rho0")
 
     def g(om):
         _, u1, om1 = first_return(fld, rho0, om)

@@ -1,15 +1,20 @@
 """Command-line interface: subcommands, reports, exit-code contract."""
 
 import json
+import math
 import os
 import signal
 import stat
 import subprocess
 import sys
 import threading
+from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from hopfcm import simulate
 from hopfcm.catalog import PERTURBATION_PARAMS
 from hopfcm.cli import build_parser, main
 from hopfcm.verify import ETA_LINE, TEO5_PIVOTS
@@ -292,10 +297,13 @@ LINE_CONFIG = {**RANK_CONFIG, "pivots": ["k"], "line": {"c": 1}}
         json.dumps({**RANK_CONFIG, "small": "kcd"}),
         json.dumps({**RANK_CONFIG, "trace": "yes"}),
         json.dumps({**RANK_CONFIG, "system": 7}),
+        '{"system": ' + "1" * 5000 + "}",
+        "[" * 100_000 + "]" * 100_000,
     ],
     ids=["no-small", "no-order", "invalid-json", "unknown-pivot", "unknown-line-name",
          "order-a-string", "point-not-a-number", "line-divides-by-zero", "degree-0",
-         "small-a-string", "trace-not-a-bool", "system-not-a-string"],
+         "small-a-string", "trace-not-a-bool", "system-not-a-string",
+         "integer-beyond-the-digit-limit", "nested-beyond-the-recursion-limit"],
 )
 def test_custom_cyclicity_config_errors_are_schema_errors(tmp_path, capsys, text):
     path = tmp_path / "config.json"
@@ -534,6 +542,134 @@ def test_a_radical_family_point_without_float_coefficients_is_a_region_error(cap
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "RegionUndefined"
+
+
+def _float_document_with_coefficient(coeff):
+    """The float e1-center document at d = 1, its first coefficient ``coeff``."""
+    document = _center_document("float", "1")
+    document["equations"][0][0]["coeff"] = coeff
+    return document
+
+
+_KHALED = ("hopf", "--system", "khaled-original", "--point")
+_HUGE_ENTRY = {"matrix": [["1e400", 0, 0], [0, 1, 0], [0, 0, 1]]}
+
+
+@pytest.mark.parametrize(
+    "argv,file,error,names",
+    [
+        (("simulate", "--system", "e1-center", "--params", "d=1", "--x0", "1e400,0,0",
+          "--tmax", "1"), None, "RegionUndefined", "start state"),
+        (_E4_DISPLACEMENT + ("1e400",), None, "HopfcmError", "rho0"),
+        (_KHALED + ("E1", "--params", "a=1e400,b=0,c=1,d=1"), None, "RegionUndefined",
+         "parameter a"),
+        (_KHALED + ("1e400,0,0", "--params", "a=1,b=0,c=1,d=1"), None, "RegionUndefined",
+         "omega^2"),
+        (("simulate", "--system", "e1-center", "--params", "d=1e200", "--x0", "0.1,0,0",
+          "--tmax", "1"), None, "RegionUndefined", "coefficient"),
+        (("displacement", "--system", "e1-center", "--params", "d=1e200", "--rho0-grid",
+          "0.05"), None, "RegionUndefined", "coefficient"),
+        (("normalize", "--system", "e4-normal", "--params", "c=1/4,h=2", "--transform",
+          "input.json"), _HUGE_ENTRY, "RegionUndefined", "transform entry"),
+        (("hopf", "--system", "input.json"), _center_document("exact", "abc"), "SchemaError",
+         "parameter d"),
+        (("hopf", "--system", "input.json"), _center_document("exact", "1/0"), "SchemaError",
+         "parameter d"),
+        (("hopf", "--system", "input.json"), _center_document("float", "abc"), "SchemaError",
+         "parameter d"),
+        (("hopf", "--system", "input.json"), _center_document("float", "1e400"),
+         "RegionUndefined", "parameter d"),
+        (("hopf", "--system", "input.json"), _float_document_with_coefficient("9" * 400),
+         "RegionUndefined", "coefficient"),
+        (("hopf", "--system", "input.json"), _center_document("exact", True), "SchemaError",
+         "parameter d"),
+        (("hopf", "--system", "input.json"), _center_document("float", math.nan),
+         "RegionUndefined", "parameter d"),
+    ],
+    ids=["x0-overflow", "rho0-overflow", "equilibrium-parameter-overflow",
+         "omega-overflow", "float-field-overflow", "displacement-field-overflow",
+         "transform-entry-overflow", "exact-document-junk", "exact-document-pole",
+         "float-document-junk", "float-document-overflow", "float-document-huge-literal",
+         "exact-document-boolean", "float-document-nan"],
+)
+def test_an_outside_number_that_does_not_fit_is_a_domain_error(
+    capsys, tmp_path, monkeypatch, argv, file, error, names
+):
+    """A number from outside that does not parse, or whose value does not
+    fit a float where one is needed, ends in one short JSON error."""
+    monkeypatch.chdir(tmp_path)
+    if file is not None:
+        (tmp_path / "input.json").write_text(json.dumps(file))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    report = json.loads(err)
+    assert report["error"] == error
+    assert names in report["message"] and len(report["message"]) < 200
+
+
+# numbers from outside: integers of up to 500 digits, decimals with
+# exponents up to +/-1000, p/0, junk and, to reach the valid ranges, p/q in
+# [-1/5, 1/5], as text, and the JSON values a file may hold in their place:
+# booleans, floats and NaN
+_OUTSIDE_NUMBERS = st.one_of(
+    st.integers(-(10**500), 10**500).map(str),
+    st.fractions(Fraction(-1, 5), Fraction(1, 5), max_denominator=1000).map(str),
+    st.builds("{}.{}e{}".format, st.integers(-(10**6), 10**6), st.integers(0, 10**6),
+              st.integers(-1000, 1000)),
+    st.integers().map("{}/0".format),
+    st.text(max_size=12),
+    st.booleans(),
+    st.floats(),
+    st.just(math.nan),
+)
+
+
+def _text(value):
+    """A command-line value as it would be typed: JSON values as JSON."""
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+# each takes one number from outside to (argv, the JSON file it reads or None)
+_NUMBER_TARGETS = {
+    "params-float": lambda v: (("focus", "--system", "e4-normal", "--order", "1",
+                                f"--params=c={_text(v)},h=2"), None),
+    "params-exact": lambda v: (("focus", "--system", "e1-normal", "--order", "1",
+                                f"--params=c={_text(v)},d=1,k=1"), None),
+    "x0": lambda v: (("simulate", "--system", "e1-center", "--params", "d=1", "--tmax", "0.1",
+                      f"--x0={_text(v)},0,0"), None),
+    "rho0-grid": lambda v: (("displacement", "--system", "e1-center", "--params", "d=1",
+                             f"--rho0-grid={_text(v)}"), None),
+    "exact-document": lambda v: (("focus", "--system", "input.json", "--order", "1"),
+                                 _center_document("exact", v)),
+    "float-document": lambda v: (("focus", "--system", "input.json", "--order", "1"),
+                                 _center_document("float", v)),
+    "transform-entry": lambda v: (("normalize", "--system", "e4-normal", "--params",
+                                   "c=1/4,h=2", "--transform", "input.json"),
+                                  {"matrix": [[v, 0, 0], [0, 1, 0], [0, 0, 1]]}),
+}
+
+
+@pytest.mark.parametrize("target", sorted(_NUMBER_TARGETS))
+@settings(derandomize=True, max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(value=_OUTSIDE_NUMBERS)
+def test_every_outside_number_ends_in_a_report_or_a_domain_error(
+    capsys, tmp_path, monkeypatch, target, value
+):
+    """Whatever number arrives, the run exits 0 or 2 with no traceback, and
+    a nonzero exit writes one JSON error line.  A small work ceiling stops
+    a fast-turning orbit from a large start state in milliseconds."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(simulate, "MAX_RHS_EVALS", 10_000)
+    argv, file = _NUMBER_TARGETS[target](value)
+    if file is not None:
+        (tmp_path / "input.json").write_text(json.dumps(file))
+    code, out, err = run_cli(capsys, *argv)
+    assert code in (0, 2)
+    if code:
+        assert out == "" and err.count("\n") == 1
+        assert set(json.loads(err)) == {"error", "message"}
 
 
 def test_huge_finite_span_stops_at_the_work_ceiling(capsys, tmp_path, monkeypatch):

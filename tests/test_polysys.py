@@ -161,11 +161,14 @@ def test_cofactors_give_the_characteristic_cubic_and_inverse_of_sympy(entries):
 
 def test_float_inverse_is_judged_by_conditioning_not_scale():
     """Orthogonal rows of any scale invert: diag(1e-150, 1e-160, 1) has a
-    subnormal determinant, and its inverse is diag(1e150, 1e160, 1)."""
-    inv = _mat_inv3([[1e-150, 0.0, 0.0], [0.0, 1e-160, 0.0], [0.0, 0.0, 1.0]])
-    for i, want in enumerate((1e150, 1e160, 1.0)):
-        assert inv[i][i] == pytest.approx(want, rel=1e-12)
-        assert all(inv[i][j] == 0.0 for j in range(3) if j != i)
+    subnormal determinant, and diag(1e200, 1e-200, 1e-200) one that
+    underflows to zero unless each row is scaled first."""
+    for diagonal in ((1e-150, 1e-160, 1.0), (1e200, 1e-200, 1e-200)):
+        inv = _mat_inv3([[x if i == j else 0.0 for j, x in enumerate(diagonal)]
+                         for i in range(3)])
+        for i, x in enumerate(diagonal):
+            assert inv[i][i] == pytest.approx(1 / x, rel=1e-12)
+            assert all(inv[i][j] == 0.0 for j in range(3) if j != i)
 
 
 def test_float_hopf_test_tolerances():

@@ -561,3 +561,62 @@ def test_generated_kernel_source_holds_no_numbers_or_text(monkeypatch):
             if isinstance(node, ast.Constant) and type(node.value) is not int
         ]
         assert literals == []
+
+
+# the modules that take numbers from outside: a float among them comes from
+# ``paramfield.finite_float``, which refuses a value that does not fit one
+FLOAT_FREE_MODULES = ("catalog.py", "cli.py", "grammar.py", "polysys.py")
+
+
+def _float_uses(path):
+    """Line of each use of the builtin ``float``, called or passed as a
+    value, other than as a type of an ``isinstance`` check or as the
+    ``type`` of an ``add_argument`` option (``--tmax`` and ``--tol``, whose
+    infinities and NaN ``simulate.integrate`` refuses)."""
+    tree = ast.parse(path.read_text(), str(path))
+    checked = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        if getattr(node.func, "id", None) == "isinstance":
+            checked.update(map(id, ast.walk(node.args[1])))
+        elif getattr(node.func, "attr", None) == "add_argument":
+            checked.update(id(kw.value) for kw in node.keywords if kw.arg == "type")
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "float" and id(node) not in checked
+    ]
+
+
+def test_input_modules_convert_to_float_only_through_finite_float():
+    package = Path(hopfcm.__file__).parent
+    offenders = [
+        f"{name}:{line}" for name in FLOAT_FREE_MODULES for line in _float_uses(package / name)
+    ]
+    assert offenders == []
+
+
+def _json_reads(path):
+    """(function, line) of each call of ``json.load`` or ``json.loads``."""
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        func = getattr(node, "func", None)
+        if (isinstance(node, ast.Call) and isinstance(func, ast.Attribute)
+                and func.attr in ("load", "loads")
+                and isinstance(func.value, ast.Name) and func.value.id == "json"):
+            yield function, node.lineno
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, function)
+
+    yield from visit(ast.parse(path.read_text(), str(path)), None)
+
+
+def test_one_function_reads_json():
+    """Transform files, cyclicity configs and system documents are read by
+    one reader, so each is refused the same way when it is not an object."""
+    modules = sorted(Path(hopfcm.__file__).parent.glob("*.py"))
+    assert modules
+    reads = {(path.name, function) for path in modules for function, _ in _json_reads(path)}
+    assert reads == {("polysys.py", "read_json")}
