@@ -207,7 +207,8 @@ def equilibria_catalog(values):
     come out as floats; E1 stays rational when the inputs are rational.  The
     symmetric partner of each +/- pair maps through (x,y,z) -> (-x,-y,z).
     Raises SchemaError when ``values`` lacks one of a, b, c, d, and
-    RegionUndefined when one of them does not fit a float.
+    RegionUndefined when one of them or the discriminant (a + b)^2 + 4ac
+    does not fit a float.
     """
     missing = [p for p in "abcd" if p not in values]
     if missing:
@@ -216,7 +217,12 @@ def equilibria_catalog(values):
         )
     a, b, c, d = (finite_float(values[p], f"parameter {p}") for p in "abcd")
     out = []
-    delta = (a + b) ** 2 + 4 * a * c
+    try:
+        delta = (a + b) ** 2 + 4 * a * c
+    except OverflowError:
+        delta = math.inf
+    if not math.isfinite(delta):
+        raise RegionUndefined("the discriminant (a + b)^2 + 4ac does not fit a float")
     if values["d"]:
         one_over_d = Fraction(1) / values["d"]
         out.append(("E1", (0 * one_over_d, 0 * one_over_d, one_over_d)))

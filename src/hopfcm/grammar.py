@@ -14,9 +14,10 @@ from __future__ import annotations
 import math
 import operator
 import re
+import sys
 from fractions import Fraction
 
-from .errors import RegionUndefined, SchemaError
+from .errors import RegionUndefined, SchemaError, abridged
 from .paramfield import ParamExpr
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(.))")
@@ -35,7 +36,13 @@ def _tokenize(text):
             break
         pos = m.end()
         if m.group(1) is not None:
-            tokens.append(("int", int(m.group(1))))
+            try:
+                tokens.append(("int", int(m.group(1))))
+            except ValueError:
+                raise SchemaError(
+                    f"integer literal {abridged(m.group(1))} has more than "
+                    f"{sys.get_int_max_str_digits()} digits"
+                ) from None
         elif m.group(2) is not None:
             tokens.append(("name", m.group(2)))
         else:

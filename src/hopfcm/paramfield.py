@@ -60,11 +60,11 @@ so the generic algorithms never ask a value for its type:
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import chain, combinations_with_replacement
+from itertools import combinations_with_replacement
 from operator import add
 
 from .errors import DivisionByZero, PoleAtPoint, RegionUndefined, TruncationTooLow, abridged
@@ -1133,35 +1133,39 @@ class JetContext:
 
 def _add_product(ctx, out, a, b, scale):
     """out[k] += scale * (a * b)[k] for the truncated product of the
-    numerator dicts a and b, both nonempty."""
+    numerator dicts a and b, both nonempty.
+
+    Monomials are numbered by degree, so row i of the product table holds
+    exactly the columns j < len(row) whose product with i fits under the
+    cap."""
     if len(a) > len(b):
         a, b = b, a
-    # fits[d]: b's terms of degree <= d, those of index < widths[d]
-    items = sorted(b.items())
-    fits = [items[: bisect_left(items, (w,))] for w in ctx.widths]
-    cap, degs, table = ctx.degree, ctx.degrees, ctx.product_table()
+    table = ctx.product_table()
+    pairs = b.items()
     get = out.get
     for i, x in a.items():
         row = table[i]
+        width = len(row)
         x *= scale
-        for j, y in fits[cap - degs[i]]:
-            k = row[j]
-            out[k] = get(k, 0) + x * y
+        for j, y in pairs:
+            if j < width:
+                k = row[j]
+                out[k] = get(k, 0) + x * y
 
 
-def _jet_dot(ctx, *groups):
-    """sum(s * p * q) over the (p, q, s) triples of the groups, as one Jet,
-    for Jets p, q of ``ctx`` and integers s: every product is added into
-    one numerator dict over the lcm of the pair denominators, and the sum
-    is reduced once."""
+def _jet_dot(ctx, triples):
+    """sum(s * p * q) over the (p, q, s) triples, as one Jet, for Jets p, q
+    of ``ctx`` and integers s: every product is added into one numerator
+    dict over the lcm of the pair denominators, and the sum is reduced
+    once."""
     den = 1
-    for p, q, _ in chain.from_iterable(groups):
+    for p, q, _ in triples:
         for jet in (p, q):
             if jet.ctx is not ctx and jet.ctx != ctx:
                 raise ValueError("jet contexts differ")
         den = math.lcm(den, p.den * q.den)
     out = {}
-    for p, q, s in chain.from_iterable(groups):
+    for p, q, s in triples:
         if p.nums and q.nums:
             _add_product(ctx, out, p.nums, q.nums, s * (den // (p.den * q.den)))
     return Jet(ctx, out, den)

@@ -13,12 +13,10 @@ solved for its fixed point omega0 (secant iteration, which handles both
 signs of the transverse eigenvalue), then dbar(rho0) is the radial change of
 the first return from (rho0, 0, rho0*omega0).
 
-The kernel is straight-line arithmetic generated per monomial shape of the
-field and per order, compiled in blocks of orders on first use
-(``taylor_plan``), and is generic over the number type: trajectories and
-section returns run it on floats, and ``measure_period`` on 31-digit
-``decimal.Decimal`` numbers (C libmpdec; at least the 103 bits of 30
-decimal digits).
+The kernel is straight-line float arithmetic generated per monomial shape
+of the field and per order, compiled in blocks of orders on first use
+(``taylor_plan``).  Trajectories, section returns and periods all run it
+at double precision.
 
 Every file the package writes goes through ``write_output``: the exports
 here, the ``verify`` artifacts and the CLI's ``--out`` reports.
@@ -26,7 +24,6 @@ here, the ``verify`` artifacts and the CLI's ``--out`` reports.
 
 from __future__ import annotations
 
-import decimal
 import functools
 import math
 import os
@@ -40,7 +37,6 @@ from .polysys import VectorField3
 
 DEFAULT_TOL = 1e-10
 DOUBLE_EPS = 1e-16
-EXTENDED_DPS = 30
 # Field evaluations (steps x order) one run may make: about 2 s of Taylor
 # steps on a 3D quadratic field (e1-center, shared 2-vCPU x86-64 host), a
 # hundred times the longest run of the README and the verification claims
@@ -108,8 +104,8 @@ def integrate(
 
     t0, t1 = (float(t) for t in t_span)
     ts, xs = [t0], [x0]
-    kernel = taylor_plan(fld.monomials, float)
-    for t, x, _, _ in _taylor_steps(kernel, t0, x0, t1, tol, DOUBLE_EPS):
+    kernel = taylor_plan(fld.monomials)
+    for t, x, _, _ in _taylor_steps(kernel, t0, x0, t1, tol):
         ts.append(t)
         xs.append(x)
         if stop_radius is not None and math.hypot(*x) > stop_radius:
@@ -132,19 +128,15 @@ def _order(tol):
     return math.ceil(-math.log(tol) / 2) + 1
 
 
-def _taylor_steps(kernel, t, x, t_end, tol, eps):
+def _taylor_steps(kernel, t, x, t_end, tol):
     """Taylor steps from (t, x) to t_end, forward or backward in time.
 
     Yields, per step, the state (t, x) at its end, its signed length h and
-    the Taylor coefficients at its start.  ``eps`` is the working precision
-    of the number type; ``t_end`` and each step are converted to the type of
-    the state.  Raises WorkCeiling once the steps would make more than
-    ``MAX_RHS_EVALS`` field evaluations (``order`` per step), and
-    StiffnessFailure when the step collapses below ``eps`` or the state
-    stops being finite.
+    the Taylor coefficients at its start.  Raises WorkCeiling once the
+    steps would make more than ``MAX_RHS_EVALS`` field evaluations
+    (``order`` per step), and StiffnessFailure when the step collapses
+    below ``DOUBLE_EPS`` relative to t or the state stops being finite.
     """
-    num = type(x[0])
-    t_end = num(t_end)
     order = _order(tol)
     evals = 0
     while t != t_end:
@@ -152,12 +144,12 @@ def _taylor_steps(kernel, t, x, t_end, tol, eps):
         if evals > MAX_RHS_EVALS:
             raise WorkCeiling(
                 f"integration stopped after {MAX_RHS_EVALS} field evaluations, "
-                f"at t = {float(t):.6g} on the way to {float(t_end):.6g}"
+                f"at t = {t:.6g} on the way to {t_end:.6g}"
             )
         coeffs = kernel(x, order)
-        h = num(_taylor_step(coeffs))
-        if not h > eps * max(1, abs(t)):
-            raise StiffnessFailure(f"Taylor step collapsed at t = {float(t):.6g}")
+        h = _taylor_step(coeffs)
+        if not h > DOUBLE_EPS * max(1, abs(t)):
+            raise StiffnessFailure(f"Taylor step collapsed at t = {t:.6g}")
         if h < abs(t_end - t):
             h = h if t_end > t else -h
             t += h
@@ -165,20 +157,20 @@ def _taylor_steps(kernel, t, x, t_end, tol, eps):
             h, t = t_end - t, t_end
         x = [_horner(c, h) for c in coeffs]
         if not all(map(math.isfinite, x)):
-            raise StiffnessFailure(f"solution not finite at t = {float(t):.6g}")
+            raise StiffnessFailure(f"solution not finite at t = {t:.6g}")
         yield t, x, h, coeffs
 
 
-def _section_crossings(kernel, x, t_end, direction, eps):
+def _section_crossings(kernel, x, t_end, direction):
     """Crossings of the section {v = 0} in the flow ``direction`` (the sign
     of v' there) of the orbit from (0, x) until t_end, as (t, u, w).
 
     The start itself is not a crossing, even when it lies on the section.
     """
-    t0 = x[0] * 0
-    for t, x1, h, (u, v, w) in _taylor_steps(kernel, t0, x, t_end, eps, eps):
+    t0 = 0.0
+    for t, x1, h, (u, v, w) in _taylor_steps(kernel, t0, x, t_end, DOUBLE_EPS):
         if direction * v[0] < 0 <= direction * x1[1]:
-            s = _step_root(v, h, x1[1], eps)
+            s = _step_root(v, h, x1[1])
             yield t0 + s, _horner(u, s), _horner(w, s)
         t0 = t
 
@@ -195,10 +187,10 @@ def first_return(fld, rho0, omega0):
     A crossing before t = 0.5 or with u <= 0 is not a return: the orbit is
     followed on to a return or to t = ``RETURN_HORIZON``.
     """
-    kernel = taylor_plan(fld.monomials, float)
+    kernel = taylor_plan(fld.monomials)
     x = [float(rho0), 0.0, float(rho0 * omega0)]
     direction = _flow_direction(fld, rho0)
-    for t, u, w in _section_crossings(kernel, x, RETURN_HORIZON, direction, DOUBLE_EPS):
+    for t, u, w in _section_crossings(kernel, x, RETURN_HORIZON, direction):
         if t > 0.5 and u > 0:
             return t, u, w / u
     raise NoReturn(f"no section return within t = {RETURN_HORIZON}")
@@ -211,41 +203,33 @@ def measure_period(fld: VectorField3, rho0: float) -> float:
     ``SETTLE_TIME`` so the transverse transient decays onto the invariant
     surface; the radial coordinate is untouched on families that conserve
     u^2 + v^2.  The period is the mean of the next ``PERIOD_TURNS``
-    returns.  The Taylor kernel runs on 31-digit ``decimal.Decimal``
-    numbers (at least the 103 bits of 30 decimal digits; the working
-    precision is 10^-30); its order and step follow from that precision.
+    returns.  The Taylor kernel runs at double precision, as for section
+    returns; its order and step follow from that precision.
     """
-    with decimal.localcontext() as ctx:
-        ctx.prec = EXTENDED_DPS + 1
-        num = decimal.Decimal
-        kernel = taylor_plan(fld.monomials, num)
-        eps = num(10) ** -EXTENDED_DPS
-        return float(_measure_period(fld, kernel, rho0, SETTLE_TIME, PERIOD_TURNS, num, eps))
-
-
-def _measure_period(fld, kernel, rho0, settle_time, turns, num, eps):
-    end = settle_time + 2.2 * math.pi * (turns + 2)
-    x = [num(rho0), num(0), num(0)]
+    kernel = taylor_plan(fld.monomials)
+    end = SETTLE_TIME + 2.2 * math.pi * (PERIOD_TURNS + 2)
+    x = [float(rho0), 0.0, 0.0]
     crossings = []
-    for t, u, _ in _section_crossings(kernel, x, end, _flow_direction(fld, rho0), eps):
-        if t > settle_time and u > 0:
+    for t, u, _ in _section_crossings(kernel, x, end, _flow_direction(fld, rho0)):
+        if t > SETTLE_TIME and u > 0:
             crossings.append(t)
-            if len(crossings) > turns:
-                return (crossings[-1] - crossings[0]) / turns
+            if len(crossings) > PERIOD_TURNS:
+                return (crossings[-1] - crossings[0]) / PERIOD_TURNS
     raise NoReturn("too few section returns while measuring period")
 
 
 # ---------------------------------------------------------------------------
-# Taylor kernel for polynomial fields, generic over the number type
+# Taylor kernel for polynomial fields
 
 # Multiplications (Cauchy-product and component terms) per compiled block of
-# orders.  Compile memory grows with the source: the 36 orders of a 31-digit
-# period fit on e1-center peak at 3.1 MB (tracemalloc) as one function and
-# at 0.5 MB in blocks of this size, the retained code included.
+# orders.  Compile memory grows with the source: the 20 orders of a run at
+# double precision on e1-center peak at 1.1 MB (tracemalloc) as one function
+# and at 0.5 MB in blocks of this size, the retained code included; a system
+# document with more products (nine: 2.9 MB and 0.5 MB) gains more.
 BLOCK_TERMS = 256
 
 
-def taylor_plan(monomials, num):
+def taylor_plan(monomials):
     """Compiled Taylor kernel of a polynomial field: ``kernel(x, order)``
     returns the Taylor coefficients 0..order of the flow through x, per
     component.
@@ -258,8 +242,8 @@ def taylor_plan(monomials, num):
     depends only on the field's shape (the products and the series of each
     component's terms) and the order, so it is generated per shape and
     order, in blocks of orders (``_order_blocks``) compiled on the first
-    call that needs them; the constants and coefficients, converted by
-    ``num``, are the arguments of each block's factory.
+    call that needs them; the constants and coefficients are the arguments
+    of each block's factory.
     """
     index = {(1, 0, 0): 0, (0, 1, 0): 1, (0, 0, 1): 2}
     products = []
@@ -274,13 +258,13 @@ def taylor_plan(monomials, num):
 
     consts, coefficients, components = [], [], []
     for comp in monomials:
-        const, terms = num(0), []
+        const, terms = 0.0, []
         for c, e in comp:
             if any(e):
-                coefficients.append(num(c))
+                coefficients.append(c)
                 terms.append(series(e))
             else:
-                const += num(c)
+                const += c
         consts.append(const)
         components.append(tuple(terms))
     shape = (tuple(products), tuple(components))
@@ -385,15 +369,12 @@ def _kernel_factory(products, components, first, stop):
 
 
 def _taylor_step(coeffs):
-    """Jorba-Zou step rho / e^2, rho from the last two coefficients.
-
-    Each norm is taken in the coefficients' type and converted once; float
-    conversion is monotone, so it equals the largest converted one."""
+    """Jorba-Zou step rho / e^2, rho from the last two coefficients."""
     order = len(coeffs[0]) - 1
-    scale = max(1.0, float(max(abs(c[0]) for c in coeffs)))
+    scale = max(1.0, max(abs(c[0]) for c in coeffs))
     rho = math.inf
     for j in (order - 1, order):
-        size = float(max(abs(c[j]) for c in coeffs))
+        size = max(abs(c[j]) for c in coeffs)
         if size > 0:
             rho = min(rho, (scale / size) ** (1.0 / j))
     return rho / math.e**2
@@ -406,13 +387,13 @@ def _horner(coeffs, s):
     return acc
 
 
-def _step_root(p, h, p_h, eps):
+def _step_root(p, h, p_h):
     """Root in [0, h] of the step polynomial p, where p(0) and p(h) = p_h
     differ in sign.
 
     Newton's method from the secant point, kept inside the bracket by a
     bisection step whenever an iterate would leave it.  It stops once a step
-    is within a few units of ``eps`` (rounding noise at double precision).
+    is within a few units of ``DOUBLE_EPS`` (rounding noise).
     """
     dp = [n * c for n, c in enumerate(p)][1:]
     lo, hi = 0 * h, h
@@ -428,7 +409,7 @@ def _step_root(p, h, p_h, eps):
         nxt = s - ps / d if d else lo - 1
         if not lo <= nxt <= hi:
             nxt = (lo + hi) / 2
-        if abs(nxt - s) <= 8 * eps * h:
+        if abs(nxt - s) <= 8 * DOUBLE_EPS * h:
             return nxt
         s = nxt
     return s

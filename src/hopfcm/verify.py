@@ -191,7 +191,7 @@ def claim_teo2_foci():
 
 def claim_teo1_isochronous():
     """T_2 = 0 and |T_4| = d^4/(8(d^4+4)) exactly; the numeric period fit at
-    d = 1 reproduces |T_4| = 1/40 within tolerance (extended precision).
+    d = 1 reproduces |T_4| = 1/40 within tolerance (double precision).
 
     The period module reports the positive minimal period, in which the
     quartic coefficient comes out +1/40 at d = 1; the numeric fit agrees

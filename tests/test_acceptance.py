@@ -70,7 +70,7 @@ def test_criterion_4_focus_families():
 def test_criterion_5_isochronicity():
     res = verify.claim_teo1_isochronous()
     _report(5, res["passed"], f"T2=0, |T4|=d^4/(8(d^4+4)); period fits "
-                              f"{[f'{f:.6f}' for f in res['fits']]} (extended)")
+                              f"{[f'{f:.6f}' for f in res['fits']]} (double precision)")
     assert res["passed"], res
 
 

@@ -565,6 +565,8 @@ _HUGE_ENTRY = {"matrix": [["1e400", 0, 0], [0, 1, 0], [0, 0, 1]]}
          "parameter a"),
         (_KHALED + ("1e400,0,0", "--params", "a=1,b=0,c=1,d=1"), None, "RegionUndefined",
          "omega^2"),
+        (_KHALED + ("E1", "--params", "a=-1.8375290382566314e+285,b=0,c=1,d=1"), None,
+         "RegionUndefined", "discriminant"),
         (("simulate", "--system", "e1-center", "--params", "d=1e200", "--x0", "0.1,0,0",
           "--tmax", "1"), None, "RegionUndefined", "coefficient"),
         (("displacement", "--system", "e1-center", "--params", "d=1e200", "--rho0-grid",
@@ -581,15 +583,18 @@ _HUGE_ENTRY = {"matrix": [["1e400", 0, 0], [0, 1, 0], [0, 0, 1]]}
          "RegionUndefined", "parameter d"),
         (("hopf", "--system", "input.json"), _float_document_with_coefficient("9" * 400),
          "RegionUndefined", "coefficient"),
+        (("hopf", "--system", "input.json"), _float_document_with_coefficient("1" * 5000),
+         "SchemaError", "integer literal"),
         (("hopf", "--system", "input.json"), _center_document("exact", True), "SchemaError",
          "parameter d"),
         (("hopf", "--system", "input.json"), _center_document("float", math.nan),
          "RegionUndefined", "parameter d"),
     ],
     ids=["x0-overflow", "rho0-overflow", "equilibrium-parameter-overflow",
-         "omega-overflow", "float-field-overflow", "displacement-field-overflow",
-         "transform-entry-overflow", "exact-document-junk", "exact-document-pole",
-         "float-document-junk", "float-document-overflow", "float-document-huge-literal",
+         "omega-overflow", "discriminant-overflow", "float-field-overflow",
+         "displacement-field-overflow", "transform-entry-overflow", "exact-document-junk",
+         "exact-document-pole", "float-document-junk", "float-document-overflow",
+         "float-document-huge-literal", "float-document-literal-past-the-digit-limit",
          "exact-document-boolean", "float-document-nan"],
 )
 def test_an_outside_number_that_does_not_fit_is_a_domain_error(

@@ -1,12 +1,11 @@
 """Numerical backend: integration accuracy, sections, displacement, export."""
 
-import contextlib
-import decimal
 import functools
 import json
 import math
 import os
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +14,8 @@ from hopfcm import simulate
 from hopfcm.catalog import build, e4_normal, e5_normal
 from hopfcm.errors import HopfcmError, NoReturn, StiffnessFailure
 from hopfcm.focusq import report_for_field
+from hopfcm.normalform import to_normal_form
+from hopfcm.period import isochronicity_constants
 from hopfcm.polysys import StatePoly, VectorField3, parse_system
 from hopfcm.simulate import (
     Trajectory,
@@ -119,8 +120,8 @@ def test_focus_displacement_far_from_the_crosscheck_point(c, h, monkeypatch):
     L1 = report_for_field(fld, 1).quantities[0]
     evals = 0
 
-    def counted_plan(monomials, num):
-        kernel = taylor_plan(monomials, num)
+    def counted_plan(monomials):
+        kernel = taylor_plan(monomials)
 
         def counted(x, order):
             nonlocal evals
@@ -228,41 +229,13 @@ def _rotation_series(n, factorial):
 
 def test_taylor_kernel_matches_the_rotation_series_in_floats():
     fld = _rotation_field()
-    got = taylor_plan(fld.monomials, float)([1.0, 0.0, 0.0], 20)
+    got = taylor_plan(fld.monomials)([1.0, 0.0, 0.0], 20)
     for series, want in zip(got, _rotation_series(20, math.factorial)):
         assert len(series) == 21
         assert max(abs(a - b) for a, b in zip(series, want)) < 1e-15
 
 
-def _mpf_numbers():
-    import mpmath as mp
-
-    return mp.workdps(30), mp.mpf
-
-
-def _decimal_numbers():
-    return decimal.localcontext(decimal.Context(prec=31)), decimal.Decimal
-
-
-def _float_numbers():
-    return contextlib.nullcontext(), float
-
-
-@pytest.mark.parametrize("numbers", [_mpf_numbers, _decimal_numbers], ids=["mpf", "decimal"])
-def test_taylor_kernel_matches_the_rotation_series_in_extended_precision(numbers):
-    context, num = numbers()
-    fld = _rotation_field()
-    with context:
-        x0 = [num(1), num(0), num(0)]
-        got = taylor_plan(fld.monomials, num)(x0, 36)
-        want = _rotation_series(36, lambda n: num(math.factorial(n)))
-        for series in got:
-            assert all(type(c) is type(x0[0]) for c in series)
-        for series, ref in zip(got, want):
-            assert max(abs(a - b) for a, b in zip(series, ref)) < num(10) ** -28
-
-
-def _generic_plan(monomials, num):
+def _generic_plan(monomials):
     # the interpreted Taylor kernel the compiled one replaced, kept as its
     # oracle: the same code list, walked by a generic loop
     index = {(1, 0, 0): 0, (0, 1, 0): 1, (0, 0, 1): 2}
@@ -278,12 +251,12 @@ def _generic_plan(monomials, num):
 
     components = []
     for comp in monomials:
-        const, terms = num(0), []
+        const, terms = 0.0, []
         for c, e in comp:
             if any(e):
-                terms.append((num(c), series(e)))
+                terms.append((c, series(e)))
             else:
-                const += num(c)
+                const += c
         components.append((const, terms))
     return products, components
 
@@ -340,76 +313,71 @@ ORACLE_FIELDS = {
 }
 
 
-@pytest.mark.parametrize("numbers", [_float_numbers, _decimal_numbers, _mpf_numbers],
-                         ids=["float", "decimal", "mpf"])
-@pytest.mark.parametrize("name", sorted(ORACLE_FIELDS))
-def test_compiled_kernel_matches_the_generic_loop(name, numbers):
+# the id names the number type, floats, that kernel and oracle run on
+@pytest.mark.parametrize("name", sorted(ORACLE_FIELDS), ids=lambda name: f"{name}-float")
+def test_compiled_kernel_matches_the_generic_loop(name):
     fld = ORACLE_FIELDS[name]()
-    context, num = numbers()
-    with context:
-        kernel = taylor_plan(fld.monomials, num)
-        plan = _generic_plan(fld.monomials, num)
-        products, components = plan
-        shape = (tuple(products), tuple(tuple(k for _, k in terms) for _, terms in components))
-        # the kernel is compiled in blocks of orders: each side of the first
-        # boundary, and the orders of a trajectory, a section return and a
-        # 31-digit period fit
-        boundary = simulate._order_blocks(*shape, 36)[0][1]
-        orders = sorted({0, 1, 2, boundary, boundary + 1, 13, 20, 36})
-        # a negative first coordinate makes the zero start x[0] * 0 a -0.0
-        for x0 in ([0.1, 0.0, 0.0], [-0.125, 0.0625, -0.03], [0.3, -0.2, 0.1]):
-            x = [num(v) for v in x0]
-            # the generic loop computes each order from the lower ones alone
-            series = _generic_coefficients(plan, x, orders[-1])
-            for order in orders:
-                got, want = kernel(x, order), [s[:order + 1] for s in series]
-                assert got == want
-                assert repr(got) == repr(want)
+    kernel = taylor_plan(fld.monomials)
+    plan = _generic_plan(fld.monomials)
+    products, components = plan
+    shape = (tuple(products), tuple(tuple(k for _, k in terms) for _, terms in components))
+    # the kernel is compiled in blocks of orders: each side of the first
+    # boundary, the orders of a trajectory (13) and of a section return or
+    # a period (20), and one past more blocks (36)
+    boundary = simulate._order_blocks(*shape, 36)[0][1]
+    orders = sorted({0, 1, 2, boundary, boundary + 1, 13, 20, 36})
+    # a negative first coordinate makes the zero start x[0] * 0 a -0.0
+    for x in ([0.1, 0.0, 0.0], [-0.125, 0.0625, -0.03], [0.3, -0.2, 0.1]):
+        # the generic loop computes each order from the lower ones alone
+        series = _generic_coefficients(plan, x, orders[-1])
+        for order in orders:
+            got, want = kernel(x, order), [s[:order + 1] for s in series]
+            assert got == want
+            assert repr(got) == repr(want)
 
 
 def test_a_kernel_is_compiled_once_per_shape():
     # e1-center has the same monomials at every d != 0
     x = [0.1, 0.0, 0.0]
-    taylor_plan(build("e1-center", {"d": 1}).to_float().monomials, float)(x, 13)
+    taylor_plan(build("e1-center", {"d": 1}).to_float().monomials)(x, 13)
     compiled = simulate._kernel_factory.cache_info().misses
-    taylor_plan(build("e1-center", {"d": 3}).to_float().monomials, float)(x, 13)
+    taylor_plan(build("e1-center", {"d": 3}).to_float().monomials)(x, 13)
     assert simulate._kernel_factory.cache_info().misses == compiled
 
 
 def test_compiling_a_period_fit_kernel_stays_small(monkeypatch):
-    # the widest shape of the tests (nine products), at the order of a
-    # 31-digit period fit: all 36 orders compiled as one function peak at
-    # 7.3 MB, in blocks at 0.9 MB, a fresh cache of blocks compiling each
+    # the widest shape of the tests (nine products), at the highest order a
+    # run reaches (20, at tolerance DOUBLE_EPS): all 20 orders compiled as
+    # one function peak at 2.9 MB, in blocks at 0.5 MB, a fresh cache of
+    # blocks compiling each
     fld = _cubic_document_field()
     monkeypatch.setattr(simulate, "_kernel_factory",
                         functools.cache(simulate._kernel_factory.__wrapped__))
-    with decimal.localcontext(decimal.Context(prec=31)):
-        kernel = taylor_plan(fld.monomials, decimal.Decimal)
-        x = [decimal.Decimal(v) for v in ("0.1", "-0.05", "0.02")]
-        tracemalloc.start()
-        try:
-            kernel(x, 36)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    kernel = taylor_plan(fld.monomials)
+    order = simulate._order(simulate.DOUBLE_EPS)
+    assert order == 20
+    tracemalloc.start()
+    try:
+        kernel([0.1, -0.05, 0.02], order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert simulate._kernel_factory.cache_info().misses > 1
     assert peak < 1_000_000
 
 
-def test_extended_period_matches_the_kernel_on_mpf(center_field):
-    # the same kernel on mpf under mp.workdps(30), the reference the decimal
-    # run replaced
-    import mpmath as mp
-
-    rho0 = 0.1
-    got = measure_period(center_field, rho0)
-    with mp.workdps(30):
-        kernel = taylor_plan(center_field.monomials, mp.mpf)
-        want = float(simulate._measure_period(
-            center_field, kernel, rho0, simulate.SETTLE_TIME, simulate.PERIOD_TURNS,
-            mp.mpf, mp.mpf(10) ** -30,
-        ))
-    assert abs(got - want) <= 1e-15 * want
+def test_period_matches_the_exact_period_series():
+    # T(rho0) = 2 pi (1 + sum_k T_2k rho0^2k) with T_2..T_12 exact: the
+    # terms left out are below 1e-17 relative at rho0 <= 0.1
+    for d in (1, 2):
+        nf = to_normal_form(build("e1-center", {"d": d}), (Fraction(0),) * 3)
+        constants = isochronicity_constants(nf, 6).constants
+        fld = build("e1-center", {"d": d}).to_float()
+        for rho0 in (0.05, 0.1):
+            r2 = Fraction(rho0) ** 2
+            want = 2 * math.pi * float(1 + sum(t * r2**k for k, t in enumerate(constants, 1)))
+            got = measure_period(fld, rho0)
+            assert abs(got - want) <= 1e-14 * want
 
 
 def test_displacement_richardson_consistency():
@@ -535,9 +503,3 @@ def test_export_over_a_file_keeps_its_permission_bits(tmp_path):
     export_csv(short, path)
     assert path.stat().st_mode & 0o777 == 0o600
     assert path.read_text().startswith("t,u,v,w\n")
-
-
-def test_extended_precision_period(center_field):
-    T = measure_period(center_field, 0.1)
-    expected = 2 * math.pi * (1 + 0.1**4 / 40)
-    assert abs(T - expected) / expected < 1e-7
