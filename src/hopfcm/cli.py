@@ -18,9 +18,9 @@ from dataclasses import asdict, is_dataclass
 
 from . import catalog, simulate
 from .cyclicity import jet_focus_report
-from .errors import FocusObstruction, HopfcmError, SchemaError
+from .errors import FocusObstruction, HopfcmError, SchemaError, abridged, listed
 from .focusq import report_for_field
-from .grammar import eval_exact, parse_expression
+from .grammar import eval_exact
 from .normalform import to_normal_form
 from .paramfield import exact_number, finite_float
 from .period import isochronicity_constants
@@ -70,24 +70,28 @@ def _parse_params(spec):
     out = {}
     for item in spec.split(","):
         if "=" not in item:
-            raise HopfcmError(f"bad parameter assignment {item!r}")
+            raise HopfcmError(f"bad parameter assignment {abridged(repr(item))}")
         k, v = item.split("=", 1)
-        out[k.strip()] = exact_number(v, f"parameter {k.strip()}", HopfcmError)
+        out[k.strip()] = exact_number(v, f"parameter {abridged(k.strip())}", HopfcmError)
     return out
 
 
 def _parse_point(spec, fld, params):
+    """The point ``spec`` names as typed, and the point ``fld`` is evaluated
+    at: on a float field, each typed value converted once to a float."""
     if spec is None:
-        return (fld.zero,) * 3
+        return ((fld.zero,) * 3,) * 2
     if spec.startswith("E"):
         pts = dict(catalog.equilibria_catalog(params))
         if spec not in pts:
-            raise HopfcmError(f"equilibrium {spec} does not exist at {params}")
-        return pts[spec]
-    vals = _numbers(spec, "--point")
+            raise HopfcmError(f"equilibrium {abridged(spec)} does not exist at {listed(params)}")
+        return (pts[spec],) * 2
+    vals = tuple(_numbers(spec, "--point"))
     if len(vals) != 3:
         raise HopfcmError("point must be E<k> or three comma-separated values")
-    return tuple(vals)
+    if isinstance(fld.zero, float):
+        return vals, tuple(finite_float(v, "--point value") for v in vals)
+    return vals, vals
 
 
 def _cmd_catalog(args):
@@ -108,13 +112,13 @@ def _cmd_catalog(args):
 def _cmd_hopf(args):
     params = _parse_params(args.params)
     fld = catalog.load(args.system, params)
-    point = _parse_point(args.point, fld, params)
+    typed, point = _parse_point(args.point, fld, params)
     cubic = char_cubic(fld.jacobian_at(point))
     report = hopf_test(cubic)
     _emit(
         {
             "system": args.system,
-            "point": point,
+            "point": typed,
             "is_hopf": report.is_hopf,
             "omega_squared": report.omega_squared,
             "lambda3": report.lambda3,
@@ -146,11 +150,11 @@ def _cmd_normalize(args):
                 return finite_float(number, "transform entry")
         else:
             def entry(v):
-                return eval_exact(parse_expression(str(v)), fld.params)
+                return eval_exact(v, fld.params)
         matrix = [[entry(v) for v in row] for row in rows]
         if doc.get("time_scale") is not None:
             time_scale = entry(doc["time_scale"])
-    point = _parse_point(args.point, fld, params)
+    _, point = _parse_point(args.point, fld, params)
     nf = to_normal_form(fld, point, matrix=matrix, time_scale=time_scale)
     _emit(
         {
@@ -398,6 +402,9 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    # reports print every digit; each reader of outside numbers keeps the limit
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.fn(args)
     except HopfcmError as exc:
@@ -409,6 +416,8 @@ def main(argv=None):
     except OSError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return USAGE_EXIT
+    finally:
+        sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

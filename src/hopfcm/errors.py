@@ -1,9 +1,17 @@
 """Exception types shared across the package."""
 
 
-def abridged(text):
-    """``text`` cut after 40 characters, so a message echoes no 400-digit number."""
-    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
+def abridged(text, limit=40):
+    """``text`` cut after ``limit`` characters, so a message echoes no 400-digit number."""
+    return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
+
+
+def listed(values, limit=40):
+    """``values`` printed with ``str``, a dict's items as ``name = value``,
+    comma-separated and ``abridged``."""
+    if isinstance(values, dict):
+        values = (f"{k} = {v}" for k, v in values.items())
+    return abridged(", ".join(map(str, values)), limit)
 
 
 class HopfcmError(Exception):

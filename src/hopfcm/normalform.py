@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .errors import BadTransform, NotHopf
+from .errors import BadTransform, NotHopf, abridged, listed
 from .paramfield import FLOAT_TOL, negligible
 from .polysys import (
     StatePoly,
@@ -90,11 +90,11 @@ def to_normal_form(
     """
     res = fld.evaluate(equilibrium)
     if not all(map(negligible, res)):
-        raise NotHopf(f"point {equilibrium!r} is not an equilibrium: {res!r}")
+        raise NotHopf(f"point ({listed(equilibrium)}) is not an equilibrium: {listed(res)}")
     jac = fld.jacobian_at(equilibrium)
     report = hopf_test(char_cubic(jac))
     if report.is_hopf is False:
-        raise NotHopf(f"eigenvalue conditions fail: {report.conditions!r}")
+        raise NotHopf(f"eigenvalue conditions fail: {listed(report.conditions, 120)}")
 
     floating = isinstance(fld.zero, float)
     if matrix is None:
@@ -128,7 +128,7 @@ def to_normal_form(
     elif negligible(s + 1):
         orientation = 1
     else:
-        raise BadTransform(f"rotation entry {s!r} did not rescale to +/-1")
+        raise BadTransform(f"rotation entry {abridged(str(s))} did not rescale to +/-1")
     if not lam:
         raise NotHopf("transverse eigenvalue is zero")
 

@@ -60,6 +60,8 @@ so the generic algorithms never ask a value for its type:
 from __future__ import annotations
 
 import math
+import re
+import sys
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
@@ -67,9 +69,15 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations_with_replacement
 from operator import add
 
-from .errors import DivisionByZero, PoleAtPoint, RegionUndefined, TruncationTooLow, abridged
+from .errors import (
+    DivisionByZero, PoleAtPoint, RegionUndefined, TruncationTooLow, abridged, listed,
+)
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
+# the most digits an integer from outside may have: the interpreter's default
+# limit, kept while the command line lifts it so that reports print every digit
+MAX_DIGITS = sys.int_info.default_max_str_digits
+_TOO_MANY_DIGITS = re.compile(rf"(?<!\d)\d{{{MAX_DIGITS + 1}}}")
 
 
 # ---------------------------------------------------------------------------
@@ -758,7 +766,7 @@ class ParamExpr:
         try:
             return num_val / den_val
         except (ZeroDivisionError, DivisionByZero) as exc:
-            raise PoleAtPoint(f"denominator vanishes at {values!r}") from exc
+            raise PoleAtPoint(f"denominator vanishes at {listed(values)}") from exc
 
     def __str__(self):
         if self.den.is_constant():  # content 1, so den is 1
@@ -908,12 +916,13 @@ def real_part(z, what, error):
 
 def exact_number(value, what, error):
     """The Fraction of a JSON integer or a text such as "1/10" or "0.1";
-    anything else, a JSON boolean or float included, raises ``error`` naming ``what``."""
+    anything else, a JSON boolean or float or a text with a run of more than
+    ``MAX_DIGITS`` digits included, raises ``error`` naming ``what``."""
     if isinstance(value, float):
         exact = f'"{Fraction(repr(value))}"' if math.isfinite(value) else "a string p/q"
         raise error(f"{what} = {value!r} is a JSON float, which would bind its binary value; "
                     f"write {abridged(exact)}")
-    if type(value) is int or isinstance(value, str):
+    if type(value) is int or isinstance(value, str) and not _TOO_MANY_DIGITS.search(value):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):

@@ -19,9 +19,11 @@ from functools import cached_property, partial
 from operator import add
 from typing import Optional
 
-from .errors import DivisionByZero, HopfcmError, PoleAtPoint, SchemaError, SingularTransform
+from .errors import DivisionByZero, HopfcmError, PoleAtPoint, SchemaError, SingularTransform, listed
 from . import grammar
-from .paramfield import Jet, ParamExpr, binary_power, dot, exact_number, finite_float, negligible
+from .paramfield import (
+    MAX_DIGITS, Jet, ParamExpr, binary_power, dot, exact_number, finite_float, negligible,
+)
 
 
 class StatePoly:
@@ -245,7 +247,8 @@ class HopfReport:
         if not self.is_hopf:
             return None
         w = self.omega
-        return (complex(0, w), complex(0, -w), complex(known_value(self.lambda3), 0))
+        return (complex(0, w), complex(0, -w),
+                complex(finite_float(known_value(self.lambda3), "lambda3"), 0))
 
 
 def char_cubic(m) -> CharCubic:
@@ -383,8 +386,7 @@ def bind(params, values, rows) -> VectorField3:
     try:
         coefficient_rows = rows(*(scope[p] for p in params))
     except (ZeroDivisionError, DivisionByZero) as exc:
-        point = ", ".join(f"{p} = {v}" for p, v in values.items())
-        raise PoleAtPoint(f"a coefficient has a pole at {point}") from exc
+        raise PoleAtPoint(f"a coefficient has a pole at {listed(values)}") from exc
     # an integer literal of ``rows`` becomes a Fraction like every other number
     comps = tuple(
         StatePoly({e: Fraction(c) if type(c) is int else c for e, c in row.items()})
@@ -412,12 +414,19 @@ def refuse_jets(values):
 # system-definition documents
 
 
+def _json_int(text):
+    """A JSON integer; a ValueError past ``MAX_DIGITS`` digits, whatever the limit."""
+    if len(text.lstrip("-")) > MAX_DIGITS:
+        raise ValueError(f"an integer has more than {MAX_DIGITS} digits")
+    return int(text)
+
+
 def read_json(path, required, what):
     """The JSON object in the file ``path`` (a ``what``); a SchemaError when
     it is not valid JSON, not an object, or lacks a key in ``required``."""
     with open(path) as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_int=_json_int)
         except (ValueError, RecursionError) as exc:
             raise SchemaError(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -463,7 +472,7 @@ def parse_system(document, values=None) -> VectorField3:
             number = v if isinstance(v, float) else exact_number(v, f"parameter {k}", SchemaError)
             scope[k] = finite_float(number, f"parameter {k}")
         literal = partial(finite_float, what="a coefficient literal")
-        rows = _rows(equations, lambda node: grammar.evaluate(node, scope, literal))
+        rows = _rows(equations, lambda text: grammar.evaluate(text, scope, literal))
         return VectorField3(tuple(StatePoly(row) for row in rows)).to_float()
     fixed = {k: exact_number(v, f"parameter {k}", SchemaError)
              for k, v in params_doc.items() if v is not None}
@@ -471,14 +480,14 @@ def parse_system(document, values=None) -> VectorField3:
 
     def rows(*free_values):
         scope = {**fixed, **dict(zip(free, free_values))}
-        return _rows(equations, lambda node: grammar.evaluate(node, scope, Fraction))
+        return _rows(equations, lambda text: grammar.evaluate(text, scope, Fraction))
 
     return bind(free, values, rows)
 
 
 def _rows(equations, evaluate):
-    """The coefficient rows of a document's equations, each coefficient
-    parsed and then evaluated by ``evaluate``; a repeated exponent sums its
+    """The coefficient rows of a document's equations, the text of each
+    coefficient evaluated by ``evaluate``; a repeated exponent sums its
     coefficients."""
     rows = []
     for eq in equations:
@@ -494,7 +503,7 @@ def _rows(equations, evaluate):
             ):
                 raise SchemaError(f"malformed monomial exponent {exp!r}")
             e = tuple(exp)
-            coeff = evaluate(grammar.parse_expression(item["coeff"]))
+            coeff = evaluate(item["coeff"])
             if e in terms:
                 terms[e] = terms[e] + coeff
             else:

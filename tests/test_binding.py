@@ -20,7 +20,7 @@ from hopfcm.cli import main
 from hopfcm.cyclicity import jet_system
 from hopfcm.errors import HopfcmError, PoleAtPoint, SchemaError
 from hopfcm.focusq import report_for_field
-from hopfcm.grammar import eval_exact, parse_expression
+from hopfcm.grammar import eval_exact
 from hopfcm.normalform import to_normal_form
 from hopfcm.paramfield import JetContext, ParamExpr
 from hopfcm.period import isochronicity_constants
@@ -92,7 +92,7 @@ BOUND_PATHS = {
     ).quantities,
     "isochronicity-constants": _center_constants,
     "valued-document": lambda: _coefficients(parse_system(_valued_document())),
-    "grammar": lambda: [eval_exact(parse_expression("(1 + 2^3)/3 - 1/7"), ())],
+    "grammar": lambda: [eval_exact("(1 + 2^3)/3 - 1/7", ())],
 }
 
 

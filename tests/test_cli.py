@@ -2,6 +2,7 @@
 
 import json
 import math
+import operator
 import os
 import signal
 import stat
@@ -11,12 +12,14 @@ import threading
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from hopfcm import simulate
 from hopfcm.catalog import PERTURBATION_PARAMS
 from hopfcm.cli import build_parser, main
+from hopfcm.errors import SchemaError
+from hopfcm.grammar import evaluate
 from hopfcm.verify import ETA_LINE, TEO5_PIVOTS
 
 
@@ -258,7 +261,7 @@ def test_normalize_rejects_a_malformed_matrix(tmp_path, capsys, system, matrix, 
         ({"matrix": [[2, 0, 0], [0, 1, 0], [0, 0, 1]], "time_scale": 1},
          "BadTransform", "rotation block is not antisymmetric"),
         ({"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "time_scale": 3},
-         "BadTransform", "rotation entry Fraction(1, 3) did not rescale to +/-1"),
+         "BadTransform", "rotation entry 1/3 did not rescale to +/-1"),
         ({"matrix": [[1, 0, 0], [1, 0, 0], [0, 0, 1]]},
          "SingularTransform", "transform matrix is singular"),
     ],
@@ -553,6 +556,9 @@ def _float_document_with_coefficient(coeff):
 
 _KHALED = ("hopf", "--system", "khaled-original", "--point")
 _HUGE_ENTRY = {"matrix": [["1e400", 0, 0], [0, 1, 0], [0, 0, 1]]}
+_SEVENS = "7" * 3000
+# (10^400 + 1) / 10^400, written as p/q
+_NEAR_ONE = f"{10**400 + 1}/{10**400}"
 
 
 @pytest.mark.parametrize(
@@ -589,19 +595,39 @@ _HUGE_ENTRY = {"matrix": [["1e400", 0, 0], [0, 1, 0], [0, 0, 1]]}
          "parameter d"),
         (("hopf", "--system", "input.json"), _center_document("float", math.nan),
          "RegionUndefined", "parameter d"),
+        (("hopf", "--system", "e4m", "--params", "c=1/4,h=2", "--point", "1e400,0,0"), None,
+         "RegionUndefined", "--point"),
+        (("normalize", "--system", "e4m", "--params", "c=1/4,h=2", "--point", "1e400,0,0"),
+         None, "RegionUndefined", "--point"),
+        (("hopf", "--system", "e1-center", "--params", f"d={_SEVENS}"), None,
+         "RegionUndefined", "lambda3"),
+        (("focus", "--system", "e1-center", "--order", "1", "--params", "d=" + "1" * 5000),
+         None, "HopfcmError", "parameter d"),
+        (("hopf", "--system", "input.json"), _center_document("exact", "1" * 5000),
+         "SchemaError", "parameter d"),
+        (("normalize", "--system", "khaled-original", "--point", "E1", "--params",
+          f"a=2,b=0,c=1,d={_NEAR_ONE}"), None, "NotHopf", "eigenvalue conditions fail"),
+        (("focus", "--system", "e1-normal", "--order", "1", "--params",
+          f"c=1,k=0,d={_NEAR_ONE}"), None, "PoleAtPoint", "a coefficient has a pole at"),
+        (("normalize", "--system", "e1-normal", "--params", f"c=1,k=1,d={_NEAR_ONE}",
+          "--point", f"{_NEAR_ONE},0,0"), None, "NotHopf", "is not an equilibrium"),
     ],
     ids=["x0-overflow", "rho0-overflow", "equilibrium-parameter-overflow",
          "omega-overflow", "discriminant-overflow", "float-field-overflow",
          "displacement-field-overflow", "transform-entry-overflow", "exact-document-junk",
          "exact-document-pole", "float-document-junk", "float-document-overflow",
          "float-document-huge-literal", "float-document-literal-past-the-digit-limit",
-         "exact-document-boolean", "float-document-nan"],
+         "exact-document-boolean", "float-document-nan", "hopf-point-overflow",
+         "normalize-point-overflow", "lambda3-overflow", "params-past-the-digit-limit",
+         "document-parameter-past-the-digit-limit", "long-eigenvalue-conditions",
+         "long-pole-point", "long-non-equilibrium"],
 )
 def test_an_outside_number_that_does_not_fit_is_a_domain_error(
     capsys, tmp_path, monkeypatch, argv, file, error, names
 ):
     """A number from outside that does not parse, or whose value does not
-    fit a float where one is needed, ends in one short JSON error."""
+    fit a float where one is needed, ends in one short JSON error; so does a
+    domain error whose message quotes a long number."""
     monkeypatch.chdir(tmp_path)
     if file is not None:
         (tmp_path / "input.json").write_text(json.dumps(file))
@@ -675,6 +701,138 @@ def test_every_outside_number_ends_in_a_report_or_a_domain_error(
     if code:
         assert out == "" and err.count("\n") == 1
         assert set(json.loads(err)) == {"error", "message"}
+
+
+@pytest.mark.parametrize("command", [("normalize",), ("period", "--order", "2")])
+def test_a_report_prints_every_digit(capsys, command):
+    """At d = 77...7 (3,000 sevens) lambda = -d^2 has 6,001 characters; the
+    interpreter's limit on int-to-text conversion is lifted for the run only."""
+    digits = sys.get_int_max_str_digits()
+    code, out, _ = run_cli(capsys, *command, "--system", "e1-center", "--params", f"d={_SEVENS}")
+    assert code == 0 and sys.get_int_max_str_digits() == digits
+    report = json.loads(out)
+    if command[0] == "normalize":
+        sys.set_int_max_str_digits(0)
+        try:
+            assert Fraction(report["lambda"]) == -int(_SEVENS) ** 2
+        finally:
+            sys.set_int_max_str_digits(digits)
+
+
+def test_an_order_past_the_digit_limit_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["focus", "--system", "e1-center", "--order", "1" * 5000])
+    assert exc.value.code == 1 and "invalid int value" in capsys.readouterr().err
+
+
+# coefficient texts from expression trees over c, d and integer literals.  A
+# leaf is (base, exponent or None), the exponent at most 3 and only on a
+# leaf, so that values stay short; a node is ("neg", tree), (op, tree, tree)
+# for op in + - * /, or a flat ("sum" or "product", [(op, tree), ...]), whose
+# first op is not written.  Small trees nest; flat sums and products of 100
+# to 300 leaves are drawn on their own, as long trees are slow to draw
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_LEAVES = st.tuples(st.sampled_from(["c", "d"]) | st.integers(0, 20).map(str),
+                    st.none() | st.integers(0, 3))
+
+
+def _flat(kind, terms, min_size=2):
+    ops = st.sampled_from("+-" if kind == "sum" else "*/")
+    return st.tuples(st.just(kind), st.lists(st.tuples(ops, terms), min_size=min_size,
+                                             max_size=300))
+
+
+_TREES = st.recursive(
+    _LEAVES,
+    lambda trees: st.one_of(
+        st.tuples(st.just("neg"), trees),
+        st.tuples(st.sampled_from(sorted(_BINARY)), trees, trees),
+        _flat("sum", trees),
+        _flat("product", trees),
+    ),
+    max_leaves=30,
+) | _flat("sum", _LEAVES, 100) | _flat("product", _LEAVES, 100)
+
+
+def _is_node(tree):
+    return tree[0] in _BINARY or tree[0] in ("neg", "sum", "product")
+
+
+def _render(tree):
+    """The grammar text of ``tree``, each subtree that is a node in parentheses."""
+    def sub(t):
+        return f"({_render(t)})" if _is_node(t) else _render(t)
+
+    kind = tree[0]
+    if kind == "neg":
+        return f"-{sub(tree[1])}"
+    if kind in ("sum", "product"):
+        return "".join(f"{op}{sub(t)}" for op, t in tree[1])[1:]
+    if kind in _BINARY:
+        return f"{sub(tree[1])}{kind}{sub(tree[2])}"
+    base, exponent = tree
+    return base if exponent is None else f"{base}^{exponent}"
+
+
+def _value(tree, scope):
+    """``tree`` evaluated directly, left to right; ZeroDivisionError at a pole."""
+    kind = tree[0]
+    if kind == "neg":
+        return -_value(tree[1], scope)
+    if kind in ("sum", "product"):
+        (_, first), *rest = tree[1]
+        acc = _value(first, scope)
+        for op, t in rest:
+            acc = _BINARY[op](acc, _value(t, scope))
+        return acc
+    if kind in _BINARY:
+        return _BINARY[kind](_value(tree[1], scope), _value(tree[2], scope))
+    base, exponent = tree
+    x = scope[base] if base in scope else Fraction(int(base))
+    return x if exponent is None else x**exponent
+
+
+def _depth(tree):
+    if not _is_node(tree):
+        return 1
+    subtrees = [t for _, t in tree[1]] if tree[0] in ("sum", "product") else tree[1:]
+    return 1 + max(map(_depth, subtrees))
+
+
+_RATIONALS = st.fractions(-3, 3, max_denominator=10)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(tree=_TREES, c=_RATIONALS, d=_RATIONALS)
+def test_every_coefficient_text_evaluates_as_its_tree(capsys, tmp_path, monkeypatch, tree, c, d):
+    """The grammar reads a text to the value of the tree it was rendered
+    from, a pole included, and a document with the text as a coefficient,
+    exact or float, ends in a report or one short JSON error line."""
+    assume(_depth(tree) <= 40)  # nesting stays within MAX_DEPTH
+    text = _render(tree)
+    scope = {"c": c, "d": d}
+    try:
+        want = _value(tree, scope)
+    except ZeroDivisionError:
+        with pytest.raises(SchemaError, match="a pole"):
+            evaluate(text, scope, Fraction)
+    else:
+        assert evaluate(text, scope, Fraction) == want
+    monkeypatch.chdir(tmp_path)
+    for backend in ("exact", "float"):
+        document = _center_document(backend, str(d))
+        document["params"]["c"] = str(c)
+        document["equations"][0][0]["coeff"] = text
+        (tmp_path / "input.json").write_text(json.dumps(document))
+        code, out, err = run_cli(capsys, "hopf", "--system", "input.json")
+        assert code in (0, 2)
+        if err:
+            assert out == "" and err.count("\n") == 1
+            report = json.loads(err)
+            assert set(report) == {"error", "message"} and len(report["message"]) < 200
+        else:
+            json.loads(out)
 
 
 def test_huge_finite_span_stops_at_the_work_ceiling(capsys, tmp_path, monkeypatch):
