@@ -31,11 +31,11 @@ E4_PARAMS = [(0.25, 2.0), (1.0, 2.0), (3.0, 5.0), (1.0 / 9.0, 0.5)]
 E5_PARAMS = [(-1.0, 2.0), (-0.25, 10.0), (-2.0, 10.0), (-1.0 / 3.0, 2.0)]
 
 
-def dump(fld, ics, out_dir, tmax, backward=False):
+def dump(fld, ics, out_dir, tmax):
+    """Orbits from ``ics`` over [0, tmax]; a negative tmax runs backward."""
     os.makedirs(out_dir, exist_ok=True)
-    span = (0.0, -tmax) if backward else (0.0, tmax)
     for i, ic in enumerate(ics):
-        traj = simulate.integrate(fld, ic, span, 1e-10, max_points=6000, stop_radius=6.0)
+        traj = simulate.integrate(fld, ic, (0.0, tmax), max_points=6000, stop_radius=6.0)
         simulate.export_csv(traj, os.path.join(out_dir, f"orbit_{i}.csv"))
     simulate.export_plot_script(os.path.join(out_dir, "plot.py"))
 
@@ -48,19 +48,19 @@ def main():
 
     center = catalog.build("e1-center", {"d": 1}).to_float()
     dump(center, FIG_PHASE_ICS, os.path.join(args.out, "center"), 100.0)
-    series = simulate.integrate(center, FIG_SERIES_IC, (0.0, 100.0), 1e-10)
+    series = simulate.integrate(center, FIG_SERIES_IC, (0.0, 100.0))
     simulate.export_csv(series, os.path.join(args.out, "center", "series.csv"))
 
     for c, h in E4_PARAMS:
         fld = catalog.e4_normal({"c": c, "h": h})
         tag = f"e4_c{c:g}_h{h:g}".replace(".", "p").replace("-", "m")
         dump(fld, FOCUS_ICS, os.path.join(args.out, tag + "_fwd"), args.tmax)
-        dump(fld, FOCUS_ICS, os.path.join(args.out, tag + "_bwd"), args.tmax, backward=True)
+        dump(fld, FOCUS_ICS, os.path.join(args.out, tag + "_bwd"), -args.tmax)
     for c, h in E5_PARAMS:
         fld = catalog.e5_normal({"c": c, "h": h})
         tag = f"e5_c{c:g}_h{h:g}".replace(".", "p").replace("-", "m")
         dump(fld, FOCUS_ICS, os.path.join(args.out, tag + "_fwd"), args.tmax)
-        dump(fld, FOCUS_ICS, os.path.join(args.out, tag + "_bwd"), args.tmax, backward=True)
+        dump(fld, FOCUS_ICS, os.path.join(args.out, tag + "_bwd"), -args.tmax)
     print(f"wrote datasets under {args.out}/")
 
 

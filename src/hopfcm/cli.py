@@ -24,7 +24,7 @@ from .grammar import eval_exact
 from .normalform import to_normal_form
 from .paramfield import exact_number, finite_float
 from .period import isochronicity_constants
-from .polysys import char_cubic, hopf_test, read_json
+from .polysys import hopf_test, read_json
 from .verify import CLAIMS, TEO5_CONFIG, config_bound, teo4_config
 
 USAGE_EXIT = 1
@@ -113,8 +113,7 @@ def _cmd_hopf(args):
     params = _parse_params(args.params)
     fld = catalog.load(args.system, params)
     typed, point = _parse_point(args.point, fld, params)
-    cubic = char_cubic(fld.jacobian_at(point))
-    report = hopf_test(cubic)
+    report = hopf_test(fld.jacobian_at(point))
     _emit(
         {
             "system": args.system,
@@ -274,8 +273,7 @@ def _cmd_simulate(args):
     x0 = _numbers(args.x0, "--x0")
     if len(x0) != 3:
         raise HopfcmError("--x0 must be three comma-separated values")
-    t_span = (0.0, -args.tmax) if args.backward else (0.0, args.tmax)
-    traj = simulate.integrate(fld, x0, t_span, args.tol)
+    traj = simulate.integrate(fld, x0, (0.0, args.tmax), args.tol)
     out = args.out or "trajectory.csv"
     simulate.export_csv(traj, out)
     artifacts = [out]
@@ -374,10 +372,9 @@ def build_parser():
     sp = sub.add_parser("simulate", help="integrate and export a trajectory")
     sp.add_argument("--system", required=True)
     sp.add_argument("--x0", required=True)
-    sp.add_argument("--tmax", type=float, required=True)
-    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--tmax", type=float, required=True, help="end time; negative runs backward")
+    sp.add_argument("--tol", type=float, default=simulate.DEFAULT_TOL)
     sp.add_argument("--params")
-    sp.add_argument("--backward", action="store_true")
     sp.add_argument("--plot-script", action="store_true", dest="plot_script")
     common(sp)
     sp.set_defaults(fn=_cmd_simulate)

@@ -185,12 +185,12 @@ def form_on_line(h: Jet, line):
     """(value, degree, gradient) of a form h at the point of the line where
     the free scalar is 1, from one evaluation at that point plus
     first-order jets: the value is the constant part and the gradient the
-    linear part.  The degree is that of the monomials of h whose
-    parameters all lie on the line, None when it has none.
+    linear part.  h is homogeneous, so the degree is that of any monomial
+    of h whose parameters all lie on the line, None when it has none.
 
     ``line`` maps small-parameter names to rational multiples of the free
     scalar; unlisted parameters are zero.  Raises ValueError for a name
-    that is not a small parameter, or when the degrees on the line differ.
+    that is not a small parameter.
     """
     names, monomials, degrees = h.ctx.names, h.ctx.monomials, h.ctx.degrees
     unknown = sorted(set(line) - set(names))
@@ -199,10 +199,9 @@ def form_on_line(h: Jet, line):
     ctx = JetContext(names, 1)
     # the zero form evaluates to a Fraction, which the sum makes a jet
     jet = ctx.zero() + h.evaluate({p: ctx.const(line.get(p, 0)) + ctx.eps(p) for p in names})
-    found = {degrees[k] for k in h.nums if all(line.get(names[i]) for i, _ in monomials[k])}
-    if len(found) > 1:
-        raise ValueError("line evaluation mixes degrees")
-    degree = found.pop() if found else None
+    degree = next(
+        (degrees[k] for k in h.nums if all(line.get(names[i]) for i, _ in monomials[k])), None
+    )
     return jet.constant_part(), degree, jet.linear_coefficients()
 
 

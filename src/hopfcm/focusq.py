@@ -1,9 +1,8 @@
 """Focus quantities via the formal-first-integral recursion.
 
-``complexify`` reads a normal form of either orientation.  For +1
-(udot = -v + P, vdot = u + Q, wdot = lam w + R) the complex variables
-x = u + iv, y = u - iv, z = w, and for -1 (udot = v + P, vdot = -u + Q) the
-turned ones x = v + iu, y = v - iu, z = w, turn the system into
+``complexify`` reads a normal form of either orientation o = +/-1
+(udot = -o v + P, vdot = o u + Q, wdot = lam w + R): the complex variables
+x = u + i o v, y = u - i o v, z = w turn the system into
 
     xdot = ix + sum a_jkl x^j y^k z^l,
     ydot = -iy + sum b_jkl x^j y^k z^l,
@@ -78,27 +77,25 @@ class FocusReport:
 
 
 def complexify(nf: NormalForm3) -> ComplexSystem:
-    """Complex coefficients a, b, c of the normal form in either orientation.
+    """Complex coefficients a, b, c of the normal form of orientation o.
 
-    Orientation +1 (udot = -v + P) takes x = u + iv and composes P + iQ;
-    orientation -1 (udot = v + P) takes the turned frame x = v + iu, so
-    u = -i(x - y)/2, v = (x + y)/2, and composes Q + iP.  Both give
-    xdot = ix + ...  P, Q and R are real, so b is the conjugate mirror
+    The frame x = u + i o v, so u = (x + y)/2 and v = -i o (x - y)/2, gives
+    xdot = ix + P + i o Q, and theta = 0 is the positive u axis in both
+    orientations.  P, Q and R are real, so b is the conjugate mirror
     b_jkl = conj(a_kjl) and needs no composition of its own.
     """
+    o = nf.orientation
     one = nf.lam ** 0
     zero = one * 0
     half = one * Fraction(1, 2)
-    half_i = gauss(zero, half)
+    half_i = gauss(zero, half * o)
     re = StatePoly({(1, 0, 0): gauss(half, zero), (0, 1, 0): gauss(half, zero)})
     im = StatePoly({(1, 0, 0): -half_i, (0, 1, 0): half_i})
     z = StatePoly({(0, 0, 1): gauss(one, zero)})
     P, Q = nf.P.terms, nf.Q.terms
     subs = [re, im, z]
-    if nf.orientation == -1:
-        P, Q, subs = Q, P, [im, re, z]
     P_iQ = StatePoly(
-        {e: gauss(P.get(e, zero), Q.get(e, zero)) for e in {**P, **Q}}
+        {e: gauss(P.get(e, zero), Q.get(e, zero) * o) for e in {**P, **Q}}
     )
     a = P_iQ.compose(subs).terms
     b = {(k, j, l): coeff.conjugate() for (j, k, l), coeff in a.items()}

@@ -7,7 +7,8 @@ any number type; the caller supplies the parameter values and the conversion
 of integer literals.  A system document runs it at its bound values, in
 Fractions, jets or floats (``polysys.parse_system``); ``eval_exact`` runs it
 in the exact fraction field over the parameters.  Sums and products may have
-any length; signs, parentheses and ``sqrt`` nest at most ``MAX_DEPTH`` deep.
+any length; signs, parentheses and ``sqrt`` nest at most ``MAX_DEPTH`` deep,
+and the exponents of nested powers multiply to at most ``MAX_EXPONENT``.
 """
 
 from __future__ import annotations
@@ -23,6 +24,10 @@ _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(.))")
 # the deepest a coefficient may nest, in signs, parentheses and sqrt, so that
 # the recursive parser does not come near the interpreter's recursion limit
 MAX_DEPTH = 100
+# the largest product of the exponents of nested powers, checked before a
+# power is computed: on a shared 2-vCPU x86-64 host a 4,300-digit literal
+# to the 100th power takes 0.06 s, to the 1,000th 2.8 s, to the 10,000th 74 s
+MAX_EXPONENT = 100
 
 
 def _tokenize(text, quoted):
@@ -60,6 +65,7 @@ class _Parser:
         self.tokens = _tokenize(text, self.quoted)
         self.pos = 0
         self.nesting = 0
+        self.power = 1  # the largest exponent product read in the current atom
         self.scope = scope
         self.literal = literal
 
@@ -100,16 +106,23 @@ class _Parser:
         if self.peek() in ("-", "+"):
             value = self.factor() if self.next()[0] == "+" else -self.factor()
         else:
+            outer, self.power = self.power, 1
             value = self.atom()
             if self.peek() == "^":
                 self.next()
                 if self.peek() == "-":
                     raise SchemaError(f"negative exponent in {self.quoted}")
                 exponent = self.expect("int")[1]
+                self.power *= exponent
+                if self.power > MAX_EXPONENT:
+                    raise SchemaError(
+                        f"the powers in {self.quoted} multiply to an exponent above {MAX_EXPONENT}"
+                    )
                 try:
                     value = value**exponent
                 except OverflowError as exc:
                     raise RegionUndefined("a coefficient does not fit a float") from exc
+            self.power = max(outer, self.power)
         self.nesting -= 1
         return value
 

@@ -3,8 +3,8 @@
 The target shape has linear part ((0, -o, 0), (o, 0, 0), (0, 0, lambda)) with
 o = +/-1 after time rescaling; ``orientation`` records o.  The field stays
 in the frame it was reduced to, with u and v never swapped;
-``focusq.complexify`` reads ``orientation`` to pick its complex variable
-(x = u + iv for +1, x = v + iu for -1).
+``focusq.complexify`` takes x = u + i o v, so theta = 0 is the positive u
+axis in both orientations.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .polysys import (
     StatePoly,
     VectorField3,
     _mat_inv3,
-    char_cubic,
     hopf_test,
     known_value,
     transform,
@@ -92,7 +91,7 @@ def to_normal_form(
     if not all(map(negligible, res)):
         raise NotHopf(f"point ({listed(equilibrium)}) is not an equilibrium: {listed(res)}")
     jac = fld.jacobian_at(equilibrium)
-    report = hopf_test(char_cubic(jac))
+    report = hopf_test(jac)
     if report.is_hopf is False:
         raise NotHopf(f"eigenvalue conditions fail: {listed(report.conditions, 120)}")
 

@@ -88,11 +88,12 @@ def _grlex_key(exp):
     return (sum(exp), exp)
 
 
-def _power_sum(terms, vals, scale):
+def power_sum(terms, vals, scale=None, zero=_ZERO):
     """scale * sum(n * prod(vals[i] ** p for i, p in mono)) over the
     (mono, n) pairs of ``terms``, each ``mono`` a sequence of (index,
-    exponent) pairs and each n an int; every power is computed once.
-    Returns a Fraction for no terms."""
+    exponent) pairs and each n a coefficient; every power is computed once.
+    A scale of None applies none (``complex * 1`` can flip a signed zero).
+    Returns ``zero`` for no terms."""
     powers = {}
     acc = None
     for mono, n in terms:
@@ -104,7 +105,9 @@ def _power_sum(terms, vals, scale):
                 x = powers[ip] = vals[i] ** p
             term = term * x
         acc = term if acc is None else acc + term
-    return _ZERO if acc is None else acc * scale
+    if acc is None:
+        return zero
+    return acc if scale is None else acc * scale
 
 
 def binary_power(base, n, one):
@@ -311,7 +314,7 @@ class ParamPoly:
             ([(i, p) for i, p in enumerate(e) if p], self.prim[e])
             for e in sorted(self.prim, key=_grlex_key)
         )
-        return _power_sum(terms, vals, self.content)
+        return power_sum(terms, vals, self.content)
 
     # -- printing -------------------------------------------------------------
 
@@ -1227,7 +1230,7 @@ class Jet:
         vals = [values[name] for name in self.ctx.names]
         monos = self.ctx.monomials
         terms = ((monos[k], n) for k, n in self.nums.items())
-        return _power_sum(terms, vals, Fraction(1, self.den))
+        return power_sum(terms, vals, Fraction(1, self.den))
 
     def constant_part(self):
         return Fraction(self.nums.get(0, 0), self.den)

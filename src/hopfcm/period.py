@@ -1,11 +1,12 @@
 """Periodic-solution series and isochronicity constants.
 
-The quasi-cylindrical coordinates u = rho cos(theta), v = rho sin(theta),
+The quasi-cylindrical coordinates u = rho cos(theta), v = o rho sin(theta),
 w = rho omega are the complex coordinates of ``focusq.complexify`` in polar
-form: x = u + iv = rho e^{i theta}, y = rho e^{-i theta}, z = rho omega.
-For orientation -1 complexify takes x = v + iu, so there u = rho sin(theta),
-v = rho cos(theta), and P, Q below stand for the field's Q, P.  With theta
-as independent variable the normal form becomes
+form: x = u + i o v = rho e^{i theta}, y = rho e^{-i theta}, z = rho omega,
+for the orientation o = +/-1, and Q below stands for the field's o Q.  So
+theta = 0 is the positive u axis, and T(rho0) is the period of the orbit
+through (u, v) = (rho0, 0) in both orientations.  With theta as
+independent variable the normal form becomes
 
     drho/dtheta   = (P cos + Q sin) / (1 + B),
     domega/dtheta = (lam omega + (R - omega (P cos + Q sin))/rho) / (1 + B),

@@ -1,6 +1,6 @@
 """Polynomial vector fields on three-dimensional state space.
 
-Evaluation, Jacobians, characteristic cubics and the Hopf eigenvalue test,
+Evaluation, Jacobians and the Hopf eigenvalue test,
 affine/linear changes of coordinates with time rescaling, and the binding
 of parameter values: a field is built once, by evaluating its coefficient
 formulas at the values (``bind``; ``parse_system`` for documents).
@@ -23,6 +23,7 @@ from .errors import DivisionByZero, HopfcmError, PoleAtPoint, SchemaError, Singu
 from . import grammar
 from .paramfield import (
     MAX_DIGITS, Jet, ParamExpr, binary_power, dot, exact_number, finite_float, negligible,
+    power_sum,
 )
 
 
@@ -97,28 +98,16 @@ class StatePoly:
         return StatePoly({(0,) * len(e): c ** 0})
 
     def diff(self, axis):
-        out = {}
-        for e, c in self.terms.items():
-            if e[axis] == 0:
-                continue
-            e2 = tuple(x - 1 if j == axis else x for j, x in enumerate(e))
-            coeff = c * e[axis]
-            if e2 in out:
-                out[e2] = out[e2] + coeff
-            else:
-                out[e2] = coeff
-        return StatePoly(out)
+        # distinct monomials have distinct derivatives, so none collide
+        return StatePoly({
+            tuple(x - 1 if j == axis else x for j, x in enumerate(e)): c * e[axis]
+            for e, c in self.terms.items() if e[axis]
+        })
 
     def evaluate(self, point, zero):
         """The value at ``point``; ``zero`` for the zero polynomial."""
-        acc = None
-        for e, c in self.terms.items():
-            term = c
-            for v, p in zip(point, e):
-                if p:
-                    term = term * v**p
-            acc = term if acc is None else acc + term
-        return zero if acc is None else acc
+        terms = (([(i, p) for i, p in enumerate(e) if p], c) for e, c in self.terms.items())
+        return power_sum(terms, point, zero=zero)
 
     def map_coeffs(self, fn):
         return StatePoly({e: fn(c) for e, c in self.terms.items()})
@@ -213,15 +202,6 @@ class VectorField3:
 
 
 @dataclass
-class CharCubic:
-    """Coefficients of P(lam) = lam^3 + alpha lam^2 + beta lam + gamma."""
-
-    alpha: object
-    beta: object
-    gamma: object
-
-
-@dataclass
 class HopfReport:
     """Outcome of the eigenvalue test at an equilibrium.
 
@@ -251,16 +231,6 @@ class HopfReport:
                 complex(finite_float(known_value(self.lambda3), "lambda3"), 0))
 
 
-def char_cubic(m) -> CharCubic:
-    """alpha = -trace, beta = sum of principal 2x2 minors (the diagonal
-    cofactors), gamma = -det, expanded along row 0."""
-    c00 = _cofactor(m, 0, 0)
-    alpha = -(m[0][0] + m[1][1] + m[2][2])
-    beta = _cofactor(m, 2, 2) + _cofactor(m, 1, 1) + c00
-    det = m[0][0] * c00 + m[0][1] * _cofactor(m, 0, 1) + m[0][2] * _cofactor(m, 0, 2)
-    return CharCubic(alpha, beta, -det)
-
-
 def known_value(x):
     """The Fraction or float value of a scalar that depends on no free
     parameter (a constant Jet included), else None: a ParamExpr is never
@@ -270,16 +240,22 @@ def known_value(x):
     return x if isinstance(x, (int, Fraction, float)) else None
 
 
-def hopf_test(cubic: CharCubic) -> HopfReport:
-    """Purely imaginary pair plus nonzero real eigenvalue.
+def hopf_test(m) -> HopfReport:
+    """Purely imaginary pair plus nonzero real eigenvalue of the 3x3 matrix m.
 
-    Requires gamma - alpha*beta = 0, beta > 0 and alpha != 0; then the
-    spectrum is +/- sqrt(beta) i together with -alpha.  Zero means
-    ``negligible``: exactly for exact values, and for floats the residual
-    relative to max(1, |gamma|, |alpha*beta|), beta and alpha absolutely.
-    ``is_hopf`` is None when a free parameter leaves a condition undecided.
+    Its characteristic polynomial is lam^3 + alpha lam^2 + beta lam + gamma
+    with alpha = -trace, beta the sum of the principal 2x2 minors (the
+    diagonal cofactors) and gamma = -det, expanded along row 0.  Requires
+    gamma - alpha*beta = 0, beta > 0 and alpha != 0; then the spectrum is
+    +/- sqrt(beta) i together with -alpha.  Zero means ``negligible``:
+    exactly for exact values, and for floats the residual relative to
+    max(1, |gamma|, |alpha*beta|), beta and alpha absolutely.  ``is_hopf``
+    is None when a free parameter leaves a condition undecided.
     """
-    alpha, beta, gamma = cubic.alpha, cubic.beta, cubic.gamma
+    c00 = _cofactor(m, 0, 0)
+    alpha = -(m[0][0] + m[1][1] + m[2][2])
+    beta = _cofactor(m, 2, 2) + _cofactor(m, 1, 1) + c00
+    gamma = -(m[0][0] * c00 + m[0][1] * _cofactor(m, 0, 1) + m[0][2] * _cofactor(m, 0, 2))
     alpha_beta = alpha * beta
     residual = gamma - alpha_beta
     conditions = {"gamma_minus_alpha_beta": residual, "beta": beta, "alpha": alpha}

@@ -26,7 +26,7 @@ from .focusq import report_for_field, verify_first_integral
 from .normalform import to_normal_form
 from .paramfield import ParamExpr
 from .period import isochronicity_constants
-from .polysys import StatePoly, char_cubic, hopf_test
+from .polysys import StatePoly, hopf_test
 
 F = Fraction
 
@@ -68,8 +68,7 @@ def claim_teo1_hopf():
             continue
         a = c if i % 2 == 0 else c + _sample_rationals(rng, 1, 4, 3)
         bound = catalog.build("khaled-original", {"a": a, "b": b, "c": c, "d": d})
-        cubic = char_cubic(bound.jacobian_at((F(0), F(0), 1 / d)))
-        report = hopf_test(cubic)
+        report = hopf_test(bound.jacobian_at((F(0), F(0), 1 / d)))
         disc = (1 + c * d) * (1 - b * d) - c**2 * d**2
         expected = a == c and disc > 0
         if bool(report.is_hopf) != expected:
@@ -77,7 +76,7 @@ def claim_teo1_hopf():
     c, d, k = (ParamExpr.var(("c", "d", "k"), n) for n in "cdk")
     b = (1 + c * d - c**2 * d**2 - k**2) / (d * (1 + c * d))
     bound = catalog.build("khaled-original", {"a": c, "b": b, "c": c, "d": d})
-    report = hopf_test(char_cubic(bound.jacobian_at((0, 0, 1 / d))))
+    report = hopf_test(bound.jacobian_at((0, 0, 1 / d)))
     identities = {
         "gamma - alpha*beta = 0": not report.conditions["gamma_minus_alpha_beta"],
         "omega^2 = (k/d)^2": report.omega_squared == (k / d) ** 2,
@@ -457,10 +456,10 @@ FIG_SERIES_IC = (0.5, -0.75, 0.1)
 
 
 def claim_conservation(out_dir=None):
-    """u^2 + v^2 conservation at tol 1e-10 over t in [0, 100], plus the
+    """u^2 + v^2 conservation at ``simulate.DEFAULT_TOL`` over t in [0, 100], plus the
     CSV/plot-script artifacts for the reference initial conditions."""
     fld = catalog.build("e1-center", {"d": 1}).to_float()
-    traj = simulate.integrate(fld, FIG_SERIES_IC, (0.0, 100.0), 1e-10)
+    traj = simulate.integrate(fld, FIG_SERIES_IC, (0.0, 100.0))
     H0 = FIG_SERIES_IC[0] ** 2 + FIG_SERIES_IC[1] ** 2
     drift = max(abs(u * u + v * v - H0) for u, v, _ in traj.states) / H0
 
@@ -472,7 +471,7 @@ def claim_conservation(out_dir=None):
     simulate.export_csv(traj, series_path)
     artifacts.append(series_path)
     for i, ic in enumerate(FIG_PHASE_ICS):
-        t = simulate.integrate(fld, ic, (0.0, 60.0), 1e-10, max_points=4000)
+        t = simulate.integrate(fld, ic, (0.0, 60.0), max_points=4000)
         p = os.path.join(out_dir, f"phase_{i}.csv")
         simulate.export_csv(t, p)
         artifacts.append(p)

@@ -47,8 +47,8 @@ def test_a_wrong_printed_form_fails_teo1_l1(monkeypatch, name, replacement):
 def test_a_perturbed_eigenvalue_identity_fails_teo1_hopf(monkeypatch, identity, perturb):
     # is_hopf is left alone, so only the identity fails, not the sampled
     # characterization
-    def perturbed(cubic):
-        report = hopf_test(cubic)
+    def perturbed(jac):
+        report = hopf_test(jac)
         return dataclasses.replace(report, **perturb(report))
 
     monkeypatch.setattr(verify, "hopf_test", perturbed)

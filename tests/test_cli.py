@@ -1,15 +1,19 @@
 """Command-line interface: subcommands, reports, exit-code contract."""
 
+import csv
 import json
 import math
 import operator
 import os
+import shlex
 import signal
 import stat
 import subprocess
 import sys
 import threading
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -202,17 +206,37 @@ def test_simulate_and_displacement(tmp_path, capsys):
     assert sweep.exists()
 
 
+# the transform that takes e1-shifted to its rotation normal form
+_E1_SHIFTED_TRANSFORM = {
+    "matrix": [
+        ["k*(c*d+1)/(c^2*d^2+k^2)", "c*d*(c*d+1)/(c^2*d^2+k^2)", "0"],
+        ["0", "1", "0"],
+        ["0", "0", "1"],
+    ],
+    "time_scale": "k/d",
+}
+
+
+def test_a_negative_tmax_integrates_backward(tmp_path, capsys):
+    out_csv = tmp_path / "back.csv"
+    code, out, _ = run_cli(
+        capsys, "simulate", "--system", "e1-center", "--params", "d=1",
+        "--x0", "0.5,-0.75,0.1", "--tmax", "-5", "--out", str(out_csv),
+    )
+    assert code == 0
+    times = [float(row.split(",")[0]) for row in out_csv.read_text().splitlines()[1:]]
+    assert times[0] == -5.0 and times[-1] == 0.0 and times == sorted(times)
+    assert len(times) == json.loads(out)["steps"]
+    # the sign of --tmax is the one way to run backward
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--system", "e1-center", "--params", "d=1", "--x0", "0.5,0,0",
+              "--tmax", "5", "--backward"])
+    assert exc.value.code == 1 and "unrecognized arguments: --backward" in capsys.readouterr().err
+
+
 def test_normalize_with_transform_file(tmp_path, capsys):
-    doc = {
-        "matrix": [
-            ["k*(c*d+1)/(c^2*d^2+k^2)", "c*d*(c*d+1)/(c^2*d^2+k^2)", "0"],
-            ["0", "1", "0"],
-            ["0", "0", "1"],
-        ],
-        "time_scale": "k/d",
-    }
     path = tmp_path / "transform.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(_E1_SHIFTED_TRANSFORM))
     code, out, _ = run_cli(
         capsys, "normalize", "--system", "e1-shifted", "--transform", str(path)
     )
@@ -220,6 +244,33 @@ def test_normalize_with_transform_file(tmp_path, capsys):
     report = json.loads(out)
     assert report["lambda"] == "(-d^2)/(k)"
     assert report["orientation"] == -1
+
+
+def _readme_commands():
+    """The ``hopfcm ...`` lines of README's fenced blocks."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = text.split("```")[1::2]
+    return [shlex.split(line)[1:] for block in blocks for line in block.splitlines()
+            if line.startswith("hopfcm ")]
+
+
+@pytest.mark.parametrize(
+    "argv", _readme_commands(), ids=lambda argv: "-".join(argv[:1] + argv[2:3])
+)
+def test_every_readme_command_runs(tmp_path, capsys, monkeypatch, argv):
+    # each command prints a JSON report; simulate's CSV is read back too
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "transform.json").write_text(json.dumps(_E1_SHIFTED_TRANSFORM))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    for path in report.get("artifacts", ()):
+        if path.endswith(".csv"):
+            with open(path) as fh:
+                header, *rows = list(csv.reader(fh))
+            assert header == ["t", "u", "v", "w"] and rows
+            assert all(len(row) == 4 and all(map(math.isfinite, map(float, row)))
+                       for row in rows)
 
 
 def test_normalize_rejects_a_transform_file_without_matrix(tmp_path, capsys):
@@ -414,6 +465,127 @@ def _center_document(backend, d):
             [{"exp": [0, 0, 1], "coeff": "-d^2"}, {"exp": [1, 1, 0], "coeff": "d"}],
         ],
     }
+
+
+def _changed_document(change):
+    """e1-center at d = 1 as an exact document, changed in place by ``change``."""
+    document = _center_document("exact", "1")
+    change(document)
+    return document
+
+
+def _set_first_monomial(**entries):
+    return lambda document: document["equations"][0][0].update(entries)
+
+
+def _split_first_monomial(document):
+    # v's coefficient 1 as 1/2 + 1/2: the Hopf test then reads omega^2 = 1
+    document["equations"][0][0:1] = [{"exp": [0, 1, 0], "coeff": "1/2"}] * 2
+
+
+_LINE_WITHOUT_PIVOTS = {"system": "e1-center-perturbed", "small": ["a200"], "order": 1,
+                   "line": {"a200": 1}}
+_E4_AT_D0 = ("hopf", "--system", "khaled-original", "--point", "E4", "--params")
+
+
+@pytest.mark.parametrize(
+    "argv,files,code,expected",
+    [
+        pytest.param(("focus", "--system", "e4-normal", "--order", "1"), {}, 2,
+                     {"error": "SchemaError", "message": "e4-normal requires values for"},
+                     id="float-family-without-values"),
+        pytest.param(("hopf", "--system", "khaled-original", "--params", "a"), {}, 2,
+                     {"error": "HopfcmError", "message": "bad parameter assignment"},
+                     id="params-without-value"),
+        pytest.param(("hopf", "--system", "khaled-original", "--point", "E9", "--params",
+                      "a=1,b=0,c=1,d=1"), {}, 2,
+                     {"error": "HopfcmError", "message": "equilibrium E9 does not exist"},
+                     id="point-no-such-equilibrium"),
+        pytest.param(("hopf", "--system", "khaled-original", "--point", "1,2", "--params",
+                      "a=1,b=0,c=1,d=1"), {}, 2,
+                     {"error": "HopfcmError",
+                      "message": "point must be E<k> or three comma-separated values"},
+                     id="point-two-values"),
+        pytest.param(_E4_AT_D0 + ("a=1,b=-1,c=-1,d=0",), {}, 2,
+                     {"error": "RegionUndefined", "message": "discriminant not positive"},
+                     id="point-negative-discriminant"),
+        pytest.param(_E4_AT_D0 + ("a=0,b=-1,c=-1,d=0",), {}, 2,
+                     {"error": "RegionUndefined", "message": "E4/E5 need a != 0"},
+                     id="point-a-zero"),
+        pytest.param(("hopf", "--system", "missing.json"), {}, 1,
+                     {"error": "FileNotFound", "message": "[Errno 2] No such file"},
+                     id="system-file-missing"),
+        pytest.param(("cyclicity", "--mode", "custom", "--config", "config.json"),
+                     {"config.json": _LINE_WITHOUT_PIVOTS}, 2,
+                     {"error": "SchemaError",
+                      "message": "cyclicity config config.json has a line"},
+                     id="config-line-without-pivots"),
+        pytest.param(("hopf", "--system", "system.json"),
+                     {"system.json": [_center_document("exact", "1")]}, 2,
+                     {"error": "SchemaError", "message": "system document system.json is not"},
+                     id="document-array"),
+        pytest.param(("hopf", "--system", "system.json"),
+                     {"system.json": _changed_document(lambda d: d.update(backend="x"))}, 2,
+                     {"error": "SchemaError", "message": "backend must be"},
+                     id="document-backend"),
+        pytest.param(("hopf", "--system", "system.json"),
+                     {"system.json": _changed_document(lambda d: d.update(params=["d"]))}, 2,
+                     {"error": "SchemaError", "message": "params must be an object"},
+                     id="document-params-list"),
+        pytest.param(("hopf", "--system", "system.json"),
+                     {"system.json": _changed_document(
+                         lambda d: d.update(state_vars=["u", "v"]))}, 2,
+                     {"error": "SchemaError", "message": "state_vars must list exactly three"},
+                     id="document-two-state-vars"),
+        pytest.param(("hopf", "--system", "system.json"),
+                     {"system.json": _changed_document(lambda d: d["equations"].pop())}, 2,
+                     {"error": "SchemaError", "message": "equations must list exactly three"},
+                     id="document-two-equations"),
+        pytest.param(("hopf", "--system", "system.json"),
+                     {"system.json": _changed_document(
+                         lambda d: d["equations"][0][0].pop("coeff"))}, 2,
+                     {"error": "SchemaError", "message": "each monomial needs 'exp' and 'coeff'"},
+                     id="document-monomial-without-coeff"),
+        pytest.param(("hopf", "--system", "system.json"),
+                     {"system.json": _changed_document(_set_first_monomial(exp=[1, -1, 0]))},
+                     2, {"error": "SchemaError", "message": "malformed monomial exponent"},
+                     id="document-negative-exponent"),
+        pytest.param(("hopf", "--system", "system.json"),
+                     {"system.json": _changed_document(_set_first_monomial(coeff="1 2"))}, 2,
+                     {"error": "SchemaError", "message": "trailing input in '1 2'"},
+                     id="coefficient-two-numbers"),
+        pytest.param(("hopf", "--system", "system.json"),
+                     {"system.json": _changed_document(_set_first_monomial(coeff="1 $ 2"))}, 2,
+                     {"error": "SchemaError", "message": "unexpected character '$'"},
+                     id="coefficient-unknown-character"),
+        pytest.param(("hopf", "--system", "system.json"),
+                     {"system.json": _changed_document(_set_first_monomial(coeff="(1"))}, 2,
+                     {"error": "SchemaError", "message": "expected ')' in '(1'"},
+                     id="coefficient-open-parenthesis"),
+        pytest.param(("hopf", "--system", "system.json"),
+                     {"system.json": _changed_document(lambda d: (
+                         d.update(backend="float"),
+                         _set_first_monomial(coeff="sqrt(0-1)")(d)))}, 2,
+                     {"error": "SchemaError", "message": "sqrt of a negative value"},
+                     id="float-sqrt-of-negative"),
+        pytest.param(("hopf", "--system", "system.json"),
+                     {"system.json": _changed_document(_split_first_monomial)}, 0,
+                     {"is_hopf": "True", "omega_squared": "1"},
+                     id="repeated-exponent-sums"),
+    ],
+)
+def test_every_listed_refusal_is_reached(tmp_path, capsys, monkeypatch, argv, files, code,
+                                         expected):
+    """Each refusal README lists ends in one JSON error line with its exit
+    code; the last row is a document that is accepted."""
+    monkeypatch.chdir(tmp_path)
+    for name, content in files.items():
+        (tmp_path / name).write_text(json.dumps(content))
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code and "Traceback" not in err
+    report = json.loads(err if code else out)
+    assert (out if code else err) == ""
+    assert all(str(report[key]).startswith(prefix) for key, prefix in expected.items()), report
 
 
 def test_custom_system_document(tmp_path, capsys):

@@ -223,8 +223,8 @@ def test_center_certificate_via_psi_series_normalization():
 
 def test_complexified_center_coefficients():
     # the center family at d = 1, udot = v + vw, vdot = -u - uw,
-    # wdot = -w + uv, read in the turned frame x = v + iu of its
-    # orientation -1, gives X1 = i x z, X2 = -i y z, X3 = -(i/4)(x^2 - y^2)
+    # wdot = -w + uv, read in the frame x = u - iv of its orientation -1,
+    # where v = i(x - y)/2, gives X1 = i x z, X2 = -i y z, X3 = (i/4)(x^2 - y^2)
     nf = to_normal_form(build("e1-center", {"d": 1}), (F(0),) * 3)
     assert nf.orientation == -1
     cs = complexify(nf)
@@ -232,8 +232,8 @@ def test_complexified_center_coefficients():
     assert cs.a == {(1, 0, 1): i_one}
     assert cs.b == {(0, 1, 1): GaussExpr(F(0), F(-1))}
     assert cs.c == {
-        (2, 0, 0): GaussExpr(F(0), F(-1, 4)),
-        (0, 2, 0): GaussExpr(F(0), F(1, 4)),
+        (2, 0, 0): GaussExpr(F(0), F(1, 4)),
+        (0, 2, 0): GaussExpr(F(0), F(-1, 4)),
     }
 
 
@@ -281,16 +281,16 @@ def test_degenerate_lambda_rejected():
         focus_quantities(cs, 1)
 
 
-def _turned(nf):
-    """The counterclockwise copy of a clockwise normal form: u and v trade
-    places, so udot = v + P, vdot = -u + Q becomes udot = -v + Q(v, u, w),
-    vdot = u + P(v, u, w)."""
+def _mirrored(nf):
+    """The counterclockwise copy of a clockwise normal form under v -> -v:
+    udot = v + P, vdot = -u + Q becomes udot = -v + P(u, -v, w),
+    vdot = u - Q(u, -v, w).  Its frame x = u + iv is the clockwise x = u - iv."""
 
-    def swap(poly):
-        return StatePoly({(e[1], e[0], e[2]): c for e, c in poly.terms.items()})
+    def mirror(poly, sign):
+        return StatePoly({e: c * sign * (-1) ** e[1] for e, c in poly.terms.items()})
 
     p, q, r = nf.field.components
-    fld = VectorField3((swap(q), swap(p), swap(r)), params=nf.field.params)
+    fld = VectorField3((mirror(p, 1), mirror(q, -1), mirror(r, 1)), params=nf.field.params)
     return replace(nf, field=fld, orientation=1)
 
 
@@ -307,11 +307,11 @@ _IDENTITY = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     ],
     ids=["e1-normal-bound", "e1-center-symbolic", "jet-degree-2", "e4-normal-float"],
 )
-def test_complexify_reads_a_clockwise_frame_like_its_turned_copy(build, matrix):
+def test_complexify_reads_a_clockwise_frame_like_its_mirrored_copy(build, matrix):
     fld = build()
     nf = to_normal_form(fld, (fld.zero,) * 3, matrix=matrix)
     assert nf.orientation == -1
-    got, want = complexify(nf), complexify(_turned(nf))
+    got, want = complexify(nf), complexify(_mirrored(nf))
     for name in ("a", "b", "c"):
         g, w = getattr(got, name), getattr(want, name)
         if isinstance(nf.lam, float):

@@ -1,13 +1,14 @@
 """Coefficient grammar: exact and float evaluation as the text is read, sqrt rules."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
 from hopfcm.cli import main
 from hopfcm.errors import SchemaError
-from hopfcm.grammar import MAX_DEPTH, eval_exact, evaluate
+from hopfcm.grammar import MAX_DEPTH, MAX_EXPONENT, eval_exact, evaluate
 from hopfcm.paramfield import ParamExpr
 
 
@@ -108,3 +109,44 @@ def test_a_sum_or_product_of_any_length_is_read(tmp_path, capsys, backend):
     assert reports[0] == reports[1]
     if backend == "exact":
         assert "(-1000)*x2*x3" in reports[0] and "(4)*x1*x3" in reports[0]
+
+
+def test_powers_up_to_the_exponent_bound_are_read():
+    params = ("d",)
+    d = ParamExpr.var(params, "d")
+    assert MAX_EXPONENT == 100
+    assert eval_exact("d^100", params) == d**100
+    assert eval_exact("((d+1)^10)^10", params) == (d + 1) ** 100
+    # a power of zero leaves a product of zero, under any outer exponent
+    assert eval_exact("((d^50)^0)^100 * d^3", params) == d**3
+
+
+def _refused_quickly(argv, capsys):
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and elapsed < 1
+    report = json.loads(err)
+    assert report["error"] == "SchemaError"
+    assert f"multiply to an exponent above {MAX_EXPONENT}" in report["message"]
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize(
+    "text", ["3^100000000", "(((d+1)^64)^64)^64", "((d^10)^10)^2"],
+    ids=["huge", "nested", "just-over"],
+)
+def test_a_power_past_the_exponent_bound_is_a_schema_error(tmp_path, capsys, backend, text):
+    # the bound is checked before the power is computed, so a float document
+    # reports it too, not an overflow; every nested power is within MAX_DEPTH
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(_document(backend, (text, "-d"))))
+    _refused_quickly(["hopf", "--system", str(path)], capsys)
+
+
+def test_a_transform_entry_past_the_exponent_bound_is_a_schema_error(tmp_path, capsys):
+    path = tmp_path / "transform.json"
+    path.write_text(json.dumps({"matrix": [["3^100000000", 0, 0], [0, 1, 0], [0, 0, 1]]}))
+    _refused_quickly(["normalize", "--system", "e1-center", "--transform", str(path)], capsys)
+

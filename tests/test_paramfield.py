@@ -26,7 +26,7 @@ from hopfcm.paramfield import (
     poly_gcd,
     real_part,
 )
-from hopfcm.polysys import CharCubic, StatePoly
+from hopfcm.polysys import HopfReport, StatePoly
 
 P = ("c", "d", "k")
 
@@ -295,8 +295,8 @@ def test_a_param_expr_survives_copies_and_pickles():
         for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
             assert type(twin) is type(x) and twin == x
             assert str(twin) == str(x) and hash(twin) == hash(x)
-    fields = dataclasses.asdict(CharCubic(*values))
-    assert list(fields.values()) == values
+    fields = dataclasses.asdict(HopfReport(None, values[0], values[1], {"alpha": values[2]}))
+    assert [fields["omega_squared"], fields["lambda3"], fields["conditions"]["alpha"]] == values
 
 
 # --- gcd machinery ------------------------------------------------------------------

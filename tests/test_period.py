@@ -17,6 +17,7 @@ from hopfcm.period import (
     polar_reduce,
 )
 from hopfcm.polysys import StatePoly, VectorField3
+from hopfcm.simulate import measure_period
 
 F = Fraction
 
@@ -192,21 +193,19 @@ def _table_at(table, rho, theta, omega):
     ids=["e4-normal", "e1-normal-bound"],
 )
 def test_polar_tables_match_the_cylindrical_field(nf):
-    # the oracle evaluates P, Q, R at u = rho cos, v = rho sin, w = rho omega
-    # directly, sharing no code with the complexified tables; a clockwise
-    # frame is read turned: u = rho sin, v = rho cos, with P and Q traded
+    # the oracle evaluates P, Q, R at u = rho cos, v = o rho sin, w = rho omega
+    # directly, sharing no code with the complexified tables; the frame
+    # x = u + i o v of orientation o reads o Q in place of Q
     red = polar_reduce(nf)
     P, Q, R = (poly.map_coeffs(float) for poly in (nf.P, nf.Q, nf.R))
     for rho in (0.3, 0.7):
         for theta in (0.4, 2.1, 5.0):
             for omega in (-0.8, 0.5):
                 cos, sin = math.cos(theta), math.sin(theta)
-                if nf.orientation == 1:
-                    point = (rho * cos, rho * sin, rho * omega)
-                    p, q, r = (poly.evaluate(point, 0.0) for poly in (P, Q, R))
-                else:
-                    point = (rho * sin, rho * cos, rho * omega)
-                    q, p, r = (poly.evaluate(point, 0.0) for poly in (P, Q, R))
+                o = nf.orientation
+                point = (rho * cos, o * rho * sin, rho * omega)
+                p, q, r = (poly.evaluate(point, 0.0) for poly in (P, Q, R))
+                q *= o
                 radial = p * cos + q * sin
                 expected = (radial, (q * cos - p * sin) / rho, (r - omega * radial) / rho)
                 tables = (red.radial, red.angular, red.transverse)
@@ -271,6 +270,30 @@ def test_loud_control_center_is_not_isochronous():
     exp = isochronicity_constants(_loud(1, 1), 2)
     series = [exp.odd_residuals[0], exp.constants[0], exp.odd_residuals[1], exp.constants[1]]
     assert series == [0, F(19, 24), F(19, 9), F(17209, 2304)]
+
+
+def test_a_clockwise_center_times_the_orbit_through_its_positive_u_axis():
+    # the mirror v -> -v of Loud's center at (D, F) = (1/3, 2/5) turns
+    # clockwise: u' = v - uv, v' = -u - u^2/3 - 2v^2/5, w' = -w.  It is not
+    # circular, so its period depends on the start ray; the series and the
+    # integration both start at (u, v) = (rho0, 0)
+    twin = isochronicity_constants(_loud(F(1, 3), F(2, 5)), 5)
+    comps = (
+        StatePoly({(0, 1, 0): F(1), (1, 1, 0): F(-1)}),
+        StatePoly({(1, 0, 0): F(-1), (2, 0, 0): F(-1, 3), (0, 2, 0): F(-2, 5)}),
+        StatePoly({(0, 0, 1): F(-1)}),
+    )
+    fld = VectorField3(comps)
+    nf = to_normal_form(fld, (F(0),) * 3)
+    assert nf.orientation == -1
+    exp = isochronicity_constants(nf, 5)
+    assert exp.constants == twin.constants and exp.odd_residuals == twin.odd_residuals
+    series = [t for pair in zip(exp.odd_residuals, exp.constants) for t in pair]
+    for rho0 in (0.02, 0.05):
+        r = F(rho0)
+        want = 2 * math.pi * float(1 + sum(t * r**k for k, t in enumerate(series, 1)))
+        got = measure_period(fld.to_float(), rho0)
+        assert abs(got - want) <= 1e-12 * want
 
 
 # --- high orders, where a coefficient kept before it is final would show first ----------

@@ -12,10 +12,8 @@ from hopfcm.errors import SchemaError, SingularTransform
 from hopfcm.paramfield import ParamExpr
 from hopfcm.polysys import (
     _mat_inv3,
-    CharCubic,
     StatePoly,
     VectorField3,
-    char_cubic,
     hopf_test,
     parse_system,
     transform,
@@ -90,19 +88,32 @@ def test_jacobian_of_linear_field_is_coefficient_matrix():
     assert jac == [[0, 2, 0], [-1, 0, 0], [0, 0, 5]]
 
 
+def _cubic(m):
+    """(alpha, beta, gamma) of lam^3 + alpha lam^2 + beta lam + gamma, the
+    characteristic polynomial of m, read off the Hopf test's residuals."""
+    conditions = hopf_test(m).conditions
+    alpha, beta = conditions["alpha"], conditions["beta"]
+    return alpha, beta, conditions["gamma_minus_alpha_beta"] + alpha * beta
+
+
+def _companion(alpha, beta, gamma):
+    """The companion matrix of lam^3 + alpha lam^2 + beta lam + gamma, whose
+    characteristic polynomial the Hopf test forms with no rounding."""
+    return [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-gamma, -beta, -alpha]]
+
+
 def test_char_cubic_alpha_at_first_equilibrium():
     fld = build("khaled-original")
     P = fld.params
     zero = F(0)
     a, c, d = (ParamExpr.var(P, n) for n in ("a", "c", "d"))
-    cc = char_cubic(fld.jacobian_at((zero, zero, 1 / d)))
-    assert cc.alpha == a - c + d
+    alpha, _, _ = _cubic(fld.jacobian_at((zero, zero, 1 / d)))
+    assert alpha == a - c + d
 
 
 def test_char_cubic_identity_matrix():
     m = [[F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(1)]]
-    cc = char_cubic(m)
-    assert (cc.alpha, cc.beta, cc.gamma) == (-3, 3, -1)
+    assert _cubic(m) == (-3, 3, -1)
 
 
 def test_char_cubic_annihilates_eigenvalues():
@@ -110,23 +121,23 @@ def test_char_cubic_annihilates_eigenvalues():
 
     rng = np.random.default_rng(7)
     m = rng.standard_normal((3, 3))
-    cc = char_cubic([[m[i][j] for j in range(3)] for i in range(3)])
+    alpha, beta, gamma = _cubic([[float(m[i][j]) for j in range(3)] for i in range(3)])
     for lam in np.linalg.eigvals(m):
-        val = lam**3 + cc.alpha * lam**2 + cc.beta * lam + cc.gamma
+        val = lam**3 + alpha * lam**2 + beta * lam + gamma
         assert abs(val) < 1e-9
 
 
 # --- Hopf test ------------------------------------------------------------------------
 
 
-def _e1_cubic(a, b, c, d):
+def _e1_jacobian(a, b, c, d):
     fld = build("khaled-original", {"a": a, "b": b, "c": c, "d": d})
     inv_d = 1 / F(d)
-    return char_cubic(fld.jacobian_at((F(0), F(0), inv_d)))
+    return fld.jacobian_at((F(0), F(0), inv_d))
 
 
 def test_hopf_at_first_equilibrium():
-    report = hopf_test(_e1_cubic(1, 0, 1, 1))
+    report = hopf_test(_e1_jacobian(1, 0, 1, 1))
     assert report.is_hopf is True
     assert report.omega_squared == 1
     assert report.lambda3 == -1
@@ -135,13 +146,13 @@ def test_hopf_at_first_equilibrium():
 
 
 def test_not_hopf_when_trace_condition_fails():
-    report = hopf_test(_e1_cubic(2, 0, 1, 1))  # a != c
+    report = hopf_test(_e1_jacobian(2, 0, 1, 1))  # a != c
     assert report.is_hopf is False
 
 
 def test_not_hopf_when_beta_zero():
-    cc = char_cubic([[F(0), F(0), F(0)], [F(0), F(0), F(0)], [F(0), F(0), F(-1)]])
-    assert hopf_test(cc).is_hopf is False
+    m = [[F(0), F(0), F(0)], [F(0), F(0), F(0)], [F(0), F(0), F(-1)]]
+    assert hopf_test(m).is_hopf is False
 
 
 @settings(max_examples=60, deadline=None)
@@ -149,8 +160,7 @@ def test_not_hopf_when_beta_zero():
 def test_cofactors_give_the_characteristic_cubic_and_inverse_of_sympy(entries):
     m = [entries[0:3], entries[3:6], entries[6:9]]
     sm = sympy.Matrix(3, 3, [sympy.Rational(x.numerator, x.denominator) for x in entries])
-    cubic = char_cubic(m)
-    assert [cubic.alpha, cubic.beta, cubic.gamma] == [F(str(x)) for x in sm.charpoly().all_coeffs()[1:]]
+    assert list(_cubic(m)) == [F(str(x)) for x in sm.charpoly().all_coeffs()[1:]]
     if sm.det() == 0:
         with pytest.raises(SingularTransform, match="transform matrix is singular"):
             _mat_inv3(m)
@@ -174,13 +184,13 @@ def test_float_inverse_is_judged_by_conditioning_not_scale():
 def test_float_hopf_test_tolerances():
     """The residual counts as zero relative to max(1, |gamma|, |alpha beta|),
     beta and alpha absolutely, all against FLOAT_TOL = 1e-9."""
-    assert hopf_test(CharCubic(2.0, 1e6, 2e6 + 1e-4)).is_hopf is True
-    assert hopf_test(CharCubic(2.0, 1e6, 2e6 + 1e-2)).is_hopf is False
-    assert hopf_test(CharCubic(1.0, 1.0, 1.0 + 1e-10)).is_hopf is True
-    assert hopf_test(CharCubic(1.0, 1.0, 1.0 + 1e-8)).is_hopf is False
-    assert hopf_test(CharCubic(1.0, 1e-10, 1e-10)).is_hopf is False
-    assert hopf_test(CharCubic(1e-10, 1.0, 1e-10)).is_hopf is False
-    assert hopf_test(CharCubic(1.0, -1.0, -1.0)).is_hopf is False
+    assert hopf_test(_companion(2.0, 1e6, 2e6 + 1e-4)).is_hopf is True
+    assert hopf_test(_companion(2.0, 1e6, 2e6 + 1e-2)).is_hopf is False
+    assert hopf_test(_companion(1.0, 1.0, 1.0 + 1e-10)).is_hopf is True
+    assert hopf_test(_companion(1.0, 1.0, 1.0 + 1e-8)).is_hopf is False
+    assert hopf_test(_companion(1.0, 1e-10, 1e-10)).is_hopf is False
+    assert hopf_test(_companion(1e-10, 1.0, 1e-10)).is_hopf is False
+    assert hopf_test(_companion(1.0, -1.0, -1.0)).is_hopf is False
 
 
 @settings(max_examples=60, deadline=None)
@@ -192,10 +202,10 @@ def test_float_hopf_test_tolerances():
 def test_hopf_iff_characterization_on_samples(b, c, d):
     """is_hopf at E1 exactly on {a=c, (1+cd)(1-bd)-c^2 d^2 > 0}."""
     disc = (1 + c * d) * (1 - b * d) - c**2 * d**2
-    report = hopf_test(_e1_cubic(c, b, c, d))
+    report = hopf_test(_e1_jacobian(c, b, c, d))
     assert report.is_hopf is (disc > 0 and d != 0)
     # breaking a = c must not yield a Hopf point (residual generically nonzero)
-    report2 = hopf_test(_e1_cubic(c + 1, b, c, d))
+    report2 = hopf_test(_e1_jacobian(c + 1, b, c, d))
     assert report2.is_hopf is not True or (
         report2.conditions["gamma_minus_alpha_beta"] == 0
     )

@@ -79,9 +79,6 @@ REPO = Path(__file__).resolve().parents[1]
 # the callers: the package, the scripts and the benchmark; a use in tests/
 # alone does not make a definition part of the program
 SEARCHED = ("src", "scripts", "perfbench")
-# the package's re-exports: a name imported there or listed in ``__all__`` is
-# not used by the program
-REEXPORTS = REPO / "src" / "hopfcm" / "__init__.py"
 # reference implementations that only tests call: each is an oracle that
 # shares no code with the path it checks
 TEST_ORACLES = {"identity_defect", "roundtrip_defect"}
@@ -135,7 +132,7 @@ def _referenced_names(path):
 
 def test_every_library_definition_is_referenced_by_name():
     """Name-based, so a definition is reported only when no file of the
-    program (tests and the package's re-exports excluded) uses its name
+    program (tests excluded) uses its name
     outside a function of the same name; its own def statement is not a use
     of it.  A method counts as used only through an attribute (``x.name``)
     or a dotted string, so a local variable of the same name does not keep
@@ -144,7 +141,6 @@ def test_every_library_definition_is_referenced_by_name():
         (name, attribute)
         for top in SEARCHED
         for path in sorted((REPO / top).rglob("*.py"))
-        if path != REEXPORTS
         for name, attribute in _referenced_names(path)
     }
     names = TEST_ORACLES | {name for name, _ in used}
@@ -158,6 +154,14 @@ def test_every_library_definition_is_referenced_by_name():
         if name not in (names if qualified == name else attributes)
     ]
     assert unreferenced == []
+
+
+def test_the_package_module_holds_only_its_docstring():
+    """The API is the submodules: ``import hopfcm`` re-exports nothing, so
+    no name is kept alive by an export alone."""
+    body = ast.parse((REPO / "src" / "hopfcm" / "__init__.py").read_text()).body
+    assert len(body) == 1 and isinstance(body[0], ast.Expr)
+    assert isinstance(body[0].value, ast.Constant) and isinstance(body[0].value.value, str)
 
 
 def test_no_class_defines_an_is_zero_method():
